@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__
 from .connectivity import build_connectivity_map
 from .consumption import compute_maps, entity_consumption, point_metrics, system_report
-from .grid import SpectrumGrid
 from .model import RFSystem, validate_system
 from .scenario_io import (
     ScenarioError,
@@ -292,7 +291,7 @@ def sweep(scenario, hex_sides, out):
         spec = dataclasses.replace(system.grid_spec, hex_side=side)
         swept = dataclasses.replace(system, grid_spec=spec)
         rep = system_report(swept, include_entities=False)
-        rows.append((side, SpectrumGrid(spec).region_count, rep))
+        rows.append((side, swept.grid.region_count, rep))
 
     click.echo(f"{'hex_side_m':>10} {'cells':>9} {'utilized':>13} {'forbidden':>13} {'available':>13} {'consumed_%':>10} {'available_%':>11}")
     for side, cells, rep in rows:

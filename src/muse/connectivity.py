@@ -1,7 +1,7 @@
 """RF connectivity between adjacent unit regions.
 
 For every ordered pair of edge-sharing hexagons and every band, a
-hypothetical new link is budgeted from the source cell's sample point to
+candidate new link is budgeted from the source cell's sample point to
 the destination cell's sample point: the candidate transmit power is the
 spectrum opportunity at the source (so no existing receiver is harmed by
 construction), and the achievable SINR follows from path loss against
@@ -22,6 +22,7 @@ import numpy as np
 from .consumption import compute_maps
 from .grid import Cell
 from .model import RFSystem
+from .propagation import path_gain
 from .units import watts_to_dbm
 
 __all__ = ["LinkAssessment", "ConnectivityMap", "link_feasibility", "build_connectivity_map"]
@@ -57,13 +58,16 @@ class ConnectivityMap:
         return "\n".join(lines) + "\n"
 
 
-def _assess(sys: RFSystem, a: int, b: int, nu: int, beta: float, opportunity_row, occupancy_row) -> LinkAssessment:
-    grid = sys.grid
-    model = sys.model_for_band(nu)
-    pa = grid.sample_points[a]
-    pb = grid.sample_points[b]
-    d = math.hypot(pb[0] - pa[0], pb[1] - pa[1])
-    gain = 1.0 if d <= model.reference_distance else (d / model.reference_distance) ** -model.alpha
+def _hop_gains(sys: RFSystem, pairs) -> list[list[float]]:
+    """Path gain between the sample points of each ordered (a, b) region
+    pair, one list per band."""
+    pts = sys.grid.sample_points
+    a, b = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
+    d = np.linalg.norm(pts[b] - pts[a], axis=1)
+    return [path_gain(sys.model_for_band(nu), d).tolist() for nu in range(sys.grid.band_count)]
+
+
+def _assess(sys: RFSystem, a: int, b: int, nu: int, beta: float, gain: float, opportunity_row, occupancy_row) -> LinkAssessment:
     max_power = min(max(float(opportunity_row[a]), 0.0), sys.params.p_max)
     sinr = max_power * gain / float(occupancy_row[b])
     return LinkAssessment(
@@ -97,7 +101,9 @@ def link_feasibility(
     tau = cell_a.time_index
     raw = maps.raw_opportunity[:, tau, band_index]
     occ = maps.occupancy[:, tau, band_index]
-    result = _assess(sys, cell_a.region_index, cell_b.region_index, band_index, candidate_beta, raw, occ)
+    a, b = cell_a.region_index, cell_b.region_index
+    gain = _hop_gains(sys, [(a, b)])[band_index][0]
+    result = _assess(sys, a, b, band_index, candidate_beta, gain, raw, occ)
     return result.feasible, result.max_power, result.sinr
 
 
@@ -114,19 +120,21 @@ def build_connectivity_map(sys: RFSystem, candidate_beta: float, time_index: int
     raw = maps.raw_opportunity[:, time_index, :]
     occ = maps.occupancy[:, time_index, :]
 
+    pairs = [(a, b) for a in range(grid.region_count) for b in grid.neighbors(a)]
+    gains = _hop_gains(sys, pairs)
+
     edges: list[LinkAssessment] = []
     best_band: dict[tuple[int, int], int | None] = {}
-    for a in range(grid.region_count):
-        for b in grid.neighbors(a):
-            per_band = [
-                _assess(sys, a, b, nu, candidate_beta, raw[:, nu], occ[:, nu])
-                for nu in range(grid.band_count)
-            ]
-            edges.extend(per_band)
-            feasible = [e for e in per_band if e.feasible]
-            if feasible:
-                sinrs = np.array([e.sinr for e in feasible])
-                best_band[(a, b)] = feasible[int(np.argmax(sinrs))].band_index
-            else:
-                best_band[(a, b)] = None
+    for k, (a, b) in enumerate(pairs):
+        per_band = [
+            _assess(sys, a, b, nu, candidate_beta, gains[nu][k], raw[:, nu], occ[:, nu])
+            for nu in range(grid.band_count)
+        ]
+        edges.extend(per_band)
+        feasible = [e for e in per_band if e.feasible]
+        if feasible:
+            sinrs = np.array([e.sinr for e in feasible])
+            best_band[(a, b)] = feasible[int(np.argmax(sinrs))].band_index
+        else:
+            best_band[(a, b)] = None
     return ConnectivityMap(candidate_beta=candidate_beta, time_index=time_index, edges=edges, best_band=best_band)

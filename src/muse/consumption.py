@@ -26,14 +26,26 @@ The clamped cell opportunity gamma is raw opportunity clipped to
 exactly by construction while the unclamped value stays available for
 diagnostics.
 
-Cell evaluations are pure and independent; maps are computed in chunks
-with a fixed-order reduction, so results are bitwise deterministic under
-any MUSE_THREADS setting.
+Evaluation has two stages.  The link budget of a band is built once per
+call: every receiver's margin, and an R x T coupling matrix whose entry
+(r, t) is the power receiver r takes from transmitter t, tx power x
+``propagation.link_gain`` x the receiver's antenna gain toward t, with
+the serving transmitter and orthogonal siblings masked out.  A time
+quantum's remaining margins are then one masked row sum.  The slice pass
+evaluates one (time, band) slice at N points: the four fields, and,
+for the transceivers asked for, each one's consumption summed over the
+points (received power for transmitters, clipped liability for
+receivers).  Maps, the system report, entity consumption and the point
+and cell queries (N = 1) all read from that one pass, so a point query
+equals the map bitwise at a cell's sample point.
+
+Large slices are evaluated in chunks of a fixed size, on threads; chunk
+sums are combined in chunk order, so results are bitwise deterministic
+under any MUSE_THREADS setting.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -42,7 +54,7 @@ import numpy as np
 
 from .grid import Cell, SpectrumGrid
 from .model import Receiver, RFSystem, Transmitter, entity_selector
-from .propagation import pattern_gain
+from .propagation import _toward, link_gain
 
 __all__ = [
     "PointMetrics",
@@ -78,35 +90,86 @@ def _thread_budget() -> int:
 
 
 # ---------------------------------------------------------------------------
-# scalar link budget helpers
+# link budget
 
 
-def _gain_between_banded(sys: RFSystem, src, dst, band_index: int) -> float:
-    """Path gain times both antenna gains between two transceivers."""
-    sp = sys.position_of(src)
-    dp = sys.position_of(dst)
-    d = math.hypot(dp[0] - sp[0], dp[1] - sp[1])
-    model = sys.model_for_band(band_index)
-    g = 1.0 if d <= model.reference_distance else (d / model.reference_distance) ** -model.alpha
-    if src.antenna.kind != "omni":
-        if d == 0.0:
-            g *= src.antenna.main_gain
-        else:
-            g *= pattern_gain(src.antenna, math.atan2(dp[1] - sp[1], dp[0] - sp[0]))
-    if dst.antenna.kind != "omni":
-        if d == 0.0:
-            g *= dst.antenna.main_gain
-        else:
-            g *= pattern_gain(dst.antenna, math.atan2(sp[1] - dp[1], sp[0] - dp[0]))
-    return g
+class _LinkBudget:
+    """Every receiver's link budget in one band.
+
+    ``coupling[r, t]`` is the power receiver r takes from transmitter t:
+    tx power x link gain x the receiver's antenna gain toward t.
+    ``interferes[r, t]`` is false for r's serving transmitter and, in an
+    orthogonal network, for the transmitters of r's sibling links.
+    ``signal`` is the serving power (zero on receive-only links), ``noise``
+    the ambient noise at each receiver and ``margin`` the interference it
+    tolerates at zero separation.
+    """
+
+    def __init__(self, sys: RFSystem, band_index: int):
+        self.sys = sys
+        self.band_index = band_index
+        self.model = sys.model_for_band(band_index)
+        tx_entries = list(sys.iter_transmitters())
+        rx_entries = list(sys.iter_receivers())
+        self.transmitters = [tx for _, _, tx in tx_entries]
+        self.receivers = [rx for _, _, rx in rx_entries]
+        self.ids = [tx.id for tx in self.transmitters] + [rx.id for rx in self.receivers]
+        self.tx_pos = np.array([sys.position_of(tx) for tx in self.transmitters], dtype=float).reshape(-1, 2)
+        self.rx_pos = np.array([sys.position_of(rx) for rx in self.receivers], dtype=float).reshape(-1, 2)
+
+        gain = np.empty((len(self.receivers), len(self.transmitters)))
+        for t, tx in enumerate(self.transmitters):
+            gain[:, t] = link_gain(self.model, tx.antenna, self.tx_pos[t], self.rx_pos)
+        for r, rx in enumerate(self.receivers):
+            gain[r] *= _toward(rx.antenna, self.rx_pos[r], self.tx_pos)[1]
+        self.coupling = gain * np.array([tx.tx_power for tx in self.transmitters])
+
+        tx_column = {tx.id: t for t, tx in enumerate(self.transmitters)}
+        tx_net = np.array([net.id for net, _, _ in tx_entries], dtype=object)
+        tx_link = np.array([link.id for _, link, _ in tx_entries], dtype=object)
+        self.interferes = np.ones(gain.shape, dtype=bool)
+        self.signal = np.zeros(len(self.receivers))
+        self.noise = np.array([sys.noise_at(pos, band_index) for pos in self.rx_pos])
+        self.margin = np.empty(len(self.receivers))
+        for r, (net, link, rx) in enumerate(rx_entries):
+            if net.orthogonal:
+                self.interferes[r] &= (tx_net != net.id) | (tx_link == link.id)
+            if link.transmitter is None:
+                if rx.explicit_margin is None:
+                    raise ValueError(f"receiver {rx.id}: no serving signal and no explicit margin")
+                self.margin[r] = rx.explicit_margin
+                continue
+            s = tx_column[link.transmitter.id]
+            self.interferes[r, s] = False
+            self.signal[r] = self.coupling[r, s]
+            self.margin[r] = self.signal[r] / rx.beta - self.noise[r]
+
+    def active(self, time_index: int) -> tuple[np.ndarray, np.ndarray]:
+        """Activity masks of the transmitters and the receivers in one time quantum."""
+        nu = self.band_index
+        return (
+            np.array([tx.is_active(time_index, nu) for tx in self.transmitters], dtype=bool),
+            np.array([rx.is_active(time_index, nu) for rx in self.receivers], dtype=bool),
+        )
+
+    def interference(self, tx_active: np.ndarray) -> np.ndarray:
+        """Power each receiver takes from its active interferers.
+
+        A numpy reduction, not a BLAS product, so that the result does not
+        depend on any thread count."""
+        return np.sum(self.coupling, axis=1, where=self.interferes & tx_active)
+
+    def rx_gain(self, r: int, pts) -> np.ndarray:
+        """Link gain between receiver r and each point."""
+        return link_gain(self.model, self.receivers[r].antenna, self.rx_pos[r], pts)
 
 
-def _serving_power(sys: RFSystem, rx: Receiver, band_index: int) -> float:
-    link = sys.link_of(rx.id)
-    tx = link.transmitter
-    if tx is None:
-        raise ValueError(f"receiver {rx.id} has no serving transmitter")
-    return tx.tx_power * _gain_between_banded(sys, tx, rx, band_index)
+def _receiver_budget(sys: RFSystem, rx: Receiver | str, band_index: int) -> tuple[_LinkBudget, int]:
+    """The band's link budget and the receiver's row in it."""
+    rx_id = rx if isinstance(rx, str) else rx.id
+    sys.receiver(rx_id)  # unknown ids raise UnknownEntityError
+    budget = _LinkBudget(sys, band_index)
+    return budget, [r.id for r in budget.receivers].index(rx_id)
 
 
 def interference_margin(sys: RFSystem, rx: Receiver | str, band_index: int = 0) -> float:
@@ -116,63 +179,22 @@ def interference_margin(sys: RFSystem, rx: Receiver | str, band_index: int = 0) 
     links must declare it explicitly.  A negative value is returned as is
     and marks the receiver as infeasible even without interferers.
     """
-    if isinstance(rx, str):
-        rx = sys.receiver(rx)
-    link = sys.link_of(rx.id)
-    if link.transmitter is None:
-        if rx.explicit_margin is None:
-            raise ValueError(f"receiver {rx.id}: no serving signal and no explicit margin")
-        return rx.explicit_margin
-    noise = sys.noise_at(sys.position_of(rx), band_index)
-    return _serving_power(sys, rx, band_index) / rx.beta - noise
-
-
-def _interference_at(sys: RFSystem, rx: Receiver, time_index: int, band_index: int) -> float:
-    """Aggregate interference power received by rx from every co-banded,
-    co-active transmitter except its own serving transmitter (and, for
-    orthogonal networks, sibling links)."""
-    own_link = sys.link_of(rx.id)
-    own_net = sys.network_of(rx.id)
-    serving = own_link.transmitter
-    total = 0.0
-    for net, link, tx in sys.iter_transmitters():
-        if not tx.is_active(time_index, band_index):
-            continue
-        if serving is not None and tx.id == serving.id:
-            continue
-        if net.orthogonal and net.id == own_net.id and link.id != own_link.id:
-            continue
-        total += tx.tx_power * _gain_between_banded(sys, tx, rx, band_index)
-    return total
+    budget, r = _receiver_budget(sys, rx, band_index)
+    return float(budget.margin[r])
 
 
 def receiver_sinr(sys: RFSystem, rx: Receiver | str, time_index: int = 0, band_index: int = 0) -> float:
     """Experienced SINR (linear) of a served receiver."""
-    if isinstance(rx, str):
-        rx = sys.receiver(rx)
-    noise = sys.noise_at(sys.position_of(rx), band_index)
-    interference = _interference_at(sys, rx, time_index, band_index)
-    return _serving_power(sys, rx, band_index) / (interference + noise)
+    rx_id = rx if isinstance(rx, str) else rx.id
+    if sys.link_of(rx_id).transmitter is None:
+        raise ValueError(f"receiver {rx_id} has no serving transmitter")
+    budget, r = _receiver_budget(sys, rx_id, band_index)
+    interference = budget.interference(budget.active(time_index)[0])
+    return float(budget.signal[r] / (interference[r] + budget.noise[r]))
 
 
 # ---------------------------------------------------------------------------
-# vectorized slice evaluation
-
-
-def _path_gain_vec(model, d: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        decayed = (d / model.reference_distance) ** -model.alpha
-    return np.where(d <= model.reference_distance, 1.0, decayed)
-
-
-def _antenna_gain_vec(antenna, origin, pts: np.ndarray, d: np.ndarray) -> np.ndarray | float:
-    """Gain of an antenna at ``origin`` toward each point; main lobe at
-    coincident points (the bearing is undefined there)."""
-    if antenna.kind == "omni":
-        return 1.0
-    bearing = np.arctan2(pts[:, 1] - origin[1], pts[:, 0] - origin[0])
-    g = pattern_gain(antenna, bearing)
-    return np.where(d == 0.0, antenna.main_gain, g)
+# slice evaluation
 
 
 def _noise_vector(sys: RFSystem, pts: np.ndarray, band_index: int, region_indices) -> np.ndarray | float:
@@ -192,106 +214,99 @@ def _noise_vector(sys: RFSystem, pts: np.ndarray, band_index: int, region_indice
 
 
 @dataclass
-class _SliceFields:
+class _Slice:
     occupancy: np.ndarray
     raw_opportunity: np.ndarray
     gamma: np.ndarray
     phi: np.ndarray
-    tx_received: dict[str, np.ndarray] | None = None
-    rx_opportunity: dict[str, np.ndarray] | None = None
-    rx_liability: dict[str, np.ndarray] | None = None
-    harmful: frozenset[str] = frozenset()
+    consumed: np.ndarray  # per transceiver of budget.ids, summed over the points
 
 
-def _evaluate_slice(
-    sys: RFSystem,
-    pts: np.ndarray,
-    time_index: int,
-    band_index: int,
-    detail: bool = False,
-    region_indices=None,
-) -> _SliceFields:
-    params = sys.params
-    model = sys.model_for_band(band_index)
-    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+def _evaluate_slice(budget: _LinkBudget, pts: np.ndarray, time_index: int, noise, members) -> _Slice:
+    """One (time, band) slice at N points.
+
+    For each transceiver id in ``members`` it also sums, over the points,
+    the power a transmitter deposits or the clipped liability a receiver
+    imposes.  The sums are taken inside the loops, so no per-entity field
+    outlives its iteration.
+    """
+    params = budget.sys.params
+    tx_active, rx_active = budget.active(time_index)
+    consumed = np.zeros(len(budget.ids))
 
     occupancy = np.zeros(len(pts))
-    occupancy += _noise_vector(sys, pts, band_index, region_indices)
-    tx_received = {} if detail else None
-    for _, _, tx in sys.iter_transmitters():
-        if not tx.is_active(time_index, band_index):
-            if detail:
-                tx_received[tx.id] = np.zeros(len(pts))
+    occupancy += noise
+    for t, tx in enumerate(budget.transmitters):
+        if not tx_active[t]:
             continue
-        pos = sys.position_of(tx)
-        d = np.hypot(pts[:, 0] - pos[0], pts[:, 1] - pos[1])
-        received = tx.tx_power * _path_gain_vec(model, d) * _antenna_gain_vec(tx.antenna, pos, pts, d)
+        received = tx.tx_power * link_gain(budget.model, tx.antenna, budget.tx_pos[t], pts)
         occupancy += received
-        if detail:
-            tx_received[tx.id] = received
+        if tx.id in members:
+            consumed[t] = np.sum(received)
 
-    raw = None
-    rx_opportunity = {} if detail else None
-    harmful: set[str] = set()
-    for _, _, rx in sys.iter_receivers():
-        if not rx.is_active(time_index, band_index):
+    remaining = budget.margin - budget.interference(tx_active)
+    raw = params.p_max - occupancy
+    first_rx = len(budget.transmitters)
+    for r, rx in enumerate(budget.receivers):
+        if not rx_active[r]:
             continue
-        remaining = interference_margin(sys, rx, band_index) - _interference_at(sys, rx, time_index, band_index)
-        pos = sys.position_of(rx)
-        d = np.hypot(pts[:, 0] - pos[0], pts[:, 1] - pos[1])
-        gain = _path_gain_vec(model, d) * _antenna_gain_vec(rx.antenna, pos, pts, d)
-        opp = remaining / gain
-        raw = opp if raw is None else np.minimum(raw, opp)
-        if detail:
-            rx_opportunity[rx.id] = opp
-            if remaining < 0.0:
-                harmful.add(rx.id)
+        opp = remaining[r] / budget.rx_gain(r, pts)
+        np.minimum(raw, opp, out=raw)
+        if rx.id in members:
+            consumed[first_rx + r] = np.sum(np.clip(params.p_cmax - (occupancy + opp), 0.0, params.p_cmax))
 
-    headroom = params.p_max - occupancy
-    raw = headroom if raw is None else np.minimum(raw, headroom)
     gamma = np.clip(raw, 0.0, np.maximum(params.p_cmax - occupancy, 0.0))
     phi = params.p_cmax - occupancy - gamma
-
-    fields = _SliceFields(occupancy=occupancy, raw_opportunity=raw, gamma=gamma, phi=phi)
-    if detail:
-        fields.tx_received = tx_received
-        fields.rx_opportunity = rx_opportunity
-        fields.rx_liability = {
-            rid: np.clip(params.p_cmax - (occupancy + opp), 0.0, params.p_cmax)
-            for rid, opp in rx_opportunity.items()
-        }
-        fields.harmful = frozenset(harmful)
-    return fields
+    return _Slice(occupancy=occupancy, raw_opportunity=raw, gamma=gamma, phi=phi, consumed=consumed)
 
 
-def _evaluate_grid_slice(sys: RFSystem, grid: SpectrumGrid, time_index: int, band_index: int) -> _SliceFields:
-    """Chunked slice evaluation over every sample point of the grid."""
+def _evaluate_grid_slice(budget: _LinkBudget, grid: SpectrumGrid, time_index: int, members) -> _Slice:
+    """Chunked slice evaluation over every sample point of the grid.
+
+    Chunk sums are added in chunk order, so the result does not depend on
+    the thread count."""
     pts = grid.sample_points
     n = len(pts)
-    if n <= _CHUNK:
-        return _evaluate_slice(sys, pts, time_index, band_index, region_indices=np.arange(n))
-    occupancy = np.empty(n)
-    raw = np.empty(n)
-    gamma = np.empty(n)
-    phi = np.empty(n)
-    spans = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
 
-    def run(span):
-        lo, hi = span
-        f = _evaluate_slice(sys, pts[lo:hi], time_index, band_index, region_indices=np.arange(lo, hi))
-        occupancy[lo:hi] = f.occupancy
-        raw[lo:hi] = f.raw_opportunity
-        gamma[lo:hi] = f.gamma
-        phi[lo:hi] = f.phi
+    def evaluate(lo, hi):
+        noise = _noise_vector(budget.sys, pts[lo:hi], budget.band_index, np.arange(lo, hi))
+        return _evaluate_slice(budget, pts[lo:hi], time_index, noise, members)
+
+    if n <= _CHUNK:
+        return evaluate(0, n)
+    spans = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+    fields = _Slice(*(np.empty(n) for _ in range(4)), consumed=np.zeros(len(budget.ids)))
+    sums = [None] * len(spans)
+
+    def run(k):
+        lo, hi = spans[k]
+        f = evaluate(lo, hi)
+        fields.occupancy[lo:hi] = f.occupancy
+        fields.raw_opportunity[lo:hi] = f.raw_opportunity
+        fields.gamma[lo:hi] = f.gamma
+        fields.phi[lo:hi] = f.phi
+        sums[k] = f.consumed
 
     workers = min(_thread_budget(), len(spans))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, spans))
+            list(pool.map(run, range(len(spans))))
     else:
-        for span in spans:
-            run(span)
-    return _SliceFields(occupancy=occupancy, raw_opportunity=raw, gamma=gamma, phi=phi)
+        for k in range(len(spans)):
+            run(k)
+    for part in sums:
+        fields.consumed += part
+    return fields
+
+
+def _point_slice(sys: RFSystem, point, time_index: int, band_index: int, region_index=None):
+    """Link budget, point array and slice at one point, with every
+    transceiver's consumption there.  ``region_index`` takes the noise of
+    that cell instead of locating the point."""
+    budget = _LinkBudget(sys, band_index)
+    pts = np.array([point], dtype=float).reshape(1, 2)
+    noise = _noise_vector(sys, pts, band_index, None if region_index is None else [region_index])
+    return budget, pts, _evaluate_slice(budget, pts, time_index, noise, frozenset(budget.ids))
 
 
 # ---------------------------------------------------------------------------
@@ -304,21 +319,13 @@ def tx_occupancy_at(sys: RFSystem, tx: Transmitter | str, point, time_index: int
         tx = sys.transmitter(tx)
     if not tx.is_active(time_index, band_index):
         return 0.0
-    model = sys.model_for_band(band_index)
-    pos = sys.position_of(tx)
-    d = math.hypot(point[0] - pos[0], point[1] - pos[1])
-    g = 1.0 if d <= model.reference_distance else (d / model.reference_distance) ** -model.alpha
-    if tx.antenna.kind != "omni":
-        g *= tx.antenna.main_gain if d == 0.0 else pattern_gain(tx.antenna, math.atan2(point[1] - pos[1], point[0] - pos[0]))
-    return tx.tx_power * g
+    gain = link_gain(sys.model_for_band(band_index), tx.antenna, sys.position_of(tx), [point])
+    return float(tx.tx_power * gain[0])
 
 
 def aggregate_occupancy_at(sys: RFSystem, point, time_index: int = 0, band_index: int = 0) -> float:
     """Aggregate received power plus ambient noise at a point."""
-    total = sys.noise_at(point, band_index)
-    for _, _, tx in sys.iter_transmitters():
-        total += tx_occupancy_at(sys, tx, point, time_index, band_index)
-    return total
+    return float(_point_slice(sys, point, time_index, band_index)[2].occupancy[0])
 
 
 def interference_opportunity(sys: RFSystem, rx: Receiver | str, point, time_index: int = 0, band_index: int = 0) -> float:
@@ -328,16 +335,9 @@ def interference_opportunity(sys: RFSystem, rx: Receiver | str, point, time_inde
     receives) projected back to a transmit power at the point.  Negative
     values mean the receiver is already experiencing harmful interference.
     """
-    if isinstance(rx, str):
-        rx = sys.receiver(rx)
-    remaining = interference_margin(sys, rx, band_index) - _interference_at(sys, rx, time_index, band_index)
-    model = sys.model_for_band(band_index)
-    pos = sys.position_of(rx)
-    d = math.hypot(point[0] - pos[0], point[1] - pos[1])
-    g = 1.0 if d <= model.reference_distance else (d / model.reference_distance) ** -model.alpha
-    if rx.antenna.kind != "omni":
-        g *= rx.antenna.main_gain if d == 0.0 else pattern_gain(rx.antenna, math.atan2(point[1] - pos[1], point[0] - pos[0]))
-    return remaining / g
+    budget, r = _receiver_budget(sys, rx, band_index)
+    remaining = budget.margin[r] - budget.interference(budget.active(time_index)[0])[r]
+    return float(remaining / budget.rx_gain(r, [point])[0])
 
 
 def net_opportunity_at(sys: RFSystem, point, time_index: int = 0, band_index: int = 0) -> float:
@@ -347,8 +347,7 @@ def net_opportunity_at(sys: RFSystem, point, time_index: int = 0, band_index: in
     receivers, never exceeding the regulatory headroom p_max - P_bar.
     With no receivers it is the headroom itself.
     """
-    fields = _evaluate_slice(sys, np.array([point], dtype=float), time_index, band_index)
-    return float(fields.raw_opportunity[0])
+    return float(_point_slice(sys, point, time_index, band_index)[2].raw_opportunity[0])
 
 
 @dataclass(frozen=True)
@@ -374,48 +373,35 @@ class PointMetrics:
 
 def point_metrics(sys: RFSystem, point, time_index: int = 0, band_index: int = 0) -> PointMetrics:
     """Full consumption breakdown at one point."""
-    params = sys.params
-    model = sys.model_for_band(band_index)
-    tx_received = {
-        tx.id: tx_occupancy_at(sys, tx, point, time_index, band_index)
-        for _, _, tx in sys.iter_transmitters()
-    }
-    occupancy = sys.noise_at(point, band_index) + math.fsum(tx_received.values())
-
+    budget, pts, f = _point_slice(sys, point, time_index, band_index)
+    tx_active, rx_active = budget.active(time_index)
+    interference = budget.interference(tx_active)
+    first_rx = len(budget.transmitters)
     views = []
-    raw = None
-    for _, _, rx in sys.iter_receivers():
-        if not rx.is_active(time_index, band_index):
+    for r, rx in enumerate(budget.receivers):
+        if not rx_active[r]:
             continue
-        margin = interference_margin(sys, rx, band_index)
-        existing = _interference_at(sys, rx, time_index, band_index)
-        pos = sys.position_of(rx)
-        d = math.hypot(point[0] - pos[0], point[1] - pos[1])
-        g = 1.0 if d <= model.reference_distance else (d / model.reference_distance) ** -model.alpha
-        if rx.antenna.kind != "omni":
-            g *= rx.antenna.main_gain if d == 0.0 else pattern_gain(rx.antenna, math.atan2(point[1] - pos[1], point[0] - pos[0]))
-        opp = (margin - existing) / g
+        g = float(budget.rx_gain(r, pts)[0])
+        margin = float(budget.margin[r])
+        existing = float(interference[r])
         views.append(
             ReceiverPointMetrics(
                 receiver_id=rx.id,
                 margin=margin,
                 bound=margin / g,
                 backprojected_interference=existing / g,
-                opportunity=opp,
-                liability=min(max(params.p_cmax - (occupancy + opp), 0.0), params.p_cmax),
+                opportunity=(margin - existing) / g,
+                liability=float(f.consumed[first_rx + r]),
             )
         )
-        raw = opp if raw is None else min(raw, opp)
-    headroom = params.p_max - occupancy
-    raw = headroom if raw is None else min(raw, headroom)
     return PointMetrics(
         point=(float(point[0]), float(point[1])),
         time_index=time_index,
         band_index=band_index,
-        tx_received=tx_received,
-        occupancy=occupancy,
+        tx_received={tx.id: float(f.consumed[t]) for t, tx in enumerate(budget.transmitters)},
+        occupancy=float(f.occupancy[0]),
         receivers=tuple(views),
-        net_opportunity=raw,
+        net_opportunity=float(f.raw_opportunity[0]),
     )
 
 
@@ -438,22 +424,20 @@ class CellMetrics:
 def cell_metrics(sys: RFSystem, cell: Cell) -> CellMetrics:
     """Occupancy / opportunity / liability of one unit spectrum space,
     evaluated at its sample point."""
-    fields = _evaluate_slice(
-        sys,
-        np.array([cell.sample_point], dtype=float),
-        cell.time_index,
-        cell.band_index,
-        detail=True,
-    )
+    budget, _, f = _point_slice(sys, cell.sample_point, cell.time_index, cell.band_index, cell.region_index)
+    tx_active, rx_active = budget.active(cell.time_index)
+    remaining = budget.margin - budget.interference(tx_active)
+    first_rx = len(budget.transmitters)
+    active = [(r, rx) for r, rx in enumerate(budget.receivers) if rx_active[r]]
     return CellMetrics(
         cell=cell,
-        occupancy=float(fields.occupancy[0]),
-        opportunity=float(fields.gamma[0]),
-        raw_opportunity=float(fields.raw_opportunity[0]),
-        liability=float(fields.phi[0]),
-        tx_occupancy={k: float(v[0]) for k, v in fields.tx_received.items()},
-        rx_liability={k: float(v[0]) for k, v in fields.rx_liability.items()},
-        harmful_interference=fields.harmful,
+        occupancy=float(f.occupancy[0]),
+        opportunity=float(f.gamma[0]),
+        raw_opportunity=float(f.raw_opportunity[0]),
+        liability=float(f.phi[0]),
+        tx_occupancy={tx.id: float(f.consumed[t]) for t, tx in enumerate(budget.transmitters)},
+        rx_liability={rx.id: float(f.consumed[first_rx + r]) for r, rx in active},
+        harmful_interference=frozenset(rx.id for r, rx in active if remaining[r] < 0.0),
     )
 
 
@@ -468,56 +452,29 @@ class ConsumptionMaps:
     liability: np.ndarray
 
 
-def compute_maps(sys: RFSystem) -> ConsumptionMaps:
-    """Evaluate the full grid, one (time, band) slice at a time."""
+def _evaluate_grid(sys: RFSystem, members=frozenset()) -> tuple[ConsumptionMaps, dict[str, float]]:
+    """Every (time, band) slice of the grid once: the maps, and the
+    consumption of each transceiver id in ``members`` summed over all
+    cells.  Each band's link budget is built once."""
     grid = sys.grid
     shape = (grid.region_count, grid.horizon, grid.band_count)
-    occupancy = np.empty(shape)
-    opportunity = np.empty(shape)
-    raw = np.empty(shape)
-    liability = np.empty(shape)
-    for tau in range(grid.horizon):
-        for nu in range(grid.band_count):
-            f = _evaluate_grid_slice(sys, grid, tau, nu)
-            occupancy[:, tau, nu] = f.occupancy
-            opportunity[:, tau, nu] = f.gamma
-            raw[:, tau, nu] = f.raw_opportunity
-            liability[:, tau, nu] = f.phi
-    return ConsumptionMaps(grid=grid, occupancy=occupancy, opportunity=opportunity, raw_opportunity=raw, liability=liability)
-
-
-def _tx_consumed(sys: RFSystem, tx: Transmitter) -> float:
-    grid = sys.grid
-    pos = sys.position_of(tx)
-    pts = grid.sample_points
-    d = np.hypot(pts[:, 0] - pos[0], pts[:, 1] - pos[1])
-    total = 0.0
+    maps = ConsumptionMaps(grid, np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape))
+    consumed = 0.0
     for nu in range(grid.band_count):
-        model = sys.model_for_band(nu)
-        received = tx.tx_power * _path_gain_vec(model, d) * _antenna_gain_vec(tx.antenna, pos, pts, d)
-        active_quanta = sum(1 for tau in range(grid.horizon) if tx.is_active(tau, nu))
-        total += active_quanta * float(np.sum(received))
-    return total
+        budget = _LinkBudget(sys, nu)
+        for tau in range(grid.horizon):
+            f = _evaluate_grid_slice(budget, grid, tau, members)
+            maps.occupancy[:, tau, nu] = f.occupancy
+            maps.opportunity[:, tau, nu] = f.gamma
+            maps.raw_opportunity[:, tau, nu] = f.raw_opportunity
+            maps.liability[:, tau, nu] = f.phi
+            consumed = consumed + f.consumed
+    return maps, {i: float(v) for i, v in zip(budget.ids, consumed) if i in members}
 
 
-def _rx_consumed(sys: RFSystem, rx: Receiver) -> float:
-    grid = sys.grid
-    total = 0.0
-    for tau in range(grid.horizon):
-        for nu in range(grid.band_count):
-            if not rx.is_active(tau, nu):
-                continue
-            fields = _evaluate_slice(sys, grid.sample_points, tau, nu, region_indices=np.arange(grid.region_count))
-            remaining = interference_margin(sys, rx, nu) - _interference_at(sys, rx, tau, nu)
-            pos = sys.position_of(rx)
-            pts = grid.sample_points
-            d = np.hypot(pts[:, 0] - pos[0], pts[:, 1] - pos[1])
-            model = sys.model_for_band(nu)
-            gain = _path_gain_vec(model, d) * _antenna_gain_vec(rx.antenna, pos, pts, d)
-            opp = remaining / gain
-            liab = np.clip(sys.params.p_cmax - (fields.occupancy + opp), 0.0, sys.params.p_cmax)
-            total += float(np.sum(liab))
-    return total
+def compute_maps(sys: RFSystem) -> ConsumptionMaps:
+    """Evaluate the full grid, one (time, band) slice at a time."""
+    return _evaluate_grid(sys)[0]
 
 
 def entity_consumption(sys: RFSystem, entity: str) -> float:
@@ -527,13 +484,10 @@ def entity_consumption(sys: RFSystem, entity: str) -> float:
     members their aggregated liability; composite entities sum over all
     member transceivers.
     """
-    members = entity_selector(sys, entity)
+    _, consumed = _evaluate_grid(sys, frozenset(m.id for m in entity_selector(sys, entity)))
     total = 0.0
-    for member in sorted(members, key=lambda m: m.id):
-        if isinstance(member, Transmitter):
-            total += _tx_consumed(sys, member)
-        else:
-            total += _rx_consumed(sys, member)
+    for member_id in sorted(consumed):
+        total += consumed[member_id]
     return total
 
 
@@ -561,20 +515,13 @@ class ConsumptionReport:
 
 def system_report(sys: RFSystem, include_entities: bool = True) -> ConsumptionReport:
     """System-wide consumption spaces and the conservation check."""
-    maps = compute_maps(sys)
-    grid = maps.grid
-    psi_total = sys.params.p_cmax * grid.cell_count
+    members = frozenset(m.id for m in entity_selector(sys, "system")) if include_entities else frozenset()
+    maps, entities = _evaluate_grid(sys, members)
+    psi_total = sys.params.p_cmax * maps.grid.cell_count
     psi_utilized = float(np.sum(maps.occupancy))
     psi_forbidden = float(np.sum(maps.liability))
     psi_available = float(np.sum(maps.opportunity))
     residual = abs(psi_utilized + psi_forbidden + psi_available - psi_total) / psi_total
-
-    entities: dict[str, float] = {}
-    if include_entities:
-        for _, _, tx in sys.iter_transmitters():
-            entities[tx.id] = _tx_consumed(sys, tx)
-        for _, _, rx in sys.iter_receivers():
-            entities[rx.id] = _rx_consumed(sys, rx)
 
     return ConsumptionReport(
         psi_total=psi_total,

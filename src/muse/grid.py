@@ -173,13 +173,6 @@ class SpectrumGrid:
     def row_count(self) -> int:
         return len(self._row_counts)
 
-    def row_of(self, region_index: int) -> int:
-        return int(np.searchsorted(self._row_start, region_index, side="right") - 1)
-
-    def cell_index(self, region_index: int, time_index: int, band_index: int) -> int:
-        """Flat index in canonical order: region-major, then time, then band."""
-        return (region_index * self.horizon + time_index) * self.band_count + band_index
-
     # -- geometry --------------------------------------------------------
 
     def hex_vertices(self, region_index: int) -> np.ndarray:

@@ -18,6 +18,7 @@ __all__ = [
     "AntennaPattern",
     "OMNI",
     "path_gain",
+    "link_gain",
     "inverse_path_gain_bound",
     "directional_gain",
     "pattern_gain",
@@ -88,9 +89,29 @@ def path_gain(model: PropagationModel, distance):
     d = np.asarray(distance, dtype=float)
     if np.any(d < 0.0):
         raise ValueError("distance must be nonnegative")
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # only where d <= d0, masked below
         decayed = (d / d0) ** -model.alpha
     return np.where(d <= d0, 1.0, decayed)
+
+
+def link_gain(model: PropagationModel, antenna: AntennaPattern, origin, pts) -> np.ndarray:
+    """Path gain times the gain of an antenna at ``origin`` toward each of
+    the points, an (N, 2) array; the main lobe applies at points coincident
+    with ``origin``, where the bearing is undefined."""
+    d, gain = _toward(antenna, origin, pts)
+    return path_gain(model, d) * gain
+
+
+def _toward(antenna: AntennaPattern, origin, pts):
+    """Distances from ``origin`` to the points and the antenna's gain
+    toward each (main lobe at coincident points)."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    dx = pts[:, 0] - origin[0]
+    dy = pts[:, 1] - origin[1]
+    d = np.hypot(dx, dy)
+    if antenna.kind == "omni":
+        return d, 1.0
+    return d, np.where(d == 0.0, antenna.main_gain, pattern_gain(antenna, np.arctan2(dy, dx)))
 
 
 def inverse_path_gain_bound(model: PropagationModel, margin, distance):

@@ -68,7 +68,13 @@ def _check_keys(obj: Mapping, allowed: set[str], required: set[str], context: st
 def _number(obj, context: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ScenarioError(f"{context}: expected a number, got {obj!r}")
-    return float(obj)
+    try:
+        value = float(obj)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ScenarioError(f"{context}: expected a finite number, got {obj!r}")
+    return value
 
 
 def _position(obj, context: str) -> tuple[float, float]:
@@ -430,7 +436,11 @@ def write_map_csv(path, maps: ConsumptionMaps):
 
 
 def read_map_csv(path) -> dict[str, np.ndarray | OpportunityMap]:
-    """Load a map CSV back into arrays plus an OpportunityMap."""
+    """Load a map CSV back into arrays plus an OpportunityMap.
+
+    Every (region, time, band) index triple must appear exactly once and
+    every value must be finite; anything else raises ScenarioError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != MAP_CSV_HEADER:
@@ -438,25 +448,35 @@ def read_map_csv(path) -> dict[str, np.ndarray | OpportunityMap]:
         rows = [line.strip().split(",") for line in fh if line.strip()]
     if not rows:
         raise ScenarioError("map CSV has no data rows")
-    chis = np.array([int(r[0]) for r in rows])
-    taus = np.array([int(r[1]) for r in rows])
-    nus = np.array([int(r[2]) for r in rows])
+    n_fields = MAP_CSV_HEADER.count(",") + 1
+    if any(len(r) != n_fields for r in rows):
+        raise ScenarioError(f"map CSV has a row without {n_fields} fields")
+    try:
+        chis = np.array([int(r[0]) for r in rows])
+        taus = np.array([int(r[1]) for r in rows])
+        nus = np.array([int(r[2]) for r in rows])
+        values = np.array([r[3:] for r in rows], dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise ScenarioError(f"map CSV has a malformed number: {exc}") from exc
+    if min(chis.min(), taus.min(), nus.min()) < 0:
+        raise ScenarioError("map CSV has a negative index")
     n_regions = int(chis.max()) + 1
     horizon = int(taus.max()) + 1
     n_bands = int(nus.max()) + 1
     if len(rows) != n_regions * horizon * n_bands:
         raise ScenarioError("map CSV row count does not match its index ranges")
+    if np.any(np.bincount((chis * horizon + taus) * n_bands + nus, minlength=len(rows)) != 1):
+        raise ScenarioError("map CSV has duplicate or missing (region, time, band) rows")
+    if not np.all(np.isfinite(values)):
+        raise ScenarioError("map CSV has a non-finite value")
 
     shape = (n_regions, horizon, n_bands)
     centroids = np.zeros((n_regions, 2))
-    data = {name: np.zeros(shape) for name in ("occupancy", "opportunity", "raw_opportunity", "liability")}
-    for r in rows:
-        chi, tau, nu = int(r[0]), int(r[1]), int(r[2])
-        centroids[chi] = (float(r[3]), float(r[4]))
-        data["occupancy"][chi, tau, nu] = float(r[5])
-        data["opportunity"][chi, tau, nu] = float(r[6])
-        data["raw_opportunity"][chi, tau, nu] = float(r[7])
-        data["liability"][chi, tau, nu] = float(r[8])
+    centroids[chis] = values[:, :2]
+    data = {}
+    for k, name in enumerate(("occupancy", "opportunity", "raw_opportunity", "liability")):
+        data[name] = np.zeros(shape)
+        data[name][chis, taus, nus] = values[:, 2 + k]
     result: dict[str, Any] = dict(data)
     result["centroids"] = centroids
     result["opportunity_map"] = OpportunityMap(values=data["opportunity"], centroids=centroids, provenance="ground-truth")

@@ -192,13 +192,21 @@ def test_missing_file_exit_code(runner):
     assert err["exit_code"] == 3
 
 
-def test_invalid_scenario_exit_code(runner, tmp_path):
+@pytest.mark.parametrize(
+    "field, bad, message",
+    [
+        ("power_dbm: -24.0", "power_dbm: 99.0", "exceeds p_max"),
+        ("width_m: 4300.0", "width_m: .inf", "expected a finite number"),
+    ],
+    ids=["above-p-max", "infinite-width"],
+)
+def test_invalid_scenario_exit_code(runner, tmp_path, field, bad, message):
     path = tmp_path / "bad.yaml"
-    path.write_text(SCENARIO_TEXT.replace("power_dbm: -24.0", "power_dbm: 99.0"))  # above p_max
+    path.write_text(SCENARIO_TEXT.replace(field, bad))
     result = runner.invoke(main, ["report", "--scenario", str(path)])
     assert result.exit_code == 2
     err = json.loads(result.output.strip().splitlines()[-1])
-    assert "exceeds p_max" in err["error"]
+    assert message in err["error"]
 
 
 def test_units_flag(runner, high_power_path):

@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muse import (
+    OMNI,
+    AntennaPattern,
     Band,
     PropagationModel,
     Receiver,
@@ -34,6 +38,7 @@ from helpers import (
     NOISE_DBM,
     PROBE,
     empty_system,
+    four_pair_system,
     probe_scenario,
     random_system,
     reference_grid,
@@ -383,6 +388,17 @@ def test_threaded_chunked_evaluation_bitwise_deterministic(monkeypatch):
     for name in ("occupancy", "opportunity", "raw_opportunity", "liability"):
         assert np.array_equal(getattr(serial, name), getattr(threaded, name))
 
+    # entity sums are combined chunk by chunk, so both runs use the small chunks
+    field = four_pair_system(hex_side=100.0)
+    monkeypatch.setenv("MUSE_THREADS", "1")
+    serial_report = system_report(field)
+    monkeypatch.setenv("MUSE_THREADS", "4")
+    threaded_report = system_report(field)
+    for name in ("psi_total", "psi_utilized", "psi_forbidden", "psi_available"):
+        assert getattr(serial_report, name) == getattr(threaded_report, name)
+    assert len(serial_report.entity_consumption) == 8
+    assert serial_report.entity_consumption == threaded_report.entity_consumption
+
 
 def test_bad_thread_env_rejected(monkeypatch):
     import muse.consumption as consumption
@@ -390,6 +406,96 @@ def test_bad_thread_env_rejected(monkeypatch):
     monkeypatch.setenv("MUSE_THREADS", "many")
     with pytest.raises(ValueError, match="MUSE_THREADS"):
         consumption._thread_budget()
+
+
+# ---------------------------------------------------------------------------
+# point and cell queries read the same slice pass as the map
+
+
+@st.composite
+def generated_systems(draw):
+    offset = draw(st.one_of(st.none(), st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0))))
+    spec = small_grid(
+        horizon=draw(st.integers(1, 2)),
+        n_bands=draw(st.integers(1, 2)),
+        worst_case_placement=draw(st.booleans()),
+        sample_point_policy="centroid" if offset is None else "offset",
+        sample_offset=offset,
+    )
+    position = st.tuples(st.floats(0.0, spec.region_width), st.floats(0.0, spec.region_height))
+    antenna = st.one_of(
+        st.just(OMNI),
+        st.builds(
+            lambda boresight, beamwidth, main, back: AntennaPattern("sector", boresight, beamwidth, main, back * main),
+            st.floats(-math.pi, math.pi),
+            st.floats(0.3, 2.0 * math.pi),
+            st.floats(1.0, 8.0),
+            st.floats(0.05, 1.0),
+        ),
+    )
+    quanta = st.one_of(st.none(), st.frozensets(st.integers(0, spec.horizon - 1)))
+    bands = st.one_of(st.none(), st.frozensets(st.integers(0, spec.band_count - 1)))
+    links = []
+    for k in range(draw(st.integers(1, 4))):
+        txs = ()
+        if draw(st.booleans()):
+            txs = (
+                Transmitter(
+                    id=f"t{k}",
+                    position=draw(position),
+                    tx_power=dbm_to_watts(draw(st.floats(-30.0, 30.0))),
+                    antenna=draw(antenna),
+                    active_intervals=draw(quanta),
+                    bands=draw(bands),
+                ),
+            )
+        rxs = tuple(
+            Receiver(
+                id=f"r{k}-{m}",
+                position=draw(position),
+                beta=db_to_linear(draw(st.floats(0.0, 15.0))),
+                antenna=draw(antenna),
+                active_intervals=draw(quanta),
+                bands=draw(bands),
+                explicit_margin=None if txs else dbm_to_watts(draw(st.floats(-110.0, -60.0))),
+            )
+            for m in range(draw(st.integers(0 if txs else 1, 2)))
+        )
+        links.append(RFLink(id=f"l{k}", transmitters=txs, receivers=rxs))
+    return RFSystem(
+        params=reference_params(),
+        propagation=PropagationModel(alpha=draw(st.floats(2.0, 4.0))),
+        grid_spec=spec,
+        networks=(RFNetwork(id="net", links=tuple(links), orthogonal=draw(st.booleans())),),
+        noise_cell_overrides=draw(
+            st.dictionaries(
+                st.tuples(st.integers(0, 24), st.integers(0, spec.band_count - 1)),
+                st.floats(-110.0, -90.0).map(dbm_to_watts),
+                max_size=3,
+            )
+        ),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(generated_systems())
+def test_point_and_cell_queries_equal_map_bitwise(sys_):
+    maps = compute_maps(sys_)
+    for cell in sys_.grid.cells():
+        at = (cell.region_index, cell.time_index, cell.band_index)
+        point, tau, nu = cell.sample_point, cell.time_index, cell.band_index
+        pm = point_metrics(sys_, point, tau, nu)
+        assert pm.occupancy == maps.occupancy[at]
+        assert pm.net_opportunity == maps.raw_opportunity[at]
+        assert net_opportunity_at(sys_, point, tau, nu) == maps.raw_opportunity[at]
+        assert aggregate_occupancy_at(sys_, point, tau, nu) == maps.occupancy[at]
+        cm = cell_metrics(sys_, cell)
+        assert (cm.occupancy, cm.opportunity, cm.raw_opportunity, cm.liability) == (
+            maps.occupancy[at],
+            maps.opportunity[at],
+            maps.raw_opportunity[at],
+            maps.liability[at],
+        )
 
 
 # ---------------------------------------------------------------------------

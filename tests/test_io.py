@@ -154,6 +154,10 @@ def test_missing_and_malformed_fields():
         parse_scenario(SCENARIO_TEXT.replace("position: [1000.0, 2000.0]", "position: [1000.0]"))
     with pytest.raises(ScenarioError, match="noise_dbm"):
         parse_scenario(SCENARIO_TEXT.replace("noise_dbm: -106.0", "noise_dbm: [-106.0, -105.0]"))
+    with pytest.raises(ScenarioError, match="finite"):
+        parse_scenario(SCENARIO_TEXT.replace("alpha: 3.5", "alpha: .nan"))
+    with pytest.raises(ScenarioError, match="finite"):
+        parse_scenario(SCENARIO_TEXT.replace("power_dbm: -24.0", "power_dbm: 1" + "0" * 400))
 
 
 def test_receive_only_margin_parsed():
@@ -191,6 +195,49 @@ def test_map_csv_round_trip(tmp_path):
 
     write_map_csv(tmp_path / "again.csv", compute_maps(sys_))
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+def _cut_row(rows):
+    rows[3] = ",".join(rows[3].split(",")[:5])
+
+
+def _negative_index(rows):
+    rows[0] = "-1" + rows[0][1:]
+
+
+def _duplicate_row(rows):
+    rows[4] = rows[3]
+
+
+def _set_value(text):
+    def mutate(rows):
+        fields = rows[2].split(",")
+        fields[6] = text
+        rows[2] = ",".join(fields)
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_cut_row, "fields"),
+        (_negative_index, "negative index"),
+        (_duplicate_row, "duplicate or missing"),
+        (_set_value("nan"), "non-finite"),
+        (_set_value("-inf"), "non-finite"),
+        (_set_value("0x1p3"), "malformed number"),
+    ],
+    ids=["cut-row", "negative-index", "duplicate-row", "nan", "infinite", "malformed"],
+)
+def test_read_map_csv_rejects_bad_rows(tmp_path, mutate, message):
+    path = tmp_path / "map.csv"
+    write_map_csv(path, compute_maps(dataclasses.replace(region_link_system(), grid_spec=small_grid(n_bands=2))))
+    header, *rows = path.read_text().splitlines()
+    mutate(rows)
+    path.write_text("\n".join([header] + rows) + "\n")
+    with pytest.raises(ScenarioError, match=message):
+        read_map_csv(path)
 
 
 def test_map_csv_multiband_order(tmp_path):

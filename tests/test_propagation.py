@@ -71,6 +71,20 @@ def test_directional_gain():
         directional_gain(sector, (1.0, 1.0), (1.0, 1.0))
 
 
+def test_link_gain_is_path_gain_times_pattern(model):
+    from muse.propagation import link_gain
+
+    pts = np.array([[1.0, 1.0], [101.0, 1.0], [-99.0, 1.0], [1.0, 1.5]])
+    assert np.array_equal(link_gain(model, AntennaPattern(), (1.0, 1.0), pts), path_gain(model, [0.0, 100.0, 100.0, 0.5]))
+    sector = AntennaPattern(kind="sector", boresight=0.0, beamwidth=math.pi / 3, main_gain=4.0, back_gain=0.1)
+    g = link_gain(model, sector, (1.0, 1.0), pts)
+    # main lobe at the coincident point, where the bearing is undefined
+    assert g[0] == 4.0
+    assert g[1] == pytest.approx(path_gain(model, 100.0) * 4.0, rel=1e-15)
+    assert g[2] == pytest.approx(path_gain(model, 100.0) * 0.1, rel=1e-15)
+    assert g[3] == 0.1
+
+
 def test_pattern_validation():
     with pytest.raises(ValueError):
         AntennaPattern(kind="sector", beamwidth=0.0)
