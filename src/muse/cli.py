@@ -213,10 +213,14 @@ def entity(scenario, entity_id):
 def connectivity(scenario, beta_db, time_index, out):
     """Adjacent-region connectivity map over all bands."""
     system = _load(scenario)
-    cmap = build_connectivity_map(system, 10.0 ** (beta_db / 10.0), time_index)
+    try:
+        cmap = build_connectivity_map(system, 10.0 ** (beta_db / 10.0), time_index)
+    except OverflowError:
+        _fail(EXIT_VALIDATION, f"--beta-db {beta_db} is out of range")
+    except ValueError as exc:
+        _fail(EXIT_VALIDATION, str(exc))
     _write(out, cmap.to_csv())
-    feasible = sum(1 for e in cmap.edges if e.feasible)
-    click.echo(f"wrote {len(cmap.edges)} directed edges ({feasible} feasible) to {out}")
+    click.echo(f"wrote {cmap.sinr.size} directed edges ({int(cmap.feasible.sum())} feasible) to {out}")
 
 
 @main.command()
@@ -288,10 +292,12 @@ def sweep(scenario, hex_sides, out):
 
     rows = []
     for side in sides:
-        spec = dataclasses.replace(system.grid_spec, hex_side=side)
-        swept = dataclasses.replace(system, grid_spec=spec)
-        rep = system_report(swept, include_entities=False)
-        rows.append((side, swept.grid.region_count, rep))
+        try:
+            swept = dataclasses.replace(system, grid_spec=dataclasses.replace(system.grid_spec, hex_side=side))
+            cells = swept.grid.region_count
+        except ValueError as exc:
+            _fail(EXIT_VALIDATION, f"bad --hex-sides value {side:g}: {exc}")
+        rows.append((side, cells, system_report(swept, include_entities=False)))
 
     click.echo(f"{'hex_side_m':>10} {'cells':>9} {'utilized':>13} {'forbidden':>13} {'available':>13} {'consumed_%':>10} {'available_%':>11}")
     for side, cells, rep in rows:

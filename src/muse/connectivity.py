@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,46 +39,64 @@ class LinkAssessment:
     sinr: float  # linear, at B
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ConnectivityMap:
     candidate_beta: float
     time_index: int
-    edges: list[LinkAssessment]
-    best_band: dict[tuple[int, int], int | None]
+    cell_a: np.ndarray  # (pairs,) source regions
+    cell_b: np.ndarray  # (pairs,) destination regions
+    feasible: np.ndarray  # (pairs, bands)
+    max_power: np.ndarray  # (pairs, bands), watts a new transmitter at A may radiate
+    sinr: np.ndarray  # (pairs, bands), linear, at B
+    best: np.ndarray  # (pairs,) best band, -1 where no band is feasible
+
+    def _rows(self):
+        """(a, b, band, feasible, max_power, sinr, best) per edge, as Python scalars."""
+        pairs, bands = self.sinr.shape
+        a, b, best = (np.repeat(x, bands).tolist() for x in (self.cell_a, self.cell_b, self.best))
+        feasible, max_power, sinr = (x.ravel().tolist() for x in (self.feasible, self.max_power, self.sinr))
+        return zip(a, b, np.tile(np.arange(bands), pairs).tolist(), feasible, max_power, sinr, best)
+
+    @cached_property
+    def edges(self) -> list[LinkAssessment]:
+        return [LinkAssessment(a, b, nu, ok, power, sinr) for a, b, nu, ok, power, sinr, _ in self._rows()]
+
+    @cached_property
+    def best_band(self) -> dict[tuple[int, int], int | None]:
+        pairs = zip(self.cell_a.tolist(), self.cell_b.tolist(), self.best.tolist())
+        return {(a, b): None if nu < 0 else nu for a, b, nu in pairs}
 
     def to_csv(self) -> str:
         lines = ["cell_a,cell_b,band,feasible,max_power_dbm,sinr_db,best_band"]
-        for e in self.edges:
-            best = self.best_band[(e.cell_a, e.cell_b)]
-            sinr_db = 10.0 * math.log10(e.sinr) if e.sinr > 0.0 else -math.inf
+        for a, b, nu, ok, power, sinr, best in self._rows():
+            sinr_db = 10.0 * math.log10(sinr) if sinr > 0.0 else -math.inf
             lines.append(
-                f"{e.cell_a},{e.cell_b},{e.band_index},{1 if e.feasible else 0},"
-                f"{watts_to_dbm(e.max_power):.12g},{sinr_db:.12g},"
-                f"{'' if best is None else best}"
+                f"{a},{b},{nu},{1 if ok else 0},{watts_to_dbm(power):.12g},{sinr_db:.12g},"
+                f"{'' if best < 0 else best}"
             )
         return "\n".join(lines) + "\n"
 
 
-def _hop_gains(sys: RFSystem, pairs) -> list[list[float]]:
+def _hop_gains(sys: RFSystem, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Path gain between the sample points of each ordered (a, b) region
-    pair, one list per band."""
+    pair on each band, (pairs, bands)."""
     pts = sys.grid.sample_points
-    a, b = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
     d = np.linalg.norm(pts[b] - pts[a], axis=1)
-    return [path_gain(sys.model_for_band(nu), d).tolist() for nu in range(sys.grid.band_count)]
+    return np.stack([path_gain(sys.model_for_band(nu), d) for nu in range(sys.grid.band_count)], axis=1)
 
 
-def _assess(sys: RFSystem, a: int, b: int, nu: int, beta: float, gain: float, opportunity_row, occupancy_row) -> LinkAssessment:
-    max_power = min(max(float(opportunity_row[a]), 0.0), sys.params.p_max)
-    sinr = max_power * gain / float(occupancy_row[b])
-    return LinkAssessment(
-        cell_a=a,
-        cell_b=b,
-        band_index=nu,
-        feasible=sinr >= beta,
-        max_power=max_power,
-        sinr=sinr,
-    )
+def _budget(sys: RFSystem, a: np.ndarray, b: np.ndarray, time_index: int, candidate_beta: float):
+    """Candidate links a -> b on every band: (feasible, max_power, sinr),
+    each (pairs, bands).  The power is the opportunity at a, clipped to
+    [0, p_max]; the SINR is against the occupancy at b."""
+    if not candidate_beta > 0.0:
+        raise ValueError("candidate beta must be positive")
+    if not 0 <= time_index < sys.grid_spec.horizon:
+        raise ValueError(f"time index {time_index} outside the horizon of {sys.grid_spec.horizon} quanta")
+    maps = compute_maps(sys)
+    max_power = np.minimum(np.maximum(maps.raw_opportunity[a, time_index, :], 0.0), sys.params.p_max)
+    sinr = max_power * _hop_gains(sys, a, b) / maps.occupancy[b, time_index, :]
+    return sinr >= candidate_beta, max_power, sinr
 
 
 def link_feasibility(
@@ -92,49 +111,25 @@ def link_feasibility(
     Returns (feasible, max_power_w, sinr_linear).  Raises ValueError for
     non-adjacent regions or a nonpositive SINR requirement.
     """
-    if candidate_beta <= 0.0:
-        raise ValueError("candidate beta must be positive")
-    grid = sys.grid
-    if cell_b.region_index not in grid.neighbors(cell_a.region_index):
-        raise ValueError(f"regions {cell_a.region_index} and {cell_b.region_index} are not adjacent")
-    maps = compute_maps(sys)
-    tau = cell_a.time_index
-    raw = maps.raw_opportunity[:, tau, band_index]
-    occ = maps.occupancy[:, tau, band_index]
     a, b = cell_a.region_index, cell_b.region_index
-    gain = _hop_gains(sys, [(a, b)])[band_index][0]
-    result = _assess(sys, a, b, band_index, candidate_beta, gain, raw, occ)
-    return result.feasible, result.max_power, result.sinr
+    if b not in sys.grid.neighbors(a):
+        raise ValueError(f"regions {a} and {b} are not adjacent")
+    feasible, max_power, sinr = _budget(sys, np.array([a]), np.array([b]), cell_a.time_index, candidate_beta)
+    return bool(feasible[0, band_index]), float(max_power[0, band_index]), float(sinr[0, band_index])
 
 
 def build_connectivity_map(sys: RFSystem, candidate_beta: float, time_index: int = 0) -> ConnectivityMap:
     """Evaluate every ordered adjacent pair on every band.
 
-    Edges are emitted in deterministic order: source region ascending,
-    destination ascending, band ascending.
+    Pairs run source region ascending, then destination ascending.  The
+    best band is the first SINR argmax over the feasible bands, so ties go
+    to the lowest band index.  Raises ValueError for a nonpositive or NaN
+    SINR requirement or a time index outside the horizon.
     """
-    if candidate_beta <= 0.0:
-        raise ValueError("candidate beta must be positive")
-    grid = sys.grid
-    maps = compute_maps(sys)
-    raw = maps.raw_opportunity[:, time_index, :]
-    occ = maps.occupancy[:, time_index, :]
-
-    pairs = [(a, b) for a in range(grid.region_count) for b in grid.neighbors(a)]
-    gains = _hop_gains(sys, pairs)
-
-    edges: list[LinkAssessment] = []
-    best_band: dict[tuple[int, int], int | None] = {}
-    for k, (a, b) in enumerate(pairs):
-        per_band = [
-            _assess(sys, a, b, nu, candidate_beta, gains[nu][k], raw[:, nu], occ[:, nu])
-            for nu in range(grid.band_count)
-        ]
-        edges.extend(per_band)
-        feasible = [e for e in per_band if e.feasible]
-        if feasible:
-            sinrs = np.array([e.sinr for e in feasible])
-            best_band[(a, b)] = feasible[int(np.argmax(sinrs))].band_index
-        else:
-            best_band[(a, b)] = None
-    return ConnectivityMap(candidate_beta=candidate_beta, time_index=time_index, edges=edges, best_band=best_band)
+    candidates, valid = sys.grid._neighbor_table(np.arange(sys.grid.region_count))
+    a, b = np.nonzero(valid)[0], candidates[valid]
+    feasible, max_power, sinr = _budget(sys, a, b, time_index, candidate_beta)
+    best = np.where(feasible.any(axis=1), np.argmax(np.where(feasible, sinr, -np.inf), axis=1), -1)
+    for array in (a, b, feasible, max_power, sinr, best):
+        array.setflags(write=False)  # the edges and best_band views are cached
+    return ConnectivityMap(candidate_beta, time_index, a, b, feasible, max_power, sinr, best)

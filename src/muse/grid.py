@@ -121,27 +121,17 @@ class SpectrumGrid:
         row_pitch = 1.5 * s
         nrows = math.floor((spec.region_height + s) / row_pitch) + 1
 
-        self._row_offset = np.empty(nrows)
-        self._row_jmin = np.empty(nrows, dtype=np.int64)
-        counts = np.empty(nrows, dtype=np.int64)
-        for i in range(nrows):
-            off = 0.0 if i % 2 == 0 else -0.5 * col_pitch
-            j_min = math.ceil((-0.5 * col_pitch - off) / col_pitch)
-            j_max = math.floor((spec.region_width + 0.5 * col_pitch - off) / col_pitch)
-            self._row_offset[i] = off
-            self._row_jmin[i] = j_min
-            counts[i] = j_max - j_min + 1
-
-        self._row_counts = counts
-        self._row_start = np.concatenate(([0], np.cumsum(counts)))
+        rows = np.arange(nrows)
+        self._row_offset = np.where(rows % 2 == 0, 0.0, -0.5 * col_pitch)
+        self._row_jmin = np.ceil((-0.5 * col_pitch - self._row_offset) / col_pitch).astype(np.int64)
+        j_max = np.floor((spec.region_width + 0.5 * col_pitch - self._row_offset) / col_pitch).astype(np.int64)
+        self._row_counts = j_max - self._row_jmin + 1
+        self._row_start = np.concatenate(([0], np.cumsum(self._row_counts)))
         self.region_count = int(self._row_start[-1])
 
-        centroids = np.empty((self.region_count, 2))
-        for i in range(nrows):
-            lo, hi = self._row_start[i], self._row_start[i + 1]
-            js = np.arange(self._row_jmin[i], self._row_jmin[i] + counts[i])
-            centroids[lo:hi, 0] = self._row_offset[i] + col_pitch * js
-            centroids[lo:hi, 1] = row_pitch * i
+        row = np.repeat(rows, self._row_counts)
+        col = np.arange(self.region_count) - np.repeat(self._row_start[:-1] - self._row_jmin, self._row_counts)
+        centroids = np.column_stack([self._row_offset[row] + col_pitch * col, row_pitch * row])
         self.centroids = centroids
         self.centroids.setflags(write=False)
 
@@ -152,8 +142,6 @@ class SpectrumGrid:
             pts = centroids + np.array([ox, oy])
             pts.setflags(write=False)
             self.sample_points = pts
-
-        self._kdtree = None
 
     # -- dimensions ------------------------------------------------------
 
@@ -208,13 +196,23 @@ class SpectrumGrid:
 
     def neighbors(self, region_index: int) -> list[int]:
         """Indices of edge-sharing hexagons (up to six), ascending."""
-        if self._kdtree is None:
-            from scipy.spatial import cKDTree
+        if not 0 <= region_index < self.region_count:
+            raise IndexError(f"region index {region_index} out of range")
+        candidates, valid = self._neighbor_table(np.array([region_index]))
+        return candidates[valid].tolist()
 
-            self._kdtree = cKDTree(self.centroids)
-        pitch = SQRT3 * self.spec.hex_side
-        found = self._kdtree.query_ball_point(self.centroids[region_index], r=1.001 * pitch)
-        return sorted(i for i in found if i != region_index)
+    def _neighbor_table(self, regions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Six neighbour candidates per region, ascending, and which exist:
+        columns j-1 and j+1 of its own row, and columns j and j+1 (even row)
+        or j-1 and j (odd row) of the rows above and below it."""
+        row = np.searchsorted(self._row_start, regions, side="right")[:, None] - 1
+        col = self._row_jmin[row] + (regions[:, None] - self._row_start[row])
+        to_row = row + np.array([-1, -1, 0, 0, 1, 1])
+        to_col = col + np.where(row % 2 == 0, [0, 1, -1, 1, 0, 1], [-1, 0, -1, 1, -1, 0])
+        r = np.clip(to_row, 0, self.row_count - 1)
+        offset = to_col - self._row_jmin[r]
+        valid = (to_row == r) & (offset >= 0) & (offset < self._row_counts[r])
+        return self._row_start[r] + offset, valid
 
     # -- cells -----------------------------------------------------------
 

@@ -209,6 +209,32 @@ def test_invalid_scenario_exit_code(runner, tmp_path, field, bad, message):
     assert message in err["error"]
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["connectivity", "--beta-db", "6", "--time", "99"], "time index 99 outside the horizon"),
+        (["connectivity", "--beta-db", "6", "--time", "-1"], "time index -1 outside the horizon"),
+        (["connectivity", "--beta-db", "-inf"], "candidate beta must be positive"),
+        (["connectivity", "--beta-db", "nan"], "candidate beta must be positive"),
+        (["connectivity", "--beta-db", "4000"], "--beta-db 4000.0 is out of range"),
+        (["sweep", "--hex-sides", "0"], "hex_side must be positive"),
+        (["sweep", "--hex-sides", "-5"], "hex_side must be positive"),
+        (["sweep", "--hex-sides", "nan"], "hex_side must be positive"),
+    ],
+    ids=["time-past-horizon", "time-negative", "beta-minus-inf", "beta-nan", "beta-overflow", "side-zero", "side-negative", "side-nan"],
+)
+def test_invalid_option_exit_code(runner, scenario_path, tmp_path, args, message):
+    if args[0] == "connectivity":
+        args = args + ["--out", str(tmp_path / "edges.csv")]
+    result = runner.invoke(main, args + ["--scenario", scenario_path])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert message in err["error"] and err["exit_code"] == 2
+
+
 def test_units_flag(runner, high_power_path):
     dbm_only = runner.invoke(
         main, ["point", "--scenario", high_power_path, "--x", "2250", "--y", "1800", "--units", "dbm"]

@@ -1,4 +1,9 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,3 +133,47 @@ def test_adding_receiver_never_raises_power():
         before = {(e.cell_a, e.cell_b, e.band_index): e.max_power for e in cmap_before.edges}
         for e in cmap_after.edges:
             assert e.max_power <= before[(e.cell_a, e.cell_b, e.band_index)] + 1e-18
+
+
+def test_connectivity_does_not_import_scipy():
+    code = (
+        "import sys\n"
+        "from helpers import empty_system\n"
+        "from muse import build_connectivity_map\n"
+        "build_connectivity_map(empty_system(), 4.0)\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_link_feasibility_equals_map_bitwise():
+    sys_ = multi_band_system()
+    grid = sys_.grid
+    cmap = build_connectivity_map(sys_, db_to_linear(6.0))
+    for e in cmap.edges:
+        single = link_feasibility(sys_, grid.cell(e.cell_a), grid.cell(e.cell_b), e.band_index, db_to_linear(6.0))
+        assert (single[0], single[1].hex(), single[2].hex()) == (e.feasible, e.max_power.hex(), e.sinr.hex())
+
+
+def test_best_band_is_first_feasible_argmax():
+    base = multi_band_system()
+    # guards that shrink the opportunity of band 1 in one corner and of band 2 in the other
+    guards = tuple(
+        Receiver(id=f"g{nu}", position=pos, beta=2.0, explicit_margin=dbm_to_watts(-95.0), bands=frozenset({nu}))
+        for nu, pos in ((1, (150.0, 150.0)), (2, (550.0, 450.0)))
+    )
+    sys_ = dataclasses.replace(base, networks=base.networks + (RFNetwork(id="g", links=(RFLink(id="gl", receivers=guards),)),))
+    cmap = build_connectivity_map(sys_, db_to_linear(20.0))
+    by_pair = {}
+    for e in cmap.edges:
+        by_pair.setdefault((e.cell_a, e.cell_b), []).append(e)
+    assert list(by_pair) == list(cmap.best_band)
+    for pair, edges in by_pair.items():
+        feasible = [e for e in edges if e.feasible]
+        # max() keeps the first of equal SINRs, i.e. the lowest band index
+        expected = max(feasible, key=lambda e: e.sinr).band_index if feasible else None
+        assert cmap.best_band[pair] == expected
+    assert {1, 2, None} <= set(cmap.best_band.values())

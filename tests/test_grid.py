@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from muse import Band, GridSpec, SpectrumGrid, tessellate, total_spectrum_space
 
@@ -132,6 +133,27 @@ def test_neighbors_share_edges():
         assert d == pytest.approx(pitch, rel=1e-9)
     corner_nb = grid.neighbors(0)
     assert 2 <= len(corner_nb) <= 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    side=st.floats(1.0, 200.0),
+    columns=st.floats(SQRT3, 12.0),  # region width in hexagon sides
+    rows=st.floats(2.0, 12.0),  # region height in hexagon sides
+)
+@example(side=100.0, columns=SQRT3, rows=2.0)  # the smallest region a grid accepts: three rows
+@example(side=100.0, columns=6.9, rows=3.5)  # four rows
+@example(side=37.0, columns=7.0 * SQRT3, rows=5.0)  # five rows, width a whole number of columns
+def test_neighbors_match_brute_force(side, columns, rows):
+    grid = SpectrumGrid(GridSpec(region_width=columns * side, region_height=rows * side, hex_side=side))
+    c = grid.centroids
+    d = np.hypot(c[:, None, 0] - c[None, :, 0], c[:, None, 1] - c[None, :, 1])
+    near = (d <= 1.001 * SQRT3 * side) & ~np.eye(grid.region_count, dtype=bool)
+    for chi in range(grid.region_count):
+        assert grid.neighbors(chi) == np.flatnonzero(near[chi]).tolist()
+    for outside in (-1, grid.region_count):
+        with pytest.raises(IndexError):
+            grid.neighbors(outside)
 
 
 def test_spec_validation():
