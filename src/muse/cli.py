@@ -26,8 +26,8 @@ from .scenario_io import (
     ScenarioError,
     heatmap_text,
     load_scenario,
-    map_csv_text,
     read_map_csv,
+    write_map_csv,
 )
 from .smf import SensingErrorModel, SMFReport, compare_maps, opportunity_map, simulate_recovery
 from .units import watts_to_dbm
@@ -159,7 +159,10 @@ def map_cmd(scenario, out, heatmap):
     """Per-cell consumption map as CSV."""
     system = _load(scenario)
     maps = compute_maps(system)
-    _write(out, map_csv_text(maps))
+    try:
+        write_map_csv(out, maps)
+    except OSError as exc:
+        _fail(EXIT_IO, f"cannot write {out}: {exc}")
     click.echo(f"wrote {maps.grid.cell_count} cells to {out}")
     if heatmap:
         stem = out[: -len(".csv")] if out.endswith(".csv") else out

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .consumption import compute_maps
+from .consumption import _evaluate_quantum
 from .grid import Cell
 from .model import RFSystem
 from .propagation import path_gain
@@ -93,9 +93,9 @@ def _budget(sys: RFSystem, a: np.ndarray, b: np.ndarray, time_index: int, candid
         raise ValueError("candidate beta must be positive")
     if not 0 <= time_index < sys.grid_spec.horizon:
         raise ValueError(f"time index {time_index} outside the horizon of {sys.grid_spec.horizon} quanta")
-    maps = compute_maps(sys)
-    max_power = np.minimum(np.maximum(maps.raw_opportunity[a, time_index, :], 0.0), sys.params.p_max)
-    sinr = max_power * _hop_gains(sys, a, b) / maps.occupancy[b, time_index, :]
+    occupancy, raw_opportunity = _evaluate_quantum(sys, time_index)
+    max_power = np.minimum(np.maximum(raw_opportunity[a], 0.0), sys.params.p_max)
+    sinr = max_power * _hop_gains(sys, a, b) / occupancy[b]
     return sinr >= candidate_beta, max_power, sinr
 
 

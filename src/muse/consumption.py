@@ -472,6 +472,19 @@ def _evaluate_grid(sys: RFSystem, members=frozenset()) -> tuple[ConsumptionMaps,
     return maps, {i: float(v) for i, v in zip(budget.ids, consumed) if i in members}
 
 
+def _evaluate_quantum(sys: RFSystem, time_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Occupancy and raw opportunity of every region on every band in one
+    time quantum, each (regions, bands): one slice pass per band."""
+    grid = sys.grid
+    occupancy = np.empty((grid.region_count, grid.band_count))
+    raw_opportunity = np.empty((grid.region_count, grid.band_count))
+    for nu in range(grid.band_count):
+        f = _evaluate_grid_slice(_LinkBudget(sys, nu), grid, time_index, frozenset())
+        occupancy[:, nu] = f.occupancy
+        raw_opportunity[:, nu] = f.raw_opportunity
+    return occupancy, raw_opportunity
+
+
 def compute_maps(sys: RFSystem) -> ConsumptionMaps:
     """Evaluate the full grid, one (time, band) slice at a time."""
     return _evaluate_grid(sys)[0]

@@ -35,6 +35,11 @@ __all__ = [
 
 SQRT3 = math.sqrt(3.0)
 
+# Largest grid accepted, in unit spectrum spaces (regions x time quanta x
+# bands).  The maps hold four float64 arrays of this many cells, 2 GiB at
+# the cap; the 1 m sweep grid of a 4300 m x 3700 m region is 6.1M cells.
+MAX_CELLS = 1 << 26
+
 # Vertex bearings of a pointy-top hexagon, counterclockwise from the top.
 _VERTEX_ANGLES = tuple(math.pi / 2.0 + k * math.pi / 3.0 for k in range(6))
 
@@ -70,6 +75,12 @@ class GridSpec:
             raise ValueError("time_quantum must be positive")
         if len(self.bands) == 0:
             raise ValueError("at least one frequency band is required")
+        # Estimated before any array exists: region area over hexagon area,
+        # times quanta and bands (the horizon clipped so the product stays a float).
+        regions = (self.region_width / self.hex_side) * (self.region_height / self.hex_side) / (1.5 * SQRT3)
+        cells = regions * min(self.horizon, MAX_CELLS + 1) * len(self.bands)
+        if cells > MAX_CELLS:
+            raise ValueError(f"grid too large: an estimated {cells:.3g} cells exceed the cap of {MAX_CELLS}")
         if self.sample_point_policy not in ("centroid", "offset"):
             raise ValueError(f"unknown sample point policy {self.sample_point_policy!r}")
         if self.sample_point_policy == "offset":

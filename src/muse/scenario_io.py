@@ -13,7 +13,9 @@ scientific notation so output is byte-stable across runs.
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping
+import warnings
+from itertools import chain
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 import yaml
@@ -44,6 +46,10 @@ MAP_CSV_HEADER = (
     "region_index,time_index,band_index,centroid_x_m,centroid_y_m,"
     "occupancy_w,opportunity_w,raw_opportunity_w,liability_w"
 )
+
+
+# libyaml's parser where pyyaml was built with it; both build the same documents.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ScenarioError(ValueError):
@@ -115,7 +121,10 @@ def _antenna(obj, context: str) -> AntennaPattern:
 
 
 def parse_scenario(text: str) -> RFSystem:
-    doc = yaml.safe_load(text)
+    try:
+        doc = yaml.load(text, Loader=_YAML_LOADER)
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer beyond int()'s digit limit
+        raise ScenarioError("malformed YAML: " + " ".join(str(exc).split())) from exc
     doc = _require_mapping(doc, "scenario")
     _check_keys(
         doc,
@@ -403,7 +412,11 @@ def _rx_doc(rx: Receiver) -> dict[str, Any]:
 
 def load_scenario(path) -> RFSystem:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"scenario is not UTF-8 text: {exc}") from exc
+    return parse_scenario(text)
 
 
 def save_scenario(sys: RFSystem, path):
@@ -414,50 +427,76 @@ def save_scenario(sys: RFSystem, path):
 # ---------------------------------------------------------------------------
 # map CSV
 
+_MAP_FIELDS = ("occupancy", "opportunity", "raw_opportunity", "liability")
+_MAP_DTYPE = np.dtype(
+    [("region", np.int64), ("time", np.int64), ("band", np.int64), ("centroid_x", np.float64), ("centroid_y", np.float64)]
+    + [(name, np.float64) for name in _MAP_FIELDS]
+)
+# One map CSV row from (region prefix, "tau,nu," prefix, centroid prefix, four fields).
+_MAP_ROW = "%s%s%s%.17e,%.17e,%.17e,%.17e\n"
+_CSV_CHUNK_ROWS = 4096  # rows formatted per write; bounds the text held in memory
+
+
+def _map_csv_chunks(maps: ConsumptionMaps) -> Iterator[str]:
+    """The map CSV as text chunks of at most ``_CSV_CHUNK_ROWS`` rows.
+
+    Each chunk is one ``%`` call over Python floats, so every value is
+    formatted exactly as ``f"{v:.17e}"`` would format it; the region and
+    centroid prefixes are formatted once per region.
+    """
+    grid = maps.grid
+    slots = [f"{tau},{nu}," for tau in range(grid.horizon) for nu in range(grid.band_count)]
+    fields = [getattr(maps, name).reshape(grid.region_count, len(slots)) for name in _MAP_FIELDS]
+    step = max(1, _CSV_CHUNK_ROWS // len(slots))
+    yield MAP_CSV_HEADER + "\n"
+    for lo in range(0, grid.region_count, step):
+        hi = min(lo + step, grid.region_count)
+        regions = [f"{chi}," for chi in range(lo, hi)]
+        centroids = ["%.17e,%.17e," % (x, y) for x, y in grid.centroids[lo:hi].tolist()]
+        columns = (
+            [p for p in regions for _ in slots],
+            slots * (hi - lo),
+            [p for p in centroids for _ in slots],
+            *(f[lo:hi].ravel().tolist() for f in fields),
+        )
+        yield (_MAP_ROW * (len(slots) * (hi - lo))) % tuple(chain.from_iterable(zip(*columns)))
+
 
 def map_csv_text(maps: ConsumptionMaps) -> str:
-    grid = maps.grid
-    lines = [MAP_CSV_HEADER]
-    for chi in range(grid.region_count):
-        cx, cy = grid.centroids[chi]
-        for tau in range(grid.horizon):
-            for nu in range(grid.band_count):
-                lines.append(
-                    f"{chi},{tau},{nu},{cx:.17e},{cy:.17e},"
-                    f"{maps.occupancy[chi, tau, nu]:.17e},{maps.opportunity[chi, tau, nu]:.17e},"
-                    f"{maps.raw_opportunity[chi, tau, nu]:.17e},{maps.liability[chi, tau, nu]:.17e}"
-                )
-    return "\n".join(lines) + "\n"
+    """The whole map CSV as one string; ``write_map_csv`` streams it instead."""
+    return "".join(_map_csv_chunks(maps))
 
 
 def write_map_csv(path, maps: ConsumptionMaps):
+    """Stream the map CSV to ``path`` chunk by chunk."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(map_csv_text(maps))
+        fh.writelines(_map_csv_chunks(maps))
 
 
 def read_map_csv(path) -> dict[str, np.ndarray | OpportunityMap]:
     """Load a map CSV back into arrays plus an OpportunityMap.
 
-    Every (region, time, band) index triple must appear exactly once and
-    every value must be finite; anything else raises ScenarioError.
+    The header must match, every row must hold three integer indices and
+    six numbers (no comment lines; empty lines are skipped), every
+    (region, time, band) index triple must appear exactly once and every
+    value must be finite; anything else raises ScenarioError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != MAP_CSV_HEADER:
             raise ScenarioError(f"unexpected map CSV header: {header!r}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if not rows:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                rows = np.loadtxt(fh, dtype=_MAP_DTYPE, delimiter=",", comments=None, ndmin=1)
+        except ValueError as exc:
+            # numpy reports a row of the wrong width by its column count
+            if "columns" in str(exc):
+                raise ScenarioError(f"map CSV has a row without {len(_MAP_DTYPE)} fields: {exc}") from exc
+            raise ScenarioError(f"map CSV has a malformed number: {exc}") from exc
+    if not rows.size:
         raise ScenarioError("map CSV has no data rows")
-    n_fields = MAP_CSV_HEADER.count(",") + 1
-    if any(len(r) != n_fields for r in rows):
-        raise ScenarioError(f"map CSV has a row without {n_fields} fields")
-    try:
-        chis = np.array([int(r[0]) for r in rows])
-        taus = np.array([int(r[1]) for r in rows])
-        nus = np.array([int(r[2]) for r in rows])
-        values = np.array([r[3:] for r in rows], dtype=float)
-    except (ValueError, OverflowError) as exc:
-        raise ScenarioError(f"map CSV has a malformed number: {exc}") from exc
+    chis, taus, nus = rows["region"], rows["time"], rows["band"]
     if min(chis.min(), taus.min(), nus.min()) < 0:
         raise ScenarioError("map CSV has a negative index")
     n_regions = int(chis.max()) + 1
@@ -467,16 +506,17 @@ def read_map_csv(path) -> dict[str, np.ndarray | OpportunityMap]:
         raise ScenarioError("map CSV row count does not match its index ranges")
     if np.any(np.bincount((chis * horizon + taus) * n_bands + nus, minlength=len(rows)) != 1):
         raise ScenarioError("map CSV has duplicate or missing (region, time, band) rows")
-    if not np.all(np.isfinite(values)):
+    if not all(np.isfinite(rows[name]).all() for name in _MAP_DTYPE.names[3:]):
         raise ScenarioError("map CSV has a non-finite value")
 
     shape = (n_regions, horizon, n_bands)
     centroids = np.zeros((n_regions, 2))
-    centroids[chis] = values[:, :2]
+    centroids[chis, 0] = rows["centroid_x"]
+    centroids[chis, 1] = rows["centroid_y"]
     data = {}
-    for k, name in enumerate(("occupancy", "opportunity", "raw_opportunity", "liability")):
+    for name in _MAP_FIELDS:
         data[name] = np.zeros(shape)
-        data[name][chis, taus, nus] = values[:, 2 + k]
+        data[name][chis, taus, nus] = rows[name]
     result: dict[str, Any] = dict(data)
     result["centroids"] = centroids
     result["opportunity_map"] = OpportunityMap(values=data["opportunity"], centroids=centroids, provenance="ground-truth")
@@ -487,14 +527,11 @@ def heatmap_text(maps: ConsumptionMaps, quantity: str, time_index: int, band_ind
     """Gnuplot-compatible matrix of one quantity for one (time, band) slice.
 
     Rows follow the hexagon rows bottom-up; short rows are padded with nan.
+    The slice is formatted in one ``%`` call, as ``f"{v:.17e}"`` would.
     """
     grid = maps.grid
     values = getattr(maps, quantity)[:, time_index, band_index]
     width = int(max(grid._row_counts))
-    lines = []
-    for i in range(grid.row_count):
-        lo, hi = int(grid._row_start[i]), int(grid._row_start[i + 1])
-        row = [f"{v:.17e}" for v in values[lo:hi]]
-        row += ["nan"] * (width - (hi - lo))
-        lines.append(" ".join(row))
-    return "\n".join(lines) + "\n"
+    row_fmt = {n: " ".join(["%.17e"] * n + ["nan"] * (width - n)) for n in set(grid._row_counts.tolist())}
+    text_fmt = "\n".join(row_fmt[n] for n in grid._row_counts.tolist()) + "\n"
+    return text_fmt % tuple(values.tolist())

@@ -1,8 +1,10 @@
 import json
 
 import pytest
+import yaml
 from click.testing import CliRunner
 
+from muse import scenario_io
 from muse.cli import main
 
 from helpers import probe_scenario, region_link_system
@@ -197,8 +199,10 @@ def test_missing_file_exit_code(runner):
     [
         ("power_dbm: -24.0", "power_dbm: 99.0", "exceeds p_max"),
         ("width_m: 4300.0", "width_m: .inf", "expected a finite number"),
+        ("hex_side_m: 100.0", "hex_side_m: 0.001", "grid too large"),
+        ("time_quanta: 1", "time_quanta: 1000000000", "grid too large"),
     ],
-    ids=["above-p-max", "infinite-width"],
+    ids=["above-p-max", "infinite-width", "tiny-hex-side", "huge-horizon"],
 )
 def test_invalid_scenario_exit_code(runner, tmp_path, field, bad, message):
     path = tmp_path / "bad.yaml"
@@ -207,6 +211,30 @@ def test_invalid_scenario_exit_code(runner, tmp_path, field, bad, message):
     assert result.exit_code == 2
     err = json.loads(result.output.strip().splitlines()[-1])
     assert message in err["error"]
+
+
+@pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (SCENARIO_TEXT.replace("system:", "system: {p_max_dbm: 30").encode(), "malformed YAML"),
+        (SCENARIO_TEXT.replace("time_quanta: 1", "time_quanta: 1" + "0" * 5000).encode(), "malformed YAML"),
+        (b"\xff\xfe" + SCENARIO_TEXT.encode(), "not UTF-8"),
+    ],
+    ids=["unclosed-brace", "integer-too-long", "not-utf8"],
+)
+def test_unparsable_scenario_exit_code(runner, tmp_path, monkeypatch, loader, content, message):
+    if not hasattr(yaml, loader):
+        pytest.skip(f"pyyaml has no {loader}")
+    monkeypatch.setattr(scenario_io, "_YAML_LOADER", getattr(yaml, loader))
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(content)
+    result = runner.invoke(main, ["report", "--scenario", str(path)])
+    assert result.exit_code == 2
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert message in err["error"] and err["exit_code"] == 2
 
 
 @pytest.mark.parametrize(
@@ -220,8 +248,10 @@ def test_invalid_scenario_exit_code(runner, tmp_path, field, bad, message):
         (["sweep", "--hex-sides", "0"], "hex_side must be positive"),
         (["sweep", "--hex-sides", "-5"], "hex_side must be positive"),
         (["sweep", "--hex-sides", "nan"], "hex_side must be positive"),
+        (["sweep", "--hex-sides", "0.001"], "grid too large"),
     ],
-    ids=["time-past-horizon", "time-negative", "beta-minus-inf", "beta-nan", "beta-overflow", "side-zero", "side-negative", "side-nan"],
+    ids=["time-past-horizon", "time-negative", "beta-minus-inf", "beta-nan", "beta-overflow", "side-zero", "side-negative", "side-nan",
+         "side-too-small"],
 )
 def test_invalid_option_exit_code(runner, scenario_path, tmp_path, args, message):
     if args[0] == "connectivity":

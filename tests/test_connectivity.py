@@ -16,10 +16,13 @@ from muse import (
     RFSystem,
     Transmitter,
     build_connectivity_map,
+    compute_maps,
     db_to_linear,
     dbm_to_watts,
     link_feasibility,
 )
+from muse import consumption
+from muse.connectivity import _hop_gains
 
 from helpers import add_random_receiver, empty_system, random_system, reference_params, small_grid
 
@@ -177,3 +180,32 @@ def test_best_band_is_first_feasible_argmax():
         expected = max(feasible, key=lambda e: e.sinr).band_index if feasible else None
         assert cmap.best_band[pair] == expected
     assert {1, 2, None} <= set(cmap.best_band.values())
+
+
+def test_connectivity_evaluates_only_the_requested_quantum(monkeypatch):
+    base = multi_band_system(horizon=3)
+    # the transmitter and receiver are active in quanta 0 and 2 only, so quantum 1 differs
+    link = base.networks[0].links[0]
+    tx = dataclasses.replace(link.transmitters[0], bands=None, active_intervals=frozenset({0, 2}))
+    rx = dataclasses.replace(link.receivers[0], bands=None, active_intervals=frozenset({0, 2}))
+    sys_ = dataclasses.replace(
+        base, networks=(RFNetwork(id="n", links=(RFLink(id="l", transmitters=(tx,), receivers=(rx,)),)),)
+    )
+    maps = compute_maps(sys_)
+    calls = []
+    evaluate = consumption._evaluate_grid_slice
+    monkeypatch.setattr(consumption, "_evaluate_grid_slice", lambda *args: calls.append(args[2]) or evaluate(*args))
+    beta = db_to_linear(6.0)
+    for tau in range(sys_.grid_spec.horizon):
+        calls.clear()
+        cmap = build_connectivity_map(sys_, beta, tau)
+        assert calls == [tau] * sys_.grid.band_count
+        # the budget as computed from the full maps before
+        a, b = cmap.cell_a, cmap.cell_b
+        max_power = np.minimum(np.maximum(maps.raw_opportunity[a, tau, :], 0.0), sys_.params.p_max)
+        sinr = max_power * _hop_gains(sys_, a, b) / maps.occupancy[b, tau, :]
+        assert max_power.tobytes() == cmap.max_power.tobytes()
+        assert sinr.tobytes() == cmap.sinr.tobytes()
+        assert np.array_equal(sinr >= beta, cmap.feasible)
+    quiet = build_connectivity_map(sys_, beta, 1).max_power
+    assert not np.array_equal(quiet, build_connectivity_map(sys_, beta, 0).max_power)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from muse import Band, GridSpec, SpectrumGrid, tessellate, total_spectrum_space
+from muse.grid import MAX_CELLS
 
 from helpers import reference_grid, reference_params
 
@@ -165,3 +166,16 @@ def test_spec_validation():
         reference_grid(100.0, bands=())
     with pytest.raises(ValueError):
         reference_grid(-5.0)
+
+
+def test_grid_size_cap():
+    reference_grid(1.0)  # the 1 m sweep grid, 6.1M regions
+    reference_grid(2.0, bands=(Band(6e8, 6e6), Band(6.1e8, 6e6), Band(6.2e8, 6e6)))
+    for spec in (
+        dict(hex_side=0.001),
+        dict(hex_side=5e-324),
+        dict(hex_side=100.0, horizon=MAX_CELLS),
+        dict(hex_side=100.0, horizon=10 ** 400),
+    ):
+        with pytest.raises(ValueError, match="grid too large"):
+            reference_grid(**spec)

@@ -1,10 +1,16 @@
 import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from muse import (
+    GridSpec,
     ScenarioError,
+    SpectrumGrid,
     compute_maps,
     dbm_to_watts,
     parse_scenario,
@@ -13,10 +19,14 @@ from muse import (
     validate_system,
     write_map_csv,
 )
-from muse.scenario_io import MAP_CSV_HEADER, heatmap_text
+from muse import scenario_io
+from muse.consumption import ConsumptionMaps
+from muse.scenario_io import MAP_CSV_HEADER, heatmap_text, map_csv_text
 
 from helpers import region_link_system, small_grid
 import dataclasses
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
 SCENARIO_TEXT = """
 muse_scenario: 1
@@ -209,13 +219,25 @@ def _duplicate_row(rows):
     rows[4] = rows[3]
 
 
-def _set_value(text):
+def _set_field(k, text):
     def mutate(rows):
         fields = rows[2].split(",")
-        fields[6] = text
+        fields[k] = text
         rows[2] = ",".join(fields)
 
     return mutate
+
+
+def _set_value(text):
+    return _set_field(6, text)
+
+
+def _comment_row(rows):
+    rows.insert(3, "# comment")
+
+
+def _no_rows(rows):
+    rows.clear()
 
 
 @pytest.mark.parametrize(
@@ -227,8 +249,13 @@ def _set_value(text):
         (_set_value("nan"), "non-finite"),
         (_set_value("-inf"), "non-finite"),
         (_set_value("0x1p3"), "malformed number"),
+        (_set_field(0, "1.5"), "malformed number"),
+        (_set_field(0, "1e0"), "malformed number"),
+        (_comment_row, "fields"),
+        (_no_rows, "no data rows"),
     ],
-    ids=["cut-row", "negative-index", "duplicate-row", "nan", "infinite", "malformed"],
+    ids=["cut-row", "negative-index", "duplicate-row", "nan", "infinite", "malformed",
+         "fractional-index", "exponent-index", "comment-row", "header-only"],
 )
 def test_read_map_csv_rejects_bad_rows(tmp_path, mutate, message):
     path = tmp_path / "map.csv"
@@ -238,6 +265,102 @@ def test_read_map_csv_rejects_bad_rows(tmp_path, mutate, message):
     path.write_text("\n".join([header] + rows) + "\n")
     with pytest.raises(ScenarioError, match=message):
         read_map_csv(path)
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [lambda text: text.replace("\n", "\r\n"), lambda text: text + "\n"],
+    ids=["crlf", "trailing-blank-line"],
+)
+def test_read_map_csv_accepts_crlf_and_blank_tail(tmp_path, rewrite):
+    maps = compute_maps(dataclasses.replace(region_link_system(), grid_spec=small_grid(n_bands=2)))
+    path = tmp_path / "map.csv"
+    path.write_bytes(rewrite(map_csv_text(maps)).encode())
+    loaded = read_map_csv(path)
+    for name in ("occupancy", "opportunity", "raw_opportunity", "liability"):
+        assert np.array_equal(loaded[name], getattr(maps, name))
+
+
+# The per-row formatters the map CSV and heatmap writers replaced; the
+# batched writers must reproduce their bytes.
+
+
+def reference_map_csv_text(maps: ConsumptionMaps) -> str:
+    grid = maps.grid
+    lines = [MAP_CSV_HEADER]
+    for chi in range(grid.region_count):
+        cx, cy = grid.centroids[chi]
+        for tau in range(grid.horizon):
+            for nu in range(grid.band_count):
+                lines.append(
+                    f"{chi},{tau},{nu},{cx:.17e},{cy:.17e},"
+                    f"{maps.occupancy[chi, tau, nu]:.17e},{maps.opportunity[chi, tau, nu]:.17e},"
+                    f"{maps.raw_opportunity[chi, tau, nu]:.17e},{maps.liability[chi, tau, nu]:.17e}"
+                )
+    return "\n".join(lines) + "\n"
+
+
+def reference_heatmap_text(maps: ConsumptionMaps, quantity: str, time_index: int, band_index: int) -> str:
+    grid = maps.grid
+    values = getattr(maps, quantity)[:, time_index, band_index]
+    width = int(max(grid._row_counts))
+    lines = []
+    for i in range(grid.row_count):
+        lo, hi = int(grid._row_start[i]), int(grid._row_start[i + 1])
+        row = [f"{v:.17e}" for v in values[lo:hi]]
+        row += ["nan"] * (width - (hi - lo))
+        lines.append(" ".join(row))
+    return "\n".join(lines) + "\n"
+
+
+_EDGE_VALUES = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-3, 1e300, -1e300, 1.7976931348623157e308]
+)
+
+
+@st.composite
+def generated_maps(draw):
+    spec = GridSpec(
+        region_width=draw(st.floats(200.0, 900.0)),
+        region_height=draw(st.floats(200.0, 900.0)),
+        hex_side=100.0,
+        horizon=draw(st.integers(1, 3)),
+        bands=small_grid(n_bands=draw(st.integers(1, 3))).bands,
+    )
+    grid = SpectrumGrid(spec)
+    shape = (grid.region_count, grid.horizon, grid.band_count)
+    values = st.one_of(_EDGE_VALUES, st.floats(allow_nan=False, allow_infinity=False))
+    fields = [np.array(draw(st.lists(values, min_size=grid.cell_count, max_size=grid.cell_count))).reshape(shape)
+              for _ in range(4)]
+    return ConsumptionMaps(grid, *fields)
+
+
+@settings(max_examples=40, deadline=None)
+@given(maps=generated_maps(), chunk_rows=st.sampled_from([1, 7, 64, 4096]))
+def test_map_writers_match_reference_and_round_trip_bitwise(tmp_path_factory, maps, chunk_rows):
+    path = tmp_path_factory.mktemp("map") / "map.csv"
+    with mock.patch.object(scenario_io, "_CSV_CHUNK_ROWS", chunk_rows):
+        write_map_csv(path, maps)
+    assert path.read_bytes() == reference_map_csv_text(maps).encode()
+    for tau in range(maps.grid.horizon):
+        for nu in range(maps.grid.band_count):
+            assert heatmap_text(maps, "raw_opportunity", tau, nu) == reference_heatmap_text(maps, "raw_opportunity", tau, nu)
+
+    loaded = read_map_csv(path)
+    for name in ("occupancy", "opportunity", "raw_opportunity", "liability"):
+        assert loaded[name].tobytes() == getattr(maps, name).tobytes()
+    assert loaded["centroids"].tobytes() == maps.grid.centroids.tobytes()
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="pyyaml built without libyaml")
+def test_yaml_loaders_build_the_same_scenario():
+    texts = [SCENARIO_TEXT] + [p.read_text() for p in sorted(SCENARIOS.glob("*.yaml"))]
+    for text in texts:
+        with mock.patch.object(scenario_io, "_YAML_LOADER", yaml.SafeLoader):
+            pure = parse_scenario(text)
+        with mock.patch.object(scenario_io, "_YAML_LOADER", yaml.CSafeLoader):
+            libyaml = parse_scenario(text)
+        assert pure == libyaml
 
 
 def test_map_csv_multiband_order(tmp_path):
