@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 import sys as _sys
 
 import click
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .connectivity import build_connectivity_map
-from .consumption import compute_maps, entity_consumption, point_metrics, system_report
+from .consumption import _thread_budget, compute_maps, entity_consumption, point_metrics, system_report
 from .model import RFSystem, validate_system
 from .scenario_io import (
     ScenarioError,
@@ -92,12 +91,10 @@ scenario_option = click.option("--scenario", required=True, type=click.Path(), h
 @click.version_option(version=__version__, prog_name="muse")
 def main():
     """Quantify the use of RF spectrum over a discretized space-time-frequency grid."""
-    env = os.environ.get("MUSE_THREADS")
-    if env is not None:
-        try:
-            int(env)
-        except ValueError:
-            _fail(EXIT_VALIDATION, f"MUSE_THREADS must be an integer, got {env!r}")
+    try:
+        _thread_budget()
+    except ValueError as exc:
+        _fail(EXIT_VALIDATION, str(exc))
 
 
 @main.command()

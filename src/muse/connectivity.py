@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .consumption import _evaluate_quantum
+from .consumption import _evaluate_grid
 from .grid import Cell
 from .model import RFSystem
 from .propagation import path_gain
@@ -93,9 +93,12 @@ def _budget(sys: RFSystem, a: np.ndarray, b: np.ndarray, time_index: int, candid
         raise ValueError("candidate beta must be positive")
     if not 0 <= time_index < sys.grid_spec.horizon:
         raise ValueError(f"time index {time_index} outside the horizon of {sys.grid_spec.horizon} quanta")
-    occupancy, raw_opportunity = _evaluate_quantum(sys, time_index)
-    max_power = np.minimum(np.maximum(raw_opportunity[a], 0.0), sys.params.p_max)
-    sinr = max_power * _hop_gains(sys, a, b) / occupancy[b]
+    used = np.zeros(sys.grid.region_count, dtype=bool)  # only the regions the pairs touch are evaluated
+    used[a] = used[b] = True
+    row = np.cumsum(used) - 1  # row[chi]: region chi's row of the maps
+    maps, _ = _evaluate_grid(sys, times=[time_index], regions=np.flatnonzero(used))
+    max_power = np.minimum(np.maximum(maps.raw_opportunity[row[a], 0], 0.0), sys.params.p_max)
+    sinr = max_power * _hop_gains(sys, a, b) / maps.occupancy[row[b], 0]
     return sinr >= candidate_beta, max_power, sinr
 
 

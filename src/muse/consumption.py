@@ -197,38 +197,25 @@ def receiver_sinr(sys: RFSystem, rx: Receiver | str, time_index: int = 0, band_i
 # slice evaluation
 
 
-def _noise_vector(sys: RFSystem, pts: np.ndarray, band_index: int, region_indices) -> np.ndarray | float:
-    base = sys.params.noise_for_band(band_index)
-    if not sys.noise_cell_overrides:
-        return base
-    n = np.full(len(pts), base)
-    if region_indices is not None:
-        offset = int(region_indices[0])
-        for (chi, nu), w in sys.noise_cell_overrides.items():
-            if nu == band_index and offset <= chi < offset + len(pts):
-                n[chi - offset] = w
-    else:
-        for k in range(len(pts)):
-            n[k] = sys.noise_at(pts[k], band_index)
-    return n
+def _noise_vector(sys: RFSystem, band_index: int, regions: np.ndarray) -> np.ndarray:
+    """Ambient noise of each region of ``regions`` (ascending) on one band."""
+    noise = np.full(len(regions), sys.params.noise_for_band(band_index))
+    for (chi, nu), w in sys.noise_cell_overrides.items():
+        k = np.searchsorted(regions, chi)
+        if nu == band_index and k < len(regions) and regions[k] == chi:
+            noise[k] = w
+    return noise
 
 
-@dataclass
-class _Slice:
-    occupancy: np.ndarray
-    raw_opportunity: np.ndarray
-    gamma: np.ndarray
-    phi: np.ndarray
-    consumed: np.ndarray  # per transceiver of budget.ids, summed over the points
+def _evaluate_slice(budget: _LinkBudget, pts: np.ndarray, time_index: int, noise, members, out) -> np.ndarray:
+    """One (time, band) slice at N points, written into ``out``: four
+    (N,) slots for occupancy, clamped opportunity, raw opportunity and
+    liability.
 
-
-def _evaluate_slice(budget: _LinkBudget, pts: np.ndarray, time_index: int, noise, members) -> _Slice:
-    """One (time, band) slice at N points.
-
-    For each transceiver id in ``members`` it also sums, over the points,
-    the power a transmitter deposits or the clipped liability a receiver
-    imposes.  The sums are taken inside the loops, so no per-entity field
-    outlives its iteration.
+    Returns, per transceiver of ``budget.ids`` that is in ``members``, the
+    power a transmitter deposits or the clipped liability a receiver
+    imposes, summed over the points (zero for the others).  The sums are
+    taken inside the loops, so no per-entity field outlives its iteration.
     """
     params = budget.sys.params
     tx_active, rx_active = budget.active(time_index)
@@ -255,58 +242,55 @@ def _evaluate_slice(budget: _LinkBudget, pts: np.ndarray, time_index: int, noise
         if rx.id in members:
             consumed[first_rx + r] = np.sum(np.clip(params.p_cmax - (occupancy + opp), 0.0, params.p_cmax))
 
-    gamma = np.clip(raw, 0.0, np.maximum(params.p_cmax - occupancy, 0.0))
-    phi = params.p_cmax - occupancy - gamma
-    return _Slice(occupancy=occupancy, raw_opportunity=raw, gamma=gamma, phi=phi, consumed=consumed)
+    # written once each: the slots of ``out`` may be strided views of the maps
+    headroom = params.p_cmax - occupancy
+    occupancy_out, gamma_out, raw_out, phi_out = out
+    occupancy_out[...] = occupancy
+    raw_out[...] = raw
+    np.clip(raw, 0.0, np.maximum(headroom, 0.0), out=gamma_out)
+    np.subtract(headroom, gamma_out, out=phi_out)
+    return consumed
 
 
-def _evaluate_grid_slice(budget: _LinkBudget, grid: SpectrumGrid, time_index: int, members) -> _Slice:
-    """Chunked slice evaluation over every sample point of the grid.
+def _evaluate_grid_slice(budget: _LinkBudget, regions: np.ndarray, time_index: int, members, out) -> np.ndarray:
+    """The slice at the sample points of ``regions`` (ascending), in chunks
+    of ``_CHUNK`` points on threads; each chunk writes its span of the
+    four slots of ``out``.  Returns the members' consumption; chunk sums
+    are added in chunk order, so it does not depend on the thread count."""
+    pts = budget.sys.grid.sample_points
+    spans = [(lo, min(lo + _CHUNK, len(regions))) for lo in range(0, len(regions), _CHUNK)]
 
-    Chunk sums are added in chunk order, so the result does not depend on
-    the thread count."""
-    pts = grid.sample_points
-    n = len(pts)
-
-    def evaluate(lo, hi):
-        noise = _noise_vector(budget.sys, pts[lo:hi], budget.band_index, np.arange(lo, hi))
-        return _evaluate_slice(budget, pts[lo:hi], time_index, noise, members)
-
-    if n <= _CHUNK:
-        return evaluate(0, n)
-    spans = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-    fields = _Slice(*(np.empty(n) for _ in range(4)), consumed=np.zeros(len(budget.ids)))
-    sums = [None] * len(spans)
-
-    def run(k):
-        lo, hi = spans[k]
-        f = evaluate(lo, hi)
-        fields.occupancy[lo:hi] = f.occupancy
-        fields.raw_opportunity[lo:hi] = f.raw_opportunity
-        fields.gamma[lo:hi] = f.gamma
-        fields.phi[lo:hi] = f.phi
-        sums[k] = f.consumed
+    def run(span):
+        chunk = regions[span[0] : span[1]]
+        noise = _noise_vector(budget.sys, budget.band_index, chunk)
+        return _evaluate_slice(budget, pts[chunk], time_index, noise, members, [f[span[0] : span[1]] for f in out])
 
     workers = min(_thread_budget(), len(spans))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(len(spans))))
+            sums = list(pool.map(run, spans))
     else:
-        for k in range(len(spans)):
-            run(k)
+        sums = [run(span) for span in spans]
+    consumed = np.zeros(len(budget.ids))
     for part in sums:
-        fields.consumed += part
-    return fields
+        consumed += part
+    return consumed
 
 
 def _point_slice(sys: RFSystem, point, time_index: int, band_index: int, region_index=None):
-    """Link budget, point array and slice at one point, with every
-    transceiver's consumption there.  ``region_index`` takes the noise of
-    that cell instead of locating the point."""
+    """Link budget, point array, the four fields (occupancy, clamped and raw
+    opportunity, liability) and every transceiver's consumption at one
+    point.  ``region_index`` takes the noise of that cell instead of
+    locating the point."""
     budget = _LinkBudget(sys, band_index)
     pts = np.array([point], dtype=float).reshape(1, 2)
-    noise = _noise_vector(sys, pts, band_index, None if region_index is None else [region_index])
-    return budget, pts, _evaluate_slice(budget, pts, time_index, noise, frozenset(budget.ids))
+    if region_index is None:
+        noise = sys.noise_at(point, band_index)
+    else:
+        noise = _noise_vector(sys, band_index, np.array([region_index]))
+    fields = np.empty((4, 1))
+    consumed = _evaluate_slice(budget, pts, time_index, noise, frozenset(budget.ids), fields)
+    return budget, pts, fields[:, 0], consumed
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +309,7 @@ def tx_occupancy_at(sys: RFSystem, tx: Transmitter | str, point, time_index: int
 
 def aggregate_occupancy_at(sys: RFSystem, point, time_index: int = 0, band_index: int = 0) -> float:
     """Aggregate received power plus ambient noise at a point."""
-    return float(_point_slice(sys, point, time_index, band_index)[2].occupancy[0])
+    return float(_point_slice(sys, point, time_index, band_index)[2][0])
 
 
 def interference_opportunity(sys: RFSystem, rx: Receiver | str, point, time_index: int = 0, band_index: int = 0) -> float:
@@ -347,7 +331,7 @@ def net_opportunity_at(sys: RFSystem, point, time_index: int = 0, band_index: in
     receivers, never exceeding the regulatory headroom p_max - P_bar.
     With no receivers it is the headroom itself.
     """
-    return float(_point_slice(sys, point, time_index, band_index)[2].raw_opportunity[0])
+    return float(_point_slice(sys, point, time_index, band_index)[2][2])
 
 
 @dataclass(frozen=True)
@@ -373,7 +357,7 @@ class PointMetrics:
 
 def point_metrics(sys: RFSystem, point, time_index: int = 0, band_index: int = 0) -> PointMetrics:
     """Full consumption breakdown at one point."""
-    budget, pts, f = _point_slice(sys, point, time_index, band_index)
+    budget, pts, (occupancy, _, raw_opportunity, _), consumed = _point_slice(sys, point, time_index, band_index)
     tx_active, rx_active = budget.active(time_index)
     interference = budget.interference(tx_active)
     first_rx = len(budget.transmitters)
@@ -391,17 +375,17 @@ def point_metrics(sys: RFSystem, point, time_index: int = 0, band_index: int = 0
                 bound=margin / g,
                 backprojected_interference=existing / g,
                 opportunity=(margin - existing) / g,
-                liability=float(f.consumed[first_rx + r]),
+                liability=float(consumed[first_rx + r]),
             )
         )
     return PointMetrics(
         point=(float(point[0]), float(point[1])),
         time_index=time_index,
         band_index=band_index,
-        tx_received={tx.id: float(f.consumed[t]) for t, tx in enumerate(budget.transmitters)},
-        occupancy=float(f.occupancy[0]),
+        tx_received={tx.id: float(consumed[t]) for t, tx in enumerate(budget.transmitters)},
+        occupancy=float(occupancy),
         receivers=tuple(views),
-        net_opportunity=float(f.raw_opportunity[0]),
+        net_opportunity=float(raw_opportunity),
     )
 
 
@@ -424,19 +408,19 @@ class CellMetrics:
 def cell_metrics(sys: RFSystem, cell: Cell) -> CellMetrics:
     """Occupancy / opportunity / liability of one unit spectrum space,
     evaluated at its sample point."""
-    budget, _, f = _point_slice(sys, cell.sample_point, cell.time_index, cell.band_index, cell.region_index)
+    budget, _, fields, consumed = _point_slice(sys, cell.sample_point, cell.time_index, cell.band_index, cell.region_index)
     tx_active, rx_active = budget.active(cell.time_index)
     remaining = budget.margin - budget.interference(tx_active)
     first_rx = len(budget.transmitters)
     active = [(r, rx) for r, rx in enumerate(budget.receivers) if rx_active[r]]
     return CellMetrics(
         cell=cell,
-        occupancy=float(f.occupancy[0]),
-        opportunity=float(f.gamma[0]),
-        raw_opportunity=float(f.raw_opportunity[0]),
-        liability=float(f.phi[0]),
-        tx_occupancy={tx.id: float(f.consumed[t]) for t, tx in enumerate(budget.transmitters)},
-        rx_liability={rx.id: float(f.consumed[first_rx + r]) for r, rx in active},
+        occupancy=float(fields[0]),
+        opportunity=float(fields[1]),
+        raw_opportunity=float(fields[2]),
+        liability=float(fields[3]),
+        tx_occupancy={tx.id: float(consumed[t]) for t, tx in enumerate(budget.transmitters)},
+        rx_liability={rx.id: float(consumed[first_rx + r]) for r, rx in active},
         harmful_interference=frozenset(rx.id for r, rx in active if remaining[r] < 0.0),
     )
 
@@ -452,37 +436,24 @@ class ConsumptionMaps:
     liability: np.ndarray
 
 
-def _evaluate_grid(sys: RFSystem, members=frozenset()) -> tuple[ConsumptionMaps, dict[str, float]]:
-    """Every (time, band) slice of the grid once: the maps, and the
-    consumption of each transceiver id in ``members`` summed over all
+def _evaluate_grid(sys: RFSystem, members=frozenset(), times=None, regions=None) -> tuple[ConsumptionMaps, dict[str, float]]:
+    """The (time, band) slices of the quanta ``times`` at the sample points
+    of ``regions`` (ascending; by default every quantum and every region),
+    each written once into maps of shape (regions, times, bands), and the
+    consumption of each transceiver id in ``members`` summed over those
     cells.  Each band's link budget is built once."""
     grid = sys.grid
-    shape = (grid.region_count, grid.horizon, grid.band_count)
+    times = range(grid.horizon) if times is None else times
+    regions = np.arange(grid.region_count) if regions is None else regions
+    shape = (len(regions), len(times), grid.band_count)
     maps = ConsumptionMaps(grid, np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape))
+    fields = (maps.occupancy, maps.opportunity, maps.raw_opportunity, maps.liability)
     consumed = 0.0
     for nu in range(grid.band_count):
         budget = _LinkBudget(sys, nu)
-        for tau in range(grid.horizon):
-            f = _evaluate_grid_slice(budget, grid, tau, members)
-            maps.occupancy[:, tau, nu] = f.occupancy
-            maps.opportunity[:, tau, nu] = f.gamma
-            maps.raw_opportunity[:, tau, nu] = f.raw_opportunity
-            maps.liability[:, tau, nu] = f.phi
-            consumed = consumed + f.consumed
+        for k, tau in enumerate(times):
+            consumed = consumed + _evaluate_grid_slice(budget, regions, tau, members, [f[:, k, nu] for f in fields])
     return maps, {i: float(v) for i, v in zip(budget.ids, consumed) if i in members}
-
-
-def _evaluate_quantum(sys: RFSystem, time_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Occupancy and raw opportunity of every region on every band in one
-    time quantum, each (regions, bands): one slice pass per band."""
-    grid = sys.grid
-    occupancy = np.empty((grid.region_count, grid.band_count))
-    raw_opportunity = np.empty((grid.region_count, grid.band_count))
-    for nu in range(grid.band_count):
-        f = _evaluate_grid_slice(_LinkBudget(sys, nu), grid, time_index, frozenset())
-        occupancy[:, nu] = f.occupancy
-        raw_opportunity[:, nu] = f.raw_opportunity
-    return occupancy, raw_opportunity
 
 
 def compute_maps(sys: RFSystem) -> ConsumptionMaps:

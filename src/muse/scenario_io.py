@@ -35,7 +35,6 @@ __all__ = [
     "save_scenario",
     "write_map_csv",
     "read_map_csv",
-    "map_csv_text",
     "heatmap_text",
     "MAP_CSV_HEADER",
 ]
@@ -71,16 +70,23 @@ def _check_keys(obj: Mapping, allowed: set[str], required: set[str], context: st
         raise ScenarioError(f"{context}: missing key(s) {sorted(missing)}")
 
 
-def _number(obj, context: str) -> float:
+def _number(obj, context: str, convert=float) -> float:
+    """A finite number after ``convert`` (e.g. dBm to watts); overflow is not finite."""
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ScenarioError(f"{context}: expected a number, got {obj!r}")
     try:
-        value = float(obj)
+        value = convert(float(obj))
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
         raise ScenarioError(f"{context}: expected a finite number, got {obj!r}")
     return value
+
+
+def _index(obj, context: str) -> int:
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise ScenarioError(f"{context}: expected an integer, got {obj!r}")
+    return obj
 
 
 def _position(obj, context: str) -> tuple[float, float]:
@@ -115,8 +121,8 @@ def _antenna(obj, context: str) -> AntennaPattern:
         kind="sector",
         boresight=math.radians(_number(obj.get("boresight_deg", 0.0), context)),
         beamwidth=math.radians(_number(obj.get("beamwidth_deg", 360.0), context)),
-        main_gain=db_to_linear(_number(obj.get("main_gain_db", 0.0), context)),
-        back_gain=db_to_linear(_number(obj.get("back_gain_db", 0.0), context)),
+        main_gain=_number(obj.get("main_gain_db", 0.0), context, db_to_linear),
+        back_gain=_number(obj.get("back_gain_db", 0.0), context, db_to_linear),
     )
 
 
@@ -136,20 +142,22 @@ def parse_scenario(text: str) -> RFSystem:
         raise ScenarioError(f"unsupported schema version {doc['muse_scenario']!r} (expected {SCHEMA_VERSION})")
 
     sysdoc = _require_mapping(doc["system"], "system")
-    _check_keys(sysdoc, {"p_max_dbm", "p_min_dbm", "noise_dbm"}, {"p_max_dbm", "p_min_dbm", "noise_dbm"}, "system")
+    required = {"p_max_dbm", "p_min_dbm", "noise_dbm"}
+    _check_keys(sysdoc, required | {"noise_overrides"}, required, "system")
     noise = sysdoc["noise_dbm"]
     if isinstance(noise, (list, tuple)):
-        ambient = tuple(dbm_to_watts(_number(v, "system.noise_dbm")) for v in noise)
+        ambient = tuple(_number(v, "system.noise_dbm", dbm_to_watts) for v in noise)
     else:
-        ambient = dbm_to_watts(_number(noise, "system.noise_dbm"))
+        ambient = _number(noise, "system.noise_dbm", dbm_to_watts)
     try:
         params = SystemParams(
-            p_max=dbm_to_watts(_number(sysdoc["p_max_dbm"], "system.p_max_dbm")),
-            p_min=dbm_to_watts(_number(sysdoc["p_min_dbm"], "system.p_min_dbm")),
+            p_max=_number(sysdoc["p_max_dbm"], "system.p_max_dbm", dbm_to_watts),
+            p_min=_number(sysdoc["p_min_dbm"], "system.p_min_dbm", dbm_to_watts),
             ambient_noise=ambient,
         )
     except ValueError as exc:
         raise ScenarioError(f"system: {exc}") from exc
+    noise_overrides = _noise_overrides(sysdoc.get("noise_overrides", []))
 
     propdoc = _require_mapping(doc["propagation"], "propagation")
     _check_keys(propdoc, {"alpha", "reference_distance_m", "band_overrides"}, {"alpha"}, "propagation")
@@ -169,8 +177,7 @@ def parse_scenario(text: str) -> RFSystem:
     propagation = _model(propdoc, "propagation")
     band_models: dict[int, PropagationModel] = {}
     for key, override in _require_mapping(propdoc.get("band_overrides", {}), "propagation.band_overrides").items():
-        if not isinstance(key, int):
-            raise ScenarioError("propagation.band_overrides: keys must be band indices")
+        _index(key, "propagation.band_overrides")
         override = _require_mapping(override, f"propagation.band_overrides[{key}]")
         _check_keys(override, {"alpha", "reference_distance_m"}, set(), f"propagation.band_overrides[{key}]")
         band_models[key] = _model(override, f"propagation.band_overrides[{key}]", propagation)
@@ -212,9 +219,7 @@ def parse_scenario(text: str) -> RFSystem:
         policy_name = "offset"
     elif policy not in ("centroid",):
         raise ScenarioError(f"grid.sample_point_policy: expected 'centroid' or an offset mapping, got {policy!r}")
-    horizon = griddoc.get("time_quanta", 1)
-    if isinstance(horizon, bool) or not isinstance(horizon, int):
-        raise ScenarioError("grid.time_quanta: expected an integer")
+    horizon = _index(griddoc.get("time_quanta", 1), "grid.time_quanta")
     try:
         grid_spec = GridSpec(
             region_width=_number(griddoc["width_m"], "grid.width_m"),
@@ -261,7 +266,23 @@ def parse_scenario(text: str) -> RFSystem:
         grid_spec=grid_spec,
         networks=tuple(networks),
         band_propagation=band_models,
+        noise_cell_overrides=noise_overrides,
     )
+
+
+def _noise_overrides(obj) -> dict[tuple[int, int], float]:
+    """``system.noise_overrides`` as {(region, band): watts}; ranges are left to ``validate_system``."""
+    if not isinstance(obj, (list, tuple)):
+        raise ScenarioError("system.noise_overrides: expected a list")
+    overrides = {}
+    for k, item in enumerate(obj):
+        ctx = f"system.noise_overrides[{k}]"
+        _check_keys(_require_mapping(item, ctx), {"region", "band", "noise_dbm"}, {"region", "band", "noise_dbm"}, ctx)
+        key = (_index(item["region"], ctx), _index(item["band"], ctx))
+        if key in overrides:
+            raise ScenarioError(f"{ctx}: region {key[0]}, band {key[1]} overridden twice")
+        overrides[key] = _number(item["noise_dbm"], ctx, dbm_to_watts)
+    return overrides
 
 
 def _parse_tx(obj, context: str) -> Transmitter:
@@ -272,7 +293,7 @@ def _parse_tx(obj, context: str) -> Transmitter:
         return Transmitter(
             id=str(obj["id"]),
             position=_position(obj["position"], ctx),
-            tx_power=dbm_to_watts(_number(obj["power_dbm"], ctx)),
+            tx_power=_number(obj["power_dbm"], ctx, dbm_to_watts),
             antenna=_antenna(obj.get("antenna"), ctx),
             active_intervals=_activity(obj.get("active"), ctx),
             bands=_activity(obj.get("bands"), ctx),
@@ -294,11 +315,11 @@ def _parse_rx(obj, context: str) -> Receiver:
         return Receiver(
             id=str(obj["id"]),
             position=_position(obj["position"], ctx),
-            beta=db_to_linear(_number(obj["beta_db"], ctx)),
+            beta=_number(obj["beta_db"], ctx, db_to_linear),
             antenna=_antenna(obj.get("antenna"), ctx),
             active_intervals=_activity(obj.get("active"), ctx),
             bands=_activity(obj.get("bands"), ctx),
-            explicit_margin=dbm_to_watts(_number(obj["margin_dbm"], ctx)) if "margin_dbm" in obj else None,
+            explicit_margin=_number(obj["margin_dbm"], ctx, dbm_to_watts) if "margin_dbm" in obj else None,
         )
     except ValueError as exc:
         raise ScenarioError(f"{ctx}: {exc}") from exc
@@ -356,6 +377,11 @@ def serialize_scenario(sys: RFSystem) -> str:
         },
         "networks": [],
     }
+    if sys.noise_cell_overrides:
+        doc["system"]["noise_overrides"] = [
+            {"region": int(chi), "band": int(nu), "noise_dbm": watts_to_dbm(w)}
+            for (chi, nu), w in sorted(sys.noise_cell_overrides.items())
+        ]
     if sys.band_propagation:
         doc["propagation"]["band_overrides"] = {
             k: {"alpha": m.alpha, "reference_distance_m": m.reference_distance}
@@ -460,11 +486,6 @@ def _map_csv_chunks(maps: ConsumptionMaps) -> Iterator[str]:
             *(f[lo:hi].ravel().tolist() for f in fields),
         )
         yield (_MAP_ROW * (len(slots) * (hi - lo))) % tuple(chain.from_iterable(zip(*columns)))
-
-
-def map_csv_text(maps: ConsumptionMaps) -> str:
-    """The whole map CSV as one string; ``write_map_csv`` streams it instead."""
-    return "".join(_map_csv_chunks(maps))
 
 
 def write_map_csv(path, maps: ConsumptionMaps):

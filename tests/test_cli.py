@@ -1,10 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
-from muse import scenario_io
+from muse import dbm_to_watts, read_map_csv, scenario_io
 from muse.cli import main
 
 from helpers import probe_scenario, region_link_system
@@ -201,8 +202,14 @@ def test_missing_file_exit_code(runner):
         ("width_m: 4300.0", "width_m: .inf", "expected a finite number"),
         ("hex_side_m: 100.0", "hex_side_m: 0.001", "grid too large"),
         ("time_quanta: 1", "time_quanta: 1000000000", "grid too large"),
+        ("p_max_dbm: 30.0", "p_max_dbm: 1.0e+300", "expected a finite number"),
+        (
+            "noise_dbm: -106.0",
+            "noise_dbm: -106.0\n  noise_overrides: [{region: 676, band: 0, noise_dbm: -90.0}]",
+            "noise override (676, 0) outside the grid",
+        ),
     ],
-    ids=["above-p-max", "infinite-width", "tiny-hex-side", "huge-horizon"],
+    ids=["above-p-max", "infinite-width", "tiny-hex-side", "huge-horizon", "overflowing-dbm", "override-past-grid"],
 )
 def test_invalid_scenario_exit_code(runner, tmp_path, field, bad, message):
     path = tmp_path / "bad.yaml"
@@ -211,6 +218,28 @@ def test_invalid_scenario_exit_code(runner, tmp_path, field, bad, message):
     assert result.exit_code == 2
     err = json.loads(result.output.strip().splitlines()[-1])
     assert message in err["error"]
+
+
+def test_map_writes_noise_override_as_occupancy(runner, tmp_path):
+    text = SCENARIO_TEXT.split("networks:")[0].replace(
+        "noise_dbm: -106.0", "noise_dbm: -106.0\n  noise_overrides: [{region: 5, band: 0, noise_dbm: -90.0}]"
+    )
+    path = tmp_path / "quiet.yaml"
+    path.write_text(text + "networks: []\n")
+    out = tmp_path / "map.csv"
+    result = runner.invoke(main, ["map", "--scenario", str(path), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    occupancy = read_map_csv(out)["occupancy"][:, 0, 0]
+    assert occupancy[5] == dbm_to_watts(-90.0)
+    assert np.all(np.delete(occupancy, 5) == dbm_to_watts(-106.0))
+
+
+def test_bad_thread_env_exit_code(runner, scenario_path):
+    result = runner.invoke(main, ["report", "--scenario", scenario_path], env={"MUSE_THREADS": "many"})
+    assert result.exit_code == 2
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "MUSE_THREADS must be an integer, got 'many'", "exit_code": 2}
 
 
 @pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])

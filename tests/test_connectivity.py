@@ -161,6 +161,22 @@ def test_link_feasibility_equals_map_bitwise():
         assert (single[0], single[1].hex(), single[2].hex()) == (e.feasible, e.max_power.hex(), e.sinr.hex())
 
 
+def test_link_feasibility_evaluates_only_its_two_regions(monkeypatch):
+    sys_ = multi_band_system()
+    grid = sys_.grid
+    calls = []
+    evaluate = consumption._evaluate_grid_slice
+    monkeypatch.setattr(
+        consumption, "_evaluate_grid_slice", lambda *args: calls.append(args[1].tolist()) or evaluate(*args)
+    )
+    a = 12
+    for b in grid.neighbors(a):
+        for src, dst in ((a, b), (b, a)):
+            calls.clear()
+            link_feasibility(sys_, grid.cell(src), grid.cell(dst), 1, db_to_linear(6.0))
+            assert calls == [sorted((src, dst))] * grid.band_count
+
+
 def test_best_band_is_first_feasible_argmax():
     base = multi_band_system()
     # guards that shrink the opportunity of band 1 in one corner and of band 2 in the other

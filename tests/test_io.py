@@ -21,9 +21,10 @@ from muse import (
 )
 from muse import scenario_io
 from muse.consumption import ConsumptionMaps
-from muse.scenario_io import MAP_CSV_HEADER, heatmap_text, map_csv_text
+from muse.scenario_io import MAP_CSV_HEADER, heatmap_text
 
 from helpers import region_link_system, small_grid
+from test_consumption import generated_systems
 import dataclasses
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
@@ -124,6 +125,12 @@ def test_round_trip_sector_antenna_and_masks():
     assert equivalent(list(sys_.networks), list(again.networks))
 
 
+@settings(max_examples=25, deadline=None)
+@given(generated_systems())
+def test_round_trip_generated_systems(sys_):
+    assert equivalent(sys_, parse_scenario(serialize_scenario(sys_)))
+
+
 def test_round_trip_per_band_noise_and_overrides():
     text = SCENARIO_TEXT.replace(
         "noise_dbm: -106.0", "noise_dbm: [-106.0, -104.0]"
@@ -133,14 +140,52 @@ def test_round_trip_per_band_noise_and_overrides():
     ).replace(
         "  reference_distance_m: 1.0",
         "  reference_distance_m: 1.0\n  band_overrides: {1: {alpha: 2.8}}",
+    ).replace(
+        "  noise_dbm: [-106.0, -104.0]",
+        "  noise_dbm: [-106.0, -104.0]\n"
+        "  noise_overrides:\n"
+        "    - {region: 7, band: 0, noise_dbm: -95.5}\n"
+        "    - {region: 3, band: 1, noise_dbm: -90.0}",
     )
     sys_ = parse_scenario(text)
     assert sys_.params.noise_for_band(1) == pytest.approx(dbm_to_watts(-104.0), rel=1e-15)
     assert sys_.model_for_band(1).alpha == 2.8
     assert sys_.model_for_band(0).alpha == 3.5
-    again = parse_scenario(serialize_scenario(sys_))
+    assert sys_.noise_cell_overrides == {(7, 0): dbm_to_watts(-95.5), (3, 1): dbm_to_watts(-90.0)}
+    assert validate_system(sys_).ok
+    serialized = serialize_scenario(sys_)
+    # written sorted by (region, band)
+    assert [(o["region"], o["band"]) for o in yaml.safe_load(serialized)["system"]["noise_overrides"]] == [(3, 1), (7, 0)]
+    again = parse_scenario(serialized)
     assert again.model_for_band(1).alpha == 2.8
     assert equivalent(sys_.params, again.params)
+    assert again.noise_cell_overrides.keys() == sys_.noise_cell_overrides.keys()
+    for key, watts in sys_.noise_cell_overrides.items():
+        assert again.noise_cell_overrides[key] == pytest.approx(watts, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ("[{region: 1, band: 0, noise_dbm: -90.0, note: x}]", "unknown key"),
+        ("[{region: 1, noise_dbm: -90.0}]", "missing key"),
+        ("[{region: true, band: 0, noise_dbm: -90.0}]", "expected an integer"),
+        ("[{region: 1, band: 0.0, noise_dbm: -90.0}]", "expected an integer"),
+        ("[{region: '1', band: 0, noise_dbm: -90.0}]", "expected an integer"),
+        ("[{region: 1, band: 0, noise_dbm: .inf}]", "finite"),
+        ("[{region: 1, band: 0, noise_dbm: 1.0e+300}]", "finite"),
+        ("[{region: 1, band: 0, noise_dbm: loud}]", "expected a number"),
+        ("[{region: 1, band: 0, noise_dbm: -90.0}, {region: 1, band: 0, noise_dbm: -80.0}]", "overridden twice"),
+        ("[-90.0]", "expected a mapping"),
+        ("{region: 1, band: 0, noise_dbm: -90.0}", "expected a list"),
+    ],
+    ids=["unknown-key", "missing-band", "bool-region", "float-band", "string-region", "inf", "overflow",
+         "text", "repeated", "not-a-mapping", "not-a-list"],
+)
+def test_noise_overrides_rejected(overrides, message):
+    text = SCENARIO_TEXT.replace("  noise_dbm: -106.0", f"  noise_dbm: -106.0\n  noise_overrides: {overrides}")
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario(text)
 
 
 def test_unknown_keys_rejected():
@@ -168,6 +213,12 @@ def test_missing_and_malformed_fields():
         parse_scenario(SCENARIO_TEXT.replace("alpha: 3.5", "alpha: .nan"))
     with pytest.raises(ScenarioError, match="finite"):
         parse_scenario(SCENARIO_TEXT.replace("power_dbm: -24.0", "power_dbm: 1" + "0" * 400))
+    # finite in dB, but beyond float range once converted to linear
+    for field in ("p_max_dbm: 30.0", "noise_dbm: -106.0", "power_dbm: -24.0", "beta_db: 3.0"):
+        with pytest.raises(ScenarioError, match="finite"):
+            parse_scenario(SCENARIO_TEXT.replace(field, field.split(":")[0] + ": 1.0e+300"))
+    with pytest.raises(ScenarioError, match="expected an integer"):
+        parse_scenario(SCENARIO_TEXT.replace("  reference_distance_m: 1.0", "  reference_distance_m: 1.0\n  band_overrides: {true: {alpha: 2.8}}"))
 
 
 def test_receive_only_margin_parsed():
@@ -275,7 +326,8 @@ def test_read_map_csv_rejects_bad_rows(tmp_path, mutate, message):
 def test_read_map_csv_accepts_crlf_and_blank_tail(tmp_path, rewrite):
     maps = compute_maps(dataclasses.replace(region_link_system(), grid_spec=small_grid(n_bands=2)))
     path = tmp_path / "map.csv"
-    path.write_bytes(rewrite(map_csv_text(maps)).encode())
+    write_map_csv(path, maps)
+    path.write_bytes(rewrite(path.read_text()).encode())
     loaded = read_map_csv(path)
     for name in ("occupancy", "opportunity", "raw_opportunity", "liability"):
         assert np.array_equal(loaded[name], getattr(maps, name))
