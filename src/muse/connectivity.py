@@ -77,18 +77,18 @@ class ConnectivityMap:
         return "\n".join(lines) + "\n"
 
 
-def _hop_gains(sys: RFSystem, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _hop_gains(sys: RFSystem, a: np.ndarray, b: np.ndarray, bands) -> np.ndarray:
     """Path gain between the sample points of each ordered (a, b) region
-    pair on each band, (pairs, bands)."""
+    pair on each of ``bands``, (pairs, bands)."""
     pts = sys.grid.sample_points
     d = np.linalg.norm(pts[b] - pts[a], axis=1)
-    return np.stack([path_gain(sys.model_for_band(nu), d) for nu in range(sys.grid.band_count)], axis=1)
+    return np.stack([path_gain(sys.model_for_band(nu), d) for nu in bands], axis=1)
 
 
-def _budget(sys: RFSystem, a: np.ndarray, b: np.ndarray, time_index: int, candidate_beta: float):
-    """Candidate links a -> b on every band: (feasible, max_power, sinr),
-    each (pairs, bands).  The power is the opportunity at a, clipped to
-    [0, p_max]; the SINR is against the occupancy at b."""
+def _budget(sys: RFSystem, a: np.ndarray, b: np.ndarray, time_index: int, candidate_beta: float, bands):
+    """Candidate links a -> b on each of ``bands``: (feasible, max_power,
+    sinr), each (pairs, bands).  The power is the opportunity at a, clipped
+    to [0, p_max]; the SINR is against the occupancy at b."""
     if not candidate_beta > 0.0:
         raise ValueError("candidate beta must be positive")
     if not 0 <= time_index < sys.grid_spec.horizon:
@@ -96,9 +96,9 @@ def _budget(sys: RFSystem, a: np.ndarray, b: np.ndarray, time_index: int, candid
     used = np.zeros(sys.grid.region_count, dtype=bool)  # only the regions the pairs touch are evaluated
     used[a] = used[b] = True
     row = np.cumsum(used) - 1  # row[chi]: region chi's row of the maps
-    maps, _ = _evaluate_grid(sys, times=[time_index], regions=np.flatnonzero(used))
+    maps, _ = _evaluate_grid(sys, times=[time_index], regions=np.flatnonzero(used), bands=bands)
     max_power = np.minimum(np.maximum(maps.raw_opportunity[row[a], 0], 0.0), sys.params.p_max)
-    sinr = max_power * _hop_gains(sys, a, b) / maps.occupancy[row[b], 0]
+    sinr = max_power * _hop_gains(sys, a, b, bands) / maps.occupancy[row[b], 0]
     return sinr >= candidate_beta, max_power, sinr
 
 
@@ -111,14 +111,16 @@ def link_feasibility(
 ) -> tuple[bool, float, float]:
     """Assess one candidate link between adjacent cells.
 
-    Returns (feasible, max_power_w, sinr_linear).  Raises ValueError for
-    non-adjacent regions or a nonpositive SINR requirement.
+    Returns (feasible, max_power_w, sinr_linear).  Raises ValueError for non-adjacent
+    regions or a nonpositive SINR requirement, IndexError for a band outside the grid.
     """
     a, b = cell_a.region_index, cell_b.region_index
     if b not in sys.grid.neighbors(a):
         raise ValueError(f"regions {a} and {b} are not adjacent")
-    feasible, max_power, sinr = _budget(sys, np.array([a]), np.array([b]), cell_a.time_index, candidate_beta)
-    return bool(feasible[0, band_index]), float(max_power[0, band_index]), float(sinr[0, band_index])
+    if not 0 <= band_index < sys.grid.band_count:
+        raise IndexError(f"band index {band_index} out of range")
+    feasible, max_power, sinr = _budget(sys, np.array([a]), np.array([b]), cell_a.time_index, candidate_beta, [band_index])
+    return bool(feasible[0, 0]), float(max_power[0, 0]), float(sinr[0, 0])
 
 
 def build_connectivity_map(sys: RFSystem, candidate_beta: float, time_index: int = 0) -> ConnectivityMap:
@@ -131,7 +133,7 @@ def build_connectivity_map(sys: RFSystem, candidate_beta: float, time_index: int
     """
     candidates, valid = sys.grid._neighbor_table(np.arange(sys.grid.region_count))
     a, b = np.nonzero(valid)[0], candidates[valid]
-    feasible, max_power, sinr = _budget(sys, a, b, time_index, candidate_beta)
+    feasible, max_power, sinr = _budget(sys, a, b, time_index, candidate_beta, range(sys.grid.band_count))
     best = np.where(feasible.any(axis=1), np.argmax(np.where(feasible, sinr, -np.inf), axis=1), -1)
     for array in (a, b, feasible, max_power, sinr, best):
         array.setflags(write=False)  # the edges and best_band views are cached

@@ -39,9 +39,12 @@ receivers).  Maps, the system report, entity consumption and the point
 and cell queries (N = 1) all read from that one pass, so a point query
 equals the map bitwise at a cell's sample point.
 
-Large slices are evaluated in chunks of a fixed size, on threads; chunk
-sums are combined in chunk order, so results are bitwise deterministic
-under any MUSE_THREADS setting.
+The grid pass runs chunk by chunk (threads take whole chunks), then by
+band, then by quantum.  A chunk computes each gain field (``link_gain``
+of one model and antenna object at one position) once, when first
+needed, for all bands; a quantum whose activity masks repeat an earlier
+one's copies its slice.  Sums combine per slot in chunk order, then over
+the slots in (band, quantum) order, so no result depends on MUSE_THREADS.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ __all__ = [
     "system_report",
 ]
 
-_CHUNK = 1 << 18  # points per evaluation chunk; bounds peak memory
+_CHUNK = 1 << 16  # points per evaluation chunk; bounds peak memory and the gain cache
 
 
 def _thread_budget() -> int:
@@ -114,8 +117,10 @@ class _LinkBudget:
         self.transmitters = [tx for _, _, tx in tx_entries]
         self.receivers = [rx for _, _, rx in rx_entries]
         self.ids = [tx.id for tx in self.transmitters] + [rx.id for rx in self.receivers]
-        self.tx_pos = np.array([sys.position_of(tx) for tx in self.transmitters], dtype=float).reshape(-1, 2)
-        self.rx_pos = np.array([sys.position_of(rx) for rx in self.receivers], dtype=float).reshape(-1, 2)
+        self.keys = [(self.model, e.antenna, sys.position_of(e)) for e in self.transmitters + self.receivers]
+        self.slots = [(id(model), id(antenna), position) for model, antenna, position in self.keys]  # cheap to hash
+        positions = np.array([key[2] for key in self.keys], dtype=float).reshape(-1, 2)
+        self.tx_pos, self.rx_pos = positions[: len(self.transmitters)], positions[len(self.transmitters) :]
 
         gain = np.empty((len(self.receivers), len(self.transmitters)))
         for t, tx in enumerate(self.transmitters):
@@ -159,9 +164,12 @@ class _LinkBudget:
         depend on any thread count."""
         return np.sum(self.coupling, axis=1, where=self.interferes & tx_active)
 
-    def rx_gain(self, r: int, pts) -> np.ndarray:
-        """Link gain between receiver r and each point."""
-        return link_gain(self.model, self.receivers[r].antenna, self.rx_pos[r], pts)
+    def gain(self, k: int, pts, gains: dict) -> np.ndarray:
+        """Link gain of transceiver k of ``ids`` at each point, memoised in ``gains`` by ``slots[k]``."""
+        field = gains.get(self.slots[k])
+        if field is None:
+            field = gains[self.slots[k]] = link_gain(*self.keys[k], pts)
+        return field
 
 
 def _receiver_budget(sys: RFSystem, rx: Receiver | str, band_index: int) -> tuple[_LinkBudget, int]:
@@ -207,10 +215,10 @@ def _noise_vector(sys: RFSystem, band_index: int, regions: np.ndarray) -> np.nda
     return noise
 
 
-def _evaluate_slice(budget: _LinkBudget, pts: np.ndarray, time_index: int, noise, members, out) -> np.ndarray:
-    """One (time, band) slice at N points, written into ``out``: four
-    (N,) slots for occupancy, clamped opportunity, raw opportunity and
-    liability.
+def _evaluate_slice(budget: _LinkBudget, pts: np.ndarray, active, noise, members, out, gains: dict) -> np.ndarray:
+    """One (time, band) slice at N points, with its quantum's activity masks
+    ``active`` and gain cache ``gains``, written into ``out``: four (N,) slots
+    for occupancy, clamped opportunity, raw opportunity and liability.
 
     Returns, per transceiver of ``budget.ids`` that is in ``members``, the
     power a transmitter deposits or the clipped liability a receiver
@@ -218,7 +226,7 @@ def _evaluate_slice(budget: _LinkBudget, pts: np.ndarray, time_index: int, noise
     taken inside the loops, so no per-entity field outlives its iteration.
     """
     params = budget.sys.params
-    tx_active, rx_active = budget.active(time_index)
+    tx_active, rx_active = active
     consumed = np.zeros(len(budget.ids))
 
     occupancy = np.zeros(len(pts))
@@ -226,7 +234,7 @@ def _evaluate_slice(budget: _LinkBudget, pts: np.ndarray, time_index: int, noise
     for t, tx in enumerate(budget.transmitters):
         if not tx_active[t]:
             continue
-        received = tx.tx_power * link_gain(budget.model, tx.antenna, budget.tx_pos[t], pts)
+        received = tx.tx_power * budget.gain(t, pts, gains)
         occupancy += received
         if tx.id in members:
             consumed[t] = np.sum(received)
@@ -237,7 +245,7 @@ def _evaluate_slice(budget: _LinkBudget, pts: np.ndarray, time_index: int, noise
     for r, rx in enumerate(budget.receivers):
         if not rx_active[r]:
             continue
-        opp = remaining[r] / budget.rx_gain(r, pts)
+        opp = remaining[r] / budget.gain(first_rx + r, pts, gains)
         np.minimum(raw, opp, out=raw)
         if rx.id in members:
             consumed[first_rx + r] = np.sum(np.clip(params.p_cmax - (occupancy + opp), 0.0, params.p_cmax))
@@ -252,28 +260,26 @@ def _evaluate_slice(budget: _LinkBudget, pts: np.ndarray, time_index: int, noise
     return consumed
 
 
-def _evaluate_grid_slice(budget: _LinkBudget, regions: np.ndarray, time_index: int, members, out) -> np.ndarray:
-    """The slice at the sample points of ``regions`` (ascending), in chunks
-    of ``_CHUNK`` points on threads; each chunk writes its span of the
-    four slots of ``out``.  Returns the members' consumption; chunk sums
-    are added in chunk order, so it does not depend on the thread count."""
-    pts = budget.sys.grid.sample_points
-    spans = [(lo, min(lo + _CHUNK, len(regions))) for lo in range(0, len(regions), _CHUNK)]
-
-    def run(span):
-        chunk = regions[span[0] : span[1]]
-        noise = _noise_vector(budget.sys, budget.band_index, chunk)
-        return _evaluate_slice(budget, pts[chunk], time_index, noise, members, [f[span[0] : span[1]] for f in out])
-
-    workers = min(_thread_budget(), len(spans))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sums = list(pool.map(run, spans))
-    else:
-        sums = [run(span) for span in spans]
-    consumed = np.zeros(len(budget.ids))
-    for part in sums:
-        consumed += part
+def _evaluate_chunk(budgets: list[_LinkBudget], times, regions: np.ndarray, members, out) -> np.ndarray:
+    """Every (quantum, band) slot of the quanta ``times`` at the sample
+    points of ``regions``, written into ``out``, the chunk's span of the
+    four maps.  Each gain field is computed once, and a quantum whose
+    activity masks repeat an earlier one's copies its slot.  Returns the
+    members' consumption per slot, (bands, quanta, ids)."""
+    pts = budgets[0].sys.grid.sample_points[regions]
+    gains: dict = {}
+    consumed = np.zeros((len(budgets), len(times), len(budgets[0].ids)))
+    for j, budget in enumerate(budgets):
+        noise = _noise_vector(budget.sys, budget.band_index, regions)
+        first: dict = {}
+        for k, active in enumerate(map(budget.active, times)):
+            k0 = first.setdefault((active[0].tobytes(), active[1].tobytes()), k)
+            if k0 < k:
+                for f in out:
+                    f[:, k, j] = f[:, k0, j]
+                consumed[j, k] = consumed[j, k0]
+            else:
+                consumed[j, k] = _evaluate_slice(budget, pts, active, noise, members, [f[:, k, j] for f in out], gains)
     return consumed
 
 
@@ -289,7 +295,7 @@ def _point_slice(sys: RFSystem, point, time_index: int, band_index: int, region_
     else:
         noise = _noise_vector(sys, band_index, np.array([region_index]))
     fields = np.empty((4, 1))
-    consumed = _evaluate_slice(budget, pts, time_index, noise, frozenset(budget.ids), fields)
+    consumed = _evaluate_slice(budget, pts, budget.active(time_index), noise, frozenset(budget.ids), fields, {})
     return budget, pts, fields[:, 0], consumed
 
 
@@ -321,7 +327,7 @@ def interference_opportunity(sys: RFSystem, rx: Receiver | str, point, time_inde
     """
     budget, r = _receiver_budget(sys, rx, band_index)
     remaining = budget.margin[r] - budget.interference(budget.active(time_index)[0])[r]
-    return float(remaining / budget.rx_gain(r, [point])[0])
+    return float(remaining / link_gain(*budget.keys[len(budget.transmitters) + r], [point])[0])
 
 
 def net_opportunity_at(sys: RFSystem, point, time_index: int = 0, band_index: int = 0) -> float:
@@ -365,7 +371,7 @@ def point_metrics(sys: RFSystem, point, time_index: int = 0, band_index: int = 0
     for r, rx in enumerate(budget.receivers):
         if not rx_active[r]:
             continue
-        g = float(budget.rx_gain(r, pts)[0])
+        g = float(link_gain(*budget.keys[first_rx + r], pts)[0])
         margin = float(budget.margin[r])
         existing = float(interference[r])
         views.append(
@@ -436,24 +442,33 @@ class ConsumptionMaps:
     liability: np.ndarray
 
 
-def _evaluate_grid(sys: RFSystem, members=frozenset(), times=None, regions=None) -> tuple[ConsumptionMaps, dict[str, float]]:
-    """The (time, band) slices of the quanta ``times`` at the sample points
-    of ``regions`` (ascending; by default every quantum and every region),
-    each written once into maps of shape (regions, times, bands), and the
-    consumption of each transceiver id in ``members`` summed over those
-    cells.  Each band's link budget is built once."""
+def _evaluate_grid(sys: RFSystem, members=frozenset(), times=None, regions=None, bands=None) -> tuple[ConsumptionMaps, dict[str, float]]:
+    """The slices of the quanta ``times`` and the ``bands`` (by default all)
+    at the sample points of ``regions`` (ascending; by default all), written
+    once each into maps of shape (regions, times, bands), and each member
+    id's consumption summed over those cells; one link budget per band."""
     grid = sys.grid
     times = range(grid.horizon) if times is None else times
     regions = np.arange(grid.region_count) if regions is None else regions
-    shape = (len(regions), len(times), grid.band_count)
+    budgets = [_LinkBudget(sys, nu) for nu in (range(grid.band_count) if bands is None else bands)]
+    shape = (len(regions), len(times), len(budgets))
     maps = ConsumptionMaps(grid, np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape))
     fields = (maps.occupancy, maps.opportunity, maps.raw_opportunity, maps.liability)
-    consumed = 0.0
-    for nu in range(grid.band_count):
-        budget = _LinkBudget(sys, nu)
-        for k, tau in enumerate(times):
-            consumed = consumed + _evaluate_grid_slice(budget, regions, tau, members, [f[:, k, nu] for f in fields])
-    return maps, {i: float(v) for i, v in zip(budget.ids, consumed) if i in members}
+    spans = [(lo, min(lo + _CHUNK, len(regions))) for lo in range(0, len(regions), _CHUNK)]
+
+    def run(span):
+        return _evaluate_chunk(budgets, times, regions[span[0] : span[1]], members, [f[span[0] : span[1]] for f in fields])
+
+    workers = min(_thread_budget(), len(spans))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run, spans))
+    else:
+        parts = [run(span) for span in spans]
+    # each slot's chunks in chunk order, then the slots in (band, quantum) order
+    slots = sum(parts, np.zeros((len(budgets), len(times), len(budgets[0].ids))))
+    consumed = sum(slots.reshape(len(budgets) * len(times), -1))
+    return maps, {i: float(v) for i, v in zip(budgets[0].ids, consumed) if i in members}
 
 
 def compute_maps(sys: RFSystem) -> ConsumptionMaps:

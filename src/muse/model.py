@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterator, Mapping
 
 from .grid import GridSpec, SpectrumGrid
-from .propagation import OMNI, AntennaPattern, PropagationModel
+from .propagation import OMNI, AntennaPattern, PropagationModel, path_gain
 
 __all__ = [
     "SystemParams",
@@ -196,12 +196,6 @@ class RFSystem:
             raise UnknownEntityError(f"no such transceiver: {transceiver_id}")
         return entry[2]
 
-    def network_of(self, transceiver_id: str) -> RFNetwork:
-        entry = self._index.get(transceiver_id)
-        if entry is None or entry[0] not in ("tx", "rx"):
-            raise UnknownEntityError(f"no such transceiver: {transceiver_id}")
-        return entry[1]
-
     def model_for_band(self, band_index: int) -> PropagationModel:
         return self.band_propagation.get(band_index, self.propagation)
 
@@ -367,6 +361,15 @@ def validate_system(system: RFSystem) -> ValidationReport:
                 violations.append(f"noise override ({chi}, {nu}) outside the grid")
             elif not w > 0.0:
                 violations.append(f"noise override ({chi}, {nu}) must be positive")
+
+    # opportunity divides by link gains: the weakest, across the region grown by two hex sides, must be normal
+    reach = math.hypot(spec.region_width + 4.0 * spec.hex_side, spec.region_height + 4.0 * spec.hex_side)
+    antennas = [e.antenna for net in system.networks for link in net.links for e in link.transmitters + link.receivers]
+    weakest = min([1.0] + [a.back_gain for a in antennas if a.kind == "sector"])
+    for nu in range(spec.band_count):
+        gain = path_gain(system.model_for_band(nu), reach) * weakest
+        if not gain >= 2.0 ** -1022:  # the smallest normal float
+            violations.append(f"band {nu}: link gain {gain:.3g} at {reach:.6g} m is not a normal float")
 
     return ValidationReport(tuple(violations))
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,26 @@ def test_invalid_scenario_exit_code(runner, tmp_path, field, bad, message):
     assert result.exit_code == 2
     err = json.loads(result.output.strip().splitlines()[-1])
     assert message in err["error"]
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [("alpha: 3.5", "alpha: 1.0e+308"), ("reference_distance_m: 1.0", "reference_distance_m: 5.0e-324")],
+    ids=["huge-alpha", "subnormal-reference-distance"],
+)
+@pytest.mark.parametrize("command", ["point", "report", "map"])
+def test_zero_link_gain_exit_code(runner, tmp_path, field, bad, command):
+    path = tmp_path / "bad.yaml"
+    path.write_text(SCENARIO_TEXT.replace(field, bad))
+    args = {"point": ["--x", "2250", "--y", "1800"], "report": [], "map": ["--out", str(tmp_path / "map.csv")]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the command
+        result = runner.invoke(main, [command, "--scenario", str(path)] + args[command])
+    assert result.exit_code == 2, result.output
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert "band 0: link gain 0 at" in err["error"] and "is not a normal float" in err["error"]
 
 
 def test_map_writes_noise_override_as_occupancy(runner, tmp_path):

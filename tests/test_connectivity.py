@@ -165,16 +165,20 @@ def test_link_feasibility_evaluates_only_its_two_regions(monkeypatch):
     sys_ = multi_band_system()
     grid = sys_.grid
     calls = []
-    evaluate = consumption._evaluate_grid_slice
-    monkeypatch.setattr(
-        consumption, "_evaluate_grid_slice", lambda *args: calls.append(args[1].tolist()) or evaluate(*args)
-    )
+    evaluate = consumption._evaluate_chunk
+
+    def record(budgets, times, regions, members, out):
+        calls.append((regions.tolist(), [b.band_index for b in budgets], list(times)))
+        return evaluate(budgets, times, regions, members, out)
+
+    monkeypatch.setattr(consumption, "_evaluate_chunk", record)
     a = 12
     for b in grid.neighbors(a):
         for src, dst in ((a, b), (b, a)):
             calls.clear()
             link_feasibility(sys_, grid.cell(src), grid.cell(dst), 1, db_to_linear(6.0))
-            assert calls == [sorted((src, dst))] * grid.band_count
+            # one chunk: exactly the two regions, the cell's quantum and only the requested band
+            assert calls == [(sorted((src, dst)), [1], [0])]
 
 
 def test_best_band_is_first_feasible_argmax():
@@ -208,18 +212,23 @@ def test_connectivity_evaluates_only_the_requested_quantum(monkeypatch):
         base, networks=(RFNetwork(id="n", links=(RFLink(id="l", transmitters=(tx,), receivers=(rx,)),)),)
     )
     maps = compute_maps(sys_)
-    calls = []
-    evaluate = consumption._evaluate_grid_slice
-    monkeypatch.setattr(consumption, "_evaluate_grid_slice", lambda *args: calls.append(args[2]) or evaluate(*args))
+    quanta, slices = [], []
+    active, evaluate = consumption._LinkBudget.active, consumption._evaluate_slice
+    monkeypatch.setattr(consumption._LinkBudget, "active", lambda self, tau: quanta.append(tau) or active(self, tau))
+    monkeypatch.setattr(consumption, "_evaluate_slice", lambda *args: slices.append(args[0].band_index) or evaluate(*args))
     beta = db_to_linear(6.0)
+    bands = range(sys_.grid.band_count)
     for tau in range(sys_.grid_spec.horizon):
-        calls.clear()
+        quanta.clear()
+        slices.clear()
         cmap = build_connectivity_map(sys_, beta, tau)
-        assert calls == [tau] * sys_.grid.band_count
+        # each band reads the masks of the requested quantum only and evaluates one slice
+        assert quanta == [tau] * sys_.grid.band_count
+        assert slices == list(bands)
         # the budget as computed from the full maps before
         a, b = cmap.cell_a, cmap.cell_b
         max_power = np.minimum(np.maximum(maps.raw_opportunity[a, tau, :], 0.0), sys_.params.p_max)
-        sinr = max_power * _hop_gains(sys_, a, b) / maps.occupancy[b, tau, :]
+        sinr = max_power * _hop_gains(sys_, a, b, bands) / maps.occupancy[b, tau, :]
         assert max_power.tobytes() == cmap.max_power.tobytes()
         assert sinr.tobytes() == cmap.sinr.tobytes()
         assert np.array_equal(sinr >= beta, cmap.feasible)

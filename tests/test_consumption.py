@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from muse import (
     db_to_linear,
     dbm_to_watts,
     entity_consumption,
+    entity_selector,
     interference_margin,
     interference_opportunity,
     net_opportunity_at,
@@ -413,6 +415,97 @@ def test_bad_thread_env_rejected(monkeypatch):
     monkeypatch.setenv("MUSE_THREADS", "many")
     with pytest.raises(ValueError, match="MUSE_THREADS"):
         consumption._thread_budget()
+
+
+def repeating_system() -> RFSystem:
+    """Four quanta whose activity masks repeat (0 = 2, 1 = 3) on every band,
+    a propagation override on band 2, a transmitter that is never active
+    and a receiver at a transmitter's position with the same antenna."""
+    sector = AntennaPattern("sector", boresight=0.5, beamwidth=1.0, main_gain=4.0, back_gain=0.5)
+    even = frozenset({0, 2})
+    ta = Transmitter(id="ta", position=(100.0, 100.0), tx_power=dbm_to_watts(10.0), active_intervals=even)
+    ra = Receiver(id="ra", position=(200.0, 150.0), beta=db_to_linear(6.0), antenna=sector, active_intervals=even)
+    tb = Transmitter(id="tb", position=(500.0, 400.0), tx_power=dbm_to_watts(5.0), antenna=sector, bands=frozenset({1, 2}))
+    rb = Receiver(id="rb", position=(450.0, 350.0), beta=db_to_linear(3.0), bands=frozenset({1, 2}))
+    tc = Transmitter(id="tc", position=(300.0, 300.0), tx_power=dbm_to_watts(0.0), active_intervals=frozenset())
+    rd = Receiver(
+        id="rd",
+        position=(100.0, 100.0),
+        beta=db_to_linear(3.0),
+        active_intervals=frozenset({1, 3}),
+        bands=frozenset({0}),
+        explicit_margin=dbm_to_watts(-90.0),
+    )
+    links = (
+        RFLink(id="la", transmitters=(ta,), receivers=(ra,)),
+        RFLink(id="lb", transmitters=(tb,), receivers=(rb,)),
+        RFLink(id="lc", transmitters=(tc,)),
+        RFLink(id="ld", receivers=(rd,)),
+    )
+    return RFSystem(
+        params=reference_params(),
+        propagation=PropagationModel(alpha=3.5),
+        grid_spec=small_grid(horizon=4, n_bands=3),
+        networks=(RFNetwork(id="net", links=links),),
+        band_propagation={2: PropagationModel(alpha=3.0)},
+    )
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_gain_fields_computed_once_per_chunk(monkeypatch, threads):
+    import muse.consumption as consumption
+
+    sys_ = repeating_system()
+    points = sys_.grid.sample_points
+    chunks = {points[lo : lo + 7].tobytes(): lo for lo in range(0, sys_.grid.region_count, 7)}
+    calls, slices = [], []
+    link_gain, evaluate = consumption.link_gain, consumption._evaluate_slice
+
+    def record(model, antenna, origin, pts):
+        calls.append((chunks.get(np.asarray(pts).tobytes()), (model, antenna, tuple(origin))))
+        return link_gain(model, antenna, origin, pts)
+
+    monkeypatch.setattr(consumption, "link_gain", record)
+    monkeypatch.setattr(consumption, "_evaluate_slice", lambda *args: slices.append(len(args[1])) or evaluate(*args))
+    monkeypatch.setattr(consumption, "_CHUNK", 7)
+    monkeypatch.setenv("MUSE_THREADS", threads)
+    system_report(sys_)
+
+    entities = [e for _, _, e in sys_.iter_transmitters()] + [e for _, _, e in sys_.iter_receivers()]
+    expected = {
+        (sys_.model_for_band(nu), e.antenna, sys_.position_of(e))
+        for e in entities
+        for tau in range(sys_.grid.horizon)
+        for nu in range(sys_.grid.band_count)
+        if e.is_active(tau, nu)
+    }
+    # ta and ra on two models, tb and rb on two, rd shares ta's default-model field, tc never runs
+    assert len(expected) == 8
+    for lo in chunks.values():
+        assert Counter(key for chunk, key in calls if chunk == lo) == Counter(expected)
+    # every band's quanta 2 and 3 repeat quanta 0 and 1: 6 of the 12 slots are evaluated per chunk
+    assert sorted(slices) == sorted([7] * 6 * 3 + [4] * 6)
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_maps_equal_per_slot_evaluation_bitwise(monkeypatch, threads):
+    import muse.consumption as consumption
+
+    sys_ = repeating_system()
+    monkeypatch.setattr(consumption, "_CHUNK", 7)
+    monkeypatch.setenv("MUSE_THREADS", threads)
+    members = frozenset(e.id for e in entity_selector(sys_, "system"))
+    maps, consumed = consumption._evaluate_grid(sys_, members)
+    totals = dict.fromkeys(members, 0.0)
+    for nu in range(sys_.grid.band_count):
+        for tau in range(sys_.grid.horizon):
+            slot, part = consumption._evaluate_grid(sys_, members, times=[tau], bands=[nu])
+            for name in ("occupancy", "opportunity", "raw_opportunity", "liability"):
+                assert getattr(slot, name)[:, 0, 0].tobytes() == getattr(maps, name)[:, tau, nu].tobytes()
+            for member, value in part.items():
+                totals[member] += value
+    assert consumed == totals
+    assert consumed["tc"] == 0.0 and consumed["ta"] > 0.0
 
 
 # ---------------------------------------------------------------------------

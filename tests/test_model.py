@@ -4,6 +4,7 @@ import math
 import pytest
 
 from muse import (
+    AntennaPattern,
     PropagationModel,
     Receiver,
     RFLink,
@@ -164,3 +165,21 @@ def test_band_override_lookup():
     )
     assert sys_.model_for_band(0) is base
     assert sys_.model_for_band(1) is override
+
+
+def test_weakest_link_gain_must_be_normal():
+    base = probe_scenario("low")
+    assert validate_system(base).ok
+    # a band override whose gain underflows to zero across the region
+    override = dataclasses.replace(base, band_propagation={0: PropagationModel(alpha=1.0e308)})
+    assert [v for v in validate_system(override).violations if "link gain" in v] == [
+        "band 0: link gain 0 at 6236.99 m is not a normal float"
+    ]
+    # a normal path gain times a tiny sector back lobe is subnormal
+    link = base.networks[0].links[0]
+    sector = AntennaPattern("sector", beamwidth=1.0, main_gain=1.0, back_gain=1e-300)
+    weak = dataclasses.replace(link.receivers[0], antenna=sector)
+    network = RFNetwork(id="net-1", links=(dataclasses.replace(link, receivers=(weak,)),))
+    report = validate_system(dataclasses.replace(base, networks=(network,)))
+    assert len(report.violations) == 1 and "is not a normal float" in report.violations[0]
+    assert not validate_system(dataclasses.replace(base, propagation=PropagationModel(reference_distance=5e-324))).ok
