@@ -214,9 +214,13 @@ def connectivity(scenario, beta_db, time_index, out):
     """Adjacent-region connectivity map over all bands."""
     system = _load(scenario)
     try:
-        cmap = build_connectivity_map(system, 10.0 ** (beta_db / 10.0), time_index)
+        beta = 10.0 ** (beta_db / 10.0)
     except OverflowError:
+        beta = math.inf
+    if beta in (0.0, math.inf) and beta_db != -math.inf:  # -inf dB is the nonpositive beta 0
         _fail(EXIT_VALIDATION, f"--beta-db {beta_db} is out of range")
+    try:
+        cmap = build_connectivity_map(system, beta, time_index)
     except ValueError as exc:
         _fail(EXIT_VALIDATION, str(exc))
     _write(out, cmap.to_csv())

@@ -28,6 +28,8 @@ from .units import watts_to_dbm
 
 __all__ = ["LinkAssessment", "ConnectivityMap", "link_feasibility", "build_connectivity_map"]
 
+_CSV_CHUNK_ROWS = 4096  # rows formatted per `%` call; bounds the transient objects
+
 
 @dataclass(frozen=True)
 class LinkAssessment:
@@ -50,16 +52,12 @@ class ConnectivityMap:
     sinr: np.ndarray  # (pairs, bands), linear, at B
     best: np.ndarray  # (pairs,) best band, -1 where no band is feasible
 
-    def _rows(self):
-        """(a, b, band, feasible, max_power, sinr, best) per edge, as Python scalars."""
-        pairs, bands = self.sinr.shape
-        a, b, best = (np.repeat(x, bands).tolist() for x in (self.cell_a, self.cell_b, self.best))
-        feasible, max_power, sinr = (x.ravel().tolist() for x in (self.feasible, self.max_power, self.sinr))
-        return zip(a, b, np.tile(np.arange(bands), pairs).tolist(), feasible, max_power, sinr, best)
-
     @cached_property
     def edges(self) -> list[LinkAssessment]:
-        return [LinkAssessment(a, b, nu, ok, power, sinr) for a, b, nu, ok, power, sinr, _ in self._rows()]
+        pairs, bands = self.sinr.shape
+        a, b = (np.repeat(x, bands).tolist() for x in (self.cell_a, self.cell_b))
+        values = (x.ravel().tolist() for x in (self.feasible, self.max_power, self.sinr))
+        return list(map(LinkAssessment, a, b, np.tile(np.arange(bands), pairs).tolist(), *values))
 
     @cached_property
     def best_band(self) -> dict[tuple[int, int], int | None]:
@@ -67,14 +65,28 @@ class ConnectivityMap:
         return {(a, b): None if nu < 0 else nu for a, b, nu in pairs}
 
     def to_csv(self) -> str:
-        lines = ["cell_a,cell_b,band,feasible,max_power_dbm,sinr_db,best_band"]
-        for a, b, nu, ok, power, sinr, best in self._rows():
-            sinr_db = 10.0 * math.log10(sinr) if sinr > 0.0 else -math.inf
-            lines.append(
-                f"{a},{b},{nu},{1 if ok else 0},{watts_to_dbm(power):.12g},{sinr_db:.12g},"
-                f"{'' if best < 0 else best}"
-            )
-        return "\n".join(lines) + "\n"
+        """The edge list, floats as ``%.12g``: max power is formatted once per
+        (source, band), the "a,b," prefix and best band once per pair, and
+        each chunk of at most ``_CSV_CHUNK_ROWS`` rows by one ``%`` call."""
+        pairs, bands = self.sinr.shape
+        first = np.flatnonzero(np.diff(self.cell_a, prepend=-1))  # pairs run source by source
+        dbm = map(watts_to_dbm, self.max_power[first].ravel().tolist())
+        power = np.array(["%.12g" % p for p in dbm], dtype=object).reshape(-1, bands)
+        power = np.repeat(power, np.diff(first, append=pairs), axis=0)
+        sinr_db = np.full(self.sinr.shape, -math.inf)
+        positive = self.sinr > 0.0
+        sinr_db[positive] = [10.0 * math.log10(s) for s in self.sinr[positive].tolist()]
+        row = "".join(f"%s{nu},%d,%s,%.12g,%s\n" for nu in range(bands))
+        step = max(1, _CSV_CHUNK_ROWS // bands)
+        text = ["cell_a,cell_b,band,feasible,max_power_dbm,sinr_db,best_band\n"]
+        for lo in range(0, pairs, step):
+            hi = min(lo + step, pairs)
+            pair = zip(self.cell_a[lo:hi].tolist(), self.cell_b[lo:hi].tolist())
+            prefix = np.array([f"{a},{b}," for a, b in pair], dtype=object)
+            best = np.array(["" if nu < 0 else str(nu) for nu in self.best[lo:hi].tolist()], dtype=object)
+            columns = np.broadcast_arrays(prefix[:, None], self.feasible[lo:hi], power[lo:hi], sinr_db[lo:hi], best[:, None])
+            text.append((row * (hi - lo)) % tuple(np.stack(columns, axis=-1).ravel().tolist()))
+        return "".join(text)
 
 
 def _hop_gains(sys: RFSystem, a: np.ndarray, b: np.ndarray, bands) -> np.ndarray:

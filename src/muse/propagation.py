@@ -78,20 +78,21 @@ def path_gain(model: PropagationModel, distance):
     Unity inside the reference distance, (d/d0)**-alpha beyond it.
     Accepts a scalar or an ndarray.
     """
-    d0 = model.reference_distance
-    if np.ndim(distance) == 0:
-        d = float(distance)
-        if d < 0.0:
-            raise ValueError("distance must be nonnegative")
-        if d <= d0:
-            return 1.0
-        return (d / d0) ** -model.alpha
-    d = np.asarray(distance, dtype=float)
+    d = np.array(distance, dtype=float)  # a copy: _power_law overwrites it
     if np.any(d < 0.0):
         raise ValueError("distance must be nonnegative")
-    with np.errstate(divide="ignore", over="ignore"):  # only where d <= d0, masked below
-        decayed = (d / d0) ** -model.alpha
-    return np.where(d <= d0, 1.0, decayed)
+    gain = _power_law(model, d)
+    return float(gain) if gain.ndim == 0 else gain
+
+
+def _power_law(model: PropagationModel, d: np.ndarray) -> np.ndarray:
+    """``path_gain`` of nonnegative distances, computed in place in ``d``."""
+    near = d <= model.reference_distance
+    with np.errstate(divide="ignore", over="ignore"):  # only where d <= d0, overwritten below
+        d /= model.reference_distance
+        d **= -model.alpha
+    d[near] = 1.0
+    return d
 
 
 def link_gain(model: PropagationModel, antenna: AntennaPattern, origin, pts) -> np.ndarray:
@@ -99,7 +100,8 @@ def link_gain(model: PropagationModel, antenna: AntennaPattern, origin, pts) -> 
     the points, an (N, 2) array; the main lobe applies at points coincident
     with ``origin``, where the bearing is undefined."""
     d, gain = _toward(antenna, origin, pts)
-    return path_gain(model, d) * gain
+    path = _power_law(model, d)  # d is _toward's own array
+    return path * gain if antenna.kind == "sector" else path
 
 
 def _toward(antenna: AntennaPattern, origin, pts):

@@ -295,13 +295,15 @@ def test_unparsable_scenario_exit_code(runner, tmp_path, monkeypatch, loader, co
         (["connectivity", "--beta-db", "-inf"], "candidate beta must be positive"),
         (["connectivity", "--beta-db", "nan"], "candidate beta must be positive"),
         (["connectivity", "--beta-db", "4000"], "--beta-db 4000.0 is out of range"),
+        (["connectivity", "--beta-db", "-4000"], "--beta-db -4000.0 is out of range"),
+        (["connectivity", "--beta-db", "inf"], "--beta-db inf is out of range"),
         (["sweep", "--hex-sides", "0"], "hex_side must be positive"),
         (["sweep", "--hex-sides", "-5"], "hex_side must be positive"),
         (["sweep", "--hex-sides", "nan"], "hex_side must be positive"),
         (["sweep", "--hex-sides", "0.001"], "grid too large"),
     ],
-    ids=["time-past-horizon", "time-negative", "beta-minus-inf", "beta-nan", "beta-overflow", "side-zero", "side-negative", "side-nan",
-         "side-too-small"],
+    ids=["time-past-horizon", "time-negative", "beta-minus-inf", "beta-nan", "beta-overflow", "beta-underflow", "beta-inf",
+         "side-zero", "side-negative", "side-nan", "side-too-small"],
 )
 def test_invalid_option_exit_code(runner, scenario_path, tmp_path, args, message):
     if args[0] == "connectivity":

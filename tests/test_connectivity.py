@@ -4,9 +4,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muse import (
     PropagationModel,
@@ -20,11 +23,16 @@ from muse import (
     db_to_linear,
     dbm_to_watts,
     link_feasibility,
+    load_scenario,
+    watts_to_dbm,
 )
-from muse import consumption
+from muse import connectivity, consumption
 from muse.connectivity import _hop_gains
 
 from helpers import add_random_receiver, empty_system, random_system, reference_params, small_grid
+from test_consumption import generated_systems
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
 
 def multi_band_system(n_bands=3, **kwargs):
@@ -234,3 +242,66 @@ def test_connectivity_evaluates_only_the_requested_quantum(monkeypatch):
         assert np.array_equal(sinr >= beta, cmap.feasible)
     quiet = build_connectivity_map(sys_, beta, 1).max_power
     assert not np.array_equal(quiet, build_connectivity_map(sys_, beta, 0).max_power)
+
+
+# ---------------------------------------------------------------------------
+# the connectivity CSV is byte-identical to one f-string per row
+
+
+def reference_edges_csv_text(cmap) -> str:
+    lines = ["cell_a,cell_b,band,feasible,max_power_dbm,sinr_db,best_band"]
+    for p, (a, b, best) in enumerate(zip(cmap.cell_a.tolist(), cmap.cell_b.tolist(), cmap.best.tolist())):
+        for nu in range(cmap.sinr.shape[1]):
+            ok, power, sinr = bool(cmap.feasible[p, nu]), float(cmap.max_power[p, nu]), float(cmap.sinr[p, nu])
+            sinr_db = 10.0 * math.log10(sinr) if sinr > 0.0 else -math.inf
+            lines.append(
+                f"{a},{b},{nu},{1 if ok else 0},{watts_to_dbm(power):.12g},{sinr_db:.12g},"
+                f"{'' if best < 0 else best}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def assert_csv_matches_reference(cmap):
+    for chunk_rows in (1, 7, 64, 4096):
+        with mock.patch.object(connectivity, "_CSV_CHUNK_ROWS", chunk_rows):
+            assert cmap.to_csv() == reference_edges_csv_text(cmap)
+
+
+@settings(max_examples=25, deadline=None)
+@given(generated_systems(), st.integers(0, 2))
+def test_csv_matches_reference_on_generated_systems(sys_, time_index):
+    time_index = min(time_index, sys_.grid_spec.horizon - 1)
+    for beta_db in (6.0, 20.0):
+        assert_csv_matches_reference(build_connectivity_map(sys_, db_to_linear(beta_db), time_index))
+
+
+def test_csv_zero_power_source_and_no_feasible_band():
+    spec = small_grid(n_bands=2)
+    guard = Receiver(id="guard", position=(340.0, 290.0), beta=2.0, explicit_margin=0.0)
+    sys_ = RFSystem(
+        params=reference_params(),
+        propagation=PropagationModel(alpha=3.5),
+        grid_spec=spec,
+        networks=(RFNetwork(id="n", links=(RFLink(id="l", receivers=(guard,)),)),),
+    )
+    cmap = build_connectivity_map(sys_, db_to_linear(6.0))
+    assert_csv_matches_reference(cmap)
+    source = sys_.grid.locate(guard.position)
+    rows = [line.split(",") for line in cmap.to_csv().splitlines()[1:] if line.startswith(f"{source},")]
+    assert len(rows) == 2 * len(sys_.grid.neighbors(source))
+    # no power at the guard's region: both dB columns are -inf and no band is feasible
+    assert all(row[3:] == ["0", "-inf", "-inf", ""] for row in rows)
+
+
+def test_csv_one_band_grid():
+    sys_ = dataclasses.replace(multi_band_system(), grid_spec=small_grid(n_bands=1))
+    cmap = build_connectivity_map(sys_, db_to_linear(6.0))
+    assert cmap.sinr.shape[1] == 1
+    assert_csv_matches_reference(cmap)
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")), ids=lambda p: p.stem)
+def test_csv_matches_reference_on_demo_scenarios(path):
+    sys_ = load_scenario(path)
+    for beta_db in (6.0, 10.0):
+        assert_csv_matches_reference(build_connectivity_map(sys_, db_to_linear(beta_db)))

@@ -80,9 +80,21 @@ def test_link_gain_is_path_gain_times_pattern(model):
     g = link_gain(model, sector, (1.0, 1.0), pts)
     # main lobe at the coincident point, where the bearing is undefined
     assert g[0] == 4.0
-    assert g[1] == pytest.approx(path_gain(model, 100.0) * 4.0, rel=1e-15)
-    assert g[2] == pytest.approx(path_gain(model, 100.0) * 0.1, rel=1e-15)
+    assert g[1] == path_gain(model, 100.0) * 4.0
+    assert g[2] == path_gain(model, 100.0) * 0.1
     assert g[3] == 0.1
+
+
+def test_path_gain_scalar_equals_array_and_leaves_its_input():
+    model = PropagationModel(alpha=3.3, reference_distance=2.0)
+    d = np.array([0.0, 1.0, 2.0, 2.0000001, 2.5, 900.0, 1e300, np.inf])
+    before = d.copy()
+    g = path_gain(model, d)
+    assert d.tobytes() == before.tobytes()
+    scalars = [path_gain(model, x) for x in d.tolist()]
+    assert all(type(x) is float for x in scalars)
+    assert np.array(scalars).tobytes() == g.tobytes()
+    assert g[:3].tolist() == [1.0, 1.0, 1.0] and g[-1] == 0.0
 
 
 def test_pattern_validation():
