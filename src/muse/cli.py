@@ -28,8 +28,8 @@ from .scenario_io import (
     read_map_csv,
     write_map_csv,
 )
-from .smf import SensingErrorModel, SMFReport, compare_maps, opportunity_map, simulate_recovery
-from .units import watts_to_dbm
+from .smf import SensingErrorModel, SMFReport, _check_grid, compare_maps, opportunity_map, simulate_recovery
+from .units import db_to_linear, dbm_to_watts, watts_to_dbm
 
 EXIT_VALIDATION = 2
 EXIT_IO = 3
@@ -61,14 +61,12 @@ def _write(path: str, text: str):
         _fail(EXIT_IO, f"cannot write {path}: {exc}")
 
 
-def _fmt_power(watts: float, units: str) -> str:
-    dbm = watts_to_dbm(watts) if watts >= 0.0 else math.nan
+def _fmt_power(watts: float, units: str, negative_note: str = "") -> str:
+    """A power in the chosen units; a negative one in watts, followed by ``negative_note``."""
     if watts < 0.0:
-        dbm_text = "n/a"
-    elif math.isinf(dbm):
-        dbm_text = "-inf dBm"
-    else:
-        dbm_text = f"{dbm:.2f} dBm"
+        return f"{watts:.6g} W{negative_note}"
+    dbm = watts_to_dbm(watts)
+    dbm_text = "-inf dBm" if math.isinf(dbm) else f"{dbm:.2f} dBm"
     mw_text = f"{watts * 1e3:.6g} mW"
     if units == "dbm":
         return dbm_text
@@ -119,13 +117,11 @@ def point(scenario, x, y, time_index, band_index, out, units):
     click.echo(f"  occupancy:        {_fmt_power(pm.occupancy, units)}")
     for view in pm.receivers:
         click.echo(f"  receiver {view.receiver_id}:")
-        click.echo(f"    margin:         {_fmt_power(view.margin, units) if view.margin >= 0 else f'{view.margin:.6g} W (infeasible)'}")
-        click.echo(f"    power bound:    {_fmt_power(view.bound, units) if view.bound >= 0 else f'{view.bound:.6g} W'}")
-        opp = view.opportunity
-        click.echo(f"    opportunity:    {_fmt_power(opp, units) if opp >= 0 else f'{opp:.6g} W (harmful interference)'}")
+        click.echo(f"    margin:         {_fmt_power(view.margin, units, ' (infeasible)')}")
+        click.echo(f"    power bound:    {_fmt_power(view.bound, units)}")
+        click.echo(f"    opportunity:    {_fmt_power(view.opportunity, units, ' (harmful interference)')}")
         click.echo(f"    liability:      {_fmt_power(view.liability, units)}")
-    net = pm.net_opportunity
-    click.echo(f"  net opportunity:  {_fmt_power(net, units) if net >= 0 else f'{net:.6g} W (harmful interference)'}")
+    click.echo(f"  net opportunity:  {_fmt_power(pm.net_opportunity, units, ' (harmful interference)')}")
     for tx_id, received in pm.tx_received.items():
         click.echo(f"  tx {tx_id} received: {_fmt_power(received, units)}")
 
@@ -147,12 +143,12 @@ def point(scenario, x, y, time_index, band_index, out, units):
 @click.option("--out", required=True, type=click.Path(), help="Output CSV path.")
 @click.option(
     "--heatmap",
-    "heatmap",
+    "heatmaps",
     type=click.Choice(["occupancy", "opportunity", "raw_opportunity", "liability"]),
-    default=None,
-    help="Also write gnuplot matrix files, one per (time, band) slice.",
+    multiple=True,
+    help="Also write gnuplot matrix files of this quantity, one per (time, band) slice; repeatable.",
 )
-def map_cmd(scenario, out, heatmap):
+def map_cmd(scenario, out, heatmaps):
     """Per-cell consumption map as CSV."""
     system = _load(scenario)
     maps = compute_maps(system)
@@ -161,8 +157,8 @@ def map_cmd(scenario, out, heatmap):
     except OSError as exc:
         _fail(EXIT_IO, f"cannot write {out}: {exc}")
     click.echo(f"wrote {maps.grid.cell_count} cells to {out}")
-    if heatmap:
-        stem = out[: -len(".csv")] if out.endswith(".csv") else out
+    stem = out[: -len(".csv")] if out.endswith(".csv") else out
+    for heatmap in dict.fromkeys(heatmaps):  # each distinct quantity once, in the order given
         for tau in range(maps.grid.horizon):
             for nu in range(maps.grid.band_count):
                 path = f"{stem}-{heatmap}-t{tau}b{nu}.mat"
@@ -214,7 +210,7 @@ def connectivity(scenario, beta_db, time_index, out):
     """Adjacent-region connectivity map over all bands."""
     system = _load(scenario)
     try:
-        beta = 10.0 ** (beta_db / 10.0)
+        beta = db_to_linear(beta_db)
     except OverflowError:
         beta = math.inf
     if beta in (0.0, math.inf) and beta_db != -math.inf:  # -inf dB is the nonpositive beta 0
@@ -246,7 +242,13 @@ def smf(scenario, truth_map, other_map, p_missed, false_positives, geo_sigma, po
     """
     system = _load(scenario)
     try:
+        fp_power = None if fp_power_dbm is None else dbm_to_watts(fp_power_dbm)
+    except OverflowError:
+        fp_power = math.inf  # rejected by SensingErrorModel
+    try:
         truth = read_map_csv(truth_map)["opportunity_map"] if truth_map else opportunity_map(system)
+        grid = system.grid  # compare_maps checks the other map against the truth's grid
+        _check_grid(truth, (grid.region_count, grid.horizon, grid.band_count), grid.centroids)
         if other_map:
             other = read_map_csv(other_map)["opportunity_map"]
         else:
@@ -255,7 +257,7 @@ def smf(scenario, truth_map, other_map, p_missed, false_positives, geo_sigma, po
                 false_positive_rate=false_positives,
                 geolocation_sigma=geo_sigma,
                 power_error_sigma_db=power_sigma_db,
-                false_positive_power=None if fp_power_dbm is None else 10.0 ** ((fp_power_dbm - 30.0) / 10.0),
+                false_positive_power=fp_power,
                 rng_seed=seed,
             )
             other = simulate_recovery(system, model)
@@ -266,10 +268,9 @@ def smf(scenario, truth_map, other_map, p_missed, false_positives, geo_sigma, po
         _fail(EXIT_VALIDATION, str(exc))
 
     total = system.params.p_cmax * system.grid.cell_count
-    click.echo(f"true available:        {rep.truth_total:.6g} W*m^2 ({100 * rep.truth_total / total:.4g} % of total)")
-    click.echo(f"recovered available:   {rep.recovered_available:.6g} W*m^2 ({100 * rep.recovered_available / total:.4g} % of total)")
-    click.echo(f"lost available:        {rep.lost_available:.6g} W*m^2 ({100 * rep.lost_available / total:.4g} % of total)")
-    click.echo(f"potentially incursed:  {rep.potentially_incursed:.6g} W*m^2 ({100 * rep.potentially_incursed / total:.4g} % of total)")
+    labels = ("true available", "recovered available", "lost available", "potentially incursed")
+    for label, value in zip(labels, (rep.truth_total, rep.recovered_available, rep.lost_available, rep.potentially_incursed)):
+        click.echo(f"{label + ':':<22} {value:.6g} W*m^2 ({100 * value / total:.4g} % of total)")
     if out:
         _write(out, json.dumps(_smf_payload(rep), indent=2) + "\n")
 

@@ -284,19 +284,22 @@ def _evaluate_chunk(budgets: list[_LinkBudget], times, regions: np.ndarray, memb
 
 
 def _point_slice(sys: RFSystem, point, time_index: int, band_index: int, region_index=None):
-    """Link budget, point array, the four fields (occupancy, clamped and raw
-    opportunity, liability) and every transceiver's consumption at one
-    point.  ``region_index`` takes the noise of that cell instead of
-    locating the point."""
+    """Link budget, activity masks, the four fields (occupancy, clamped and
+    raw opportunity, liability), every transceiver's consumption and the
+    gain cache (every active transceiver's gain) at one point.
+    ``region_index`` takes the noise of that cell instead of locating the
+    point."""
     budget = _LinkBudget(sys, band_index)
     pts = np.array([point], dtype=float).reshape(1, 2)
     if region_index is None:
         noise = sys.noise_at(point, band_index)
     else:
         noise = _noise_vector(sys, band_index, np.array([region_index]))
+    active = budget.active(time_index)
     fields = np.empty((4, 1))
-    consumed = _evaluate_slice(budget, pts, budget.active(time_index), noise, frozenset(budget.ids), fields, {})
-    return budget, pts, fields[:, 0], consumed
+    gains: dict = {}
+    consumed = _evaluate_slice(budget, pts, active, noise, frozenset(budget.ids), fields, gains)
+    return budget, active, fields[:, 0], consumed, gains
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +308,10 @@ def _point_slice(sys: RFSystem, point, time_index: int, band_index: int, region_
 
 def tx_occupancy_at(sys: RFSystem, tx: Transmitter | str, point, time_index: int = 0, band_index: int = 0) -> float:
     """Power received from one transmitter at a point; zero while inactive."""
-    if isinstance(tx, str):
-        tx = sys.transmitter(tx)
-    if not tx.is_active(time_index, band_index):
-        return 0.0
-    gain = link_gain(sys.model_for_band(band_index), tx.antenna, sys.position_of(tx), [point])
-    return float(tx.tx_power * gain[0])
+    tx_id = tx if isinstance(tx, str) else tx.id
+    sys.transmitter(tx_id)  # unknown ids raise UnknownEntityError
+    budget, _, _, consumed, _ = _point_slice(sys, point, time_index, band_index)
+    return float(consumed[budget.ids.index(tx_id)])
 
 
 def aggregate_occupancy_at(sys: RFSystem, point, time_index: int = 0, band_index: int = 0) -> float:
@@ -327,7 +328,7 @@ def interference_opportunity(sys: RFSystem, rx: Receiver | str, point, time_inde
     """
     budget, r = _receiver_budget(sys, rx, band_index)
     remaining = budget.margin[r] - budget.interference(budget.active(time_index)[0])[r]
-    return float(remaining / link_gain(*budget.keys[len(budget.transmitters) + r], [point])[0])
+    return float(remaining / budget.gain(len(budget.transmitters) + r, [point], {})[0])
 
 
 def net_opportunity_at(sys: RFSystem, point, time_index: int = 0, band_index: int = 0) -> float:
@@ -363,15 +364,14 @@ class PointMetrics:
 
 def point_metrics(sys: RFSystem, point, time_index: int = 0, band_index: int = 0) -> PointMetrics:
     """Full consumption breakdown at one point."""
-    budget, pts, (occupancy, _, raw_opportunity, _), consumed = _point_slice(sys, point, time_index, band_index)
-    tx_active, rx_active = budget.active(time_index)
+    budget, (tx_active, rx_active), fields, consumed, gains = _point_slice(sys, point, time_index, band_index)
     interference = budget.interference(tx_active)
     first_rx = len(budget.transmitters)
     views = []
     for r, rx in enumerate(budget.receivers):
         if not rx_active[r]:
             continue
-        g = float(link_gain(*budget.keys[first_rx + r], pts)[0])
+        g = float(gains[budget.slots[first_rx + r]][0])
         margin = float(budget.margin[r])
         existing = float(interference[r])
         views.append(
@@ -389,9 +389,9 @@ def point_metrics(sys: RFSystem, point, time_index: int = 0, band_index: int = 0
         time_index=time_index,
         band_index=band_index,
         tx_received={tx.id: float(consumed[t]) for t, tx in enumerate(budget.transmitters)},
-        occupancy=float(occupancy),
+        occupancy=float(fields[0]),
         receivers=tuple(views),
-        net_opportunity=float(raw_opportunity),
+        net_opportunity=float(fields[2]),
     )
 
 
@@ -414,8 +414,9 @@ class CellMetrics:
 def cell_metrics(sys: RFSystem, cell: Cell) -> CellMetrics:
     """Occupancy / opportunity / liability of one unit spectrum space,
     evaluated at its sample point."""
-    budget, _, fields, consumed = _point_slice(sys, cell.sample_point, cell.time_index, cell.band_index, cell.region_index)
-    tx_active, rx_active = budget.active(cell.time_index)
+    budget, (tx_active, rx_active), fields, consumed, _ = _point_slice(
+        sys, cell.sample_point, cell.time_index, cell.band_index, cell.region_index
+    )
     remaining = budget.margin - budget.interference(tx_active)
     first_rx = len(budget.transmitters)
     active = [(r, rx) for r, rx in enumerate(budget.receivers) if rx_active[r]]

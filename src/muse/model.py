@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterator, Mapping
 
 from .grid import GridSpec, SpectrumGrid
@@ -63,19 +64,17 @@ class SystemParams:
         return self.ambient_noise
 
 
-@dataclass(frozen=True)
-class Transmitter:
-    id: str
-    position: tuple[float, float]
-    tx_power: float
-    antenna: AntennaPattern = OMNI
-    active_intervals: frozenset[int] | None = None  # None = every time quantum
-    bands: frozenset[int] | None = None  # None = every band
+class _Transceiver:
+    """What transmitters and receivers share: an id, a position, an antenna,
+    and the time quanta and bands they are active in (None = all).  Input is
+    normalized on construction so that transceivers stay hashable."""
 
     def __post_init__(self):
-        _coerce_transceiver_fields(self)
-        if not self.tx_power > 0.0:
-            raise ValueError(f"transmitter {self.id}: tx_power must be positive")
+        object.__setattr__(self, "position", (float(self.position[0]), float(self.position[1])))
+        for name in ("active_intervals", "bands"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, frozenset):
+                object.__setattr__(self, name, frozenset(value))
 
     def is_active(self, time_index: int, band_index: int) -> bool:
         return (self.active_intervals is None or time_index in self.active_intervals) and (
@@ -84,7 +83,22 @@ class Transmitter:
 
 
 @dataclass(frozen=True)
-class Receiver:
+class Transmitter(_Transceiver):
+    id: str
+    position: tuple[float, float]
+    tx_power: float
+    antenna: AntennaPattern = OMNI
+    active_intervals: frozenset[int] | None = None  # None = every time quantum
+    bands: frozenset[int] | None = None  # None = every band
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.tx_power > 0.0:
+            raise ValueError(f"transmitter {self.id}: tx_power must be positive")
+
+
+@dataclass(frozen=True)
+class Receiver(_Transceiver):
     id: str
     position: tuple[float, float]
     beta: float  # minimum required SINR, linear
@@ -94,25 +108,11 @@ class Receiver:
     explicit_margin: float | None = None  # watts; required for receive-only links
 
     def __post_init__(self):
-        _coerce_transceiver_fields(self)
+        super().__post_init__()
         if not self.beta > 0.0:
             raise ValueError(f"receiver {self.id}: beta must be positive")
         if self.explicit_margin is not None and not math.isfinite(self.explicit_margin):
             raise ValueError(f"receiver {self.id}: explicit margin must be finite")
-
-    def is_active(self, time_index: int, band_index: int) -> bool:
-        return (self.active_intervals is None or time_index in self.active_intervals) and (
-            self.bands is None or band_index in self.bands
-        )
-
-
-def _coerce_transceiver_fields(obj):
-    """Normalize constructor input so transceivers stay hashable."""
-    object.__setattr__(obj, "position", (float(obj.position[0]), float(obj.position[1])))
-    for name in ("active_intervals", "bands"):
-        value = getattr(obj, name)
-        if value is not None and not isinstance(value, frozenset):
-            object.__setattr__(obj, name, frozenset(value))
 
 
 @dataclass(frozen=True)
@@ -178,23 +178,21 @@ class RFSystem:
                     idx.setdefault(rx.id, ("rx", net, link, rx))
         return idx
 
+    def _entry(self, entity_id: str, kinds: tuple[str, ...], noun: str) -> tuple:
+        """The index entry of an entity of one of ``kinds``, else UnknownEntityError naming a ``noun``."""
+        entry = self._index.get(entity_id)
+        if entry is None or entry[0] not in kinds:
+            raise UnknownEntityError(f"no such {noun}: {entity_id}")
+        return entry
+
     def transmitter(self, tx_id: str) -> Transmitter:
-        entry = self._index.get(tx_id)
-        if entry is None or entry[0] != "tx":
-            raise UnknownEntityError(f"no such transmitter: {tx_id}")
-        return entry[3]
+        return self._entry(tx_id, ("tx",), "transmitter")[3]
 
     def receiver(self, rx_id: str) -> Receiver:
-        entry = self._index.get(rx_id)
-        if entry is None or entry[0] != "rx":
-            raise UnknownEntityError(f"no such receiver: {rx_id}")
-        return entry[3]
+        return self._entry(rx_id, ("rx",), "receiver")[3]
 
     def link_of(self, transceiver_id: str) -> RFLink:
-        entry = self._index.get(transceiver_id)
-        if entry is None or entry[0] not in ("tx", "rx"):
-            raise UnknownEntityError(f"no such transceiver: {transceiver_id}")
-        return entry[2]
+        return self._entry(transceiver_id, ("tx", "rx"), "transceiver")[2]
 
     def model_for_band(self, band_index: int) -> PropagationModel:
         return self.band_propagation.get(band_index, self.propagation)
@@ -215,14 +213,10 @@ class RFSystem:
         the link budget is pessimal.  Otherwise positions are returned
         unchanged.
         """
-        positions: dict[str, tuple[float, float]] = {}
         if not self.grid_spec.worst_case_placement:
-            for _, _, tx in self.iter_transmitters():
-                positions[tx.id] = tx.position
-            for _, _, rx in self.iter_receivers():
-                positions[rx.id] = rx.position
-            return positions
+            return {e.id: e.position for _, _, e in chain(self.iter_transmitters(), self.iter_receivers())}
 
+        positions: dict[str, tuple[float, float]] = {}
         grid = self.grid
         for _, link, tx in self.iter_transmitters():
             ref = None
@@ -309,44 +303,39 @@ def validate_system(system: RFSystem) -> ValidationReport:
             claim(link.id, "link")
             if len(link.transmitters) > 1:
                 violations.append(f"link {link.id}: has {len(link.transmitters)} transmitters (at most one allowed)")
-            for tx in link.transmitters:
-                claim(tx.id, "transmitter")
-                if tx.tx_power > p_max:
-                    violations.append(f"transmitter {tx.id}: tx_power exceeds p_max")
-                if not in_region(tx.position):
-                    violations.append(f"transmitter {tx.id}: position outside the scenario region")
-                if not all_indices(tx.active_intervals, spec.horizon) <= set(range(spec.horizon)):
-                    violations.append(f"transmitter {tx.id}: active interval outside the time horizon")
-                if not all_indices(tx.bands, spec.band_count) <= set(range(spec.band_count)):
-                    violations.append(f"transmitter {tx.id}: band index outside the frequency range")
             serving = link.transmitter
-            for rx in link.receivers:
-                claim(rx.id, "receiver")
-                if not in_region(rx.position):
-                    violations.append(f"receiver {rx.id}: position outside the scenario region")
-                rx_active = all_indices(rx.active_intervals, spec.horizon)
-                rx_bands = all_indices(rx.bands, spec.band_count)
-                if not rx_active <= set(range(spec.horizon)):
-                    violations.append(f"receiver {rx.id}: active interval outside the time horizon")
-                if not rx_bands <= set(range(spec.band_count)):
-                    violations.append(f"receiver {rx.id}: band index outside the frequency range")
+            for e in link.transmitters + link.receivers:
+                kind = "receiver" if isinstance(e, Receiver) else "transmitter"
+                claim(e.id, kind)
+                if kind == "transmitter" and e.tx_power > p_max:
+                    violations.append(f"transmitter {e.id}: tx_power exceeds p_max")
+                if not in_region(e.position):
+                    violations.append(f"{kind} {e.id}: position outside the scenario region")
+                active = all_indices(e.active_intervals, spec.horizon)
+                bands = all_indices(e.bands, spec.band_count)
+                if not active <= set(range(spec.horizon)):
+                    violations.append(f"{kind} {e.id}: active interval outside the time horizon")
+                if not bands <= set(range(spec.band_count)):
+                    violations.append(f"{kind} {e.id}: band index outside the frequency range")
+                if kind == "transmitter":
+                    continue
                 if serving is None:
-                    if rx.explicit_margin is None:
+                    if e.explicit_margin is None:
                         violations.append(
-                            f"receiver {rx.id}: receive-only link {link.id} requires an explicit interference margin"
+                            f"receiver {e.id}: receive-only link {link.id} requires an explicit interference margin"
                         )
                 else:
-                    if rx.explicit_margin is not None:
+                    if e.explicit_margin is not None:
                         violations.append(
-                            f"receiver {rx.id}: explicit margin not allowed when link {link.id} has a transmitter"
+                            f"receiver {e.id}: explicit margin not allowed when link {link.id} has a transmitter"
                         )
-                    if not rx_active <= all_indices(serving.active_intervals, spec.horizon):
+                    if not active <= all_indices(serving.active_intervals, spec.horizon):
                         violations.append(
-                            f"receiver {rx.id}: active while serving transmitter {serving.id} is inactive"
+                            f"receiver {e.id}: active while serving transmitter {serving.id} is inactive"
                         )
-                    if not rx_bands <= all_indices(serving.bands, spec.band_count):
+                    if not bands <= all_indices(serving.bands, spec.band_count):
                         violations.append(
-                            f"receiver {rx.id}: uses a band the serving transmitter {serving.id} does not occupy"
+                            f"receiver {e.id}: uses a band the serving transmitter {serving.id} does not occupy"
                         )
 
     try:
@@ -381,21 +370,10 @@ def entity_selector(system: RFSystem, query: str) -> frozenset:
     the whole scenario.
     """
     if query == SYSTEM_QUERY:
-        members = [tx for _, _, tx in system.iter_transmitters()]
-        members += [rx for _, _, rx in system.iter_receivers()]
-        return frozenset(members)
-    entry = system._index.get(query)
-    if entry is None:
-        raise UnknownEntityError(f"no such entity: {query}")
-    kind = entry[0]
-    if kind in ("tx", "rx"):
-        return frozenset([entry[3]])
-    if kind == "link":
-        link = entry[2]
-        return frozenset(link.transmitters + link.receivers)
-    net = entry[1]
-    members = []
-    for link in net.links:
-        members.extend(link.transmitters)
-        members.extend(link.receivers)
-    return frozenset(members)
+        links = [link for net in system.networks for link in net.links]
+    else:
+        entry = system._entry(query, ("network", "link", "tx", "rx"), "entity")
+        if entry[0] in ("tx", "rx"):
+            return frozenset([entry[3]])
+        links = [entry[2]] if entry[0] == "link" else entry[1].links
+    return frozenset(e for link in links for e in link.transmitters + link.receivers)

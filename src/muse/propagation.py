@@ -60,6 +60,8 @@ class AntennaPattern:
     def __post_init__(self):
         if self.kind not in ("omni", "sector"):
             raise ValueError(f"unknown antenna kind {self.kind!r}")
+        if self.kind == "omni" and not self.main_gain == self.back_gain == 1.0:
+            raise ValueError("omni antenna gains must be 1")
         if self.kind == "sector":
             if not 0.0 < self.beamwidth <= 2.0 * math.pi:
                 raise ValueError("sector beamwidth must be in (0, 2*pi]")
@@ -123,34 +125,16 @@ def inverse_path_gain_bound(model: PropagationModel, margin, distance):
     Equals margin / path_gain(distance): the bound matches the margin at
     zero separation and grows monotonically with distance.
     """
-    d0 = model.reference_distance
     if np.ndim(margin) == 0 and float(margin) < 0.0:
         raise ValueError("margin must be nonnegative")
-    if np.ndim(distance) == 0:
-        d = float(distance)
-        if d < 0.0:
-            raise ValueError("distance must be nonnegative")
-        if d <= d0:
-            return margin * 1.0
-        return margin * (d / d0) ** model.alpha
-    d = np.asarray(distance, dtype=float)
-    if np.any(d < 0.0):
-        raise ValueError("distance must be nonnegative")
-    return margin * np.maximum(1.0, (d / d0) ** model.alpha)
+    return margin / path_gain(model, distance)
 
 
 def pattern_gain(pattern: AntennaPattern, bearing):
     """Antenna gain toward the given bearing(s), radians."""
-    if pattern.kind == "omni":
-        if np.ndim(bearing) == 0:
-            return 1.0
-        return np.ones_like(np.asarray(bearing, dtype=float))
-    half = 0.5 * pattern.beamwidth
     delta = np.abs((np.asarray(bearing, dtype=float) - pattern.boresight + math.pi) % (2.0 * math.pi) - math.pi)
-    gain = np.where(delta <= half, pattern.main_gain, pattern.back_gain)
-    if np.ndim(bearing) == 0:
-        return float(gain)
-    return gain
+    gain = np.where(delta <= 0.5 * pattern.beamwidth, pattern.main_gain, pattern.back_gain)
+    return float(gain) if gain.ndim == 0 else gain
 
 
 def directional_gain(pattern: AntennaPattern, frm, to) -> float:
@@ -159,6 +143,4 @@ def directional_gain(pattern: AntennaPattern, frm, to) -> float:
     dy = to[1] - frm[1]
     if dx == 0.0 and dy == 0.0:
         raise ValueError("undefined bearing: coincident points")
-    if pattern.kind == "omni":
-        return 1.0
-    return float(pattern_gain(pattern, math.atan2(dy, dx)))
+    return pattern_gain(pattern, np.arctan2(dy, dx))

@@ -286,40 +286,36 @@ def _noise_overrides(obj) -> dict[tuple[int, int], float]:
 
 
 def _parse_tx(obj, context: str) -> Transmitter:
-    obj = _require_mapping(obj, f"{context}: transmitter")
-    ctx = f"{context}: transmitter {obj.get('id')}"
-    _check_keys(obj, {"id", "position", "power_dbm", "antenna", "active", "bands"}, {"id", "position", "power_dbm"}, ctx)
-    try:
-        return Transmitter(
-            id=str(obj["id"]),
-            position=_position(obj["position"], ctx),
-            tx_power=_number(obj["power_dbm"], ctx, dbm_to_watts),
-            antenna=_antenna(obj.get("antenna"), ctx),
-            active_intervals=_activity(obj.get("active"), ctx),
-            bands=_activity(obj.get("bands"), ctx),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"{ctx}: {exc}") from exc
+    return _parse_transceiver(obj, context, Transmitter, {"power_dbm": ("tx_power", dbm_to_watts)})
 
 
 def _parse_rx(obj, context: str) -> Receiver:
-    obj = _require_mapping(obj, f"{context}: receiver")
-    ctx = f"{context}: receiver {obj.get('id')}"
-    _check_keys(
-        obj,
-        {"id", "position", "beta_db", "antenna", "active", "bands", "margin_dbm"},
-        {"id", "position", "beta_db"},
-        ctx,
-    )
+    own = {"beta_db": ("beta", db_to_linear), "margin_dbm": ("explicit_margin", dbm_to_watts)}
+    return _parse_transceiver(obj, context, Receiver, own)
+
+
+def _parse_transceiver(obj, context: str, cls, own: dict[str, tuple[str, Any]]):
+    """A transmitter or receiver: the shared keys plus ``own``, the kind's
+    dB keys as {key: (field, conversion to linear)}.  The first own key is
+    required and read after the position, the others after the bands."""
+    kind = cls.__name__.lower()
+    obj = _require_mapping(obj, f"{context}: {kind}")
+    ctx = f"{context}: {kind} {obj.get('id')}"
+    first, *rest = own
+    _check_keys(obj, {"id", "position", "antenna", "active", "bands", *own}, {"id", "position", first}, ctx)
+
+    def linear(keys):
+        return {own[k][0]: _number(obj[k], ctx, own[k][1]) for k in keys if k in obj}
+
     try:
-        return Receiver(
+        return cls(
             id=str(obj["id"]),
             position=_position(obj["position"], ctx),
-            beta=_number(obj["beta_db"], ctx, db_to_linear),
+            **linear([first]),
             antenna=_antenna(obj.get("antenna"), ctx),
             active_intervals=_activity(obj.get("active"), ctx),
             bands=_activity(obj.get("bands"), ctx),
-            explicit_margin=_number(obj["margin_dbm"], ctx, dbm_to_watts) if "margin_dbm" in obj else None,
+            **linear(rest),
         )
     except ValueError as exc:
         raise ScenarioError(f"{ctx}: {exc}") from exc
@@ -405,34 +401,25 @@ def serialize_scenario(sys: RFSystem) -> str:
 
 
 def _tx_doc(tx: Transmitter) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "id": tx.id,
-        "position": list(tx.position),
-        "power_dbm": watts_to_dbm(tx.tx_power),
-    }
-    if tx.antenna != OMNI:
-        out["antenna"] = _antenna_doc(tx.antenna)
-    if tx.active_intervals is not None:
-        out["active"] = _activity_doc(tx.active_intervals)
-    if tx.bands is not None:
-        out["bands"] = _activity_doc(tx.bands)
-    return out
+    return _transceiver_doc(tx, {"power_dbm": watts_to_dbm(tx.tx_power)})
 
 
 def _rx_doc(rx: Receiver) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "id": rx.id,
-        "position": list(rx.position),
-        "beta_db": linear_to_db(rx.beta),
-    }
-    if rx.antenna != OMNI:
-        out["antenna"] = _antenna_doc(rx.antenna)
-    if rx.active_intervals is not None:
-        out["active"] = _activity_doc(rx.active_intervals)
-    if rx.bands is not None:
-        out["bands"] = _activity_doc(rx.bands)
+    out = _transceiver_doc(rx, {"beta_db": linear_to_db(rx.beta)})
     if rx.explicit_margin is not None:
         out["margin_dbm"] = watts_to_dbm(rx.explicit_margin)
+    return out
+
+
+def _transceiver_doc(e: Transmitter | Receiver, own: dict[str, Any]) -> dict[str, Any]:
+    """The shared keys in schema order, the kind's ``own`` keys after the position."""
+    out: dict[str, Any] = {"id": e.id, "position": list(e.position), **own}
+    if e.antenna != OMNI:
+        out["antenna"] = _antenna_doc(e.antenna)
+    if e.active_intervals is not None:
+        out["active"] = _activity_doc(e.active_intervals)
+    if e.bands is not None:
+        out["bands"] = _activity_doc(e.bands)
     return out
 
 

@@ -27,6 +27,7 @@ transmitters.  Any externally estimated map can be scored with
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,8 +73,9 @@ def opportunity_map(sys: RFSystem, provenance: str = "ground-truth") -> Opportun
     return OpportunityMap(values=maps.opportunity, centroids=np.asarray(maps.grid.centroids), provenance=provenance)
 
 
-def _check_same_grid(a: OpportunityMap, b: OpportunityMap):
-    if a.values.shape != b.values.shape or not np.array_equal(a.centroids, b.centroids):
+def _check_grid(m: OpportunityMap, shape: tuple[int, ...], centroids: np.ndarray):
+    """Raise unless the map has this shape and these region centroids."""
+    if m.values.shape != shape or not np.array_equal(m.centroids, centroids):
         raise ValueError("grid mismatch: maps were built on different discretizations")
 
 
@@ -110,6 +112,20 @@ def smf_aggregate(attribute) -> float:
     return float(np.sum(values))
 
 
+def _score(truth: OpportunityMap, values: np.ndarray, overlap: str, deficit: str, excess: str) -> SMFReport:
+    """The report of ``values`` scored against the truth: theta = values -
+    truth and the overlap min(truth, values), deficit max(0, truth - values)
+    and excess max(0, values - truth) masses, under the given field names."""
+    theta = values - truth.values
+    masses = (np.minimum(truth.values, values), np.maximum(0.0, -theta), np.maximum(0.0, theta))
+    return SMFReport(
+        theta=theta,
+        theta_total=float(np.sum(theta)),
+        truth_total=truth.total,
+        **{name: float(np.sum(m)) for name, m in zip((overlap, deficit, excess), masses)},
+    )
+
+
 def compare_maps(truth: OpportunityMap, other: OpportunityMap) -> SMFReport:
     """Score an estimated opportunity map against the ground truth.
 
@@ -117,17 +133,8 @@ def compare_maps(truth: OpportunityMap, other: OpportunityMap) -> SMFReport:
     positive error potentially leads to harmful interference; the
     recovered mass is the overlap min(truth, other).
     """
-    _check_same_grid(truth, other)
-    theta = other.values - truth.values
-    overlap = np.minimum(truth.values, other.values)
-    return SMFReport(
-        theta=theta,
-        theta_total=float(np.sum(theta)),
-        truth_total=truth.total,
-        recovered_available=float(np.sum(overlap)),
-        lost_available=float(np.sum(np.maximum(0.0, -theta))),
-        potentially_incursed=float(np.sum(np.maximum(0.0, theta))),
-    )
+    _check_grid(other, truth.values.shape, truth.centroids)
+    return _score(truth, other.values, "recovered_available", "lost_available", "potentially_incursed")
 
 
 def apply_policy(truth: OpportunityMap, cap, p_cmax: float) -> SMFReport:
@@ -142,15 +149,7 @@ def apply_policy(truth: OpportunityMap, cap, p_cmax: float) -> SMFReport:
         cap_values = np.broadcast_to(np.asarray(cap, dtype=float), truth.values.shape)
     if np.any(cap_values < 0.0) or np.any(cap_values > p_cmax):
         raise ValueError("policy cap out of range [0, p_cmax]")
-    theta = cap_values - truth.values
-    return SMFReport(
-        theta=theta,
-        theta_total=float(np.sum(theta)),
-        truth_total=truth.total,
-        implied_available=float(np.sum(np.minimum(cap_values, truth.values))),
-        implied_guard=float(np.sum(np.maximum(0.0, truth.values - cap_values))),
-        implied_incursed=float(np.sum(np.maximum(0.0, cap_values - truth.values))),
-    )
+    return _score(truth, cap_values, "implied_available", "implied_guard", "implied_incursed")
 
 
 def exploitation_report(truth: OpportunityMap, granted) -> SMFReport:
@@ -158,15 +157,7 @@ def exploitation_report(truth: OpportunityMap, granted) -> SMFReport:
     granted_values = np.broadcast_to(np.asarray(granted, dtype=float), truth.values.shape)
     if np.any(granted_values < 0.0):
         raise ValueError("granted powers must be nonnegative")
-    theta = granted_values - truth.values
-    return SMFReport(
-        theta=theta,
-        theta_total=float(np.sum(theta)),
-        truth_total=truth.total,
-        exploited_available=float(np.sum(np.minimum(granted_values, truth.values))),
-        unexploited_available=float(np.sum(np.maximum(0.0, truth.values - granted_values))),
-        incursed=float(np.sum(np.maximum(0.0, granted_values - truth.values))),
-    )
+    return _score(truth, granted_values, "exploited_available", "unexploited_available", "incursed")
 
 
 @dataclass(frozen=True)
@@ -183,10 +174,12 @@ class SensingErrorModel:
     def __post_init__(self):
         if not 0.0 <= self.p_missed_detection <= 1.0:
             raise ValueError("p_missed_detection must be in [0, 1]")
-        if self.false_positive_rate < 0.0:
-            raise ValueError("false_positive_rate must be nonnegative")
-        if self.geolocation_sigma < 0.0 or self.power_error_sigma_db < 0.0:
-            raise ValueError("error sigmas must be nonnegative")
+        if not 0.0 <= self.false_positive_rate < math.inf:
+            raise ValueError("false_positive_rate must be finite and nonnegative")
+        if not (0.0 <= self.geolocation_sigma < math.inf and 0.0 <= self.power_error_sigma_db < math.inf):
+            raise ValueError("error sigmas must be finite and nonnegative")
+        if self.false_positive_power is not None and not 0.0 < self.false_positive_power < math.inf:
+            raise ValueError("false_positive_power must be finite and positive")
 
 
 def perturb_system(sys: RFSystem, model: SensingErrorModel) -> RFSystem:
@@ -268,10 +261,4 @@ def simulate_recovery(sys: RFSystem, model: SensingErrorModel) -> OpportunityMap
     exactly.  With every transmitter missed and no false positives, the
     estimate degenerates to the empty-system map.
     """
-    perturbed = perturb_system(sys, model)
-    estimated = opportunity_map(perturbed, provenance="estimated")
-    return OpportunityMap(
-        values=estimated.values,
-        centroids=np.asarray(sys.grid.centroids),
-        provenance="estimated",
-    )
+    return opportunity_map(perturb_system(sys, model), provenance="estimated")

@@ -18,6 +18,20 @@ from muse import (
     dbm_to_watts,
 )
 
+def assert_same_text(actual: str, expected: str):
+    """Fail unless the two texts are equal, naming the first line that differs.
+
+    A bare ``assert actual == expected`` on long texts makes pytest build a
+    full diff on failure, seconds per call, and hypothesis repeats it at
+    every shrink step; this fails as strictly, in milliseconds."""
+    if actual == expected:
+        return
+    a, b = actual.splitlines(keepends=True), expected.splitlines(keepends=True)
+    k = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    got, want = (lines[k] if k < len(lines) else "<end of text>" for lines in (a, b))
+    raise AssertionError(f"texts differ at line {k + 1}: got {got!r}, expected {want!r}")
+
+
 REGION_W = 4300.0
 REGION_H = 3700.0
 NOISE_DBM = -106.0

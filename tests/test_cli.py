@@ -6,12 +6,13 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from muse import dbm_to_watts, read_map_csv, scenario_io
+from muse import compute_maps, dbm_to_watts, load_scenario, read_map_csv, scenario_io
 from muse.cli import main
+from muse.scenario_io import heatmap_text
 
 from helpers import probe_scenario, region_link_system
 from muse import serialize_scenario
-from test_io import SCENARIO_TEXT
+from test_io import SCENARIO_TEXT, SCENARIOS as DEMO_SCENARIOS
 
 
 @pytest.fixture
@@ -97,6 +98,20 @@ def test_map_heatmap_files(runner, scenario_path, tmp_path):
     assert len(mat.read_text().strip().splitlines()) == 26
 
 
+def test_map_heatmap_repeated(runner, scenario_path, tmp_path):
+    out = tmp_path / "map.csv"
+    args = ["map", "--scenario", scenario_path, "--out", str(out)]
+    for quantity in ("opportunity", "liability", "opportunity"):
+        args += ["--heatmap", quantity]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    written = [line.split()[-1] for line in result.output.splitlines()[1:]]
+    assert written == [str(tmp_path / f"map-{q}-t0b0.mat") for q in ("opportunity", "liability")]
+    maps = compute_maps(load_scenario(scenario_path))
+    for q in ("opportunity", "liability"):
+        assert (tmp_path / f"map-{q}-t0b0.mat").read_text() == heatmap_text(maps, q, 0, 0)
+
+
 def test_report_command(runner, scenario_path, tmp_path):
     out = tmp_path / "report.json"
     result = runner.invoke(main, ["report", "--scenario", scenario_path, "--out", str(out)])
@@ -167,6 +182,24 @@ def test_smf_compare_maps(runner, scenario_path, tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert "lost available:        0 " in result.output
+
+
+@pytest.mark.parametrize("shift_centroid", [False, True], ids=["other-shape", "other-centroids"])
+def test_smf_rejects_truth_map_of_another_grid(runner, tmp_path, shift_centroid):
+    map_a = tmp_path / "a.csv"
+    runner.invoke(main, ["map", "--scenario", str(DEMO_SCENARIOS / "region_with_link.yaml"), "--out", str(map_a)])
+    scenario = str(DEMO_SCENARIOS / "four_pair_field.yaml")
+    if shift_centroid:  # the scenario's own map, one centroid moved by a metre
+        runner.invoke(main, ["map", "--scenario", scenario, "--out", str(map_a)])
+        header, first, *rows = map_a.read_text().splitlines()
+        fields = first.split(",")
+        fields[3] = repr(float(fields[3]) + 1.0)
+        map_a.write_text("\n".join([header, ",".join(fields), *rows]) + "\n")
+    result = runner.invoke(main, ["smf", "--scenario", scenario, "--truth-map", str(map_a), "--other-map", str(map_a)])
+    assert result.exit_code == 2
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1
+    assert "grid mismatch" in json.loads(lines[0])["error"]
 
 
 def test_sweep_command(runner, tmp_path):
@@ -301,9 +334,18 @@ def test_unparsable_scenario_exit_code(runner, tmp_path, monkeypatch, loader, co
         (["sweep", "--hex-sides", "-5"], "hex_side must be positive"),
         (["sweep", "--hex-sides", "nan"], "hex_side must be positive"),
         (["sweep", "--hex-sides", "0.001"], "grid too large"),
+        (["smf", "--fp-power-dbm", "1e300", "--false-positives", "3"], "false_positive_power must be finite and positive"),
+        (["smf", "--fp-power-dbm", "-inf"], "false_positive_power must be finite and positive"),
+        (["smf", "--fp-power-dbm", "nan"], "false_positive_power must be finite and positive"),
+        (["smf", "--geo-sigma", "nan"], "error sigmas must be finite and nonnegative"),
+        (["smf", "--geo-sigma", "inf"], "error sigmas must be finite and nonnegative"),
+        (["smf", "--power-sigma-db", "inf"], "error sigmas must be finite and nonnegative"),
+        (["smf", "--false-positives", "nan"], "false_positive_rate must be finite and nonnegative"),
+        (["smf", "--false-positives", "inf"], "false_positive_rate must be finite and nonnegative"),
     ],
     ids=["time-past-horizon", "time-negative", "beta-minus-inf", "beta-nan", "beta-overflow", "beta-underflow", "beta-inf",
-         "side-zero", "side-negative", "side-nan", "side-too-small"],
+         "side-zero", "side-negative", "side-nan", "side-too-small", "fp-power-overflow", "fp-power-minus-inf",
+         "fp-power-nan", "geo-sigma-nan", "geo-sigma-inf", "power-sigma-inf", "false-positives-nan", "false-positives-inf"],
 )
 def test_invalid_option_exit_code(runner, scenario_path, tmp_path, args, message):
     if args[0] == "connectivity":

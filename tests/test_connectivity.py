@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from muse import (
@@ -29,7 +29,7 @@ from muse import (
 from muse import connectivity, consumption
 from muse.connectivity import _hop_gains
 
-from helpers import add_random_receiver, empty_system, random_system, reference_params, small_grid
+from helpers import add_random_receiver, assert_same_text, empty_system, random_system, reference_params, small_grid
 from test_consumption import generated_systems
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
@@ -264,10 +264,12 @@ def reference_edges_csv_text(cmap) -> str:
 def assert_csv_matches_reference(cmap):
     for chunk_rows in (1, 7, 64, 4096):
         with mock.patch.object(connectivity, "_CSV_CHUNK_ROWS", chunk_rows):
-            assert cmap.to_csv() == reference_edges_csv_text(cmap)
+            assert_same_text(cmap.to_csv(), reference_edges_csv_text(cmap))
 
 
-@settings(max_examples=25, deadline=None)
+# No explain phase: on a failure it reruns the failing example some 500 times
+# (about 28 s on 2 vCPUs) only to annotate the report; the verdict is the same.
+@settings(max_examples=25, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
 @given(generated_systems(), st.integers(0, 2))
 def test_csv_matches_reference_on_generated_systems(sys_, time_index):
     time_index = min(time_index, sys_.grid_spec.horizon - 1)

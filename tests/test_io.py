@@ -23,7 +23,7 @@ from muse import scenario_io
 from muse.consumption import ConsumptionMaps
 from muse.scenario_io import MAP_CSV_HEADER, heatmap_text
 
-from helpers import region_link_system, small_grid
+from helpers import assert_same_text, region_link_system, small_grid
 from test_consumption import generated_systems
 import dataclasses
 
@@ -393,10 +393,10 @@ def test_map_writers_match_reference_and_round_trip_bitwise(tmp_path_factory, ma
     path = tmp_path_factory.mktemp("map") / "map.csv"
     with mock.patch.object(scenario_io, "_CSV_CHUNK_ROWS", chunk_rows):
         write_map_csv(path, maps)
-    assert path.read_bytes() == reference_map_csv_text(maps).encode()
+    assert_same_text(path.read_bytes().decode("utf-8"), reference_map_csv_text(maps))
     for tau in range(maps.grid.horizon):
         for nu in range(maps.grid.band_count):
-            assert heatmap_text(maps, "raw_opportunity", tau, nu) == reference_heatmap_text(maps, "raw_opportunity", tau, nu)
+            assert_same_text(heatmap_text(maps, "raw_opportunity", tau, nu), reference_heatmap_text(maps, "raw_opportunity", tau, nu))
 
     loaded = read_map_csv(path)
     for name in ("occupancy", "opportunity", "raw_opportunity", "liability"):

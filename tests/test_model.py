@@ -72,6 +72,30 @@ def test_co_activity_violations():
     assert any("inactive" in v for v in report.violations)
 
 
+def test_violations_of_one_transmitter_and_one_receiver_in_order():
+    tx = Transmitter(id="t", position=(-1.0, 10.0), tx_power=2.0, active_intervals={5}, bands={3})
+    rx = Receiver(id="l", position=(10.0, 5000.0), beta=2.0, active_intervals={0, 7}, bands={0, 2}, explicit_margin=1e-12)
+    sys_ = RFSystem(
+        params=reference_params(),
+        propagation=PropagationModel(),
+        grid_spec=reference_grid(horizon=2),
+        networks=(RFNetwork(id="n", links=(RFLink(id="l", transmitters=(tx,), receivers=(rx,)),)),),
+    )
+    assert validate_system(sys_).violations == (
+        "transmitter t: tx_power exceeds p_max",
+        "transmitter t: position outside the scenario region",
+        "transmitter t: active interval outside the time horizon",
+        "transmitter t: band index outside the frequency range",
+        "duplicate id 'l' (link and receiver)",
+        "receiver l: position outside the scenario region",
+        "receiver l: active interval outside the time horizon",
+        "receiver l: band index outside the frequency range",
+        "receiver l: explicit margin not allowed when link l has a transmitter",
+        "receiver l: active while serving transmitter t is inactive",
+        "receiver l: uses a band the serving transmitter t does not occupy",
+    )
+
+
 def test_receive_only_needs_explicit_margin():
     rx = Receiver(id="r", position=(20.0, 20.0), beta=2.0)
     sys_ = RFSystem(

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import assume, given, settings, strategies as st
+
 from muse import AntennaPattern, PropagationModel, directional_gain, inverse_path_gain_bound, path_gain
+from muse.propagation import _toward
 
 
 @pytest.fixture
@@ -71,6 +74,25 @@ def test_directional_gain():
         directional_gain(sector, (1.0, 1.0), (1.0, 1.0))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    boresight=st.floats(-4.0, 4.0),
+    origin=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+    to=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+    widen=st.sampled_from([0.0, 0.0, 1e-15, -1e-15, 0.5]),
+)
+def test_directional_gain_agrees_with_the_engine_bearing(boresight, origin, to, widen):
+    """The beam's edge is set at the point's bearing as ``_toward`` computes
+    it (np.arctan2), or just beside it, and both helpers must agree."""
+    dx, dy = to[0] - origin[0], to[1] - origin[1]
+    assume(dx != 0.0 or dy != 0.0)
+    edge = abs((float(np.arctan2(dy, dx)) - boresight + math.pi) % (2.0 * math.pi) - math.pi)
+    beamwidth = 2.0 * edge + widen
+    assume(0.0 < beamwidth <= 2.0 * math.pi)
+    sector = AntennaPattern(kind="sector", boresight=boresight, beamwidth=beamwidth, main_gain=4.0, back_gain=0.1)
+    assert directional_gain(sector, origin, to) == _toward(sector, origin, [to])[1][0]
+
+
 def test_link_gain_is_path_gain_times_pattern(model):
     from muse.propagation import link_gain
 
@@ -104,6 +126,8 @@ def test_pattern_validation():
         AntennaPattern(kind="sector", beamwidth=1.0, main_gain=0.5)
     with pytest.raises(ValueError):
         AntennaPattern(kind="sector", beamwidth=1.0, main_gain=2.0, back_gain=3.0)
+    with pytest.raises(ValueError, match="omni antenna gains must be 1"):
+        AntennaPattern(main_gain=2.0, back_gain=2.0)
     with pytest.raises(ValueError):
         PropagationModel(alpha=-1.0)
     with pytest.raises(ValueError):

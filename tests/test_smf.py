@@ -68,6 +68,12 @@ def test_partition_identity_exact_on_dyadic_maps():
         rep = compare_maps(t, o)
         assert rep.recovered_available + rep.lost_available == np.sum(t.values)
         assert rep.recovered_available + rep.potentially_incursed == np.sum(o.values)
+        policy = apply_policy(t, o.values, 1.0)
+        assert policy.implied_available + policy.implied_guard == np.sum(t.values)
+        assert policy.implied_available + policy.implied_incursed == np.sum(o.values)
+        granted = exploitation_report(t, o.values)
+        assert granted.exploited_available + granted.unexploited_available == np.sum(t.values)
+        assert granted.exploited_available + granted.incursed == np.sum(o.values)
 
 
 def test_partition_identity_engine_maps(truth):
@@ -177,3 +183,11 @@ def test_model_validation():
         SensingErrorModel(false_positive_rate=-1.0)
     with pytest.raises(ValueError):
         SensingErrorModel(geolocation_sigma=-2.0)
+    for bad in (math.nan, math.inf):
+        for field in ("p_missed_detection", "false_positive_rate", "geolocation_sigma", "power_error_sigma_db"):
+            with pytest.raises(ValueError):
+                SensingErrorModel(**{field: bad})
+    for bad in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="false_positive_power must be finite and positive"):
+            SensingErrorModel(false_positive_power=bad)
+    SensingErrorModel(false_positive_power=1e-3)
