@@ -231,13 +231,14 @@ def _evaluate_slice(budget: _LinkBudget, pts: np.ndarray, active, noise, members
 
     occupancy = np.zeros(len(pts))
     occupancy += noise
+    field = np.empty(len(pts))  # each transceiver's received power or opportunity in turn
     for t, tx in enumerate(budget.transmitters):
         if not tx_active[t]:
             continue
-        received = tx.tx_power * budget.gain(t, pts, gains)
-        occupancy += received
+        np.multiply(tx.tx_power, budget.gain(t, pts, gains), out=field)
+        occupancy += field
         if tx.id in members:
-            consumed[t] = np.sum(received)
+            consumed[t] = np.sum(field)
 
     remaining = budget.margin - budget.interference(tx_active)
     raw = params.p_max - occupancy
@@ -245,17 +246,21 @@ def _evaluate_slice(budget: _LinkBudget, pts: np.ndarray, active, noise, members
     for r, rx in enumerate(budget.receivers):
         if not rx_active[r]:
             continue
-        opp = remaining[r] / budget.gain(first_rx + r, pts, gains)
-        np.minimum(raw, opp, out=raw)
-        if rx.id in members:
-            consumed[first_rx + r] = np.sum(np.clip(params.p_cmax - (occupancy + opp), 0.0, params.p_cmax))
+        np.divide(remaining[r], budget.gain(first_rx + r, pts, gains), out=field)
+        np.minimum(raw, field, out=raw)
+        if rx.id in members:  # liability: p_cmax - (occupancy + opportunity), clipped to [0, p_cmax]
+            field += occupancy
+            np.subtract(params.p_cmax, field, out=field)
+            consumed[first_rx + r] = np.sum(np.minimum(np.maximum(field, 0.0, out=field), params.p_cmax, out=field))
 
-    # written once each: the slots of ``out`` may be strided views of the maps
+    # written once each: the slots of ``out`` may be strided views of the maps;
+    # gamma is raw clipped to [0, max(headroom, 0)], as np.clip computes it
     headroom = params.p_cmax - occupancy
     occupancy_out, gamma_out, raw_out, phi_out = out
     occupancy_out[...] = occupancy
     raw_out[...] = raw
-    np.clip(raw, 0.0, np.maximum(headroom, 0.0), out=gamma_out)
+    np.maximum(headroom, 0.0, out=field)
+    np.minimum(np.maximum(raw, 0.0, out=raw), field, out=gamma_out)
     np.subtract(headroom, gamma_out, out=phi_out)
     return consumed
 

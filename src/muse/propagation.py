@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 PROPAGATION_KINDS = ("power-law",)
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,12 @@ def path_gain(model: PropagationModel, distance):
 
 
 def _power_law(model: PropagationModel, d: np.ndarray) -> np.ndarray:
-    """``path_gain`` of nonnegative distances, computed in place in ``d``."""
-    near = d <= model.reference_distance
-    with np.errstate(divide="ignore", over="ignore"):  # only where d <= d0, overwritten below
+    """``path_gain`` of nonnegative distances, computed in place in ``d``:
+    min(1, (d / d0) ** -alpha), which is 1 wherever d <= d0."""
+    with np.errstate(divide="ignore", over="ignore"):  # only where d <= d0, cut to 1 below
         d /= model.reference_distance
         d **= -model.alpha
-    d[near] = 1.0
-    return d
+    return np.minimum(d, 1.0, out=d)
 
 
 def link_gain(model: PropagationModel, antenna: AntennaPattern, origin, pts) -> np.ndarray:
@@ -132,7 +132,15 @@ def inverse_path_gain_bound(model: PropagationModel, margin, distance):
 
 def pattern_gain(pattern: AntennaPattern, bearing):
     """Antenna gain toward the given bearing(s), radians."""
-    delta = np.abs((np.asarray(bearing, dtype=float) - pattern.boresight + math.pi) % (2.0 * math.pi) - math.pi)
+    delta = np.array(bearing, dtype=float)  # a copy, written in place below
+    delta -= pattern.boresight
+    delta += math.pi
+    # delta % 2pi as numpy computes it, without the quotient: fmod, then 2pi
+    # added where negative (fmod's -0.0, where % gives +0.0, meets -pi next)
+    np.fmod(delta, _TWO_PI, out=delta)
+    np.add(delta, _TWO_PI, out=delta, where=delta < 0.0)
+    delta -= math.pi
+    np.abs(delta, out=delta)
     gain = np.where(delta <= 0.5 * pattern.beamwidth, pattern.main_gain, pattern.back_gain)
     return float(gain) if gain.ndim == 0 else gain
 
