@@ -23,7 +23,7 @@ import numpy as np
 from .consumption import _evaluate_grid
 from .grid import Cell
 from .model import RFSystem
-from .propagation import path_gain
+from .propagation import _distance, path_gain
 from .units import watts_to_dbm
 
 __all__ = ["LinkAssessment", "ConnectivityMap", "link_feasibility", "build_connectivity_map"]
@@ -93,7 +93,8 @@ def _hop_gains(sys: RFSystem, a: np.ndarray, b: np.ndarray, bands) -> np.ndarray
     """Path gain between the sample points of each ordered (a, b) region
     pair on each of ``bands``, (pairs, bands)."""
     pts = sys.grid.sample_points
-    d = np.linalg.norm(pts[b] - pts[a], axis=1)
+    offset = pts[b] - pts[a]
+    d = _distance(offset[:, 0], offset[:, 1])
     return np.stack([path_gain(sys.model_for_band(nu), d) for nu in bands], axis=1)
 
 

@@ -351,8 +351,11 @@ def validate_system(system: RFSystem) -> ValidationReport:
             elif not w > 0.0:
                 violations.append(f"noise override ({chi}, {nu}) must be positive")
 
-    # opportunity divides by link gains: the weakest, across the region grown by two hex sides, must be normal
+    # every sample point and transceiver lies in the region grown by two hex sides
     reach = math.hypot(spec.region_width + 4.0 * spec.hex_side, spec.region_height + 4.0 * spec.hex_side)
+    if not reach <= 2.0 ** 511:  # squared distances across it must stay finite
+        violations.append(f"region diagonal {reach:.6g} m (grown by two hex sides) exceeds 2^511 m")
+    # opportunity divides by link gains: the weakest, across that region, must be normal
     antennas = [e.antenna for net in system.networks for link in net.links for e in link.transmitters + link.receivers]
     weakest = min([1.0] + [a.back_gain for a in antennas if a.kind == "sector"])
     for nu in range(spec.band_count):

@@ -112,10 +112,20 @@ def _toward(antenna: AntennaPattern, origin, pts):
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     dx = pts[:, 0] - origin[0]
     dy = pts[:, 1] - origin[1]
-    d = np.hypot(dx, dy)
-    if antenna.kind == "omni":
-        return d, 1.0
-    return d, np.where(d == 0.0, antenna.main_gain, pattern_gain(antenna, np.arctan2(dy, dx)))
+    gain = 1.0
+    if antenna.kind == "sector":  # keyed on the offsets: a distance can underflow to 0 where they are not
+        gain = np.where((dx == 0.0) & (dy == 0.0), antenna.main_gain, pattern_gain(antenna, np.arctan2(dy, dx)))
+    return _distance(dx, dy), gain
+
+
+def _distance(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """sqrt(dx*dx + dy*dy), computed in place in ``dx`` (``dy`` is
+    overwritten too).  Each step is one correctly rounded IEEE-754
+    operation, so the bits do not depend on the C library."""
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def inverse_path_gain_bound(model: PropagationModel, margin, distance):
@@ -123,11 +133,17 @@ def inverse_path_gain_bound(model: PropagationModel, margin, distance):
     equals ``margin`` after path loss.
 
     Equals margin / path_gain(distance): the bound matches the margin at
-    zero separation and grows monotonically with distance.
+    zero separation and grows monotonically with distance.  Where the path
+    gain underflows to 0 it is inf for a positive margin and 0.0 for a
+    zero margin, for scalars and arrays alike.
     """
     if np.ndim(margin) == 0 and float(margin) < 0.0:
         raise ValueError("margin must be nonnegative")
-    return margin / path_gain(model, distance)
+    gain = path_gain(model, distance)
+    with np.errstate(divide="ignore", invalid="ignore"):  # gain 0: inf, or nan for a zero margin
+        bound = np.divide(margin, gain)
+    bound = np.where(np.equal(gain, 0.0) & np.equal(margin, 0.0), 0.0, bound)
+    return float(bound) if bound.ndim == 0 else bound
 
 
 def pattern_gain(pattern: AntennaPattern, bearing):

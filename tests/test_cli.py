@@ -274,6 +274,24 @@ def test_zero_link_gain_exit_code(runner, tmp_path, field, bad, command):
     assert "band 0: link gain 0 at" in err["error"] and "is not a normal float" in err["error"]
 
 
+@pytest.mark.parametrize("command", ["point", "report", "map"])
+def test_region_whose_squared_distances_overflow_exit_code(runner, tmp_path, command):
+    path = tmp_path / "huge.yaml"
+    text = SCENARIO_TEXT.replace("alpha: 3.5", "alpha: 0.01").replace("hex_side_m: 100.0", "hex_side_m: 1.0e+199")
+    path.write_text(text.replace("width_m: 4300.0", "width_m: 1.0e+200").replace("height_m: 3700.0", "height_m: 1.0e+200"))
+    args = {"point": ["--x", "2250", "--y", "1800"], "report": [], "map": ["--out", str(tmp_path / "map.csv")]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning fails the command
+        result = runner.invoke(main, [command, "--scenario", str(path)] + args[command])
+    assert result.exit_code == 2, result.output
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "invalid scenario: region diagonal 1.9799e+200 m (grown by two hex sides) exceeds 2^511 m",
+        "exit_code": 2,
+    }
+
+
 def test_map_writes_noise_override_as_occupancy(runner, tmp_path):
     text = SCENARIO_TEXT.split("networks:")[0].replace(
         "noise_dbm: -106.0", "noise_dbm: -106.0\n  noise_overrides: [{region: 5, band: 0, noise_dbm: -90.0}]"

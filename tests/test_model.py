@@ -207,3 +207,14 @@ def test_weakest_link_gain_must_be_normal():
     report = validate_system(dataclasses.replace(base, networks=(network,)))
     assert len(report.violations) == 1 and "is not a normal float" in report.violations[0]
     assert not validate_system(dataclasses.replace(base, propagation=PropagationModel(reference_distance=5e-324))).ok
+
+
+def test_region_whose_squared_distances_overflow_is_rejected():
+    base = dataclasses.replace(probe_scenario("low"), propagation=PropagationModel(alpha=0.01))
+    grid = dataclasses.replace(base.grid_spec, region_width=1e200, region_height=1e200, hex_side=1e199)
+    assert validate_system(dataclasses.replace(base, grid_spec=grid)).violations == (
+        "region diagonal 1.9799e+200 m (grown by two hex sides) exceeds 2^511 m",
+    )
+    # just inside the bound: the grown diagonal is 1.47e153 m, below 2^511 = 6.7e153 m
+    grid = dataclasses.replace(base.grid_spec, region_width=1e153, region_height=1e153, hex_side=1e151)
+    assert validate_system(dataclasses.replace(base, grid_spec=grid)).ok

@@ -5,8 +5,8 @@ import pytest
 
 from hypothesis import assume, given, settings, strategies as st
 
-from muse import AntennaPattern, PropagationModel, directional_gain, inverse_path_gain_bound, path_gain
-from muse.propagation import _toward
+from muse import OMNI, AntennaPattern, PropagationModel, directional_gain, inverse_path_gain_bound, path_gain
+from muse.propagation import _power_law, _toward, link_gain, pattern_gain
 
 
 @pytest.fixture
@@ -49,6 +49,15 @@ def test_inverse_bound_examples(model):
     d = 10.0 ** (108.8 / 35.0)
     bound = inverse_path_gain_bound(model, 2e-10, d)
     assert 10.0 * math.log10(bound * 1e3) == pytest.approx(-66.9897 + 108.8, abs=1e-3)
+
+
+def test_inverse_bound_where_the_path_gain_underflows(model):
+    assert path_gain(model, 1e200) == 0.0
+    assert inverse_path_gain_bound(model, 1.0, 1e200) == math.inf
+    assert inverse_path_gain_bound(model, 0.0, 1e200) == 0.0
+    bound = inverse_path_gain_bound(model, 1.0, np.array([1e200, 2.0]))
+    assert bound.tolist() == [math.inf, 1.0 / path_gain(model, 2.0)]
+    assert inverse_path_gain_bound(model, 0.0, np.array([1e200, 2.0])).tolist() == [0.0, 0.0]
 
 
 def test_inverse_bound_is_exact_inverse(model):
@@ -94,8 +103,6 @@ def test_directional_gain_agrees_with_the_engine_bearing(boresight, origin, to, 
 
 
 def test_link_gain_is_path_gain_times_pattern(model):
-    from muse.propagation import link_gain
-
     pts = np.array([[1.0, 1.0], [101.0, 1.0], [-99.0, 1.0], [1.0, 1.5]])
     assert np.array_equal(link_gain(model, AntennaPattern(), (1.0, 1.0), pts), path_gain(model, [0.0, 100.0, 100.0, 0.5]))
     sector = AntennaPattern(kind="sector", boresight=0.0, beamwidth=math.pi / 3, main_gain=4.0, back_gain=0.1)
@@ -132,3 +139,65 @@ def test_pattern_validation():
         PropagationModel(alpha=-1.0)
     with pytest.raises(ValueError):
         PropagationModel(kind="two-ray")
+
+
+def _mask_power_law(model, d):
+    """The power law written as a mask: (d / d0) ** -alpha, then 1 wherever d <= d0."""
+    near = d <= model.reference_distance
+    with np.errstate(divide="ignore", over="ignore"):
+        gain = (d / model.reference_distance) ** -model.alpha
+    gain[near] = 1.0
+    return gain
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    alpha=st.sampled_from([0.01, 1.0, 2.0, 3.5, 6.0]) | st.floats(1e-3, 10.0),
+    d0=st.sampled_from([1.0, 3.0, 0.1, 7.3]) | st.floats(1e-6, 1e6),
+    distances=st.lists(st.floats(0.0, 1e7), max_size=20),
+)
+def test_power_law_equals_mask_form_bitwise(alpha, d0, distances):
+    model = PropagationModel(alpha=alpha, reference_distance=d0)
+    d = np.array([0.0, d0, np.nextafter(d0, np.inf), np.nextafter(d0, -np.inf)] + distances)
+    assert _power_law(model, d.copy()).tobytes() == _mask_power_law(model, d).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    boresight=st.integers(-10, 10).map(lambda k: k * math.pi) | st.floats(-10.0 * math.pi, 10.0 * math.pi),
+    bearing=st.sampled_from([math.pi, -math.pi, 0.0, -0.0]) | st.floats(-math.pi, math.pi),
+)
+def test_pattern_gain_offset_is_remainder_form_bitwise(boresight, bearing):
+    """The beam's edge is set at |(b - boresight + pi) % 2pi - pi|, numpy's
+    remainder: the bearing is in the main lobe there and, with the edge one
+    float lower, in the back lobe, so pattern_gain's offset is that value."""
+    edge = float(np.abs((np.float64(bearing) - boresight + math.pi) % (2.0 * math.pi) - math.pi))
+    assume(edge > 0.0)
+    for beam_edge, gain in [(edge, 4.0), (np.nextafter(edge, 0.0), 0.1)]:
+        sector = AntennaPattern(kind="sector", boresight=boresight, beamwidth=2.0 * beam_edge, main_gain=4.0, back_gain=0.1)
+        assert pattern_gain(sector, bearing) == gain
+        assert pattern_gain(sector, np.array([bearing, bearing])).tolist() == [gain, gain]
+
+
+def test_sector_main_lobe_only_at_zero_offset(model):
+    """The main lobe applies where the offset is exactly zero, not where the
+    squared distance underflows to zero."""
+    sector = AntennaPattern(kind="sector", boresight=math.pi, beamwidth=1.0, main_gain=4.0, back_gain=0.1)
+    pts = [[0.0, 0.0], [1e-170, 0.0], [-0.0, 0.0]]
+    assert link_gain(model, sector, (0.0, 0.0), pts).tolist() == [4.0, 0.1, 4.0]
+    assert _toward(sector, (0.0, 0.0), pts)[0].tolist() == [0.0, 0.0, 0.0]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    p=st.tuples(st.floats(0.0, 4300.0), st.floats(0.0, 3700.0)),
+    q=st.tuples(st.floats(0.0, 4300.0), st.floats(0.0, 3700.0)),
+    alpha=st.sampled_from([2.0, 3.5, 4.1]),
+)
+def test_link_gain_distance_is_the_norm_bitwise(p, q, alpha):
+    """Gain fields measure distance as connectivity hops always did: the
+    row norm, sqrt(dx*dx + dy*dy).  (The norm of a 1-D vector is a dot
+    product instead, which may fuse the multiply-add.)"""
+    model = PropagationModel(alpha=alpha)
+    expected = path_gain(model, np.linalg.norm(np.subtract([q], [p]), axis=1)[0])
+    assert link_gain(model, OMNI, p, [q])[0] == expected
