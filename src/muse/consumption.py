@@ -248,10 +248,8 @@ def _evaluate_slice(budget: _LinkBudget, pts: np.ndarray, active, noise, members
             continue
         np.divide(remaining[r], budget.gain(first_rx + r, pts, gains), out=field)
         np.minimum(raw, field, out=raw)
-        if rx.id in members:  # liability: p_cmax - (occupancy + opportunity), clipped to [0, p_cmax]
-            field += occupancy
-            np.subtract(params.p_cmax, field, out=field)
-            consumed[first_rx + r] = np.sum(np.minimum(np.maximum(field, 0.0, out=field), params.p_cmax, out=field))
+        if rx.id in members:
+            consumed[first_rx + r] = np.sum(np.clip(params.p_cmax - (occupancy + field), 0.0, params.p_cmax))
 
     # written once each: the slots of ``out`` may be strided views of the maps;
     # gamma is raw clipped to [0, max(headroom, 0)], as np.clip computes it

@@ -25,7 +25,6 @@ __all__ = [
 ]
 
 PROPAGATION_KINDS = ("power-law",)
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -140,9 +139,8 @@ def inverse_path_gain_bound(model: PropagationModel, margin, distance):
     if np.ndim(margin) == 0 and float(margin) < 0.0:
         raise ValueError("margin must be nonnegative")
     gain = path_gain(model, distance)
-    with np.errstate(divide="ignore", invalid="ignore"):  # gain 0: inf, or nan for a zero margin
-        bound = np.divide(margin, gain)
-    bound = np.where(np.equal(gain, 0.0) & np.equal(margin, 0.0), 0.0, bound)
+    with np.errstate(divide="ignore", invalid="ignore"):  # gain 0: margin / 0 is inf, 0 / 0 is nan
+        bound = np.where(np.equal(gain, 0.0) & np.equal(margin, 0.0), 0.0, np.divide(margin, gain))
     return float(bound) if bound.ndim == 0 else bound
 
 
@@ -153,8 +151,8 @@ def pattern_gain(pattern: AntennaPattern, bearing):
     delta += math.pi
     # delta % 2pi as numpy computes it, without the quotient: fmod, then 2pi
     # added where negative (fmod's -0.0, where % gives +0.0, meets -pi next)
-    np.fmod(delta, _TWO_PI, out=delta)
-    np.add(delta, _TWO_PI, out=delta, where=delta < 0.0)
+    np.fmod(delta, 2.0 * math.pi, out=delta)
+    np.add(delta, 2.0 * math.pi, out=delta, where=delta < 0.0)
     delta -= math.pi
     np.abs(delta, out=delta)
     gain = np.where(delta <= 0.5 * pattern.beamwidth, pattern.main_gain, pattern.back_gain)

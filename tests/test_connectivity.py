@@ -12,6 +12,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from muse import (
+    OMNI,
     PropagationModel,
     Receiver,
     RFLink,
@@ -28,6 +29,7 @@ from muse import (
 )
 from muse import connectivity, consumption
 from muse.connectivity import _hop_gains
+from muse.propagation import link_gain
 
 from helpers import add_random_receiver, assert_same_text, empty_system, random_system, reference_params, small_grid
 from test_consumption import generated_systems
@@ -242,6 +244,19 @@ def test_connectivity_evaluates_only_the_requested_quantum(monkeypatch):
         assert np.array_equal(sinr >= beta, cmap.feasible)
     quiet = build_connectivity_map(sys_, beta, 1).max_power
     assert not np.array_equal(quiet, build_connectivity_map(sys_, beta, 0).max_power)
+
+
+def test_hop_gains_equal_link_gains_bitwise():
+    """Hops and gain fields measure distance with one formula: on random,
+    mostly non-adjacent, region pairs of an 8 m grid the hop gains equal
+    ``link_gain`` of an omni antenna at the source's sample point."""
+    sys_ = random_system(np.random.default_rng(3), spec=small_grid(8.0))
+    rng = np.random.default_rng(11)
+    a, b = rng.integers(0, sys_.grid.region_count, size=(2, 2000))
+    pts = sys_.grid.sample_points
+    hops = _hop_gains(sys_, a, b, [0])[:, 0]
+    model = sys_.model_for_band(0)
+    assert hops.tolist() == [link_gain(model, OMNI, pts[i], [pts[j]])[0] for i, j in zip(a, b)]
 
 
 # ---------------------------------------------------------------------------

@@ -654,6 +654,18 @@ def test_entity_consumption_matches_oracle_sums():
         assert entity_consumption(sys_, rx.id) == pytest.approx(expected, rel=1e-9, abs=1e-30)
 
 
+def test_point_liability_is_the_clipped_complement():
+    """A receiver's liability at a point is p_cmax - (occupancy + its
+    opportunity), clipped to [0, p_cmax], from the point's own fields; near
+    the transmitter the occupancy is a sizeable share of p_cmax."""
+    sys_ = region_link_system()
+    p_cmax = sys_.params.p_cmax
+    for point in [(1000.0, 2000.5), (1010.0, 2000.0), (1200.0, 1230.0), (1100.0, 1600.0)]:
+        pm = point_metrics(sys_, point)
+        (rx,) = pm.receivers
+        assert rx.liability == min(max(p_cmax - (pm.occupancy + rx.opportunity), 0.0), p_cmax)
+
+
 def test_entity_consumption_composite_is_sum():
     sys_ = probe_scenario("low")
     total = entity_consumption(sys_, "tx-1") + entity_consumption(sys_, "rx-1")
