@@ -45,11 +45,18 @@ of one model and antenna object at one position) once, when first
 needed, for all bands; a quantum whose activity masks repeat an earlier
 one's copies its slice.  Sums combine per slot in chunk order, then over
 the slots in (band, quantum) order, so no result depends on MUSE_THREADS.
+
+The maps are kept only where a caller reads cells (``compute_maps``, the
+connectivity pass).  The report and entity sums stream: each thread
+reuses one chunk-sized block, and the psi totals are folded from the
+pieces of numpy's pairwise-summation tree that each chunk holds, so they
+equal ``np.sum`` of the full maps bit for bit.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -89,7 +96,8 @@ def _thread_budget() -> int:
         except ValueError as exc:
             raise ValueError(f"MUSE_THREADS must be an integer, got {env!r}") from exc
         return max(1, cap)
-    return min(4, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(4, cpus or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -446,22 +454,103 @@ class ConsumptionMaps:
     liability: np.ndarray
 
 
-def _evaluate_grid(sys: RFSystem, members=frozenset(), times=None, regions=None, bands=None) -> tuple[ConsumptionMaps, dict[str, float]]:
+_PAIRWISE_LEAF = 128  # numpy sums at most this many elements in one unrolled loop
+
+
+def _pairwise_half(n: int) -> int:
+    """Where numpy's pairwise summation splits n > _PAIRWISE_LEAF elements:
+    half of them, rounded down to a multiple of 8."""
+    return n // 2 - n // 2 % 8
+
+
+def _pairwise_nodes(lo: int, hi: int, n: int, start: int = 0):
+    """The nodes (start, size) of numpy's pairwise-summation tree over n
+    elements that meet [lo, hi), in order: the largest ones inside it and
+    the leaves that cross its edges."""
+    if hi <= start or start + n <= lo:
+        return
+    if lo <= start and start + n <= hi or n <= _PAIRWISE_LEAF:
+        yield start, n
+        return
+    half = _pairwise_half(n)
+    yield from _pairwise_nodes(lo, hi, half, start)
+    yield from _pairwise_nodes(lo, hi, n - half, start + half)
+
+
+def _chunk_sums(fields, lo: int, hi: int, n: int) -> tuple[dict, dict]:
+    """The tree nodes that elements [lo, hi) of n hold, for flat ``fields``
+    holding those elements: each field's sum of a node inside the range,
+    and each field's overlap with a leaf that crosses an edge."""
+    sums, edges = {}, {}
+    for start, size in _pairwise_nodes(lo, hi, n):
+        a, b = max(start, lo) - lo, min(start + size, hi) - lo
+        if b - a == size:
+            sums[start, size] = [np.sum(f[a:b]) for f in fields]
+        else:
+            edges[start, size] = [f[a:b].copy() for f in fields]
+    return sums, edges
+
+
+def _fold_sums(parts, n: int) -> list:
+    """Each field's sum over all n elements, folded along numpy's tree from
+    the chunks' ``_chunk_sums`` in chunk order: ``np.sum`` of the whole
+    field bit for bit.  (A node summed by np.sum starts from +0.0, so it
+    can differ from the tree's only in the sign of a zero, which the
+    root's np.sum drops too.)"""
+    sums, edges = {}, {}
+    for chunk_sums, chunk_edges in parts:
+        sums.update(chunk_sums)
+        for key, overlap in chunk_edges.items():
+            edges.setdefault(key, []).append(overlap)
+
+    def node(start, size):
+        if (start, size) in sums:
+            return sums[start, size]
+        if size <= _PAIRWISE_LEAF:
+            return [np.sum(np.concatenate(pieces)) for pieces in zip(*edges[start, size])]
+        half = _pairwise_half(size)
+        return [x + y for x, y in zip(node(start, half), node(start + half, size - half))]
+
+    return node(0, n)
+
+
+def _evaluate_grid(sys: RFSystem, members=frozenset(), times=None, regions=None, bands=None, totals=False):
     """The slices of the quanta ``times`` and the ``bands`` (by default all)
-    at the sample points of ``regions`` (ascending; by default all), written
-    once each into maps of shape (regions, times, bands), and each member
-    id's consumption summed over those cells; one link budget per band."""
+    at the sample points of ``regions`` (ascending; by default all), and each
+    member id's consumption summed over those cells; one link budget per band.
+
+    Returns the maps, of shape (regions, times, bands), each slot written
+    once; or, with ``totals``, no maps but the sums of occupancy, clamped
+    opportunity and liability over the cells, each ``np.sum`` of its map
+    bit for bit, from one chunk-sized block that each thread reuses."""
     grid = sys.grid
     times = range(grid.horizon) if times is None else times
     regions = np.arange(grid.region_count) if regions is None else regions
     budgets = [_LinkBudget(sys, nu) for nu in (range(grid.band_count) if bands is None else bands)]
     shape = (len(regions), len(times), len(budgets))
-    maps = ConsumptionMaps(grid, np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape))
-    fields = (maps.occupancy, maps.opportunity, maps.raw_opportunity, maps.liability)
     spans = [(lo, min(lo + _CHUNK, len(regions))) for lo in range(0, len(regions), _CHUNK)]
+    if totals:
+        per_region = len(times) * len(budgets)
+        cells = len(regions) * per_region
+        local = threading.local()
 
-    def run(span):
-        return _evaluate_chunk(budgets, times, regions[span[0] : span[1]], members, [f[span[0] : span[1]] for f in fields])
+        def run(span):
+            lo, hi = span
+            block = getattr(local, "block", None)
+            if block is None or len(block[0]) < hi - lo:  # the largest span this thread ran: never more than the maps
+                block = local.block = np.empty((4, hi - lo) + shape[1:])
+            out = block[:, : hi - lo]
+            consumed = _evaluate_chunk(budgets, times, regions[lo:hi], members, out)
+            summed = [out[f].reshape(-1) for f in (0, 1, 3)]  # occupancy, opportunity, liability
+            return consumed, _chunk_sums(summed, lo * per_region, hi * per_region, cells)
+
+    else:
+        maps = ConsumptionMaps(grid, np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape))
+        fields = (maps.occupancy, maps.opportunity, maps.raw_opportunity, maps.liability)
+
+        def run(span):
+            lo, hi = span
+            return _evaluate_chunk(budgets, times, regions[lo:hi], members, [f[lo:hi] for f in fields]), None
 
     workers = min(_thread_budget(), len(spans))
     if workers > 1:
@@ -470,9 +559,10 @@ def _evaluate_grid(sys: RFSystem, members=frozenset(), times=None, regions=None,
     else:
         parts = [run(span) for span in spans]
     # each slot's chunks in chunk order, then the slots in (band, quantum) order
-    slots = sum(parts, np.zeros((len(budgets), len(times), len(budgets[0].ids))))
+    slots = sum((part for part, _ in parts), np.zeros((len(budgets), len(times), len(budgets[0].ids))))
     consumed = sum(slots.reshape(len(budgets) * len(times), -1))
-    return maps, {i: float(v) for i, v in zip(budgets[0].ids, consumed) if i in members}
+    result = _fold_sums([sums for _, sums in parts], cells) if totals else maps
+    return result, {i: float(v) for i, v in zip(budgets[0].ids, consumed) if i in members}
 
 
 def compute_maps(sys: RFSystem) -> ConsumptionMaps:
@@ -487,7 +577,7 @@ def entity_consumption(sys: RFSystem, entity: str) -> float:
     members their aggregated liability; composite entities sum over all
     member transceivers.
     """
-    _, consumed = _evaluate_grid(sys, frozenset(m.id for m in entity_selector(sys, entity)))
+    _, consumed = _evaluate_grid(sys, frozenset(m.id for m in entity_selector(sys, entity)), totals=True)
     total = 0.0
     for member_id in sorted(consumed):
         total += consumed[member_id]
@@ -519,11 +609,9 @@ class ConsumptionReport:
 def system_report(sys: RFSystem, include_entities: bool = True) -> ConsumptionReport:
     """System-wide consumption spaces and the conservation check."""
     members = frozenset(m.id for m in entity_selector(sys, "system")) if include_entities else frozenset()
-    maps, entities = _evaluate_grid(sys, members)
-    psi_total = sys.params.p_cmax * maps.grid.cell_count
-    psi_utilized = float(np.sum(maps.occupancy))
-    psi_forbidden = float(np.sum(maps.liability))
-    psi_available = float(np.sum(maps.opportunity))
+    sums, entities = _evaluate_grid(sys, members, totals=True)
+    psi_total = sys.params.p_cmax * sys.grid.cell_count
+    psi_utilized, psi_available, psi_forbidden = map(float, sums)
     residual = abs(psi_utilized + psi_forbidden + psi_available - psi_total) / psi_total
 
     return ConsumptionReport(

@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import os
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -417,6 +420,23 @@ def test_bad_thread_env_rejected(monkeypatch):
         consumption._thread_budget()
 
 
+def test_thread_budget_counts_the_cpus_this_process_may_use(monkeypatch):
+    import muse.consumption as consumption
+
+    monkeypatch.delenv("MUSE_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    # pinned to one CPU of eight (taskset -c 0): one thread, not four
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert consumption._thread_budget() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert consumption._thread_budget() == 3
+    # platforms without an affinity mask fall back to the CPU count, at most 4
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert consumption._thread_budget() == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert consumption._thread_budget() == 1
+
+
 def repeating_system() -> RFSystem:
     """Four quanta whose activity masks repeat (0 = 2, 1 = 3) on every band,
     a propagation override on band 2, a transmitter that is never active
@@ -624,6 +644,88 @@ def test_adding_receiver_monotone(base, seed):
     after = compute_maps(add_random_receiver(base, np.random.default_rng(seed)))
     assert np.all(after.raw_opportunity <= before.raw_opportunity)
     assert np.array_equal(after.occupancy, before.occupancy)
+
+
+# ---------------------------------------------------------------------------
+# streamed totals
+
+
+def bits(x) -> str:
+    return float(x).hex()
+
+
+@st.composite
+def cut_arrays(draw):
+    """An array of 1-7, 8-128 or more elements of mixed magnitudes, and the
+    chunk edges that cut it: random cuts, one cut inside a 128-element leaf
+    (numpy's leaves start at multiples of 8) and a run of one-element chunks."""
+    n = draw(st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 5000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+    cuts = set(draw(st.lists(st.integers(1, n), max_size=12)))
+    cuts.add(8 * draw(st.integers(0, n // 8)) + draw(st.integers(1, 7)))
+    run = draw(st.integers(0, n))
+    cuts.update(range(run, run + draw(st.integers(0, 40))))
+    return values, [0] + sorted(c for c in cuts if 0 < c < n) + [n]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut_arrays())
+def test_tree_fold_equals_np_sum_bitwise(case):
+    import muse.consumption as consumption
+
+    values, edges = case
+    n = len(values)
+    parts = [consumption._chunk_sums([values[lo:hi]], lo, hi, n) for lo, hi in zip(edges, edges[1:])]
+    assert bits(consumption._fold_sums(parts, n)[0]) == bits(np.sum(values))
+
+
+def assert_totals_equal_maps(sys_, chunk, threads):
+    """system_report's psi totals are np.sum of the maps bit for bit, and its
+    entity sums the maps path's, at ``chunk`` regions per chunk."""
+    import muse.consumption as consumption
+
+    members = frozenset(e.id for e in entity_selector(sys_, "system"))
+    with mock.patch.object(consumption, "_CHUNK", chunk), mock.patch.dict(os.environ, {"MUSE_THREADS": threads}):
+        maps = compute_maps(sys_)
+        _, consumed = consumption._evaluate_grid(sys_, members)
+        rep = system_report(sys_)
+    assert bits(rep.psi_utilized) == bits(np.sum(maps.occupancy))
+    assert bits(rep.psi_available) == bits(np.sum(maps.opportunity))
+    assert bits(rep.psi_forbidden) == bits(np.sum(maps.liability))
+    assert {k: bits(v) for k, v in rep.entity_consumption.items()} == {k: bits(v) for k, v in consumed.items()}
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+@pytest.mark.parametrize("chunk", [1, 3, 7, 43])
+def test_report_totals_equal_map_sums_bitwise(chunk, threads):
+    assert_totals_equal_maps(repeating_system(), chunk, threads)
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+@pytest.mark.parametrize("chunk", [1, 3, 7, 43])
+@settings(max_examples=10, deadline=None)
+@given(sys_=generated_systems())
+def test_generated_report_totals_equal_map_sums_bitwise(sys_, chunk, threads):
+    assert_totals_equal_maps(sys_, chunk, threads)
+
+
+def test_report_holds_no_full_maps(monkeypatch):
+    import muse.consumption as consumption
+
+    sys_ = dataclasses.replace(repeating_system(), grid_spec=small_grid(hex_side=5.0, horizon=4, n_bands=3))
+    grid = sys_.grid  # built before the trace starts
+    monkeypatch.setattr(consumption, "_CHUNK", -(-grid.region_count // 8))
+    monkeypatch.setenv("MUSE_THREADS", "1")
+    tracemalloc.start()
+    try:
+        system_report(sys_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # eight chunks of 12 slots per region; the four maps would take 4 x cells x 8 bytes
+    assert grid.horizon * grid.band_count == 12
+    assert peak < 4 * grid.cell_count * 8 / 2
 
 
 # ---------------------------------------------------------------------------
