@@ -83,6 +83,25 @@ def _number(obj, context: str, convert=float) -> float:
     return value
 
 
+def _bool(obj, context: str) -> bool:
+    """A YAML boolean; a quoted "no" or a 0 is not one."""
+    if not isinstance(obj, bool):
+        raise ScenarioError(f"{context}: expected true or false, got {obj!r}")
+    return obj
+
+
+def _id(obj, context: str) -> str:
+    if isinstance(obj, (list, tuple, Mapping)):
+        raise ScenarioError(f"{context}: expected a scalar id, got {obj!r}")
+    return str(obj)
+
+
+def _list(obj, context: str) -> list:
+    if not isinstance(obj, (list, tuple)):
+        raise ScenarioError(f"{context}: expected a list")
+    return obj
+
+
 def _index(obj, context: str) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
         raise ScenarioError(f"{context}: expected an integer, got {obj!r}")
@@ -220,6 +239,7 @@ def parse_scenario(text: str) -> RFSystem:
     elif policy not in ("centroid",):
         raise ScenarioError(f"grid.sample_point_policy: expected 'centroid' or an offset mapping, got {policy!r}")
     horizon = _index(griddoc.get("time_quanta", 1), "grid.time_quanta")
+    worst_case = _bool(griddoc.get("worst_case_placement", False), "grid.worst_case_placement")
     try:
         grid_spec = GridSpec(
             region_width=_number(griddoc["width_m"], "grid.width_m"),
@@ -230,7 +250,7 @@ def parse_scenario(text: str) -> RFSystem:
             bands=tuple(bands),
             sample_point_policy=policy_name,
             sample_offset=sample_offset,
-            worst_case_placement=bool(griddoc.get("worst_case_placement", False)),
+            worst_case_placement=worst_case,
         )
     except ValueError as exc:
         raise ScenarioError(f"grid: {exc}") from exc
@@ -238,27 +258,26 @@ def parse_scenario(text: str) -> RFSystem:
     if isinstance(ambient, tuple) and len(ambient) != len(bands):
         raise ScenarioError("system.noise_dbm: per-band list length does not match grid.bands")
 
-    if not isinstance(doc["networks"], (list, tuple)):
-        raise ScenarioError("networks: expected a list")
     networks = []
-    for netdoc in doc["networks"]:
+    for netdoc in _list(doc["networks"], "networks"):
         netdoc = _require_mapping(netdoc, "networks[]")
-        _check_keys(netdoc, {"id", "orthogonal", "links"}, {"id", "links"}, f"network {netdoc.get('id')}")
+        net_context = f"network {netdoc.get('id')}"
+        _check_keys(netdoc, {"id", "orthogonal", "links"}, {"id", "links"}, net_context)
         links = []
-        for linkdoc in netdoc["links"]:
+        for linkdoc in _list(netdoc["links"], f"{net_context}: links"):
             linkdoc = _require_mapping(linkdoc, "links[]")
             context = f"link {linkdoc.get('id')}"
             _check_keys(linkdoc, {"id", "transmitter", "transmitters", "receivers"}, {"id"}, context)
             txdocs = []
             if "transmitter" in linkdoc and linkdoc["transmitter"] is not None:
                 txdocs.append(linkdoc["transmitter"])
-            txdocs.extend(linkdoc.get("transmitters", ()))
+            txdocs.extend(_list(linkdoc.get("transmitters", ()), f"{context}: transmitters"))
             transmitters = tuple(_parse_tx(t, context) for t in txdocs)
-            receivers = tuple(_parse_rx(r, context) for r in linkdoc.get("receivers", ()))
-            links.append(RFLink(id=str(linkdoc["id"]), transmitters=transmitters, receivers=receivers))
-        networks.append(
-            RFNetwork(id=str(netdoc["id"]), links=tuple(links), orthogonal=bool(netdoc.get("orthogonal", False)))
-        )
+            rxdocs = _list(linkdoc.get("receivers", ()), f"{context}: receivers")
+            receivers = tuple(_parse_rx(r, context) for r in rxdocs)
+            links.append(RFLink(id=_id(linkdoc["id"], context), transmitters=transmitters, receivers=receivers))
+        orthogonal = _bool(netdoc.get("orthogonal", False), f"{net_context}: orthogonal")
+        networks.append(RFNetwork(id=_id(netdoc["id"], net_context), links=tuple(links), orthogonal=orthogonal))
 
     return RFSystem(
         params=params,
@@ -272,10 +291,8 @@ def parse_scenario(text: str) -> RFSystem:
 
 def _noise_overrides(obj) -> dict[tuple[int, int], float]:
     """``system.noise_overrides`` as {(region, band): watts}; ranges are left to ``validate_system``."""
-    if not isinstance(obj, (list, tuple)):
-        raise ScenarioError("system.noise_overrides: expected a list")
     overrides = {}
-    for k, item in enumerate(obj):
+    for k, item in enumerate(_list(obj, "system.noise_overrides")):
         ctx = f"system.noise_overrides[{k}]"
         _check_keys(_require_mapping(item, ctx), {"region", "band", "noise_dbm"}, {"region", "band", "noise_dbm"}, ctx)
         key = (_index(item["region"], ctx), _index(item["band"], ctx))
@@ -307,16 +324,17 @@ def _parse_transceiver(obj, context: str, cls, own: dict[str, tuple[str, Any]]):
     def linear(keys):
         return {own[k][0]: _number(obj[k], ctx, own[k][1]) for k in keys if k in obj}
 
+    fields = dict(  # read before the constructor runs, so a reader's error names its context once
+        id=_id(obj["id"], ctx),
+        position=_position(obj["position"], ctx),
+        **linear([first]),
+        antenna=_antenna(obj.get("antenna"), ctx),
+        active_intervals=_activity(obj.get("active"), ctx),
+        bands=_activity(obj.get("bands"), ctx),
+        **linear(rest),
+    )
     try:
-        return cls(
-            id=str(obj["id"]),
-            position=_position(obj["position"], ctx),
-            **linear([first]),
-            antenna=_antenna(obj.get("antenna"), ctx),
-            active_intervals=_activity(obj.get("active"), ctx),
-            bands=_activity(obj.get("bands"), ctx),
-            **linear(rest),
-        )
+        return cls(**fields)
     except ValueError as exc:
         raise ScenarioError(f"{ctx}: {exc}") from exc
 

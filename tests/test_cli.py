@@ -306,6 +306,47 @@ def test_map_writes_noise_override_as_occupancy(runner, tmp_path):
     assert np.all(np.delete(occupancy, 5) == dbm_to_watts(-106.0))
 
 
+def _link(doc):
+    return doc["networks"][0]["links"][0]
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d["networks"][0].update(links=5), "network net-1: links: expected a list"),
+        (lambda d: _link(d).update(receivers=5), "link link-1: receivers: expected a list"),
+        (lambda d: _link(d).update(transmitters=7), "link link-1: transmitters: expected a list"),
+        (lambda d: _link(d)["transmitter"].update(id=[1]), "link link-1: transmitter [1]: expected a scalar id, got [1]"),
+        (
+            lambda d: _link(d)["receivers"][0].update(id={"a": 1}),
+            "link link-1: receiver {'a': 1}: expected a scalar id, got {'a': 1}",
+        ),
+        (lambda d: _link(d).update(id=["l"]), "link ['l']: expected a scalar id, got ['l']"),
+        (lambda d: d["networks"][0].update(id={"n": 1}), "network {'n': 1}: expected a scalar id, got {'n': 1}"),
+        (
+            lambda d: _link(d)["transmitter"].update(antenna={"kind": [1]}),
+            "link link-1: transmitter tx-1: unknown antenna kind [1]",
+        ),
+        (
+            lambda d: _link(d)["transmitter"].update(position=[1000.0]),
+            "link link-1: transmitter tx-1: position must be [x_m, y_m]",
+        ),
+    ],
+    ids=["links-int", "receivers-int", "transmitters-int", "list-id", "mapping-id", "list-link-id",
+         "mapping-network-id", "antenna-context-once", "position-context-once"],
+)
+def test_malformed_structure_exit_code(runner, tmp_path, mutate, message):
+    doc = yaml.safe_load(SCENARIO_TEXT)
+    mutate(doc)
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    result = runner.invoke(main, ["report", "--scenario", str(path)])
+    assert result.exit_code == 2, result.output
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": f"malformed scenario: {message}", "exit_code": 2}
+
+
 def test_bad_thread_env_exit_code(runner, scenario_path):
     result = runner.invoke(main, ["report", "--scenario", scenario_path], env={"MUSE_THREADS": "many"})
     assert result.exit_code == 2

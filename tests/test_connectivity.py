@@ -177,9 +177,9 @@ def test_link_feasibility_evaluates_only_its_two_regions(monkeypatch):
     calls = []
     evaluate = consumption._evaluate_chunk
 
-    def record(budgets, times, regions, members, out):
-        calls.append((regions.tolist(), [b.band_index for b in budgets], list(times)))
-        return evaluate(budgets, times, regions, members, out)
+    def record(slots, regions, members, out):
+        calls.append((regions.tolist(), [b.band_index for b, _, _ in slots], [tau for _, tau, _ in slots]))
+        return evaluate(slots, regions, members, out)
 
     monkeypatch.setattr(consumption, "_evaluate_chunk", record)
     a = 12

@@ -680,9 +680,19 @@ def test_tree_fold_equals_np_sum_bitwise(case):
     assert bits(consumption._fold_sums(parts, n)[0]) == bits(np.sum(values))
 
 
+def slot_sums(field) -> float:
+    """A psi total from its map: each (band, quantum) slot's np.sum of its
+    contiguous column, added up from 0.0 in (band, quantum) order."""
+    total = 0.0
+    for nu in range(field.shape[2]):
+        for tau in range(field.shape[1]):
+            total += np.sum(np.ascontiguousarray(field[:, tau, nu]))
+    return total
+
+
 def assert_totals_equal_maps(sys_, chunk, threads):
-    """system_report's psi totals are np.sum of the maps bit for bit, and its
-    entity sums the maps path's, at ``chunk`` regions per chunk."""
+    """system_report's psi totals are the per-slot sums of the maps bit for
+    bit, and its entity sums the maps path's, at ``chunk`` regions per chunk."""
     import muse.consumption as consumption
 
     members = frozenset(e.id for e in entity_selector(sys_, "system"))
@@ -690,9 +700,9 @@ def assert_totals_equal_maps(sys_, chunk, threads):
         maps = compute_maps(sys_)
         _, consumed = consumption._evaluate_grid(sys_, members)
         rep = system_report(sys_)
-    assert bits(rep.psi_utilized) == bits(np.sum(maps.occupancy))
-    assert bits(rep.psi_available) == bits(np.sum(maps.opportunity))
-    assert bits(rep.psi_forbidden) == bits(np.sum(maps.liability))
+    assert bits(rep.psi_utilized) == bits(slot_sums(maps.occupancy))
+    assert bits(rep.psi_available) == bits(slot_sums(maps.opportunity))
+    assert bits(rep.psi_forbidden) == bits(slot_sums(maps.liability))
     assert {k: bits(v) for k, v in rep.entity_consumption.items()} == {k: bits(v) for k, v in consumed.items()}
 
 

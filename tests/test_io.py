@@ -221,6 +221,28 @@ def test_missing_and_malformed_fields():
         parse_scenario(SCENARIO_TEXT.replace("  reference_distance_m: 1.0", "  reference_distance_m: 1.0\n  band_overrides: {true: {alpha: 2.8}}"))
 
 
+@pytest.mark.parametrize(
+    "field, template, context, read",
+    [
+        ("  worst_case_placement: false", "  worst_case_placement: {}", "grid.worst_case_placement",
+         lambda sys_: sys_.grid_spec.worst_case_placement),
+        ("  - id: net-1", "  - id: net-1\n    orthogonal: {}", "network net-1: orthogonal",
+         lambda sys_: sys_.networks[0].orthogonal),
+    ],
+    ids=["worst_case_placement", "orthogonal"],
+)
+def test_booleans_must_be_yaml_booleans(field, template, context, read):
+    def parse(value):
+        return parse_scenario(SCENARIO_TEXT.replace(field, template.format(value)))
+
+    for value, expected in (("false", False), ("true", True), ("no", False), ("yes", True)):  # YAML 1.1 booleans
+        assert read(parse(value)) is expected
+    for value in ('"no"', "'true'", "0", "1", "[]", "null"):
+        with pytest.raises(ScenarioError) as info:
+            parse(value)
+        assert str(info.value).startswith(f"{context}: expected true or false, got ")
+
+
 def test_receive_only_margin_parsed():
     text = SCENARIO_TEXT.replace(
         """        transmitter:
