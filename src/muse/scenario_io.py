@@ -136,13 +136,16 @@ def _antenna(obj, context: str) -> AntennaPattern:
         return OMNI
     if obj["kind"] != "sector":
         raise ScenarioError(f"{context}: unknown antenna kind {obj['kind']!r}")
-    return AntennaPattern(
-        kind="sector",
+    fields = dict(  # read outside the try, so a reader's error names its context once
         boresight=math.radians(_number(obj.get("boresight_deg", 0.0), context)),
         beamwidth=math.radians(_number(obj.get("beamwidth_deg", 360.0), context)),
         main_gain=_number(obj.get("main_gain_db", 0.0), context, db_to_linear),
         back_gain=_number(obj.get("back_gain_db", 0.0), context, db_to_linear),
     )
+    try:
+        return AntennaPattern(kind="sector", **fields)
+    except ValueError as exc:
+        raise ScenarioError(f"{context}: {exc}") from exc
 
 
 def parse_scenario(text: str) -> RFSystem:

@@ -331,9 +331,22 @@ def _link(doc):
             lambda d: _link(d)["transmitter"].update(position=[1000.0]),
             "link link-1: transmitter tx-1: position must be [x_m, y_m]",
         ),
+        (
+            lambda d: _link(d)["transmitter"].update(antenna={"kind": "sector", "main_gain_db": -3}),
+            "link link-1: transmitter tx-1: sector main_gain must be >= 1",
+        ),
+        (
+            lambda d: _link(d)["receivers"][0].update(antenna={"kind": "sector", "beamwidth_deg": 0}),
+            "link link-1: receiver rx-1: sector beamwidth must be in (0, 2*pi]",
+        ),
+        (
+            lambda d: _link(d)["transmitter"].update(antenna={"kind": "sector", "main_gain_db": 3, "back_gain_db": 6}),
+            "link link-1: transmitter tx-1: sector back_gain must be in (0, main_gain]",
+        ),
     ],
     ids=["links-int", "receivers-int", "transmitters-int", "list-id", "mapping-id", "list-link-id",
-         "mapping-network-id", "antenna-context-once", "position-context-once"],
+         "mapping-network-id", "antenna-context-once", "position-context-once", "sector-main-gain",
+         "sector-beamwidth", "sector-back-gain"],
 )
 def test_malformed_structure_exit_code(runner, tmp_path, mutate, message):
     doc = yaml.safe_load(SCENARIO_TEXT)
