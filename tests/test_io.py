@@ -1,3 +1,4 @@
+import hashlib
 import math
 from pathlib import Path
 from unittest import mock
@@ -13,6 +14,7 @@ from muse import (
     SpectrumGrid,
     compute_maps,
     dbm_to_watts,
+    load_scenario,
     parse_scenario,
     read_map_csv,
     serialize_scenario,
@@ -123,6 +125,24 @@ def test_round_trip_sector_antenna_and_masks():
     assert tx.active_intervals == frozenset({0})
     again = parse_scenario(serialize_scenario(sys_))
     assert equivalent(list(sys_.networks), list(again.networks))
+
+
+# sha256 of serialize_scenario(load_scenario(demo)) before the scenario schema
+# became one table; any moved byte of the writer changes a digest.
+DEMO_SERIALIZED_SHA256 = {
+    "four_pair_field.yaml": "729107c26826e6a3882c652d86bcbfb5a39fbaaf8e03858197dd5a08a8256e83",
+    "region_with_link.yaml": "7d195c9ef1e8fbece64915baee4aeb2041b617309f3db62d5e1d69b6303e0e76",
+    "single_link_far_receiver.yaml": "3acd3268ccaebc7e07d87be2d512e148276c503518eb43f9f1d8f5f002c867d2",
+    "single_link_high_power.yaml": "2a2d1433e2df4f13c29f36cbd0b254cc01a008c9510304d5946252ad290ac3ac",
+    "single_link_low_power.yaml": "19082b3ba6b9eda2e21748b8c5e93d9aaea2d737c3119d49a614ab61dfefa21a",
+    "three_band_campus.yaml": "6f57d060d1e2413220d59358c986346f2ce1ec95d8fdda251a16e0acf7bf96aa",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_SERIALIZED_SHA256))
+def test_demo_serialization_bytes_pinned(name):
+    text = serialize_scenario(load_scenario(SCENARIOS / name))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DEMO_SERIALIZED_SHA256[name]
 
 
 @settings(max_examples=25, deadline=None)
