@@ -355,6 +355,14 @@ def validate_system(system: RFSystem) -> ValidationReport:
     reach = math.hypot(spec.region_width + 4.0 * spec.hex_side, spec.region_height + 4.0 * spec.hex_side)
     if not reach <= 2.0 ** 511:  # squared distances across it must stay finite
         violations.append(f"region diagonal {reach:.6g} m (grown by two hex sides) exceeds 2^511 m")
+    # occupancy + opportunity + liability = p_cmax holds to 1e-9 in float64 only
+    # while occupancy stays within 2^20 p_cmax: bound it by every noise and EIRP
+    params = system.params
+    noises = params.ambient_noise if isinstance(params.ambient_noise, tuple) else (params.ambient_noise,)
+    peak = max([*noises, *system.noise_cell_overrides.values()])
+    peak += sum(tx.tx_power * tx.antenna.main_gain for _, _, tx in system.iter_transmitters())
+    if not peak <= 2.0**20 * params.p_cmax:
+        violations.append(f"occupancy may reach {peak:.6g} W, above 2^20 x p_cmax ({params.p_cmax:.6g} W)")
     # opportunity divides by link gains: the weakest, across that region, must be normal
     antennas = [e.antenna for net in system.networks for link in net.links for e in link.transmitters + link.receivers]
     weakest = min([1.0] + [a.back_gain for a in antennas if a.kind == "sector"])

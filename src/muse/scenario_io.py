@@ -3,7 +3,10 @@
 Scenario files are YAML with an explicit schema version.  Powers, SINR
 thresholds and antenna gains are written in dB units and converted to
 linear on load; angles are degrees in files, radians in memory.  Unknown
-keys are rejected so typos fail loudly.
+keys are rejected so typos fail loudly.  The schema is written once, as one
+ordered table of keys per mapping (a ``_Section`` of ``_Key`` entries):
+``parse_scenario`` reads a document by walking it and ``serialize_scenario``
+writes one by walking it in the same order.
 
 Map export is CSV, one row per unit spectrum space in canonical order
 (region-major, then time, then band), floats in full-precision
@@ -15,7 +18,8 @@ from __future__ import annotations
 import math
 import warnings
 from itertools import chain
-from typing import Any, Iterator, Mapping
+from types import SimpleNamespace
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 import yaml
@@ -55,97 +59,375 @@ class ScenarioError(ValueError):
     """A scenario document is malformed."""
 
 
-def _require_mapping(obj, context: str) -> Mapping:
-    if not isinstance(obj, Mapping):
-        raise ScenarioError(f"{context}: expected a mapping, got {type(obj).__name__}")
-    return obj
+# ---------------------------------------------------------------------------
+# readers, (document value, context) -> model value, and their inverse writers
 
 
-def _check_keys(obj: Mapping, allowed: set[str], required: set[str], context: str):
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ScenarioError(f"{context}: unknown key(s) {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise ScenarioError(f"{context}: missing key(s) {sorted(missing)}")
-
-
-def _number(obj, context: str, convert=float) -> float:
+def _number(obj, ctx: str, convert=float, positive=False) -> float:
     """A finite number after ``convert`` (e.g. dBm to watts); overflow is not finite."""
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ScenarioError(f"{context}: expected a number, got {obj!r}")
+        raise ScenarioError(f"{ctx}: expected a number, got {obj!r}")
     try:
         value = convert(float(obj))
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise ScenarioError(f"{context}: expected a finite number, got {obj!r}")
+        raise ScenarioError(f"{ctx}: expected a finite number, got {obj!r}")
+    if positive and not value > 0.0:
+        raise ScenarioError(f"{ctx}: expected a positive number, got {obj!r}")
     return value
 
 
-def _bool(obj, context: str) -> bool:
+def _as_is(value, ctx=None):
+    """A value read or written as it is."""
+    return value
+
+
+# (file unit -> model unit, model unit -> file unit)
+_DBM, _DB, _DEG = (dbm_to_watts, watts_to_dbm), (db_to_linear, linear_to_db), (math.radians, math.degrees)
+_MHZ = (lambda mhz: mhz * 1e6, lambda hz: hz / 1e6)
+
+
+def _num(unit=(float, _as_is), positive=False):
+    """The reader and writer of a finite number, converted by ``unit``."""
+    return (lambda obj, ctx: _number(obj, ctx, unit[0], positive)), unit[1]
+
+
+def _bool(obj, ctx: str) -> bool:
     """A YAML boolean; a quoted "no" or a 0 is not one."""
     if not isinstance(obj, bool):
-        raise ScenarioError(f"{context}: expected true or false, got {obj!r}")
+        raise ScenarioError(f"{ctx}: expected true or false, got {obj!r}")
     return obj
 
 
-def _id(obj, context: str) -> str:
-    if isinstance(obj, (list, tuple, Mapping)):
-        raise ScenarioError(f"{context}: expected a scalar id, got {obj!r}")
+def _id(obj, ctx: str) -> str:
+    if obj is None or isinstance(obj, (list, dict)):
+        raise ScenarioError(f"{ctx}: expected a scalar id, got {obj!r}")
     return str(obj)
 
 
-def _list(obj, context: str) -> list:
-    if not isinstance(obj, (list, tuple)):
-        raise ScenarioError(f"{context}: expected a list")
+def _index(obj, ctx: str) -> int:
+    if type(obj) is not int:
+        raise ScenarioError(f"{ctx}: expected an integer, got {obj!r}")
     return obj
 
 
-def _index(obj, context: str) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ScenarioError(f"{context}: expected an integer, got {obj!r}")
-    return obj
+def _position(obj, ctx: str) -> tuple[float, float]:
+    if not isinstance(obj, list) or len(obj) != 2:
+        raise ScenarioError(f"{ctx}: position must be [x_m, y_m]")
+    return (_number(obj[0], ctx), _number(obj[1], ctx))
 
 
-def _position(obj, context: str) -> tuple[float, float]:
-    if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-        raise ScenarioError(f"{context}: position must be [x_m, y_m]")
-    return (_number(obj[0], context), _number(obj[1], context))
-
-
-def _activity(obj, context: str) -> frozenset[int] | None:
+def _activity(obj, ctx: str) -> frozenset[int] | None:
     if obj is None or obj == "all":
         return None
-    if not isinstance(obj, (list, tuple)) or not all(isinstance(i, int) and not isinstance(i, bool) for i in obj):
-        raise ScenarioError(f"{context}: expected 'all' or a list of indices")
+    if not isinstance(obj, list) or not all(type(i) is int for i in obj):
+        raise ScenarioError(f"{ctx}: expected 'all' or a list of indices")
     return frozenset(obj)
 
 
-def _antenna(obj, context: str) -> AntennaPattern:
-    if obj is None or obj == "omni":
-        return OMNI
-    obj = _require_mapping(obj, context)
-    _check_keys(
-        obj,
-        {"kind", "boresight_deg", "beamwidth_deg", "main_gain_db", "back_gain_db"},
-        {"kind"},
-        context,
-    )
-    if obj["kind"] == "omni":
-        return OMNI
-    if obj["kind"] != "sector":
-        raise ScenarioError(f"{context}: unknown antenna kind {obj['kind']!r}")
-    fields = dict(  # read outside the try, so a reader's error names its context once
-        boresight=math.radians(_number(obj.get("boresight_deg", 0.0), context)),
-        beamwidth=math.radians(_number(obj.get("beamwidth_deg", 360.0), context)),
-        main_gain=_number(obj.get("main_gain_db", 0.0), context, db_to_linear),
-        back_gain=_number(obj.get("back_gain_db", 0.0), context, db_to_linear),
-    )
-    try:
-        return AntennaPattern(kind="sector", **fields)
-    except ValueError as exc:
-        raise ScenarioError(f"{context}: {exc}") from exc
+def _activity_doc(value: frozenset[int] | None):
+    return None if value is None else sorted(value)
+
+
+def _version(obj, ctx: str) -> dict:
+    if type(obj) is not int or obj != SCHEMA_VERSION:
+        raise ScenarioError(f"unsupported schema version {obj!r} (expected {SCHEMA_VERSION})")
+    return {}
+
+
+def _noise(obj, ctx: str) -> float | tuple[float, ...]:
+    """One ambient noise for all bands, or a list of one per band."""
+    if isinstance(obj, list):
+        return tuple(_number(v, ctx, dbm_to_watts) for v in obj)
+    return _number(obj, ctx, dbm_to_watts)
+
+
+def _noise_doc(watts: float | tuple[float, ...]):
+    return [watts_to_dbm(w) for w in watts] if isinstance(watts, tuple) else watts_to_dbm(watts)
+
+
+def _antenna(obj, ctx: str) -> AntennaPattern:
+    return OMNI if obj is None or obj == "omni" else _ANTENNA(obj, ctx)
+
+
+def _antenna_doc(antenna: AntennaPattern):
+    if antenna == OMNI:
+        return None
+    return "omni" if antenna.kind == "omni" else _ANTENNA.write(antenna)
+
+
+_CENTROID = dict(sample_point_policy="centroid", sample_offset=None)
+
+
+def _policy(obj, ctx: str) -> dict:
+    """A hexagon's sample point: its centroid, or a fixed offset from it."""
+    if obj == "centroid":
+        return _CENTROID
+    if isinstance(obj, dict):
+        return _OFFSET(obj, ctx)
+    raise ScenarioError(f"{ctx}: expected 'centroid' or an offset mapping, got {obj!r}")
+
+
+def _policy_doc(spec: GridSpec):
+    return "centroid" if spec.sample_point_policy == "centroid" else _OFFSET.write(spec)
+
+
+def _list_of(section, item, nonempty=False, least=0):
+    """The reader and writer of a list of ``section``'s mappings, a tuple of models;
+    ``item(ctx, k)`` is the k-th mapping's context.  A list of fewer than
+    ``least`` models is not written."""
+
+    def read(obj, ctx: str) -> tuple:
+        if not isinstance(obj, list) or (nonempty and not obj):
+            raise ScenarioError(f"{ctx}: expected {'a non-empty list' if nonempty else 'a list'}")
+        return tuple(section(v, item(ctx, k)) for k, v in enumerate(obj))
+
+    return read, lambda models: [section.write(m) for m in models] if len(models) >= least else None
+
+
+def _nth(ctx: str, k) -> str:
+    return f"{ctx}[{k}]"
+
+
+def _one_of(ctx: str, k) -> str:
+    return ctx[:-1]  # "link l-1: receiver" of "link l-1: receivers"
+
+
+def _unnumbered(ctx: str, k) -> str:
+    return ctx.rpartition(" ")[2] + "[]"  # "networks[]"; "links[]" of "network n-1: links"
+
+
+def _mapping_of(read):
+    """A reader of {band index: ``read``'s value}."""
+
+    def reader(obj, ctx: str) -> dict:
+        if not isinstance(obj, dict):
+            raise ScenarioError(f"{ctx}: expected a mapping, got {type(obj).__name__}")
+        return {_index(k, ctx): read(v, _nth(ctx, k)) for k, v in obj.items()}
+
+    return reader
+
+
+def _noise_overrides(obj, ctx: str) -> dict[tuple[int, int], float]:
+    """{(region, band): watts}; ranges are left to ``validate_system``."""
+    overrides = {}
+    for k, (cell, watts) in enumerate(_NOISE_OVERRIDES[0](obj, ctx)):
+        if cell in overrides:
+            raise ScenarioError(f"{ctx}[{k}]: region {cell[0]}, band {cell[1]} overridden twice")
+        overrides[cell] = watts
+    return overrides
+
+
+def _noise_overrides_doc(overrides: dict[tuple[int, int], float]):
+    return _NOISE_OVERRIDES[1](sorted(overrides.items()))
+
+
+def _band_overrides_doc(models: dict[int, PropagationModel]):
+    return {k: _BAND_OVERRIDE.write(m) for k, m in sorted(models.items())} or None
+
+
+# ---------------------------------------------------------------------------
+# the schema: one table of keys per mapping, walked in both directions
+
+_REQUIRED = object()  # the default of a key that must be present
+
+
+class _Key(NamedTuple):
+    """A key of a mapping and the model field it fills: ``read`` gives the field,
+    ``write`` the key's value or None to leave the key out, and ``default`` the
+    field of an absent key.  With ``field`` None the key fills several fields:
+    ``read`` returns them as a dict and ``write`` gets the whole model.  ``at``
+    joins the section's context and the key into the context of ``read``'s
+    errors: None gives the section's alone, "" the key alone."""
+
+    key: str
+    field: str | None
+    read: Callable[[Any, str], Any]
+    write: Callable[[Any], Any]
+    default: Any = _REQUIRED
+    at: str | None = None
+
+
+class _Section:
+    """A mapping: ``build``, which makes its model of the fields its keys fill,
+    and its keys in file order.  ``name(ctx, mapping)`` names a mapping by its id;
+    ``view(model)`` is what the keys are written from, if not the model itself."""
+
+    def __init__(self, build, *keys: _Key, name=None, view=None):
+        self.build, self.keys, self.name, self.view = build, keys, name, view
+        self.allowed = frozenset(e.key for e in keys)
+        self.required = frozenset(e.key for e in keys if e.default is _REQUIRED)
+
+    def __call__(self, obj, ctx: str):
+        """Read the mapping ``obj`` found at ``ctx`` into its model."""
+        if not isinstance(obj, dict):
+            raise ScenarioError(f"{ctx}: expected a mapping, got {type(obj).__name__}")
+        if self.name is not None:
+            ctx = self.name(ctx, obj)
+        unknown = obj.keys() - self.allowed
+        if unknown:  # sorted by type first: YAML keys need not be strings
+            raise ScenarioError(f"{ctx}: unknown key(s) {sorted(unknown, key=lambda k: (type(k).__name__, k))}")
+        missing = self.required - obj.keys()
+        if missing:
+            raise ScenarioError(f"{ctx}: missing key(s) {sorted(missing)}")
+        fields = {}
+        for key, field, read, _, default, at in self.keys:
+            value = obj.get(key, _REQUIRED)
+            if value is _REQUIRED:  # absent, so not required
+                value = default
+            else:
+                value = read(value, ctx if at is None else f"{ctx}{at}{key}" if at else key)
+            if field is None:
+                fields.update(value)
+            elif field in fields:
+                fields[field] += value  # a link's `transmitter`, then its `transmitters`
+            else:
+                fields[field] = value
+        try:
+            return self.build(**fields)
+        except ScenarioError:
+            raise
+        except ValueError as exc:
+            raise ScenarioError(f"{ctx}: {exc}") from exc
+
+    def write(self, model) -> dict[str, Any]:
+        obj = model if self.view is None else self.view(model)
+        doc = {}
+        for key, field, _, write, _, _ in self.keys:
+            value = write(obj if field is None else getattr(obj, field))
+            if value is not None:
+                doc[key] = value
+        return doc
+
+
+def _named(label: str | None = None):
+    """Name a mapping by its unread id after ``label``, else after its context: "link l-1: transmitter t-1"."""
+    return lambda ctx, obj: f"{label or ctx} {obj.get(_ID.key)}"
+
+
+_ID = _Key("id", "id", _id, _as_is)
+_ANTENNA = _Section(
+    lambda kind, **pattern: OMNI if kind == "omni" else AntennaPattern(kind, **pattern),  # rejects other kinds
+    _Key("kind", "kind", _as_is, _as_is),
+    _Key("boresight_deg", "boresight", *_num(_DEG), 0.0),
+    _Key("beamwidth_deg", "beamwidth", *_num(_DEG), math.radians(360.0)),
+    _Key("main_gain_db", "main_gain", *_num(_DB), 1.0),
+    _Key("back_gain_db", "back_gain", *_num(_DB), 1.0),
+)
+_TRANSCEIVER = (  # a transmitter's or receiver's own first key comes after the position
+    _ID,
+    _Key("position", "position", _position, list),
+    _Key("antenna", "antenna", _antenna, _antenna_doc, OMNI),
+    _Key("active", "active_intervals", _activity, _activity_doc, None),
+    _Key("bands", "bands", _activity, _activity_doc, None),
+)
+_TX = _Section(
+    Transmitter, *_TRANSCEIVER[:2], _Key("power_dbm", "tx_power", *_num(_DBM)), *_TRANSCEIVER[2:], name=_named()
+)
+_RX = _Section(
+    Receiver,
+    *_TRANSCEIVER[:2],
+    _Key("beta_db", "beta", *_num(_DB)),
+    *_TRANSCEIVER[2:],
+    _Key("margin_dbm", "explicit_margin", _num(_DBM)[0], lambda w: None if w is None else watts_to_dbm(w), None),
+    name=_named(),
+)
+_TRANSMITTERS = _Key("transmitters", "transmitters", *_list_of(_TX, _one_of, least=2), (), ": ")
+_LINK = _Section(
+    RFLink,
+    _ID,
+    _Key(  # a link of one transmitter writes it here, one of several under `transmitters`
+        "transmitter",
+        _TRANSMITTERS.field,
+        lambda obj, ctx: () if obj is None else (_TX(obj, ctx),),
+        lambda txs: _TX.write(txs[0]) if len(txs) == 1 else None,
+        (),
+        ": ",
+    ),
+    _TRANSMITTERS,
+    _Key("receivers", "receivers", *_list_of(_RX, _one_of, least=1), (), ": "),
+    name=_named("link"),
+)
+_NETWORK = _Section(
+    RFNetwork,
+    _ID,
+    _Key("links", "links", *_list_of(_LINK, _unnumbered), at=": "),
+    _Key("orthogonal", "orthogonal", _bool, lambda orthogonal: True if orthogonal else None, False, ": "),
+    name=_named("network"),
+)
+_BAND = _Section(
+    Band,
+    _Key("center_mhz", "center_hz", *_num(_MHZ, positive=True)),
+    _Key("bandwidth_mhz", "bandwidth_hz", *_num(_MHZ, positive=True)),
+)
+_OFFSET = _Section(
+    lambda sample_offset: dict(sample_point_policy="offset", sample_offset=sample_offset),
+    _Key("offset_m", "sample_offset", _position, list, at="."),
+)
+_GRID = _Section(
+    GridSpec,
+    _Key("width_m", "region_width", *_num(), at="."),
+    _Key("height_m", "region_height", *_num(), at="."),
+    _Key("hex_side_m", "hex_side", *_num(), at="."),
+    _Key("time_quantum_s", "time_quantum", *_num(), 1.0, "."),
+    _Key("time_quanta", "horizon", _index, _as_is, 1, "."),
+    _Key("bands", "bands", *_list_of(_BAND, _nth, nonempty=True), at="."),
+    _Key("sample_point_policy", None, _policy, _policy_doc, _CENTROID, "."),
+    _Key("worst_case_placement", "worst_case_placement", _bool, _as_is, False, "."),
+)
+_PATH_LOSS = (_Key("alpha", "alpha", *_num()), _Key("reference_distance_m", "reference_distance", *_num(), 1.0))
+_BAND_OVERRIDE = _Section(PropagationModel, *_PATH_LOSS)
+
+
+def _propagation(band_propagation, **base) -> dict:
+    """The base model, then each band's override, read as (mapping, context), which inherits the keys it omits."""
+    model = PropagationModel(**base)
+    inherit = _Section(PropagationModel, *(e._replace(default=base[e.field]) for e in _PATH_LOSS))
+    overrides = {k: inherit(obj, ctx) for k, (obj, ctx) in band_propagation.items()}
+    return dict(propagation=model, band_propagation=overrides)
+
+
+_PROPAGATION = _Section(
+    _propagation,
+    *_PATH_LOSS,
+    _Key("band_overrides", "band_propagation", _mapping_of(lambda obj, ctx: (obj, ctx)), _band_overrides_doc, {}, "."),
+    view=lambda sys: SimpleNamespace(**vars(sys.propagation), band_propagation=sys.band_propagation),
+)
+_NOISE_OVERRIDE = _Section(  # one (region chi, band nu) cell's noise, as ((chi, nu), watts)
+    lambda chi, nu, watts: ((chi, nu), watts),
+    _Key("region", "chi", _index, int),
+    _Key("band", "nu", _index, int),
+    _Key("noise_dbm", "watts", *_num(_DBM)),
+    view=lambda item: SimpleNamespace(chi=item[0][0], nu=item[0][1], watts=item[1]),
+)
+_NOISE_OVERRIDES = _list_of(_NOISE_OVERRIDE, _nth, least=1)
+_SYSTEM = _Section(
+    lambda noise_cell_overrides, **p: dict(params=SystemParams(**p), noise_cell_overrides=noise_cell_overrides),
+    _Key("p_max_dbm", "p_max", *_num(_DBM), at="."),
+    _Key("p_min_dbm", "p_min", *_num(_DBM), at="."),
+    _Key("noise_dbm", "ambient_noise", _noise, _noise_doc, at="."),
+    _Key("noise_overrides", "noise_cell_overrides", _noise_overrides, _noise_overrides_doc, {}, "."),
+    view=lambda sys: SimpleNamespace(**vars(sys.params), noise_cell_overrides=sys.noise_cell_overrides),
+)
+
+
+def _rf_system(**fields) -> RFSystem:
+    system = RFSystem(**fields)
+    noise = system.params.ambient_noise
+    if isinstance(noise, tuple) and len(noise) != len(system.grid_spec.bands):
+        raise ScenarioError("system.noise_dbm: per-band list length does not match grid.bands")
+    return system
+
+
+_SCENARIO = _Section(
+    _rf_system,
+    _Key("muse_scenario", None, _version, lambda sys: SCHEMA_VERSION, at=""),
+    _Key("system", None, _SYSTEM, _SYSTEM.write, at=""),
+    _Key("propagation", None, _PROPAGATION, _PROPAGATION.write, at=""),
+    _Key("grid", "grid_spec", _GRID, _GRID.write, at=""),
+    _Key("networks", "networks", *_list_of(_NETWORK, _unnumbered), at=""),
+)
 
 
 def parse_scenario(text: str) -> RFSystem:
@@ -153,295 +435,11 @@ def parse_scenario(text: str) -> RFSystem:
         doc = yaml.load(text, Loader=_YAML_LOADER)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer beyond int()'s digit limit
         raise ScenarioError("malformed YAML: " + " ".join(str(exc).split())) from exc
-    doc = _require_mapping(doc, "scenario")
-    _check_keys(
-        doc,
-        {"muse_scenario", "system", "propagation", "grid", "networks"},
-        {"muse_scenario", "system", "propagation", "grid", "networks"},
-        "scenario",
-    )
-    if doc["muse_scenario"] != SCHEMA_VERSION:
-        raise ScenarioError(f"unsupported schema version {doc['muse_scenario']!r} (expected {SCHEMA_VERSION})")
-
-    sysdoc = _require_mapping(doc["system"], "system")
-    required = {"p_max_dbm", "p_min_dbm", "noise_dbm"}
-    _check_keys(sysdoc, required | {"noise_overrides"}, required, "system")
-    noise = sysdoc["noise_dbm"]
-    if isinstance(noise, (list, tuple)):
-        ambient = tuple(_number(v, "system.noise_dbm", dbm_to_watts) for v in noise)
-    else:
-        ambient = _number(noise, "system.noise_dbm", dbm_to_watts)
-    try:
-        params = SystemParams(
-            p_max=_number(sysdoc["p_max_dbm"], "system.p_max_dbm", dbm_to_watts),
-            p_min=_number(sysdoc["p_min_dbm"], "system.p_min_dbm", dbm_to_watts),
-            ambient_noise=ambient,
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"system: {exc}") from exc
-    noise_overrides = _noise_overrides(sysdoc.get("noise_overrides", []))
-
-    propdoc = _require_mapping(doc["propagation"], "propagation")
-    _check_keys(propdoc, {"alpha", "reference_distance_m", "band_overrides"}, {"alpha"}, "propagation")
-
-    def _model(src: Mapping, context: str, default: PropagationModel | None = None) -> PropagationModel:
-        alpha = _number(src["alpha"], context) if "alpha" in src else default.alpha
-        ref = (
-            _number(src["reference_distance_m"], context)
-            if "reference_distance_m" in src
-            else (default.reference_distance if default else 1.0)
-        )
-        try:
-            return PropagationModel(alpha=alpha, reference_distance=ref)
-        except ValueError as exc:
-            raise ScenarioError(f"{context}: {exc}") from exc
-
-    propagation = _model(propdoc, "propagation")
-    band_models: dict[int, PropagationModel] = {}
-    for key, override in _require_mapping(propdoc.get("band_overrides", {}), "propagation.band_overrides").items():
-        _index(key, "propagation.band_overrides")
-        override = _require_mapping(override, f"propagation.band_overrides[{key}]")
-        _check_keys(override, {"alpha", "reference_distance_m"}, set(), f"propagation.band_overrides[{key}]")
-        band_models[key] = _model(override, f"propagation.band_overrides[{key}]", propagation)
-
-    griddoc = _require_mapping(doc["grid"], "grid")
-    _check_keys(
-        griddoc,
-        {
-            "width_m",
-            "height_m",
-            "hex_side_m",
-            "time_quantum_s",
-            "time_quanta",
-            "bands",
-            "sample_point_policy",
-            "worst_case_placement",
-        },
-        {"width_m", "height_m", "hex_side_m", "bands"},
-        "grid",
-    )
-    bands = []
-    if not isinstance(griddoc["bands"], (list, tuple)) or not griddoc["bands"]:
-        raise ScenarioError("grid.bands: expected a non-empty list")
-    for k, banddoc in enumerate(griddoc["bands"]):
-        banddoc = _require_mapping(banddoc, f"grid.bands[{k}]")
-        _check_keys(banddoc, {"center_mhz", "bandwidth_mhz"}, {"center_mhz", "bandwidth_mhz"}, f"grid.bands[{k}]")
-        bands.append(
-            Band(
-                center_hz=_number(banddoc["center_mhz"], f"grid.bands[{k}]") * 1e6,
-                bandwidth_hz=_number(banddoc["bandwidth_mhz"], f"grid.bands[{k}]") * 1e6,
-            )
-        )
-    policy = griddoc.get("sample_point_policy", "centroid")
-    sample_offset = None
-    policy_name = policy
-    if isinstance(policy, Mapping):
-        _check_keys(policy, {"offset_m"}, {"offset_m"}, "grid.sample_point_policy")
-        sample_offset = _position(policy["offset_m"], "grid.sample_point_policy.offset_m")
-        policy_name = "offset"
-    elif policy not in ("centroid",):
-        raise ScenarioError(f"grid.sample_point_policy: expected 'centroid' or an offset mapping, got {policy!r}")
-    horizon = _index(griddoc.get("time_quanta", 1), "grid.time_quanta")
-    worst_case = _bool(griddoc.get("worst_case_placement", False), "grid.worst_case_placement")
-    try:
-        grid_spec = GridSpec(
-            region_width=_number(griddoc["width_m"], "grid.width_m"),
-            region_height=_number(griddoc["height_m"], "grid.height_m"),
-            hex_side=_number(griddoc["hex_side_m"], "grid.hex_side_m"),
-            time_quantum=_number(griddoc.get("time_quantum_s", 1.0), "grid.time_quantum_s"),
-            horizon=horizon,
-            bands=tuple(bands),
-            sample_point_policy=policy_name,
-            sample_offset=sample_offset,
-            worst_case_placement=worst_case,
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"grid: {exc}") from exc
-
-    if isinstance(ambient, tuple) and len(ambient) != len(bands):
-        raise ScenarioError("system.noise_dbm: per-band list length does not match grid.bands")
-
-    networks = []
-    for netdoc in _list(doc["networks"], "networks"):
-        netdoc = _require_mapping(netdoc, "networks[]")
-        net_context = f"network {netdoc.get('id')}"
-        _check_keys(netdoc, {"id", "orthogonal", "links"}, {"id", "links"}, net_context)
-        links = []
-        for linkdoc in _list(netdoc["links"], f"{net_context}: links"):
-            linkdoc = _require_mapping(linkdoc, "links[]")
-            context = f"link {linkdoc.get('id')}"
-            _check_keys(linkdoc, {"id", "transmitter", "transmitters", "receivers"}, {"id"}, context)
-            txdocs = []
-            if "transmitter" in linkdoc and linkdoc["transmitter"] is not None:
-                txdocs.append(linkdoc["transmitter"])
-            txdocs.extend(_list(linkdoc.get("transmitters", ()), f"{context}: transmitters"))
-            transmitters = tuple(_parse_tx(t, context) for t in txdocs)
-            rxdocs = _list(linkdoc.get("receivers", ()), f"{context}: receivers")
-            receivers = tuple(_parse_rx(r, context) for r in rxdocs)
-            links.append(RFLink(id=_id(linkdoc["id"], context), transmitters=transmitters, receivers=receivers))
-        orthogonal = _bool(netdoc.get("orthogonal", False), f"{net_context}: orthogonal")
-        networks.append(RFNetwork(id=_id(netdoc["id"], net_context), links=tuple(links), orthogonal=orthogonal))
-
-    return RFSystem(
-        params=params,
-        propagation=propagation,
-        grid_spec=grid_spec,
-        networks=tuple(networks),
-        band_propagation=band_models,
-        noise_cell_overrides=noise_overrides,
-    )
-
-
-def _noise_overrides(obj) -> dict[tuple[int, int], float]:
-    """``system.noise_overrides`` as {(region, band): watts}; ranges are left to ``validate_system``."""
-    overrides = {}
-    for k, item in enumerate(_list(obj, "system.noise_overrides")):
-        ctx = f"system.noise_overrides[{k}]"
-        _check_keys(_require_mapping(item, ctx), {"region", "band", "noise_dbm"}, {"region", "band", "noise_dbm"}, ctx)
-        key = (_index(item["region"], ctx), _index(item["band"], ctx))
-        if key in overrides:
-            raise ScenarioError(f"{ctx}: region {key[0]}, band {key[1]} overridden twice")
-        overrides[key] = _number(item["noise_dbm"], ctx, dbm_to_watts)
-    return overrides
-
-
-def _parse_tx(obj, context: str) -> Transmitter:
-    return _parse_transceiver(obj, context, Transmitter, {"power_dbm": ("tx_power", dbm_to_watts)})
-
-
-def _parse_rx(obj, context: str) -> Receiver:
-    own = {"beta_db": ("beta", db_to_linear), "margin_dbm": ("explicit_margin", dbm_to_watts)}
-    return _parse_transceiver(obj, context, Receiver, own)
-
-
-def _parse_transceiver(obj, context: str, cls, own: dict[str, tuple[str, Any]]):
-    """A transmitter or receiver: the shared keys plus ``own``, the kind's
-    dB keys as {key: (field, conversion to linear)}.  The first own key is
-    required and read after the position, the others after the bands."""
-    kind = cls.__name__.lower()
-    obj = _require_mapping(obj, f"{context}: {kind}")
-    ctx = f"{context}: {kind} {obj.get('id')}"
-    first, *rest = own
-    _check_keys(obj, {"id", "position", "antenna", "active", "bands", *own}, {"id", "position", first}, ctx)
-
-    def linear(keys):
-        return {own[k][0]: _number(obj[k], ctx, own[k][1]) for k in keys if k in obj}
-
-    fields = dict(  # read before the constructor runs, so a reader's error names its context once
-        id=_id(obj["id"], ctx),
-        position=_position(obj["position"], ctx),
-        **linear([first]),
-        antenna=_antenna(obj.get("antenna"), ctx),
-        active_intervals=_activity(obj.get("active"), ctx),
-        bands=_activity(obj.get("bands"), ctx),
-        **linear(rest),
-    )
-    try:
-        return cls(**fields)
-    except ValueError as exc:
-        raise ScenarioError(f"{ctx}: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _antenna_doc(antenna: AntennaPattern):
-    if antenna.kind == "omni":
-        return "omni"
-    return {
-        "kind": "sector",
-        "boresight_deg": math.degrees(antenna.boresight),
-        "beamwidth_deg": math.degrees(antenna.beamwidth),
-        "main_gain_db": linear_to_db(antenna.main_gain),
-        "back_gain_db": linear_to_db(antenna.back_gain),
-    }
-
-
-def _activity_doc(value: frozenset[int] | None):
-    return "all" if value is None else sorted(value)
+    return _SCENARIO(doc, "scenario")
 
 
 def serialize_scenario(sys: RFSystem) -> str:
-    params = sys.params
-    if isinstance(params.ambient_noise, tuple):
-        noise_doc: Any = [watts_to_dbm(w) for w in params.ambient_noise]
-    else:
-        noise_doc = watts_to_dbm(params.ambient_noise)
-    spec = sys.grid_spec
-    doc: dict[str, Any] = {
-        "muse_scenario": SCHEMA_VERSION,
-        "system": {
-            "p_max_dbm": watts_to_dbm(params.p_max),
-            "p_min_dbm": watts_to_dbm(params.p_min),
-            "noise_dbm": noise_doc,
-        },
-        "propagation": {
-            "alpha": sys.propagation.alpha,
-            "reference_distance_m": sys.propagation.reference_distance,
-        },
-        "grid": {
-            "width_m": spec.region_width,
-            "height_m": spec.region_height,
-            "hex_side_m": spec.hex_side,
-            "time_quantum_s": spec.time_quantum,
-            "time_quanta": spec.horizon,
-            "bands": [{"center_mhz": b.center_hz / 1e6, "bandwidth_mhz": b.bandwidth_hz / 1e6} for b in spec.bands],
-            "sample_point_policy": (
-                "centroid" if spec.sample_point_policy == "centroid" else {"offset_m": list(spec.sample_offset)}
-            ),
-            "worst_case_placement": spec.worst_case_placement,
-        },
-        "networks": [],
-    }
-    if sys.noise_cell_overrides:
-        doc["system"]["noise_overrides"] = [
-            {"region": int(chi), "band": int(nu), "noise_dbm": watts_to_dbm(w)}
-            for (chi, nu), w in sorted(sys.noise_cell_overrides.items())
-        ]
-    if sys.band_propagation:
-        doc["propagation"]["band_overrides"] = {
-            k: {"alpha": m.alpha, "reference_distance_m": m.reference_distance}
-            for k, m in sorted(sys.band_propagation.items())
-        }
-    for net in sys.networks:
-        netdoc: dict[str, Any] = {"id": net.id, "links": []}
-        if net.orthogonal:
-            netdoc["orthogonal"] = True
-        for link in net.links:
-            linkdoc: dict[str, Any] = {"id": link.id}
-            if len(link.transmitters) == 1:
-                linkdoc["transmitter"] = _tx_doc(link.transmitters[0])
-            elif link.transmitters:
-                linkdoc["transmitters"] = [_tx_doc(t) for t in link.transmitters]
-            if link.receivers:
-                linkdoc["receivers"] = [_rx_doc(r) for r in link.receivers]
-            netdoc["links"].append(linkdoc)
-        doc["networks"].append(netdoc)
-    return yaml.safe_dump(doc, sort_keys=False)
-
-
-def _tx_doc(tx: Transmitter) -> dict[str, Any]:
-    return _transceiver_doc(tx, {"power_dbm": watts_to_dbm(tx.tx_power)})
-
-
-def _rx_doc(rx: Receiver) -> dict[str, Any]:
-    out = _transceiver_doc(rx, {"beta_db": linear_to_db(rx.beta)})
-    if rx.explicit_margin is not None:
-        out["margin_dbm"] = watts_to_dbm(rx.explicit_margin)
-    return out
-
-
-def _transceiver_doc(e: Transmitter | Receiver, own: dict[str, Any]) -> dict[str, Any]:
-    """The shared keys in schema order, the kind's ``own`` keys after the position."""
-    out: dict[str, Any] = {"id": e.id, "position": list(e.position), **own}
-    if e.antenna != OMNI:
-        out["antenna"] = _antenna_doc(e.antenna)
-    if e.active_intervals is not None:
-        out["active"] = _activity_doc(e.active_intervals)
-    if e.bands is not None:
-        out["bands"] = _activity_doc(e.bands)
-    return out
+    return yaml.safe_dump(_SCENARIO.write(sys), sort_keys=False)
 
 
 def load_scenario(path) -> RFSystem:

@@ -237,13 +237,16 @@ def test_missing_file_exit_code(runner):
         ("hex_side_m: 100.0", "hex_side_m: 0.001", "grid too large"),
         ("time_quanta: 1", "time_quanta: 1000000000", "grid too large"),
         ("p_max_dbm: 30.0", "p_max_dbm: 1.0e+300", "expected a finite number"),
+        ("noise_dbm: -106.0", "noise_dbm: 200.0", "occupancy may reach 1e+17 W, above 2^20 x p_cmax (1 W)"),
+        ("antenna: omni", "antenna: {kind: sector, main_gain_db: 250.0}", "occupancy may reach 3.98107e+19 W, above 2^20 x p_cmax (1 W)"),
         (
             "noise_dbm: -106.0",
             "noise_dbm: -106.0\n  noise_overrides: [{region: 676, band: 0, noise_dbm: -90.0}]",
             "noise override (676, 0) outside the grid",
         ),
     ],
-    ids=["above-p-max", "infinite-width", "tiny-hex-side", "huge-horizon", "overflowing-dbm", "override-past-grid"],
+    ids=["above-p-max", "infinite-width", "tiny-hex-side", "huge-horizon", "overflowing-dbm", "noise-far-above-p-max",
+         "gain-far-above-p-max", "override-past-grid"],
 )
 def test_invalid_scenario_exit_code(runner, tmp_path, field, bad, message):
     path = tmp_path / "bad.yaml"
@@ -310,6 +313,10 @@ def _link(doc):
     return doc["networks"][0]["links"][0]
 
 
+def _band(doc):
+    return doc["grid"]["bands"][0]
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -323,6 +330,20 @@ def _link(doc):
         ),
         (lambda d: _link(d).update(id=["l"]), "link ['l']: expected a scalar id, got ['l']"),
         (lambda d: d["networks"][0].update(id={"n": 1}), "network {'n': 1}: expected a scalar id, got {'n': 1}"),
+        (lambda d: d["networks"][0].update(id=None), "network None: expected a scalar id, got None"),
+        (lambda d: _link(d).update(id=None), "link None: expected a scalar id, got None"),
+        (lambda d: _link(d)["transmitter"].update(id=None), "link link-1: transmitter None: expected a scalar id, got None"),
+        (lambda d: _link(d)["receivers"][0].update(id=None), "link link-1: receiver None: expected a scalar id, got None"),
+        (lambda d: _band(d).update(center_mhz=1.0e308), "grid.bands[0]: expected a finite number, got 1e+308"),
+        (lambda d: _band(d).update(center_mhz=0.0), "grid.bands[0]: expected a positive number, got 0.0"),
+        (lambda d: _band(d).update(center_mhz=-600.0), "grid.bands[0]: expected a positive number, got -600.0"),
+        (lambda d: _band(d).update(bandwidth_mhz=0), "grid.bands[0]: expected a positive number, got 0"),
+        (lambda d: _band(d).update(bandwidth_mhz=-6.0), "grid.bands[0]: expected a positive number, got -6.0"),
+        (lambda d: d.update({1: "x", "zz": "y"}), "scenario: unknown key(s) [1, 'zz']"),
+        (
+            lambda d: _link(d)["transmitter"].update(antenna={"kind": "omni", "main_gain_db": "high"}),
+            "link link-1: transmitter tx-1: expected a number, got 'high'",
+        ),
         (
             lambda d: _link(d)["transmitter"].update(antenna={"kind": [1]}),
             "link link-1: transmitter tx-1: unknown antenna kind [1]",
@@ -345,7 +366,9 @@ def _link(doc):
         ),
     ],
     ids=["links-int", "receivers-int", "transmitters-int", "list-id", "mapping-id", "list-link-id",
-         "mapping-network-id", "antenna-context-once", "position-context-once", "sector-main-gain",
+         "mapping-network-id", "null-network-id", "null-link-id", "null-transmitter-id", "null-receiver-id",
+         "overflowing-center", "zero-center", "negative-center", "zero-bandwidth", "negative-bandwidth",
+         "mixed-type-unknown-keys", "omni-antenna-text-gain", "antenna-context-once", "position-context-once", "sector-main-gain",
          "sector-beamwidth", "sector-back-gain"],
 )
 def test_malformed_structure_exit_code(runner, tmp_path, mutate, message):

@@ -216,8 +216,38 @@ def test_unknown_keys_rejected():
 
 
 def test_schema_version_checked():
-    with pytest.raises(ScenarioError, match="schema version"):
-        parse_scenario(SCENARIO_TEXT.replace("muse_scenario: 1", "muse_scenario: 99"))
+    for version in ("99", "true", "1.0", "'1'"):
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(SCENARIO_TEXT.replace("muse_scenario: 1", f"muse_scenario: {version}"))
+        assert str(info.value) == f"unsupported schema version {yaml.safe_load(version)!r} (expected 1)"
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [
+        ("width_m", ".inf"),
+        ("height_m", "'tall'"),
+        ("hex_side_m", "[100.0]"),
+        ("time_quantum_s", "true"),
+        ("time_quanta", "1.5"),
+        ("bands", "[]"),
+        ("sample_point_policy", "edge"),
+        ("worst_case_placement", "'no'"),
+    ],
+)
+def test_grid_reader_errors_name_their_key_once(key, bad):
+    doc = yaml.safe_load(SCENARIO_TEXT)
+    doc["grid"][key] = yaml.safe_load(bad)
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(yaml.safe_dump(doc))
+    message = str(info.value)
+    assert message.startswith(f"grid.{key}: ") and message.count("grid") == 1, message
+
+
+def test_grid_constructor_errors_keep_their_text():
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(SCENARIO_TEXT.replace("hex_side_m: 100.0", "hex_side_m: -1.0"))
+    assert str(info.value) == "grid: hex_side must be positive"
 
 
 def test_missing_and_malformed_fields():
