@@ -361,7 +361,7 @@ def validate_system(system: RFSystem) -> ValidationReport:
     noises = params.ambient_noise if isinstance(params.ambient_noise, tuple) else (params.ambient_noise,)
     peak = max([*noises, *system.noise_cell_overrides.values()])
     peak += sum(tx.tx_power * tx.antenna.main_gain for _, _, tx in system.iter_transmitters())
-    if not peak <= 2.0**20 * params.p_cmax:
+    if not peak <= 2.0 ** 20 * params.p_cmax:
         violations.append(f"occupancy may reach {peak:.6g} W, above 2^20 x p_cmax ({params.p_cmax:.6g} W)")
     # opportunity divides by link gains: the weakest, across that region, must be normal
     antennas = [e.antenna for net in system.networks for link in net.links for e in link.transmitters + link.receivers]

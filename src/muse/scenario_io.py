@@ -198,15 +198,11 @@ def _unnumbered(ctx: str, k) -> str:
     return ctx.rpartition(" ")[2] + "[]"  # "networks[]"; "links[]" of "network n-1: links"
 
 
-def _mapping_of(read):
-    """A reader of {band index: ``read``'s value}."""
-
-    def reader(obj, ctx: str) -> dict:
-        if not isinstance(obj, dict):
-            raise ScenarioError(f"{ctx}: expected a mapping, got {type(obj).__name__}")
-        return {_index(k, ctx): read(v, _nth(ctx, k)) for k, v in obj.items()}
-
-    return reader
+def _band_overrides(obj, ctx: str) -> dict:
+    """{band: (override mapping, its context)}; ``_propagation`` reads each over the base model."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{ctx}: expected a mapping, got {type(obj).__name__}")
+    return {_index(k, ctx): (v, _nth(ctx, k)) for k, v in obj.items()}
 
 
 def _noise_overrides(obj, ctx: str) -> dict[tuple[int, int], float]:
@@ -381,7 +377,7 @@ _BAND_OVERRIDE = _Section(PropagationModel, *_PATH_LOSS)
 
 
 def _propagation(band_propagation, **base) -> dict:
-    """The base model, then each band's override, read as (mapping, context), which inherits the keys it omits."""
+    """The base model, then each band's override, which inherits the keys it omits."""
     model = PropagationModel(**base)
     inherit = _Section(PropagationModel, *(e._replace(default=base[e.field]) for e in _PATH_LOSS))
     overrides = {k: inherit(obj, ctx) for k, (obj, ctx) in band_propagation.items()}
@@ -391,7 +387,7 @@ def _propagation(band_propagation, **base) -> dict:
 _PROPAGATION = _Section(
     _propagation,
     *_PATH_LOSS,
-    _Key("band_overrides", "band_propagation", _mapping_of(lambda obj, ctx: (obj, ctx)), _band_overrides_doc, {}, "."),
+    _Key("band_overrides", "band_propagation", _band_overrides, _band_overrides_doc, {}, "."),
     view=lambda sys: SimpleNamespace(**vars(sys.propagation), band_propagation=sys.band_propagation),
 )
 _NOISE_OVERRIDE = _Section(  # one (region chi, band nu) cell's noise, as ((chi, nu), watts)

@@ -145,6 +145,63 @@ def test_demo_serialization_bytes_pinned(name):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DEMO_SERIALIZED_SHA256[name]
 
 
+# Every optional key and special shape of the format, with its serialized sha256
+# from before the schema became one table: key order, omitted defaults and unit
+# conversions of the writer are all pinned.
+EVERY_KEY_TEXT = """
+muse_scenario: 1
+system:
+  p_max_dbm: 30.0
+  p_min_dbm: -200.0
+  noise_dbm: [-106.0, -104.0]
+  noise_overrides:
+    - {region: 7, band: 0, noise_dbm: -95.5}
+    - {region: 3, band: 1, noise_dbm: -90.0}
+propagation:
+  alpha: 3.5
+  band_overrides: {1: {alpha: 2.8}, 0: {reference_distance_m: 2.0}}
+grid:
+  width_m: 4300.0
+  height_m: 3700.0
+  hex_side_m: 100.0
+  bands:
+    - {center_mhz: 600.0, bandwidth_mhz: 6.0}
+    - {center_mhz: 606.0, bandwidth_mhz: 6.0}
+  sample_point_policy: {offset_m: [3.0, -4.0]}
+networks:
+  - id: net-1
+    orthogonal: true
+    links:
+      - id: link-1
+        transmitter:
+          id: tx-1
+          position: [1000.0, 2000.0]
+          power_dbm: -24.0
+          antenna: {kind: sector, boresight_deg: 45.0, beamwidth_deg: 60.0, main_gain_db: 6.0, back_gain_db: -10.0}
+          active: [0]
+          bands: [1, 0]
+        receivers:
+          - {id: rx-1, position: [1000.0, 2100.0], beta_db: 3.0, antenna: {kind: sector}, active: all}
+      - id: link-2
+        transmitters:
+          - {id: tx-2, position: [10.0, 20.0], power_dbm: -30.0, antenna: {kind: omni}}
+          - {id: tx-3, position: [30.0, 40.0], power_dbm: -31.0}
+  - id: net-2
+    links:
+      - id: observatory
+        transmitter: null
+        receivers:
+          - {id: rx-9, position: [300.0, 400.0], beta_db: 1.0, margin_dbm: -90.0}
+      - id: empty
+"""
+EVERY_KEY_SERIALIZED_SHA256 = "74b3347535316d8cd0ff50d5c86d7458ee8c7307cf2bacec3ebeae3a4cd49ba1"
+
+
+def test_serialization_bytes_of_every_key_pinned():
+    text = serialize_scenario(parse_scenario(EVERY_KEY_TEXT))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == EVERY_KEY_SERIALIZED_SHA256
+
+
 @settings(max_examples=25, deadline=None)
 @given(generated_systems())
 def test_round_trip_generated_systems(sys_):
