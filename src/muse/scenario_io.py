@@ -373,7 +373,7 @@ _GRID = _Section(
     _Key("worst_case_placement", "worst_case_placement", _bool, _as_is, False, "."),
 )
 _PATH_LOSS = (_Key("alpha", "alpha", *_num()), _Key("reference_distance_m", "reference_distance", *_num(), 1.0))
-_BAND_OVERRIDE = _Section(PropagationModel, *_PATH_LOSS)
+_BAND_OVERRIDE = _Section(PropagationModel, *_PATH_LOSS)  # writes an override; ``_propagation`` reads them
 
 
 def _propagation(band_propagation, **base) -> dict:

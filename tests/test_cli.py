@@ -238,7 +238,11 @@ def test_missing_file_exit_code(runner):
         ("time_quanta: 1", "time_quanta: 1000000000", "grid too large"),
         ("p_max_dbm: 30.0", "p_max_dbm: 1.0e+300", "expected a finite number"),
         ("noise_dbm: -106.0", "noise_dbm: 200.0", "occupancy may reach 1e+17 W, above 2^20 x p_cmax (1 W)"),
-        ("antenna: omni", "antenna: {kind: sector, main_gain_db: 250.0}", "occupancy may reach 3.98107e+19 W, above 2^20 x p_cmax (1 W)"),
+        (
+            "antenna: omni",
+            "antenna: {kind: sector, main_gain_db: 250.0}",
+            "occupancy may reach 3.98107e+19 W, above 2^20 x p_cmax (1 W)",
+        ),
         (
             "noise_dbm: -106.0",
             "noise_dbm: -106.0\n  noise_overrides: [{region: 676, band: 0, noise_dbm: -90.0}]",
@@ -332,8 +336,14 @@ def _band(doc):
         (lambda d: d["networks"][0].update(id={"n": 1}), "network {'n': 1}: expected a scalar id, got {'n': 1}"),
         (lambda d: d["networks"][0].update(id=None), "network None: expected a scalar id, got None"),
         (lambda d: _link(d).update(id=None), "link None: expected a scalar id, got None"),
-        (lambda d: _link(d)["transmitter"].update(id=None), "link link-1: transmitter None: expected a scalar id, got None"),
-        (lambda d: _link(d)["receivers"][0].update(id=None), "link link-1: receiver None: expected a scalar id, got None"),
+        (
+            lambda d: _link(d)["transmitter"].update(id=None),
+            "link link-1: transmitter None: expected a scalar id, got None",
+        ),
+        (
+            lambda d: _link(d)["receivers"][0].update(id=None),
+            "link link-1: receiver None: expected a scalar id, got None",
+        ),
         (lambda d: _band(d).update(center_mhz=1.0e308), "grid.bands[0]: expected a finite number, got 1e+308"),
         (lambda d: _band(d).update(center_mhz=0.0), "grid.bands[0]: expected a positive number, got 0.0"),
         (lambda d: _band(d).update(center_mhz=-600.0), "grid.bands[0]: expected a positive number, got -600.0"),
@@ -368,8 +378,8 @@ def _band(doc):
     ids=["links-int", "receivers-int", "transmitters-int", "list-id", "mapping-id", "list-link-id",
          "mapping-network-id", "null-network-id", "null-link-id", "null-transmitter-id", "null-receiver-id",
          "overflowing-center", "zero-center", "negative-center", "zero-bandwidth", "negative-bandwidth",
-         "mixed-type-unknown-keys", "omni-antenna-text-gain", "antenna-context-once", "position-context-once", "sector-main-gain",
-         "sector-beamwidth", "sector-back-gain"],
+         "mixed-type-unknown-keys", "omni-antenna-text-gain", "antenna-context-once", "position-context-once",
+         "sector-main-gain", "sector-beamwidth", "sector-back-gain"],
 )
 def test_malformed_structure_exit_code(runner, tmp_path, mutate, message):
     doc = yaml.safe_load(SCENARIO_TEXT)
