@@ -39,19 +39,18 @@ receivers).  Maps, the system report, entity consumption and the point
 and cell queries (N = 1) all read from that one pass, so a point query
 equals the map bitwise at a cell's sample point.
 
-The grid pass runs chunk by chunk (threads take whole chunks), then by
-(band, quantum) slot; a slot whose activity masks repeat an earlier one's
-in its band is evaluated once.  A chunk computes each gain field
-(``link_gain`` of one model and antenna object at one position) once, when
-first needed, for all bands.  Sums combine per slot in chunk order, then
-over the slots in (band, quantum) order, so no result depends on MUSE_THREADS.
-
-The maps are kept only where a caller reads cells (``compute_maps``, the
-connectivity pass).  The report and entity sums stream: each thread
-reuses one slot-major block, a contiguous row per field and slot, and
-each slot's total is folded from the pieces of numpy's pairwise-summation
-tree that each chunk holds, so it equals ``np.sum`` of that slot's
-contiguous map column bit for bit.
+The grid pass cuts the regions into chunks that are nodes of numpy's
+pairwise-summation tree (threads take whole chunks), then runs by (band,
+quantum) slot; a slot whose activity masks repeat an earlier one's in its
+band is evaluated once.  A chunk computes each gain field (``link_gain`` of
+one model and antenna object at one position) once, when first needed, for
+all bands, and writes each slot's fields as contiguous rows of one reused
+per-thread block.  The maps, kept only where a caller reads cells
+(``compute_maps``, the connectivity pass), are copied from that block; the
+report and entity sums are not.  Each chunk's per-slot sums are folded up
+the same tree, so every total is, per slot, ``np.sum`` over all regions bit
+for bit, the slots then added in (band, quantum) order: no total depends on
+the chunk size or MUSE_THREADS.
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ __all__ = [
     "system_report",
 ]
 
-_CHUNK = 1 << 16  # points per evaluation chunk; bounds peak memory and the gain cache
+_CHUNK = 1 << 16  # most points per evaluation chunk (see _tree_spans); bounds peak memory and the gain cache
 
 
 def _thread_budget() -> int:
@@ -239,7 +238,8 @@ def _evaluate_slice(budget: _LinkBudget, pts: np.ndarray, active, noise, members
     tx_active, rx_active = active
     consumed = np.zeros(len(budget.ids))
 
-    occupancy = np.zeros(len(pts))
+    occupancy, gamma_out, raw_out, phi_out = out  # contiguous rows, accumulated in place
+    occupancy[...] = 0.0
     occupancy += noise
     field = np.empty(len(pts))  # each transceiver's received power or opportunity in turn
     for t, tx in enumerate(budget.transmitters):
@@ -251,7 +251,7 @@ def _evaluate_slice(budget: _LinkBudget, pts: np.ndarray, active, noise, members
             consumed[t] = np.sum(field)
 
     remaining = budget.margin - budget.interference(tx_active)
-    raw = params.p_max - occupancy
+    raw = np.subtract(params.p_max, occupancy, out=raw_out)  # a new array where raw_out is None
     first_rx = len(budget.transmitters)
     for r, rx in enumerate(budget.receivers):
         if not rx_active[r]:
@@ -261,15 +261,10 @@ def _evaluate_slice(budget: _LinkBudget, pts: np.ndarray, active, noise, members
         if rx.id in members:
             consumed[first_rx + r] = np.sum(np.clip(params.p_cmax - (occupancy + field), 0.0, params.p_cmax))
 
-    # written once each: the slots of ``out`` may be strided views of the maps;
     # gamma is raw clipped to [0, max(headroom, 0)], as np.clip computes it
     headroom = params.p_cmax - occupancy
-    occupancy_out, gamma_out, raw_out, phi_out = out
-    occupancy_out[...] = occupancy
-    if raw_out is not None:
-        raw_out[...] = raw
     np.maximum(headroom, 0.0, out=field)
-    np.minimum(np.maximum(raw, 0.0, out=raw), field, out=gamma_out)
+    np.minimum(np.maximum(raw, 0.0, out=gamma_out), field, out=gamma_out)
     np.subtract(headroom, gamma_out, out=phi_out)
     return consumed
 
@@ -453,56 +448,26 @@ def _pairwise_half(n: int) -> int:
     return n // 2 - n // 2 % 8
 
 
-def _pairwise_nodes(lo: int, hi: int, n: int, start: int = 0):
-    """The nodes (start, size) of numpy's pairwise-summation tree over n
-    elements that meet [lo, hi), in order: the largest ones inside it and
-    the leaves that cross its edges."""
-    if hi <= start or start + n <= lo:
-        return
-    if lo <= start and start + n <= hi or n <= _PAIRWISE_LEAF:
-        yield start, n
-        return
+def _tree_spans(start: int, n: int) -> list[tuple[int, int]]:
+    """The chunks [lo, hi) of n regions from ``start``: nodes of numpy's
+    pairwise-summation tree over them, each halved where numpy splits it until
+    it holds at most max(_CHUNK, _PAIRWISE_LEAF) regions.  ``np.sum`` of a
+    chunk is then that node's value bit for bit."""
+    if n <= max(_CHUNK, _PAIRWISE_LEAF):
+        return [(start, start + n)]
     half = _pairwise_half(n)
-    yield from _pairwise_nodes(lo, hi, half, start)
-    yield from _pairwise_nodes(lo, hi, n - half, start + half)
+    return _tree_spans(start, half) + _tree_spans(start + half, n - half)
 
 
-def _chunk_sums(fields, lo: int, hi: int, n: int) -> tuple[dict, dict]:
-    """The tree nodes that elements [lo, hi) of n hold, for ``fields`` holding
-    those elements along its last axis: each field's sum of a node inside
-    the range, and each field's overlap with a leaf that crosses an edge."""
-    fields = np.asarray(fields)
-    sums, edges = {}, {}
-    for start, size in _pairwise_nodes(lo, hi, n):
-        a, b = max(start, lo) - lo, min(start + size, hi) - lo
-        if b - a == size:
-            sums[start, size] = np.sum(fields[..., a:b], axis=-1)  # per field, as np.sum of it alone
-        else:
-            edges[start, size] = fields[..., a:b].copy()
-    return sums, edges
-
-
-def _fold_sums(parts, n: int) -> np.ndarray:
-    """Each field's sum over all n elements, folded along numpy's tree from
-    the chunks' ``_chunk_sums`` in chunk order: ``np.sum`` of the whole
-    field bit for bit.  (A node summed by np.sum starts from +0.0, so it
-    can differ from the tree's only in the sign of a zero, which the
-    root's np.sum drops too.)"""
-    sums, edges = {}, {}
-    for chunk_sums, chunk_edges in parts:
-        sums.update(chunk_sums)
-        for key, overlap in chunk_edges.items():
-            edges.setdefault(key, []).append(overlap)
-
-    def node(start, size):
-        if (start, size) in sums:
-            return sums[start, size]
-        if size <= _PAIRWISE_LEAF:
-            return np.sum(np.concatenate(edges[start, size], axis=-1), axis=-1)
-        half = _pairwise_half(size)
-        return node(start, half) + node(start + half, size - half)
-
-    return node(0, n)
+def _tree_fold(sums: dict, lo: int, hi: int):
+    """The sum over regions [lo, hi) of the chunk sums ``sums[span]`` of its
+    ``_tree_spans``, added up the same tree: ``np.sum`` over them bit for bit.
+    (A chunk's np.sum starts from +0.0, so it can differ from the tree's node
+    only in the sign of a zero, which the root's np.sum drops too.)"""
+    if (lo, hi) in sums:
+        return sums[lo, hi]
+    mid = lo + _pairwise_half(hi - lo)
+    return _tree_fold(sums, lo, mid) + _tree_fold(sums, mid, hi)
 
 
 def _evaluate_grid(sys: RFSystem, members=frozenset(), times=None, regions=None, bands=None, totals=False):
@@ -512,39 +477,39 @@ def _evaluate_grid(sys: RFSystem, members=frozenset(), times=None, regions=None,
 
     Returns the maps, of shape (regions, times, bands), a repeated slot copied;
     or, with ``totals``, no maps but the sums of occupancy, clamped opportunity
-    and liability: each slot's ``np.sum`` bit for bit, added up from 0.0 in
-    (band, quantum) order, a repeated slot's reused."""
+    and liability.  Each total, a member's too, is per slot ``np.sum`` over all
+    regions bit for bit, the slots added up from 0.0 in (band, quantum) order,
+    a repeated slot's reused; so no total depends on _CHUNK or MUSE_THREADS."""
     grid = sys.grid
     times = range(grid.horizon) if times is None else times
     regions = np.arange(grid.region_count) if regions is None else regions
     budgets = [_LinkBudget(sys, nu) for nu in (range(grid.band_count) if bands is None else bands)]
-    slots, at, source, first = [], [], [], {}  # the distinct slots, their (band, quantum); each slot's distinct one
+    slots, source, first = [], [], {}  # the distinct slots; each (band, quantum)'s distinct one
     for j, k in np.ndindex(len(budgets), len(times)):
         active = budgets[j].active(times[k])
         source.append(first.setdefault((j, active[0].tobytes(), active[1].tobytes()), len(slots)))
         if source[-1] == len(slots):
             slots.append((budgets[j], times[k], active))
-            at.append((j, k))
-    spans = [(lo, min(lo + _CHUNK, len(regions))) for lo in range(0, len(regions), _CHUNK)]
-    if totals:
-        local = threading.local()
-
-        def run(span):
-            lo, hi = span
-            if not hasattr(local, "block"):  # as wide as the widest span; each thread reuses one
-                local.block = np.empty((3, len(slots), spans[0][1]))
-            rows = local.block[..., : hi - lo]  # occupancy, opportunity, liability; raw opportunity is not kept
-            out = [(occupancy, gamma, None, phi) for occupancy, gamma, phi in zip(*rows)]
-            return _evaluate_chunk(slots, regions[lo:hi], members, out), _chunk_sums(rows, lo, hi, len(regions))
-
-    else:
+    spans = _tree_spans(0, len(regions))
+    width = max(hi - lo for lo, hi in spans)
+    if not totals:
         maps = ConsumptionMaps(grid, *(np.empty((len(regions), len(times), len(budgets))) for _ in range(4)))
-        fields = (maps.occupancy, maps.opportunity, maps.raw_opportunity, maps.liability)
+        fields = (maps.occupancy, maps.opportunity, maps.liability, maps.raw_opportunity)
+    local = threading.local()
 
-        def run(span):
-            lo, hi = span
-            out = [[f[lo:hi, k, j] for f in fields] for j, k in at]
-            return _evaluate_chunk(slots, regions[lo:hi], members, out), None
+    def run(span):
+        lo, hi = span
+        if not hasattr(local, "block"):  # each thread reuses one; raw opportunity is kept for the maps only
+            local.block = np.empty((3 if totals else 4, len(slots), width))
+        rows = local.block[..., : hi - lo]  # occupancy, opportunity, liability[, raw opportunity]
+        raw = rows[3] if len(rows) > 3 else [None] * len(slots)
+        out = [(occupancy, gamma, r, phi) for occupancy, gamma, phi, r in zip(*rows[:3], raw)]
+        consumed = _evaluate_chunk(slots, regions[lo:hi], members, out)
+        if not totals:
+            for (j, k), i in zip(np.ndindex(len(budgets), len(times)), source):
+                for f, row in zip(fields, rows):
+                    f[lo:hi, k, j] = row[i]
+        return np.concatenate([np.sum(rows[:3], axis=-1), consumed.T])  # (3 + ids, slots)
 
     workers = min(_thread_budget(), len(spans))
     if workers > 1:
@@ -552,16 +517,9 @@ def _evaluate_grid(sys: RFSystem, members=frozenset(), times=None, regions=None,
             parts = list(pool.map(run, spans))
     else:
         parts = [run(span) for span in spans]
-    # each slot's chunks in chunk order, then the slots in (band, quantum) order
-    distinct = sum((part for part, _ in parts), np.zeros((len(slots), len(budgets[0].ids))))
-    entities = {i: float(v) for i, v in zip(budgets[0].ids, sum(distinct[source])) if i in members}
-    if totals:
-        return sum(_fold_sums([sums for _, sums in parts], len(regions)).T[source]), entities
-    for (j, k), i in zip(np.ndindex(len(budgets), len(times)), source):
-        if at[i] != (j, k):  # a repeated slot takes its first slot's cells
-            for f in fields:
-                f[:, k, j] = f[:, at[i][1], at[i][0]]
-    return maps, entities
+    sums = sum(_tree_fold(dict(zip(spans, parts)), 0, len(regions)).T[source])
+    entities = {i: float(v) for i, v in zip(budgets[0].ids, sums[3:]) if i in members}
+    return (sums[:3] if totals else maps), entities
 
 
 def compute_maps(sys: RFSystem) -> ConsumptionMaps:

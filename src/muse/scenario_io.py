@@ -83,9 +83,26 @@ def _as_is(value, ctx=None):
     return value
 
 
-# (file unit -> model unit, model unit -> file unit)
-_DBM, _DB, _DEG = (dbm_to_watts, watts_to_dbm), (db_to_linear, linear_to_db), (math.radians, math.degrees)
-_MHZ = (lambda mhz: mhz * 1e6, lambda hz: hz / 1e6)
+def _unit(read, write):
+    """(file unit -> model unit, model unit -> file unit): the writer gives the shortest
+    decimal that ``read`` takes back to the same value, else ``write``'s own value."""
+
+    def exact(value):
+        converted = write(value)
+        for digits in range(1, 18):
+            short = float(f"{converted:.{digits}g}")
+            try:
+                if read(short) == value:
+                    return short
+            except OverflowError:  # a rounded-up dB value beyond the float range
+                pass
+        return converted
+
+    return read, exact
+
+
+_DBM, _DB = _unit(dbm_to_watts, watts_to_dbm), _unit(db_to_linear, linear_to_db)
+_DEG, _MHZ = _unit(math.radians, math.degrees), _unit(lambda mhz: mhz * 1e6, lambda hz: hz / 1e6)
 
 
 def _num(unit=(float, _as_is), positive=False):
@@ -144,7 +161,7 @@ def _noise(obj, ctx: str) -> float | tuple[float, ...]:
 
 
 def _noise_doc(watts: float | tuple[float, ...]):
-    return [watts_to_dbm(w) for w in watts] if isinstance(watts, tuple) else watts_to_dbm(watts)
+    return [_DBM[1](w) for w in watts] if isinstance(watts, tuple) else _DBM[1](watts)
 
 
 def _antenna(obj, ctx: str) -> AntennaPattern:
@@ -326,7 +343,7 @@ _RX = _Section(
     *_TRANSCEIVER[:2],
     _Key("beta_db", "beta", *_num(_DB)),
     *_TRANSCEIVER[2:],
-    _Key("margin_dbm", "explicit_margin", _num(_DBM)[0], lambda w: None if w is None else watts_to_dbm(w), None),
+    _Key("margin_dbm", "explicit_margin", _num(_DBM)[0], lambda w: None if w is None else _DBM[1](w), None),
     name=_named(),
 )
 _TRANSMITTERS = _Key("transmitters", "transmitters", *_list_of(_TX, _one_of, least=2), (), ": ")

@@ -384,14 +384,16 @@ def test_threaded_chunked_evaluation_bitwise_deterministic(monkeypatch):
     import muse.consumption as consumption
 
     sys_ = region_link_system(hex_side=100.0)
-    # overrides on both sides of the 43-point chunk boundaries at 43 and 86
-    overridden = [42, 43, 85, 86]
+    monkeypatch.setattr(consumption, "_CHUNK", 43)  # below the 128-region leaf, so leaf-sized chunks
+    spans = consumption._tree_spans(0, sys_.grid.region_count)
+    assert len(spans) == 8
+    # overrides on both sides of the first two chunk boundaries
+    overridden = [spans[0][1] - 1, spans[0][1], spans[1][1] - 1, spans[1][1]]
     noisy = dataclasses.replace(sys_, noise_cell_overrides={(chi, 0): dbm_to_watts(-80.0) for chi in overridden})
     monkeypatch.setenv("MUSE_THREADS", "1")
     serial = compute_maps(sys_)
     serial_noisy = compute_maps(noisy)
-    # force many small chunks through the thread pool
-    monkeypatch.setattr(consumption, "_CHUNK", 43)
+    # the same small chunks through the thread pool
     monkeypatch.setenv("MUSE_THREADS", "4")
     threaded = compute_maps(sys_)
     threaded_noisy = compute_maps(noisy)
@@ -400,7 +402,6 @@ def test_threaded_chunked_evaluation_bitwise_deterministic(monkeypatch):
         assert np.array_equal(getattr(serial_noisy, name), getattr(threaded_noisy, name))
     assert np.nonzero(threaded_noisy.occupancy != threaded.occupancy)[0].tolist() == overridden
 
-    # entity sums are combined chunk by chunk, so both runs use the small chunks
     field = four_pair_system(hex_side=100.0)
     monkeypatch.setenv("MUSE_THREADS", "1")
     serial_report = system_report(field)
@@ -410,6 +411,33 @@ def test_threaded_chunked_evaluation_bitwise_deterministic(monkeypatch):
         assert getattr(serial_report, name) == getattr(threaded_report, name)
     assert len(serial_report.entity_consumption) == 8
     assert serial_report.entity_consumption == threaded_report.entity_consumption
+
+
+def test_entity_sums_do_not_depend_on_chunk_size_or_threads(monkeypatch):
+    import muse.consumption as consumption
+
+    field = four_pair_system(hex_side=100.0)
+    chunks, reports = [], []
+    for chunk in (43, 200, 1 << 16):
+        monkeypatch.setattr(consumption, "_CHUNK", chunk)
+        chunks.append(len(consumption._tree_spans(0, field.grid.region_count)))
+        for threads in ("1", "4"):
+            monkeypatch.setenv("MUSE_THREADS", threads)
+            reports.append({k: bits(v) for k, v in system_report(field).entity_consumption.items()})
+    assert chunks == [8, 4, 1]
+    assert len(reports[0]) == 8
+    assert all(consumed == reports[0] for consumed in reports)
+
+
+def test_tree_spans_split_where_numpy_does():
+    import muse.consumption as consumption
+
+    assert consumption._CHUNK == 1 << 16
+    assert [hi - lo for lo, hi in consumption._tree_spans(0, 96_565)] == [48_280, 48_285]
+    spans = consumption._tree_spans(0, 384_396)
+    assert len(spans) == 8
+    assert all(hi - lo <= consumption._CHUNK for lo, hi in spans)
+    assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]] and spans[-1][1] == 384_396
 
 
 def test_bad_thread_env_rejected(monkeypatch):
@@ -437,7 +465,7 @@ def test_thread_budget_counts_the_cpus_this_process_may_use(monkeypatch):
     assert consumption._thread_budget() == 1
 
 
-def repeating_system() -> RFSystem:
+def repeating_system(hex_side: float = 100.0) -> RFSystem:
     """Four quanta whose activity masks repeat (0 = 2, 1 = 3) on every band,
     a propagation override on band 2, a transmitter that is never active
     and a receiver at a transmitter's position with the same antenna."""
@@ -465,19 +493,30 @@ def repeating_system() -> RFSystem:
     return RFSystem(
         params=reference_params(),
         propagation=PropagationModel(alpha=3.5),
-        grid_spec=small_grid(horizon=4, n_bands=3),
+        grid_spec=small_grid(hex_side=hex_side, horizon=4, n_bands=3),
         networks=(RFNetwork(id="net", links=links),),
         band_propagation={2: PropagationModel(alpha=3.0)},
     )
+
+
+def leaf_chunks(sys_) -> list[tuple[int, int]]:
+    """The chunks of ``sys_``'s regions at a _CHUNK below the 128-region leaf:
+    3 or more on ``repeating_system(hex_side=25.0)``'s 289 regions."""
+    import muse.consumption as consumption
+
+    with mock.patch.object(consumption, "_CHUNK", 7):
+        return consumption._tree_spans(0, sys_.grid.region_count)
 
 
 @pytest.mark.parametrize("threads", ["1", "4"])
 def test_gain_fields_computed_once_per_chunk(monkeypatch, threads):
     import muse.consumption as consumption
 
-    sys_ = repeating_system()
+    sys_ = repeating_system(hex_side=25.0)
+    spans = leaf_chunks(sys_)
+    assert len(spans) == 4
     points = sys_.grid.sample_points
-    chunks = {points[lo : lo + 7].tobytes(): lo for lo in range(0, sys_.grid.region_count, 7)}
+    chunks = {points[lo:hi].tobytes(): lo for lo, hi in spans}
     calls, slices = [], []
     link_gain, evaluate = consumption.link_gain, consumption._evaluate_slice
 
@@ -504,14 +543,15 @@ def test_gain_fields_computed_once_per_chunk(monkeypatch, threads):
     for lo in chunks.values():
         assert Counter(key for chunk, key in calls if chunk == lo) == Counter(expected)
     # every band's quanta 2 and 3 repeat quanta 0 and 1: 6 of the 12 slots are evaluated per chunk
-    assert sorted(slices) == sorted([7] * 6 * 3 + [4] * 6)
+    assert sorted(slices) == sorted([hi - lo for lo, hi in spans] * 6)
 
 
 @pytest.mark.parametrize("threads", ["1", "4"])
 def test_maps_equal_per_slot_evaluation_bitwise(monkeypatch, threads):
     import muse.consumption as consumption
 
-    sys_ = repeating_system()
+    sys_ = repeating_system(hex_side=25.0)
+    assert len(leaf_chunks(sys_)) == 4
     monkeypatch.setattr(consumption, "_CHUNK", 7)
     monkeypatch.setenv("MUSE_THREADS", threads)
     members = frozenset(e.id for e in entity_selector(sys_, "system"))
@@ -654,30 +694,26 @@ def bits(x) -> str:
     return float(x).hex()
 
 
-@st.composite
-def cut_arrays(draw):
-    """An array of 1-7, 8-128 or more elements of mixed magnitudes, and the
-    chunk edges that cut it: random cuts, one cut inside a 128-element leaf
-    (numpy's leaves start at multiples of 8) and a run of one-element chunks."""
-    n = draw(st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 5000)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
-    cuts = set(draw(st.lists(st.integers(1, n), max_size=12)))
-    cuts.add(8 * draw(st.integers(0, n // 8)) + draw(st.integers(1, 7)))
-    run = draw(st.integers(0, n))
-    cuts.update(range(run, run + draw(st.integers(0, 40))))
-    return values, [0] + sorted(c for c in cuts if 0 < c < n) + [n]
-
-
 @settings(max_examples=300, deadline=None)
-@given(cut_arrays())
-def test_tree_fold_equals_np_sum_bitwise(case):
+@given(
+    st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 5000)),
+    st.integers(1, 6000),
+    st.integers(0, 2**32 - 1),
+)
+def test_tree_fold_equals_np_sum_bitwise(n, cap, seed):
+    """Chunk sums of three fields of mixed magnitudes, taken along the last
+    axis of a strided block as the grid pass takes them, fold to each field's
+    np.sum for any chunk cap."""
     import muse.consumption as consumption
 
-    values, edges = case
-    n = len(values)
-    parts = [consumption._chunk_sums([values[lo:hi]], lo, hi, n) for lo, hi in zip(edges, edges[1:])]
-    assert bits(consumption._fold_sums(parts, n)[0]) == bits(np.sum(values))
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((3, n + 5)) * 10.0 ** rng.integers(-8, 9, (3, n + 5))
+    with mock.patch.object(consumption, "_CHUNK", cap):
+        spans = consumption._tree_spans(0, n)
+        folded = consumption._tree_fold({(lo, hi): np.sum(block[:, lo:hi], axis=-1) for lo, hi in spans}, 0, n)
+    assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]] and spans[-1][1] == n
+    assert all(hi - lo <= max(cap, 128) for lo, hi in spans)
+    assert [bits(v) for v in folded] == [bits(np.sum(np.ascontiguousarray(row[:n]))) for row in block]
 
 
 def slot_sums(field) -> float:
@@ -692,11 +728,14 @@ def slot_sums(field) -> float:
 
 def assert_totals_equal_maps(sys_, chunk, threads):
     """system_report's psi totals are the per-slot sums of the maps bit for
-    bit, and its entity sums the maps path's, at ``chunk`` regions per chunk."""
+    bit, its entity sums the maps path's, and a transmitter's the per-slot
+    np.sum of its received power over the whole grid, at ``chunk`` regions
+    per chunk, on a grid of 3 or more chunks."""
     import muse.consumption as consumption
 
     members = frozenset(e.id for e in entity_selector(sys_, "system"))
     with mock.patch.object(consumption, "_CHUNK", chunk), mock.patch.dict(os.environ, {"MUSE_THREADS": threads}):
+        assert len(consumption._tree_spans(0, sys_.grid.region_count)) >= 3
         maps = compute_maps(sys_)
         _, consumed = consumption._evaluate_grid(sys_, members)
         rep = system_report(sys_)
@@ -704,12 +743,20 @@ def assert_totals_equal_maps(sys_, chunk, threads):
     assert bits(rep.psi_available) == bits(slot_sums(maps.opportunity))
     assert bits(rep.psi_forbidden) == bits(slot_sums(maps.liability))
     assert {k: bits(v) for k, v in rep.entity_consumption.items()} == {k: bits(v) for k, v in consumed.items()}
+    for _, _, tx in sys_.iter_transmitters():
+        total, points, origin = 0.0, sys_.grid.sample_points, sys_.position_of(tx)
+        for nu in range(sys_.grid.band_count):
+            power = tx.tx_power * consumption.link_gain(sys_.model_for_band(nu), tx.antenna, origin, points)
+            for tau in range(sys_.grid.horizon):
+                if tx.is_active(tau, nu):
+                    total += np.sum(power)
+        assert bits(rep.entity_consumption[tx.id]) == bits(total)
 
 
 @pytest.mark.parametrize("threads", ["1", "4"])
 @pytest.mark.parametrize("chunk", [1, 3, 7, 43])
 def test_report_totals_equal_map_sums_bitwise(chunk, threads):
-    assert_totals_equal_maps(repeating_system(), chunk, threads)
+    assert_totals_equal_maps(repeating_system(hex_side=25.0), chunk, threads)
 
 
 @pytest.mark.parametrize("threads", ["1", "4"])
@@ -717,7 +764,10 @@ def test_report_totals_equal_map_sums_bitwise(chunk, threads):
 @settings(max_examples=10, deadline=None)
 @given(sys_=generated_systems())
 def test_generated_report_totals_equal_map_sums_bitwise(sys_, chunk, threads):
-    assert_totals_equal_maps(sys_, chunk, threads)
+    spec = sys_.grid_spec  # a quarter of the side, the sample offset scaled with it
+    offset = None if spec.sample_offset is None else (spec.sample_offset[0] / 4, spec.sample_offset[1] / 4)
+    fine = dataclasses.replace(sys_, grid_spec=dataclasses.replace(spec, hex_side=25.0, sample_offset=offset))
+    assert_totals_equal_maps(fine, chunk, threads)
 
 
 def test_report_holds_no_full_maps(monkeypatch):
@@ -725,7 +775,8 @@ def test_report_holds_no_full_maps(monkeypatch):
 
     sys_ = dataclasses.replace(repeating_system(), grid_spec=small_grid(hex_side=5.0, horizon=4, n_bands=3))
     grid = sys_.grid  # built before the trace starts
-    monkeypatch.setattr(consumption, "_CHUNK", -(-grid.region_count // 8))
+    monkeypatch.setattr(consumption, "_CHUNK", 1 << 10)
+    assert len(consumption._tree_spans(0, grid.region_count)) == 8
     monkeypatch.setenv("MUSE_THREADS", "1")
     tracemalloc.start()
     try:

@@ -13,7 +13,9 @@ from muse import (
     ScenarioError,
     SpectrumGrid,
     compute_maps,
+    db_to_linear,
     dbm_to_watts,
+    linear_to_db,
     load_scenario,
     parse_scenario,
     read_map_csv,
@@ -127,15 +129,16 @@ def test_round_trip_sector_antenna_and_masks():
     assert equivalent(list(sys_.networks), list(again.networks))
 
 
-# sha256 of serialize_scenario(load_scenario(demo)) before the scenario schema
-# became one table; any moved byte of the writer changes a digest.
+# sha256 of serialize_scenario(load_scenario(demo)) once the unit writers gave
+# the shortest exact decimal (beta_db: 3.0, not 2.999999999999999); any moved
+# byte of the writer changes a digest.
 DEMO_SERIALIZED_SHA256 = {
-    "four_pair_field.yaml": "729107c26826e6a3882c652d86bcbfb5a39fbaaf8e03858197dd5a08a8256e83",
+    "four_pair_field.yaml": "0c58c4452f7039beff0816dd616fb67af08384ec95afee3c9779cc4257af7b20",
     "region_with_link.yaml": "7d195c9ef1e8fbece64915baee4aeb2041b617309f3db62d5e1d69b6303e0e76",
-    "single_link_far_receiver.yaml": "3acd3268ccaebc7e07d87be2d512e148276c503518eb43f9f1d8f5f002c867d2",
-    "single_link_high_power.yaml": "2a2d1433e2df4f13c29f36cbd0b254cc01a008c9510304d5946252ad290ac3ac",
-    "single_link_low_power.yaml": "19082b3ba6b9eda2e21748b8c5e93d9aaea2d737c3119d49a614ab61dfefa21a",
-    "three_band_campus.yaml": "6f57d060d1e2413220d59358c986346f2ce1ec95d8fdda251a16e0acf7bf96aa",
+    "single_link_far_receiver.yaml": "53030fdb308082f834fafb6ef18a75b97cc47f0404b5473fbca65ca98ffce179",
+    "single_link_high_power.yaml": "6bb6517cf1b5007bca550bac34ab219eace4bf342493a6760bded42d1648c956",
+    "single_link_low_power.yaml": "a153d3f6464a102903446b718bfbed1ef379d39ce7102e1056dffb362f6cda04",
+    "three_band_campus.yaml": "142a3a87567cfca623ad025222adb10868a2baa82f6f2b93c83efdd9c3b78995",
 }
 
 
@@ -145,9 +148,25 @@ def test_demo_serialization_bytes_pinned(name):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DEMO_SERIALIZED_SHA256[name]
 
 
+@pytest.mark.parametrize("name", sorted(DEMO_SERIALIZED_SHA256))
+def test_demo_round_trip_exact(name):
+    sys_ = load_scenario(SCENARIOS / name)
+    assert parse_scenario(serialize_scenario(sys_)) == sys_
+
+
+def test_unit_writers_give_the_shortest_exact_decimal():
+    assert linear_to_db(db_to_linear(3.0)) == 2.999999999999999
+    assert scenario_io._DB[1](db_to_linear(3.0)) == 3.0
+    assert scenario_io._DBM[1](dbm_to_watts(-24.0)) == -24.0
+    # one ulp above: no decimal reads back to it, so the converted value is written
+    above = math.nextafter(db_to_linear(3.0), math.inf)
+    assert scenario_io._DB[1](above) == linear_to_db(above) and db_to_linear(linear_to_db(above)) != above
+
+
 # Every optional key and special shape of the format, with its serialized sha256
-# from before the schema became one table: key order, omitted defaults and unit
-# conversions of the writer are all pinned.
+# (first pinned before the schema became one table, re-pinned once the unit
+# writers gave the shortest exact decimal): key order, omitted defaults and
+# unit conversions of the writer are all pinned.
 EVERY_KEY_TEXT = """
 muse_scenario: 1
 system:
@@ -194,7 +213,7 @@ networks:
           - {id: rx-9, position: [300.0, 400.0], beta_db: 1.0, margin_dbm: -90.0}
       - id: empty
 """
-EVERY_KEY_SERIALIZED_SHA256 = "74b3347535316d8cd0ff50d5c86d7458ee8c7307cf2bacec3ebeae3a4cd49ba1"
+EVERY_KEY_SERIALIZED_SHA256 = "6a208cb0fe826ddd0497c8d7f2dc5f3065d11a2dc9de99f4081e4b735699e05d"
 
 
 def test_serialization_bytes_of_every_key_pinned():
