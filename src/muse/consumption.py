@@ -46,11 +46,11 @@ band is evaluated once.  A chunk computes each gain field (``link_gain`` of
 one model and antenna object at one position) once, when first needed, for
 all bands, and writes each slot's fields as contiguous rows of one reused
 per-thread block.  The maps, kept only where a caller reads cells
-(``compute_maps``, the connectivity pass), are copied from that block; the
-report and entity sums are not.  Each chunk's per-slot sums are folded up
-the same tree, so every total is, per slot, ``np.sum`` over all regions bit
-for bit, the slots then added in (band, quantum) order: no total depends on
-the chunk size or MUSE_THREADS.
+(``compute_maps``, the connectivity pass), are copied from that block, whose
+chunks then hold _CHUNK // slots regions.  Each chunk's per-slot sums are
+folded up the same tree, so every total is, per slot, ``np.sum`` over all
+regions bit for bit, the slots then added in (band, quantum) order: no
+total depends on the chunk size or MUSE_THREADS.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ __all__ = [
     "system_report",
 ]
 
-_CHUNK = 1 << 16  # most points per evaluation chunk (see _tree_spans); bounds peak memory and the gain cache
+_CHUNK = 1 << 16  # most regions per chunk, _CHUNK // slots for the maps (see _tree_spans); bounds memory and gain cache
 
 
 def _thread_budget() -> int:
@@ -448,15 +448,15 @@ def _pairwise_half(n: int) -> int:
     return n // 2 - n // 2 % 8
 
 
-def _tree_spans(start: int, n: int) -> list[tuple[int, int]]:
+def _tree_spans(start: int, n: int, cap: int) -> list[tuple[int, int]]:
     """The chunks [lo, hi) of n regions from ``start``: nodes of numpy's
     pairwise-summation tree over them, each halved where numpy splits it until
-    it holds at most max(_CHUNK, _PAIRWISE_LEAF) regions.  ``np.sum`` of a
+    it holds at most max(cap, _PAIRWISE_LEAF) regions.  ``np.sum`` of a
     chunk is then that node's value bit for bit."""
-    if n <= max(_CHUNK, _PAIRWISE_LEAF):
+    if n <= max(cap, _PAIRWISE_LEAF):
         return [(start, start + n)]
     half = _pairwise_half(n)
-    return _tree_spans(start, half) + _tree_spans(start + half, n - half)
+    return _tree_spans(start, half, cap) + _tree_spans(start + half, n - half, cap)
 
 
 def _tree_fold(sums: dict, lo: int, hi: int):
@@ -490,7 +490,7 @@ def _evaluate_grid(sys: RFSystem, members=frozenset(), times=None, regions=None,
         source.append(first.setdefault((j, active[0].tobytes(), active[1].tobytes()), len(slots)))
         if source[-1] == len(slots):
             slots.append((budgets[j], times[k], active))
-    spans = _tree_spans(0, len(regions))
+    spans = _tree_spans(0, len(regions), _CHUNK if totals else _CHUNK // len(slots))
     width = max(hi - lo for lo, hi in spans)
     if not totals:
         maps = ConsumptionMaps(grid, *(np.empty((len(regions), len(times), len(budgets))) for _ in range(4)))
@@ -509,7 +509,7 @@ def _evaluate_grid(sys: RFSystem, members=frozenset(), times=None, regions=None,
             for (j, k), i in zip(np.ndindex(len(budgets), len(times)), source):
                 for f, row in zip(fields, rows):
                     f[lo:hi, k, j] = row[i]
-        return np.concatenate([np.sum(rows[:3], axis=-1), consumed.T])  # (3 + ids, slots)
+        return np.concatenate([np.sum(rows[:3], axis=-1) if totals else np.zeros((3, len(slots))), consumed.T])
 
     workers = min(_thread_budget(), len(spans))
     if workers > 1:

@@ -384,16 +384,19 @@ def test_threaded_chunked_evaluation_bitwise_deterministic(monkeypatch):
     import muse.consumption as consumption
 
     sys_ = region_link_system(hex_side=100.0)
-    monkeypatch.setattr(consumption, "_CHUNK", 43)  # below the 128-region leaf, so leaf-sized chunks
-    spans = consumption._tree_spans(0, sys_.grid.region_count)
+    n, slots = sys_.grid.region_count, sys_.grid.horizon * sys_.grid.band_count  # at most that many distinct slots
+    assert consumption._tree_spans(0, n, consumption._CHUNK // slots) == [(0, n)]
+    spans = consumption._tree_spans(0, n, 43)  # below the 128-region leaf, so leaf-sized chunks
     assert len(spans) == 8
     # overrides on both sides of the first two chunk boundaries
     overridden = [spans[0][1] - 1, spans[0][1], spans[1][1] - 1, spans[1][1]]
     noisy = dataclasses.replace(sys_, noise_cell_overrides={(chi, 0): dbm_to_watts(-80.0) for chi in overridden})
+    # one chunk at the default _CHUNK, serially
     monkeypatch.setenv("MUSE_THREADS", "1")
     serial = compute_maps(sys_)
     serial_noisy = compute_maps(noisy)
-    # the same small chunks through the thread pool
+    # eight leaf-sized chunks through the thread pool
+    monkeypatch.setattr(consumption, "_CHUNK", 43)
     monkeypatch.setenv("MUSE_THREADS", "4")
     threaded = compute_maps(sys_)
     threaded_noisy = compute_maps(noisy)
@@ -420,7 +423,7 @@ def test_entity_sums_do_not_depend_on_chunk_size_or_threads(monkeypatch):
     chunks, reports = [], []
     for chunk in (43, 200, 1 << 16):
         monkeypatch.setattr(consumption, "_CHUNK", chunk)
-        chunks.append(len(consumption._tree_spans(0, field.grid.region_count)))
+        chunks.append(len(consumption._tree_spans(0, field.grid.region_count, chunk)))
         for threads in ("1", "4"):
             monkeypatch.setenv("MUSE_THREADS", threads)
             reports.append({k: bits(v) for k, v in system_report(field).entity_consumption.items()})
@@ -433,8 +436,8 @@ def test_tree_spans_split_where_numpy_does():
     import muse.consumption as consumption
 
     assert consumption._CHUNK == 1 << 16
-    assert [hi - lo for lo, hi in consumption._tree_spans(0, 96_565)] == [48_280, 48_285]
-    spans = consumption._tree_spans(0, 384_396)
+    assert [hi - lo for lo, hi in consumption._tree_spans(0, 96_565, consumption._CHUNK)] == [48_280, 48_285]
+    spans = consumption._tree_spans(0, 384_396, consumption._CHUNK)
     assert len(spans) == 8
     assert all(hi - lo <= consumption._CHUNK for lo, hi in spans)
     assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]] and spans[-1][1] == 384_396
@@ -500,12 +503,11 @@ def repeating_system(hex_side: float = 100.0) -> RFSystem:
 
 
 def leaf_chunks(sys_) -> list[tuple[int, int]]:
-    """The chunks of ``sys_``'s regions at a _CHUNK below the 128-region leaf:
+    """The chunks of ``sys_``'s regions at a cap below the 128-region leaf:
     3 or more on ``repeating_system(hex_side=25.0)``'s 289 regions."""
     import muse.consumption as consumption
 
-    with mock.patch.object(consumption, "_CHUNK", 7):
-        return consumption._tree_spans(0, sys_.grid.region_count)
+    return consumption._tree_spans(0, sys_.grid.region_count, 7)
 
 
 @pytest.mark.parametrize("threads", ["1", "4"])
@@ -708,9 +710,8 @@ def test_tree_fold_equals_np_sum_bitwise(n, cap, seed):
 
     rng = np.random.default_rng(seed)
     block = rng.standard_normal((3, n + 5)) * 10.0 ** rng.integers(-8, 9, (3, n + 5))
-    with mock.patch.object(consumption, "_CHUNK", cap):
-        spans = consumption._tree_spans(0, n)
-        folded = consumption._tree_fold({(lo, hi): np.sum(block[:, lo:hi], axis=-1) for lo, hi in spans}, 0, n)
+    spans = consumption._tree_spans(0, n, cap)
+    folded = consumption._tree_fold({(lo, hi): np.sum(block[:, lo:hi], axis=-1) for lo, hi in spans}, 0, n)
     assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]] and spans[-1][1] == n
     assert all(hi - lo <= max(cap, 128) for lo, hi in spans)
     assert [bits(v) for v in folded] == [bits(np.sum(np.ascontiguousarray(row[:n]))) for row in block]
@@ -735,7 +736,7 @@ def assert_totals_equal_maps(sys_, chunk, threads):
 
     members = frozenset(e.id for e in entity_selector(sys_, "system"))
     with mock.patch.object(consumption, "_CHUNK", chunk), mock.patch.dict(os.environ, {"MUSE_THREADS": threads}):
-        assert len(consumption._tree_spans(0, sys_.grid.region_count)) >= 3
+        assert len(consumption._tree_spans(0, sys_.grid.region_count, chunk)) >= 3
         maps = compute_maps(sys_)
         _, consumed = consumption._evaluate_grid(sys_, members)
         rep = system_report(sys_)
@@ -776,7 +777,7 @@ def test_report_holds_no_full_maps(monkeypatch):
     sys_ = dataclasses.replace(repeating_system(), grid_spec=small_grid(hex_side=5.0, horizon=4, n_bands=3))
     grid = sys_.grid  # built before the trace starts
     monkeypatch.setattr(consumption, "_CHUNK", 1 << 10)
-    assert len(consumption._tree_spans(0, grid.region_count)) == 8
+    assert len(consumption._tree_spans(0, grid.region_count, 1 << 10)) == 8
     monkeypatch.setenv("MUSE_THREADS", "1")
     tracemalloc.start()
     try:
@@ -787,6 +788,24 @@ def test_report_holds_no_full_maps(monkeypatch):
     # eight chunks of 12 slots per region; the four maps would take 4 x cells x 8 bytes
     assert grid.horizon * grid.band_count == 12
     assert peak < 4 * grid.cell_count * 8 / 2
+
+
+def test_maps_blocks_stay_small_beside_the_maps(monkeypatch):
+    import muse.consumption as consumption
+
+    sys_ = dataclasses.replace(repeating_system(), grid_spec=small_grid(hex_side=5.0, horizon=4, n_bands=3))
+    grid = sys_.grid  # built before the trace starts
+    monkeypatch.setattr(consumption, "_CHUNK", 1 << 12)
+    monkeypatch.setenv("MUSE_THREADS", "4")
+    tracemalloc.start()
+    try:
+        compute_maps(sys_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # six distinct slots, so chunks of 4096 // 6 regions; 4096-region chunks would take it to about 1.9 x
+    assert grid.region_count > 4 * (1 << 12) // 6
+    assert peak < 1.5 * 4 * grid.cell_count * 8
 
 
 # ---------------------------------------------------------------------------
