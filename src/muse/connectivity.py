@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .consumption import _evaluate_grid
+from .consumption import _evaluate_grid, _point_slice
 from .grid import Cell
 from .model import RFSystem
 from .propagation import _distance, path_gain
@@ -98,20 +98,21 @@ def _hop_gains(sys: RFSystem, a: np.ndarray, b: np.ndarray, bands) -> np.ndarray
     return np.stack([path_gain(sys.model_for_band(nu), d) for nu in bands], axis=1)
 
 
-def _budget(sys: RFSystem, a: np.ndarray, b: np.ndarray, time_index: int, candidate_beta: float, bands):
-    """Candidate links a -> b on each of ``bands``: (feasible, max_power,
-    sinr), each (pairs, bands).  The power is the opportunity at a, clipped
-    to [0, p_max]; the SINR is against the occupancy at b."""
+def _check_request(sys: RFSystem, candidate_beta: float, time_index: int):
+    """Raise ValueError for a nonpositive or NaN beta or a time index outside the horizon."""
     if not candidate_beta > 0.0:
         raise ValueError("candidate beta must be positive")
     if not 0 <= time_index < sys.grid_spec.horizon:
         raise ValueError(f"time index {time_index} outside the horizon of {sys.grid_spec.horizon} quanta")
-    used = np.zeros(sys.grid.region_count, dtype=bool)  # only the regions the pairs touch are evaluated
-    used[a] = used[b] = True
-    row = np.cumsum(used) - 1  # row[chi]: region chi's row of the maps
-    maps, _ = _evaluate_grid(sys, times=[time_index], regions=np.flatnonzero(used), bands=bands)
-    max_power = np.minimum(np.maximum(maps.raw_opportunity[row[a], 0], 0.0), sys.params.p_max)
-    sinr = max_power * _hop_gains(sys, a, b, bands) / maps.occupancy[row[b], 0]
+
+
+def _budget(sys: RFSystem, raw_opportunity, occupancy, gains: np.ndarray, candidate_beta: float):
+    """Candidate links on each band: (feasible, max_power, sinr), each
+    (pairs, bands).  The power is the raw opportunity at the source clipped
+    to [0, p_max]; the SINR is power x hop gain over the occupancy at the
+    destination.  Both are computed in place, in ``raw_opportunity`` and ``gains``."""
+    max_power = np.minimum(np.maximum(raw_opportunity, 0.0, out=raw_opportunity), sys.params.p_max, out=raw_opportunity)
+    sinr = np.divide(np.multiply(max_power, gains, out=gains), occupancy, out=gains)
     return sinr >= candidate_beta, max_power, sinr
 
 
@@ -132,8 +133,12 @@ def link_feasibility(
         raise ValueError(f"regions {a} and {b} are not adjacent")
     if not 0 <= band_index < sys.grid.band_count:
         raise IndexError(f"band index {band_index} out of range")
-    feasible, max_power, sinr = _budget(sys, np.array([a]), np.array([b]), cell_a.time_index, candidate_beta, [band_index])
-    return bool(feasible[0, 0]), float(max_power[0, 0]), float(sinr[0, 0])
+    tau = cell_a.time_index
+    _check_request(sys, candidate_beta, tau)
+    source, dest = (_point_slice(sys, sys.grid.sample_points[chi], tau, band_index, chi)[2] for chi in (a, b))
+    gains = _hop_gains(sys, np.array([a]), np.array([b]), [band_index])
+    feasible, max_power, sinr = _budget(sys, source[2:3], dest[0], gains, candidate_beta)
+    return bool(feasible[0, 0]), float(max_power[0]), float(sinr[0, 0])
 
 
 def build_connectivity_map(sys: RFSystem, candidate_beta: float, time_index: int = 0) -> ConnectivityMap:
@@ -144,9 +149,12 @@ def build_connectivity_map(sys: RFSystem, candidate_beta: float, time_index: int
     to the lowest band index.  Raises ValueError for a nonpositive or NaN
     SINR requirement or a time index outside the horizon.
     """
+    _check_request(sys, candidate_beta, time_index)
     candidates, valid = sys.grid._neighbor_table(np.arange(sys.grid.region_count))
     a, b = np.nonzero(valid)[0], candidates[valid]
-    feasible, max_power, sinr = _budget(sys, a, b, time_index, candidate_beta, range(sys.grid.band_count))
+    maps, _, _ = _evaluate_grid(sys, times=[time_index], keep=("occupancy", "raw_opportunity"))
+    gains = _hop_gains(sys, a, b, range(sys.grid.band_count))
+    feasible, max_power, sinr = _budget(sys, maps["raw_opportunity"][a, 0], maps["occupancy"][b, 0], gains, candidate_beta)
     best = np.where(feasible.any(axis=1), np.argmax(np.where(feasible, sinr, -np.inf), axis=1), -1)
     for array in (a, b, feasible, max_power, sinr, best):
         array.setflags(write=False)  # the edges and best_band views are cached

@@ -45,12 +45,13 @@ quantum) slot; a slot whose activity masks repeat an earlier one's in its
 band is evaluated once.  A chunk computes each gain field (``link_gain`` of
 one model and antenna object at one position) once, when first needed, for
 all bands, and writes each slot's fields as contiguous rows of one reused
-per-thread block.  The maps, kept only where a caller reads cells
-(``compute_maps``, the connectivity pass), are copied from that block, whose
-chunks then hold _CHUNK // slots regions.  Each chunk's per-slot sums are
-folded up the same tree, so every total is, per slot, ``np.sum`` over all
-regions bit for bit, the slots then added in (band, quantum) order: no
-total depends on the chunk size or MUSE_THREADS.
+per-thread block.  Only the maps a caller keeps are allocated and copied
+from it (``compute_maps`` all four, ``opportunity_map`` one, connectivity two
+of one quantum, the totals none), and then chunks hold _CHUNK // slots
+regions.  Each chunk's per-slot sums are folded up the same tree, so every
+total is, per slot, ``np.sum`` over all regions bit for bit, the slots then
+added in (band, quantum) order: no total depends on the chunk size or
+MUSE_THREADS.
 """
 
 from __future__ import annotations
@@ -213,13 +214,12 @@ def receiver_sinr(sys: RFSystem, rx: Receiver | str, time_index: int = 0, band_i
 # slice evaluation
 
 
-def _noise_vector(sys: RFSystem, band_index: int, regions: np.ndarray) -> np.ndarray:
-    """Ambient noise of each region of ``regions`` (ascending) on one band."""
-    noise = np.full(len(regions), sys.params.noise_for_band(band_index))
+def _noise_vector(sys: RFSystem, band_index: int, lo: int, hi: int) -> np.ndarray:
+    """Ambient noise of the regions [lo, hi) on one band."""
+    noise = np.full(hi - lo, sys.params.noise_for_band(band_index))
     for (chi, nu), w in sys.noise_cell_overrides.items():
-        k = np.searchsorted(regions, chi)
-        if nu == band_index and k < len(regions) and regions[k] == chi:
-            noise[k] = w
+        if nu == band_index and lo <= chi < hi:
+            noise[chi - lo] = w
     return noise
 
 
@@ -269,13 +269,13 @@ def _evaluate_slice(budget: _LinkBudget, pts: np.ndarray, active, noise, members
     return consumed
 
 
-def _evaluate_chunk(slots, regions: np.ndarray, members, out) -> np.ndarray:
+def _evaluate_chunk(slots, lo: int, hi: int, members, out) -> np.ndarray:
     """Each slot (link budget, quantum, activity masks) at the sample points of
-    ``regions``, slot i written into ``out[i]``, each gain field computed once.
-    Returns the members' consumption per slot, (slots, ids)."""
-    pts = np.take(slots[0][0].sys.grid.sample_points, regions, axis=0)  # a tenth of the time of fancy indexing
+    the regions [lo, hi), slot i written into ``out[i]``, each gain field
+    computed once.  Returns the members' consumption per slot, (slots, ids)."""
+    pts = slots[0][0].sys.grid.sample_points[lo:hi]
     gains: dict = {}
-    noise = {b: _noise_vector(b.sys, b.band_index, regions) for b in {b for b, _, _ in slots}}
+    noise = {b: _noise_vector(b.sys, b.band_index, lo, hi) for b in {b for b, _, _ in slots}}
     return np.array([_evaluate_slice(b, pts, a, noise[b], members, o, gains) for (b, _, a), o in zip(slots, out)])
 
 
@@ -290,7 +290,7 @@ def _point_slice(sys: RFSystem, point, time_index: int, band_index: int, region_
     if region_index is None:
         noise = sys.noise_at(point, band_index)
     else:
-        noise = _noise_vector(sys, band_index, np.array([region_index]))
+        noise = _noise_vector(sys, band_index, region_index, region_index + 1)
     active = budget.active(time_index)
     fields = np.empty((4, 1))
     gains: dict = {}
@@ -439,6 +439,7 @@ class ConsumptionMaps:
     liability: np.ndarray
 
 
+_FIELDS = ("occupancy", "opportunity", "raw_opportunity", "liability")  # of ConsumptionMaps
 _PAIRWISE_LEAF = 128  # numpy sums at most this many elements in one unrolled loop
 
 
@@ -470,46 +471,44 @@ def _tree_fold(sums: dict, lo: int, hi: int):
     return _tree_fold(sums, lo, mid) + _tree_fold(sums, mid, hi)
 
 
-def _evaluate_grid(sys: RFSystem, members=frozenset(), times=None, regions=None, bands=None, totals=False):
-    """The slices of the quanta ``times`` and the ``bands`` (by default all)
-    at the sample points of ``regions`` (ascending; by default all), and each
-    member id's consumption summed over those cells; one link budget per band.
+def _evaluate_grid(sys: RFSystem, members=frozenset(), times=None, keep=()):
+    """Every region's slices in the quanta ``times`` (by default all) and all
+    bands, one link budget per band.
 
-    Returns the maps, of shape (regions, times, bands), a repeated slot copied;
-    or, with ``totals``, no maps but the sums of occupancy, clamped opportunity
-    and liability.  Each total, a member's too, is per slot ``np.sum`` over all
-    regions bit for bit, the slots added up from 0.0 in (band, quantum) order,
-    a repeated slot's reused; so no total depends on _CHUNK or MUSE_THREADS."""
+    Returns the maps named in ``keep`` (fields of ConsumptionMaps), each of
+    shape (regions, times, bands), a repeated slot copied; the sums of
+    occupancy, clamped opportunity and liability; and each member id's
+    consumption.  Each sum is per slot ``np.sum`` over all regions bit for bit,
+    the slots added up from 0.0 in (band, quantum) order, a repeated slot's
+    reused; so no sum depends on _CHUNK or MUSE_THREADS.  Where maps are kept,
+    chunks hold _CHUNK // slots regions, so a block holds about _CHUNK points."""
     grid = sys.grid
     times = range(grid.horizon) if times is None else times
-    regions = np.arange(grid.region_count) if regions is None else regions
-    budgets = [_LinkBudget(sys, nu) for nu in (range(grid.band_count) if bands is None else bands)]
+    budgets = [_LinkBudget(sys, nu) for nu in range(grid.band_count)]
     slots, source, first = [], [], {}  # the distinct slots; each (band, quantum)'s distinct one
     for j, k in np.ndindex(len(budgets), len(times)):
         active = budgets[j].active(times[k])
         source.append(first.setdefault((j, active[0].tobytes(), active[1].tobytes()), len(slots)))
         if source[-1] == len(slots):
             slots.append((budgets[j], times[k], active))
-    spans = _tree_spans(0, len(regions), _CHUNK if totals else _CHUNK // len(slots))
+    spans = _tree_spans(0, grid.region_count, _CHUNK // len(slots) if keep else _CHUNK)
     width = max(hi - lo for lo, hi in spans)
-    if not totals:
-        maps = ConsumptionMaps(grid, *(np.empty((len(regions), len(times), len(budgets))) for _ in range(4)))
-        fields = (maps.occupancy, maps.opportunity, maps.liability, maps.raw_opportunity)
+    maps = {name: np.empty((grid.region_count, len(times), len(budgets))) for name in keep}
+    names = ("occupancy", "opportunity", "liability", "raw_opportunity")[: 4 if "raw_opportunity" in keep else 3]
     local = threading.local()
 
     def run(span):
         lo, hi = span
-        if not hasattr(local, "block"):  # each thread reuses one; raw opportunity is kept for the maps only
-            local.block = np.empty((3 if totals else 4, len(slots), width))
-        rows = local.block[..., : hi - lo]  # occupancy, opportunity, liability[, raw opportunity]
-        raw = rows[3] if len(rows) > 3 else [None] * len(slots)
-        out = [(occupancy, gamma, r, phi) for occupancy, gamma, phi, r in zip(*rows[:3], raw)]
-        consumed = _evaluate_chunk(slots, regions[lo:hi], members, out)
-        if not totals:
-            for (j, k), i in zip(np.ndindex(len(budgets), len(times)), source):
-                for f, row in zip(fields, rows):
-                    f[lo:hi, k, j] = row[i]
-        return np.concatenate([np.sum(rows[:3], axis=-1) if totals else np.zeros((3, len(slots))), consumed.T])
+        if not hasattr(local, "block"):  # each thread reuses one; raw opportunity is stored only for its map
+            local.block = np.empty((len(names), len(slots), width))
+        rows = dict(zip(names, local.block[..., : hi - lo]))
+        raw = rows.get("raw_opportunity", [None] * len(slots))
+        out = list(zip(rows["occupancy"], rows["opportunity"], raw, rows["liability"]))
+        consumed = _evaluate_chunk(slots, lo, hi, members, out)
+        for (j, k), i in zip(np.ndindex(len(budgets), len(times)), source):
+            for name, field in maps.items():
+                field[lo:hi, k, j] = rows[name][i]
+        return np.concatenate([np.sum(local.block[:3, :, : hi - lo], axis=-1), consumed.T])
 
     workers = min(_thread_budget(), len(spans))
     if workers > 1:
@@ -517,14 +516,14 @@ def _evaluate_grid(sys: RFSystem, members=frozenset(), times=None, regions=None,
             parts = list(pool.map(run, spans))
     else:
         parts = [run(span) for span in spans]
-    sums = sum(_tree_fold(dict(zip(spans, parts)), 0, len(regions)).T[source])
+    sums = sum(_tree_fold(dict(zip(spans, parts)), 0, grid.region_count).T[source])
     entities = {i: float(v) for i, v in zip(budgets[0].ids, sums[3:]) if i in members}
-    return (sums[:3] if totals else maps), entities
+    return maps, sums[:3], entities
 
 
 def compute_maps(sys: RFSystem) -> ConsumptionMaps:
     """Evaluate the full grid, one (time, band) slice at a time."""
-    return _evaluate_grid(sys)[0]
+    return ConsumptionMaps(sys.grid, **_evaluate_grid(sys, keep=_FIELDS)[0])
 
 
 def entity_consumption(sys: RFSystem, entity: str) -> float:
@@ -534,7 +533,7 @@ def entity_consumption(sys: RFSystem, entity: str) -> float:
     members their aggregated liability; composite entities sum over all
     member transceivers.
     """
-    _, consumed = _evaluate_grid(sys, frozenset(m.id for m in entity_selector(sys, entity)), totals=True)
+    _, _, consumed = _evaluate_grid(sys, frozenset(m.id for m in entity_selector(sys, entity)))
     total = 0.0
     for member_id in sorted(consumed):
         total += consumed[member_id]
@@ -566,7 +565,7 @@ class ConsumptionReport:
 def system_report(sys: RFSystem, include_entities: bool = True) -> ConsumptionReport:
     """System-wide consumption spaces and the conservation check."""
     members = frozenset(m.id for m in entity_selector(sys, "system")) if include_entities else frozenset()
-    sums, entities = _evaluate_grid(sys, members, totals=True)
+    _, sums, entities = _evaluate_grid(sys, members)
     psi_total = sys.params.p_cmax * sys.grid.cell_count
     psi_utilized, psi_available, psi_forbidden = map(float, sums)
     residual = abs(psi_utilized + psi_forbidden + psi_available - psi_total) / psi_total

@@ -36,8 +36,8 @@ __all__ = [
 SQRT3 = math.sqrt(3.0)
 
 # Largest grid accepted, in unit spectrum spaces (regions x time quanta x
-# bands).  The maps hold four float64 arrays of this many cells, 2 GiB at
-# the cap; the 1 m sweep grid of a 4300 m x 3700 m region is 6.1M cells.
+# bands): 512 MiB per float64 map, `map` and simulated `smf` hold four (2 GiB).
+# The 1 m sweep grid of a 4300 m x 3700 m region is 6.1M cells.
 MAX_CELLS = 1 << 26
 
 # Vertex bearings of a pointy-top hexagon, counterclockwise from the top.

@@ -425,16 +425,8 @@ _SYSTEM = _Section(
 )
 
 
-def _rf_system(**fields) -> RFSystem:
-    system = RFSystem(**fields)
-    noise = system.params.ambient_noise
-    if isinstance(noise, tuple) and len(noise) != len(system.grid_spec.bands):
-        raise ScenarioError("system.noise_dbm: per-band list length does not match grid.bands")
-    return system
-
-
 _SCENARIO = _Section(
-    _rf_system,
+    RFSystem,
     _Key("muse_scenario", None, _version, lambda sys: SCHEMA_VERSION, at=""),
     _Key("system", None, _SYSTEM, _SYSTEM.write, at=""),
     _Key("propagation", None, _PROPAGATION, _PROPAGATION.write, at=""),

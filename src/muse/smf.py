@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consumption import compute_maps
+from .consumption import _evaluate_grid
 from .model import RFLink, RFNetwork, RFSystem, Transmitter
 from .units import db_to_linear
 
@@ -69,8 +69,8 @@ class OpportunityMap:
 
 
 def opportunity_map(sys: RFSystem, provenance: str = "ground-truth") -> OpportunityMap:
-    maps = compute_maps(sys)
-    return OpportunityMap(values=maps.opportunity, centroids=np.asarray(maps.grid.centroids), provenance=provenance)
+    values = _evaluate_grid(sys, keep=("opportunity",))[0]["opportunity"]
+    return OpportunityMap(values=values, centroids=np.asarray(sys.grid.centroids), provenance=provenance)
 
 
 def _check_grid(m: OpportunityMap, shape: tuple[int, ...], centroids: np.ndarray):
@@ -117,13 +117,11 @@ def _score(truth: OpportunityMap, values: np.ndarray, overlap: str, deficit: str
     truth and the overlap min(truth, values), deficit max(0, truth - values)
     and excess max(0, values - truth) masses, under the given field names."""
     theta = values - truth.values
-    masses = (np.minimum(truth.values, values), np.maximum(0.0, -theta), np.maximum(0.0, theta))
-    return SMFReport(
-        theta=theta,
-        theta_total=float(np.sum(theta)),
-        truth_total=truth.total,
-        **{name: float(np.sum(m)) for name, m in zip((overlap, deficit, excess), masses)},
-    )
+    mass = np.minimum(truth.values, values)  # one buffer holds each mass in turn, so at most two beside the inputs
+    totals = {overlap: float(np.sum(mass))}
+    totals[deficit] = float(np.sum(np.maximum(0.0, np.negative(theta, out=mass), out=mass)))
+    totals[excess] = float(np.sum(np.maximum(0.0, theta, out=mass)))
+    return SMFReport(theta=theta, theta_total=float(np.sum(theta)), truth_total=truth.total, **totals)
 
 
 def compare_maps(truth: OpportunityMap, other: OpportunityMap) -> SMFReport:

@@ -299,6 +299,16 @@ def test_region_whose_squared_distances_overflow_exit_code(runner, tmp_path, com
     }
 
 
+def test_per_band_noise_of_the_wrong_length_exit_code(runner, tmp_path):
+    path = tmp_path / "noise.yaml"
+    path.write_text(SCENARIO_TEXT.replace("noise_dbm: -106.0", "noise_dbm: [-106.0, -105.0]"))
+    result = runner.invoke(main, ["report", "--scenario", str(path)])
+    assert result.exit_code == 2, result.output
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "invalid scenario: ambient noise: 2 per-band values for 1 bands", "exit_code": 2}
+
+
 def test_map_writes_noise_override_as_occupancy(runner, tmp_path):
     text = SCENARIO_TEXT.split("networks:")[0].replace(
         "noise_dbm: -106.0", "noise_dbm: -106.0\n  noise_overrides: [{region: 5, band: 0, noise_dbm: -90.0}]"

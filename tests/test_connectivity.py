@@ -172,23 +172,27 @@ def test_link_feasibility_equals_map_bitwise():
 
 
 def test_link_feasibility_evaluates_only_its_two_regions(monkeypatch):
-    sys_ = multi_band_system()
+    sys_ = multi_band_system(horizon=2)
     grid = sys_.grid
-    calls = []
-    evaluate = consumption._evaluate_chunk
+    quanta, slices = [], []
+    active, evaluate = consumption._LinkBudget.active, consumption._evaluate_slice
 
-    def record(slots, regions, members, out):
-        calls.append((regions.tolist(), [b.band_index for b, _, _ in slots], [tau for _, tau, _ in slots]))
-        return evaluate(slots, regions, members, out)
+    def record(budget, pts, *args):
+        slices.append((budget.band_index, np.asarray(pts).tolist()))
+        return evaluate(budget, pts, *args)
 
-    monkeypatch.setattr(consumption, "_evaluate_chunk", record)
+    monkeypatch.setattr(consumption._LinkBudget, "active", lambda self, tau: quanta.append(tau) or active(self, tau))
+    monkeypatch.setattr(consumption, "_evaluate_slice", record)
     a = 12
     for b in grid.neighbors(a):
         for src, dst in ((a, b), (b, a)):
-            calls.clear()
-            link_feasibility(sys_, grid.cell(src), grid.cell(dst), 1, db_to_linear(6.0))
-            # one chunk: exactly the two regions, the cell's quantum and only the requested band
-            assert calls == [(sorted((src, dst)), [1], [0])]
+            quanta.clear()
+            slices.clear()
+            link_feasibility(sys_, grid.cell(src, 1), grid.cell(dst, 1), 1, db_to_linear(6.0))
+            # two one-point slices, at the source's and the destination's sample point,
+            # each on the requested band and in the cells' quantum
+            assert quanta == [1, 1]
+            assert slices == [(1, [grid.sample_points[chi].tolist()]) for chi in (src, dst)]
 
 
 def test_best_band_is_first_feasible_argmax():

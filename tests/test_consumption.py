@@ -31,6 +31,7 @@ from muse import (
     interference_margin,
     interference_opportunity,
     net_opportunity_at,
+    opportunity_map,
     point_metrics,
     receiver_sinr,
     system_report,
@@ -550,24 +551,44 @@ def test_gain_fields_computed_once_per_chunk(monkeypatch, threads):
 
 @pytest.mark.parametrize("threads", ["1", "4"])
 def test_maps_equal_per_slot_evaluation_bitwise(monkeypatch, threads):
+    """The chunked grid pass, over all quanta and over one quantum at a time,
+    equals each (band, quantum) slot evaluated at every sample point at once:
+    its maps cell for cell, its member sums as the slots' sums added in
+    (band, quantum) order."""
     import muse.consumption as consumption
 
     sys_ = repeating_system(hex_side=25.0)
+    grid = sys_.grid
     assert len(leaf_chunks(sys_)) == 4
     monkeypatch.setattr(consumption, "_CHUNK", 7)
     monkeypatch.setenv("MUSE_THREADS", threads)
     members = frozenset(e.id for e in entity_selector(sys_, "system"))
-    maps, consumed = consumption._evaluate_grid(sys_, members)
+    maps, _, consumed = consumption._evaluate_grid(sys_, members, keep=consumption._FIELDS)
+    per_slot = {}
+    for nu in range(grid.band_count):
+        budget = consumption._LinkBudget(sys_, nu)
+        noise = consumption._noise_vector(sys_, nu, 0, grid.region_count)
+        for tau in range(grid.horizon):
+            fields = np.empty((4, grid.region_count))  # occupancy, opportunity, raw opportunity, liability
+            part = consumption._evaluate_slice(budget, grid.sample_points, budget.active(tau), noise, members, fields, {})
+            per_slot[nu, tau] = dict(zip(budget.ids, part))
+            for name, field in zip(consumption._FIELDS, fields):
+                assert maps[name][:, tau, nu].tobytes() == field.tobytes()
     totals = dict.fromkeys(members, 0.0)
-    for nu in range(sys_.grid.band_count):
-        for tau in range(sys_.grid.horizon):
-            slot, part = consumption._evaluate_grid(sys_, members, times=[tau], bands=[nu])
-            for name in ("occupancy", "opportunity", "raw_opportunity", "liability"):
-                assert getattr(slot, name)[:, 0, 0].tobytes() == getattr(maps, name)[:, tau, nu].tobytes()
-            for member, value in part.items():
-                totals[member] += value
+    for nu, tau in sorted(per_slot):
+        for member in members:
+            totals[member] += per_slot[nu, tau][member]
     assert consumed == totals
     assert consumed["tc"] == 0.0 and consumed["ta"] > 0.0
+    for tau in range(grid.horizon):
+        quantum, _, part = consumption._evaluate_grid(sys_, members, times=[tau], keep=consumption._FIELDS)
+        for name in consumption._FIELDS:
+            assert quantum[name][:, 0, :].tobytes() == maps[name][:, tau, :].tobytes()
+        for member in members:
+            expected = 0.0
+            for nu in range(grid.band_count):
+                expected += per_slot[nu, tau][member]
+            assert part[member] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +750,8 @@ def slot_sums(field) -> float:
 
 def assert_totals_equal_maps(sys_, chunk, threads):
     """system_report's psi totals are the per-slot sums of the maps bit for
-    bit, its entity sums the maps path's, and a transmitter's the per-slot
+    bit, its psi and entity sums the maps path's (whose chunks are smaller
+    where a map is kept), and a transmitter's the per-slot
     np.sum of its received power over the whole grid, at ``chunk`` regions
     per chunk, on a grid of 3 or more chunks."""
     import muse.consumption as consumption
@@ -738,11 +760,12 @@ def assert_totals_equal_maps(sys_, chunk, threads):
     with mock.patch.object(consumption, "_CHUNK", chunk), mock.patch.dict(os.environ, {"MUSE_THREADS": threads}):
         assert len(consumption._tree_spans(0, sys_.grid.region_count, chunk)) >= 3
         maps = compute_maps(sys_)
-        _, consumed = consumption._evaluate_grid(sys_, members)
+        _, sums, consumed = consumption._evaluate_grid(sys_, members, keep=("occupancy",))
         rep = system_report(sys_)
     assert bits(rep.psi_utilized) == bits(slot_sums(maps.occupancy))
     assert bits(rep.psi_available) == bits(slot_sums(maps.opportunity))
     assert bits(rep.psi_forbidden) == bits(slot_sums(maps.liability))
+    assert [bits(v) for v in sums] == [bits(rep.psi_utilized), bits(rep.psi_available), bits(rep.psi_forbidden)]
     assert {k: bits(v) for k, v in rep.entity_consumption.items()} == {k: bits(v) for k, v in consumed.items()}
     for _, _, tx in sys_.iter_transmitters():
         total, points, origin = 0.0, sys_.grid.sample_points, sys_.position_of(tx)
@@ -806,6 +829,26 @@ def test_maps_blocks_stay_small_beside_the_maps(monkeypatch):
     # six distinct slots, so chunks of 4096 // 6 regions; 4096-region chunks would take it to about 1.9 x
     assert grid.region_count > 4 * (1 << 12) // 6
     assert peak < 1.5 * 4 * grid.cell_count * 8
+
+
+def test_opportunity_map_holds_only_its_map(monkeypatch):
+    import muse.consumption as consumption
+
+    sys_ = dataclasses.replace(repeating_system(), grid_spec=small_grid(hex_side=5.0, horizon=4, n_bands=3))
+    grid = sys_.grid  # built before the trace starts
+    monkeypatch.setattr(consumption, "_CHUNK", 1 << 12)
+    monkeypatch.setenv("MUSE_THREADS", "1")
+    assert len(consumption._tree_spans(0, grid.region_count, (1 << 12) // 6)) >= 8  # six distinct slots
+    tracemalloc.start()
+    try:
+        values = opportunity_map(sys_).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the one map it returns, beside a block of three fields x six slots x 4096 // 6 regions and its gain fields;
+    # holding all four maps would take it above 4 x
+    assert values.nbytes == grid.cell_count * 8
+    assert peak < 2 * values.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -333,8 +333,9 @@ def test_missing_and_malformed_fields():
         parse_scenario(SCENARIO_TEXT.replace("power_dbm: -24.0", "power_dbm: loud"))
     with pytest.raises(ScenarioError, match="position"):
         parse_scenario(SCENARIO_TEXT.replace("position: [1000.0, 2000.0]", "position: [1000.0]"))
-    with pytest.raises(ScenarioError, match="noise_dbm"):
-        parse_scenario(SCENARIO_TEXT.replace("noise_dbm: -106.0", "noise_dbm: [-106.0, -105.0]"))
+    # a per-band noise list of the wrong length parses; validation reports it
+    wrong = parse_scenario(SCENARIO_TEXT.replace("noise_dbm: -106.0", "noise_dbm: [-106.0, -105.0]"))
+    assert validate_system(wrong).violations == ("ambient noise: 2 per-band values for 1 bands",)
     with pytest.raises(ScenarioError, match="finite"):
         parse_scenario(SCENARIO_TEXT.replace("alpha: 3.5", "alpha: .nan"))
     with pytest.raises(ScenarioError, match="finite"):

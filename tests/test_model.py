@@ -5,6 +5,7 @@ import pytest
 
 from muse import (
     AntennaPattern,
+    Band,
     PropagationModel,
     Receiver,
     RFLink,
@@ -94,6 +95,15 @@ def test_violations_of_one_transmitter_and_one_receiver_in_order():
         "receiver l: active while serving transmitter t is inactive",
         "receiver l: uses a band the serving transmitter t does not occupy",
     )
+
+
+def test_per_band_noise_of_the_wrong_length_flagged():
+    grid = reference_grid(bands=(Band(6e8, 6e6), Band(6.1e8, 6e6), Band(6.2e8, 6e6)))
+    params = dataclasses.replace(reference_params(), ambient_noise=(1e-13, 2e-13))
+    sys_ = RFSystem(params=params, propagation=PropagationModel(), grid_spec=grid)
+    assert validate_system(sys_).violations == ("ambient noise: 2 per-band values for 3 bands",)
+    fixed = dataclasses.replace(params, ambient_noise=(1e-13, 2e-13, 3e-13))
+    assert validate_system(dataclasses.replace(sys_, params=fixed)).ok
 
 
 def test_receive_only_needs_explicit_margin():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +84,20 @@ def test_partition_identity_engine_maps(truth):
     )
     rep = compare_maps(truth, est)
     assert rep.recovered_available + rep.lost_available == pytest.approx(truth.total, rel=1e-12)
+
+
+def test_compare_maps_holds_one_mass_at_a_time():
+    rng = np.random.default_rng(3)
+    centroids = rng.random((1000, 2))
+    truth, other = (OpportunityMap(values=rng.random((1000, 8, 8)), centroids=centroids) for _ in range(2))
+    tracemalloc.start()
+    try:
+        compare_maps(truth, other)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # theta, which the report keeps, and one buffer for the masses; all three masses at once take 4 x
+    assert peak <= 2.1 * truth.values.nbytes
 
 
 def test_grid_mismatch_rejected(truth):
