@@ -2,13 +2,15 @@
 
 Every command loads a scenario file, validates it, and emits data
 (tables to stdout, CSV/JSON via --out); plotting is left to external
-tools.  Exit codes: 0 success, 2 scenario/validation failure, 3 I/O
-failure.  Failures print a one-line JSON object to stderr.  The
+tools.  Exit codes: 0 success, 2 scenario/validation failure (usage
+errors included), 3 I/O failure.  Failures print a one-line JSON object
+to stderr; only a bare ``muse`` and ``--help`` print the help.  The
 MUSE_THREADS environment variable caps engine parallelism.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -53,10 +55,11 @@ def _load(path: str) -> RFSystem:
     return system
 
 
-def _write(path: str, text: str):
+def _write(path: str, text):
+    """Write ``text``, a string or an iterable of strings, to ``path``."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
     except OSError as exc:
         _fail(EXIT_IO, f"cannot write {path}: {exc}")
 
@@ -85,7 +88,33 @@ units_option = click.option(
 scenario_option = click.option("--scenario", required=True, type=click.Path(), help="Scenario YAML file.")
 
 
-@click.group()
+_BARE_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())  # click >= 8.2 raises it for a bare ``muse``
+
+
+@contextlib.contextmanager
+def _usage_errors():
+    try:
+        yield
+    except _BARE_HELP:
+        raise
+    except click.UsageError as exc:
+        _fail(EXIT_VALIDATION, f"usage: {exc.format_message()}")
+
+
+class _Group(click.Group):
+    """A missing, unknown or malformed option or command ends like any other
+    failure: one JSON line on stderr, exit 2."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_errors():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_errors():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="muse")
 def main():
     """Quantify the use of RF spectrum over a discretized space-time-frequency grid."""
@@ -272,13 +301,23 @@ def smf(scenario, truth_map, other_map, p_missed, false_positives, geo_sigma, po
     for label, value in zip(labels, (rep.truth_total, rep.recovered_available, rep.lost_available, rep.potentially_incursed)):
         click.echo(f"{label + ':':<22} {value:.6g} W*m^2 ({100 * value / total:.4g} % of total)")
     if out:
-        _write(out, json.dumps(_smf_payload(rep), indent=2) + "\n")
+        _write(out, _smf_json(rep))
 
 
-def _smf_payload(rep: SMFReport) -> dict:
-    payload = dataclasses.asdict(rep)
-    payload["theta"] = np.asarray(rep.theta).ravel().tolist()
-    return payload
+_THETA_CHUNK = 1 << 12  # theta values formatted at a time
+
+
+def _smf_json(rep: SMFReport):
+    """The report as ``json.dumps(payload, indent=2)`` plus a newline, theta
+    (never empty: a grid has a cell) flattened into a list: yielded in pieces,
+    theta a chunk at a time, so no copy of the whole map is formatted at once."""
+    theta = np.asarray(rep.theta).ravel()
+    rest = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep) if f.name != "theta"}
+    yield '{\n  "theta": ['
+    for lo in range(0, theta.size, _THETA_CHUNK):
+        values = json.dumps(theta[lo : lo + _THETA_CHUNK].tolist())[1:-1]  # "a, b, ..." as json.dumps writes them
+        yield ("\n    " if lo == 0 else ",\n    ") + values.replace(", ", ",\n    ")
+    yield "\n  ],\n" + json.dumps(rest, indent=2)[2:] + "\n"
 
 
 @main.command()

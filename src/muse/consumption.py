@@ -31,27 +31,28 @@ call: every receiver's margin, and an R x T coupling matrix whose entry
 (r, t) is the power receiver r takes from transmitter t, tx power x
 ``propagation.link_gain`` x the receiver's antenna gain toward t, with
 the serving transmitter and orthogonal siblings masked out.  A time
-quantum's remaining margins are then one masked row sum.  The slice pass
-evaluates one (time, band) slice at N points: the four fields, and,
-for the transceivers asked for, each one's consumption summed over the
-points (received power for transmitters, clipped liability for
-receivers).  Maps, the system report, entity consumption and the point
-and cell queries (N = 1) all read from that one pass, so a point query
+quantum's remaining margins are then one masked row sum.  The kernel
+evaluates (band, quantum) slots at N points one transceiver at a time,
+transmitters first: each one's gain field (``link_gain`` of its model,
+antenna and position) is computed once per model and applied to every slot
+where it is active, so one field is alive at a time.  A slot gets the four
+fields and, for the transceivers asked for, each one's consumption summed
+over the points (received power for transmitters, clipped liability for
+receivers).  Maps, the system report, entity consumption and the point and
+cell queries (one slot, N = 1) all read from that kernel, so a point query
 equals the map bitwise at a cell's sample point.
 
 The grid pass cuts the regions into chunks that are nodes of numpy's
-pairwise-summation tree (threads take whole chunks), then runs by (band,
-quantum) slot; a slot whose activity masks repeat an earlier one's in its
-band is evaluated once.  A chunk computes each gain field (``link_gain`` of
-one model and antenna object at one position) once, when first needed, for
-all bands, and writes each slot's fields as contiguous rows of one reused
-per-thread block.  Only the maps a caller keeps are allocated and copied
-from it (``compute_maps`` all four, ``opportunity_map`` one, connectivity two
-of one quantum, the totals none), and then chunks hold _CHUNK // slots
-regions.  Each chunk's per-slot sums are folded up the same tree, so every
-total is, per slot, ``np.sum`` over all regions bit for bit, the slots then
-added in (band, quantum) order: no total depends on the chunk size or
-MUSE_THREADS.
+pairwise-summation tree (threads take whole chunks) and runs the kernel on
+each over the distinct slots; a slot whose activity masks repeat an earlier
+one's in its band is evaluated once.  Slot fields are contiguous rows of one
+reused per-thread block.  Only the maps a caller keeps are allocated and
+copied from it (``compute_maps`` all four, ``opportunity_map`` one,
+connectivity two of one quantum, the totals none), and then chunks hold
+_CHUNK // slots regions.  Each chunk's per-slot sums are folded up the same
+tree, so every total is, per slot, ``np.sum`` over all regions bit for bit,
+the slots then added in (band, quantum) order: no total depends on the chunk
+size or MUSE_THREADS.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ __all__ = [
     "system_report",
 ]
 
-_CHUNK = 1 << 16  # most regions per chunk, _CHUNK // slots for the maps (see _tree_spans); bounds memory and gain cache
+_CHUNK = 1 << 16  # most regions per chunk, _CHUNK // slots for the maps (see _tree_spans); bounds the block and each field
 
 
 def _thread_budget() -> int:
@@ -118,6 +119,8 @@ class _LinkBudget:
     """
 
     def __init__(self, sys: RFSystem, band_index: int):
+        if not 0 <= band_index < sys.grid_spec.band_count:
+            raise IndexError(f"band index {band_index} out of range")
         self.sys = sys
         self.band_index = band_index
         self.model = sys.model_for_band(band_index)
@@ -127,7 +130,6 @@ class _LinkBudget:
         self.receivers = [rx for _, _, rx in rx_entries]
         self.ids = [tx.id for tx in self.transmitters] + [rx.id for rx in self.receivers]
         self.keys = [(self.model, e.antenna, sys.position_of(e)) for e in self.transmitters + self.receivers]
-        self.slots = [(id(model), id(antenna), position) for model, antenna, position in self.keys]  # cheap to hash
         positions = np.array([key[2] for key in self.keys], dtype=float).reshape(-1, 2)
         self.tx_pos, self.rx_pos = positions[: len(self.transmitters)], positions[len(self.transmitters) :]
 
@@ -160,6 +162,8 @@ class _LinkBudget:
 
     def active(self, time_index: int) -> tuple[np.ndarray, np.ndarray]:
         """Activity masks of the transmitters and the receivers in one time quantum."""
+        if not 0 <= time_index < self.sys.grid_spec.horizon:
+            raise IndexError(f"time index {time_index} out of range")
         nu = self.band_index
         return (
             np.array([tx.is_active(time_index, nu) for tx in self.transmitters], dtype=bool),
@@ -172,13 +176,6 @@ class _LinkBudget:
         A numpy reduction, not a BLAS product, so that the result does not
         depend on any thread count."""
         return np.sum(self.coupling, axis=1, where=self.interferes & tx_active)
-
-    def gain(self, k: int, pts, gains: dict) -> np.ndarray:
-        """Link gain of transceiver k of ``ids`` at each point, memoised in ``gains`` by ``slots[k]``."""
-        field = gains.get(self.slots[k])
-        if field is None:
-            field = gains[self.slots[k]] = link_gain(*self.keys[k], pts)
-        return field
 
 
 def _receiver_budget(sys: RFSystem, rx: Receiver | str, band_index: int) -> tuple[_LinkBudget, int]:
@@ -211,7 +208,7 @@ def receiver_sinr(sys: RFSystem, rx: Receiver | str, time_index: int = 0, band_i
 
 
 # ---------------------------------------------------------------------------
-# slice evaluation
+# evaluation kernel
 
 
 def _noise_vector(sys: RFSystem, band_index: int, lo: int, hi: int) -> np.ndarray:
@@ -223,79 +220,78 @@ def _noise_vector(sys: RFSystem, band_index: int, lo: int, hi: int) -> np.ndarra
     return noise
 
 
-def _evaluate_slice(budget: _LinkBudget, pts: np.ndarray, active, noise, members, out, gains: dict) -> np.ndarray:
-    """One (time, band) slice at N points, with its quantum's activity masks
-    ``active`` and gain cache ``gains``, written into ``out``: four (N,) slots
-    for occupancy, clamped opportunity, raw opportunity and liability; raw
-    opportunity is not stored where its slot is None.
-
-    Returns, per transceiver of ``budget.ids`` that is in ``members``, the
-    power a transmitter deposits or the clipped liability a receiver
-    imposes, summed over the points (zero for the others).  The sums are
-    taken inside the loops, so no per-entity field outlives its iteration.
+def _evaluate(slots, pts: np.ndarray, noise: dict, members, out) -> np.ndarray:
+    """Each slot (link budget, activity masks) at the N points ``pts`` with its
+    band's ``noise[budget]``, written into ``out[i]``: four (N,) rows of
+    occupancy, clamped opportunity, raw opportunity (may be the clamped row)
+    and liability.  Transceivers run in ``budget.ids`` order, transmitters
+    first; each gain field is computed once per model and applied to every
+    slot where its transceiver is active.  Returns, per slot and per member
+    transceiver, the power a transmitter deposits or the clipped liability a
+    receiver imposes, summed over the points (zero for the others), (slots, ids).
     """
-    params = budget.sys.params
-    tx_active, rx_active = active
-    consumed = np.zeros(len(budget.ids))
+    first = slots[0][0]
+    params, first_rx = first.sys.params, len(first.transmitters)
+    models: dict = {}  # slot indices by propagation model, in slot order
+    for i, (b, _) in enumerate(slots):
+        models.setdefault(id(b.model), []).append(i)
+    consumed = np.zeros((len(slots), len(first.ids)))
+    field = np.empty(len(pts))  # a received power or an opportunity, in turn
 
-    occupancy, gamma_out, raw_out, phi_out = out  # contiguous rows, accumulated in place
-    occupancy[...] = 0.0
-    occupancy += noise
-    field = np.empty(len(pts))  # each transceiver's received power or opportunity in turn
-    for t, tx in enumerate(budget.transmitters):
-        if not tx_active[t]:
-            continue
-        np.multiply(tx.tx_power, budget.gain(t, pts, gains), out=field)
-        occupancy += field
-        if tx.id in members:
-            consumed[t] = np.sum(field)
+    def fields(k: int):
+        """Transceiver k's gain field, once per model, and the slots where k is active."""
+        side, j = (0, k) if k < first_rx else (1, k - first_rx)  # into the tx or the rx mask
+        for group in models.values():
+            active = [i for i in group if slots[i][1][side][j]]
+            if active:
+                yield link_gain(*slots[active[0]][0].keys[k], pts), active
 
-    remaining = budget.margin - budget.interference(tx_active)
-    raw = np.subtract(params.p_max, occupancy, out=raw_out)  # a new array where raw_out is None
-    first_rx = len(budget.transmitters)
-    for r, rx in enumerate(budget.receivers):
-        if not rx_active[r]:
-            continue
-        np.divide(remaining[r], budget.gain(first_rx + r, pts, gains), out=field)
-        np.minimum(raw, field, out=raw)
-        if rx.id in members:
-            consumed[first_rx + r] = np.sum(np.clip(params.p_cmax - (occupancy + field), 0.0, params.p_cmax))
+    for i, (b, _) in enumerate(slots):
+        out[i][0][...] = noise[b]
+    for t, tx in enumerate(first.transmitters):
+        for gain, active in fields(t):
+            np.multiply(tx.tx_power, gain, out=field)
+            total = np.sum(field) if tx.id in members else 0.0
+            for i in active:
+                np.add(out[i][0], field, out=out[i][0])
+                consumed[i, t] = total
+
+    remaining = [b.margin - b.interference(a[0]) for b, a in slots]
+    for occupancy, _, raw, _ in out:
+        np.subtract(params.p_max, occupancy, out=raw)
+    for r, rx in enumerate(first.receivers):
+        for gain, active in fields(first_rx + r):
+            for i in active:
+                occupancy, _, raw, _ = out[i]
+                np.divide(remaining[i][r], gain, out=field)
+                np.minimum(raw, field, out=raw)
+                if rx.id in members:
+                    consumed[i, first_rx + r] = np.sum(np.clip(params.p_cmax - (occupancy + field), 0.0, params.p_cmax))
 
     # gamma is raw clipped to [0, max(headroom, 0)], as np.clip computes it
-    headroom = params.p_cmax - occupancy
-    np.maximum(headroom, 0.0, out=field)
-    np.minimum(np.maximum(raw, 0.0, out=gamma_out), field, out=gamma_out)
-    np.subtract(headroom, gamma_out, out=phi_out)
+    for occupancy, gamma, raw, phi in out:
+        headroom = np.subtract(params.p_cmax, occupancy, out=phi)
+        np.maximum(headroom, 0.0, out=field)
+        np.minimum(np.maximum(raw, 0.0, out=gamma), field, out=gamma)
+        phi -= gamma
     return consumed
-
-
-def _evaluate_chunk(slots, lo: int, hi: int, members, out) -> np.ndarray:
-    """Each slot (link budget, quantum, activity masks) at the sample points of
-    the regions [lo, hi), slot i written into ``out[i]``, each gain field
-    computed once.  Returns the members' consumption per slot, (slots, ids)."""
-    pts = slots[0][0].sys.grid.sample_points[lo:hi]
-    gains: dict = {}
-    noise = {b: _noise_vector(b.sys, b.band_index, lo, hi) for b in {b for b, _, _ in slots}}
-    return np.array([_evaluate_slice(b, pts, a, noise[b], members, o, gains) for (b, _, a), o in zip(slots, out)])
 
 
 def _point_slice(sys: RFSystem, point, time_index: int, band_index: int, region_index=None):
     """Link budget, activity masks, the four fields (occupancy, clamped and
-    raw opportunity, liability), every transceiver's consumption and the
-    gain cache (every active transceiver's gain) at one point.
-    ``region_index`` takes the noise of that cell instead of locating the
-    point."""
+    raw opportunity, liability) and every transceiver's consumption at one
+    point.  ``region_index`` takes the noise of that cell instead of locating
+    the point."""
     budget = _LinkBudget(sys, band_index)
+    active = budget.active(time_index)
     pts = np.array([point], dtype=float).reshape(1, 2)
     if region_index is None:
         noise = sys.noise_at(point, band_index)
     else:
         noise = _noise_vector(sys, band_index, region_index, region_index + 1)
-    active = budget.active(time_index)
     fields = np.empty((4, 1))
-    gains: dict = {}
-    consumed = _evaluate_slice(budget, pts, active, noise, frozenset(budget.ids), fields, gains)
-    return budget, active, fields[:, 0], consumed, gains
+    consumed = _evaluate([(budget, active)], pts, {budget: noise}, frozenset(budget.ids), [fields])
+    return budget, active, fields[:, 0], consumed[0]
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +302,7 @@ def tx_occupancy_at(sys: RFSystem, tx: Transmitter | str, point, time_index: int
     """Power received from one transmitter at a point; zero while inactive."""
     tx_id = tx if isinstance(tx, str) else tx.id
     sys.transmitter(tx_id)  # unknown ids raise UnknownEntityError
-    budget, _, _, consumed, _ = _point_slice(sys, point, time_index, band_index)
+    budget, _, _, consumed = _point_slice(sys, point, time_index, band_index)
     return float(consumed[budget.ids.index(tx_id)])
 
 
@@ -324,7 +320,7 @@ def interference_opportunity(sys: RFSystem, rx: Receiver | str, point, time_inde
     """
     budget, r = _receiver_budget(sys, rx, band_index)
     remaining = budget.margin[r] - budget.interference(budget.active(time_index)[0])[r]
-    return float(remaining / budget.gain(len(budget.transmitters) + r, [point], {})[0])
+    return float(remaining / link_gain(*budget.keys[len(budget.transmitters) + r], [point])[0])
 
 
 def net_opportunity_at(sys: RFSystem, point, time_index: int = 0, band_index: int = 0) -> float:
@@ -360,14 +356,14 @@ class PointMetrics:
 
 def point_metrics(sys: RFSystem, point, time_index: int = 0, band_index: int = 0) -> PointMetrics:
     """Full consumption breakdown at one point."""
-    budget, (tx_active, rx_active), fields, consumed, gains = _point_slice(sys, point, time_index, band_index)
+    budget, (tx_active, rx_active), fields, consumed = _point_slice(sys, point, time_index, band_index)
     interference = budget.interference(tx_active)
     first_rx = len(budget.transmitters)
     views = []
     for r, rx in enumerate(budget.receivers):
         if not rx_active[r]:
             continue
-        g = float(gains[budget.slots[first_rx + r]][0])
+        g = float(link_gain(*budget.keys[first_rx + r], [point])[0])
         margin = float(budget.margin[r])
         existing = float(interference[r])
         views.append(
@@ -410,7 +406,7 @@ class CellMetrics:
 def cell_metrics(sys: RFSystem, cell: Cell) -> CellMetrics:
     """Occupancy / opportunity / liability of one unit spectrum space,
     evaluated at its sample point."""
-    budget, (tx_active, rx_active), fields, consumed, _ = _point_slice(
+    budget, (tx_active, rx_active), fields, consumed = _point_slice(
         sys, cell.sample_point, cell.time_index, cell.band_index, cell.region_index
     )
     remaining = budget.margin - budget.interference(tx_active)
@@ -490,7 +486,7 @@ def _evaluate_grid(sys: RFSystem, members=frozenset(), times=None, keep=()):
         active = budgets[j].active(times[k])
         source.append(first.setdefault((j, active[0].tobytes(), active[1].tobytes()), len(slots)))
         if source[-1] == len(slots):
-            slots.append((budgets[j], times[k], active))
+            slots.append((budgets[j], active))
     spans = _tree_spans(0, grid.region_count, _CHUNK // len(slots) if keep else _CHUNK)
     width = max(hi - lo for lo, hi in spans)
     maps = {name: np.empty((grid.region_count, len(times), len(budgets))) for name in keep}
@@ -502,9 +498,10 @@ def _evaluate_grid(sys: RFSystem, members=frozenset(), times=None, keep=()):
         if not hasattr(local, "block"):  # each thread reuses one; raw opportunity is stored only for its map
             local.block = np.empty((len(names), len(slots), width))
         rows = dict(zip(names, local.block[..., : hi - lo]))
-        raw = rows.get("raw_opportunity", [None] * len(slots))
+        raw = rows.get("raw_opportunity", rows["opportunity"])
         out = list(zip(rows["occupancy"], rows["opportunity"], raw, rows["liability"]))
-        consumed = _evaluate_chunk(slots, lo, hi, members, out)
+        noise = {b: _noise_vector(sys, b.band_index, lo, hi) for b in budgets}
+        consumed = _evaluate(slots, grid.sample_points[lo:hi], noise, members, out)
         for (j, k), i in zip(np.ndindex(len(budgets), len(times)), source):
             for name, field in maps.items():
                 field[lo:hi, k, j] = rows[name][i]

@@ -158,6 +158,9 @@ def exploitation_report(truth: OpportunityMap, granted) -> SMFReport:
     return _score(truth, granted_values, "exploited_available", "unexploited_available", "incursed")
 
 
+MAX_FALSE_POSITIVES = 1 << 16  # most expected spurious transmitters: each one adds a gain field per evaluation
+
+
 @dataclass(frozen=True)
 class SensingErrorModel:
     """Parametric sensing errors for the recovery simulation."""
@@ -172,12 +175,23 @@ class SensingErrorModel:
     def __post_init__(self):
         if not 0.0 <= self.p_missed_detection <= 1.0:
             raise ValueError("p_missed_detection must be in [0, 1]")
-        if not 0.0 <= self.false_positive_rate < math.inf:
-            raise ValueError("false_positive_rate must be finite and nonnegative")
+        if not 0.0 <= self.false_positive_rate <= MAX_FALSE_POSITIVES:
+            raise ValueError(f"false_positive_rate must be finite and nonnegative, at most {MAX_FALSE_POSITIVES}")
         if not (0.0 <= self.geolocation_sigma < math.inf and 0.0 <= self.power_error_sigma_db < math.inf):
             raise ValueError("error sigmas must be finite and nonnegative")
         if self.false_positive_power is not None and not 0.0 < self.false_positive_power < math.inf:
             raise ValueError("false_positive_power must be finite and positive")
+
+
+def _sensed_power(tx_id: str, power: float, error_db: float) -> float:
+    """``power`` off by ``error_db``; a ValueError where the sensed power is not a positive finite float."""
+    try:
+        sensed = power * db_to_linear(error_db)
+    except OverflowError:
+        sensed = math.inf
+    if not 0.0 < sensed < math.inf:
+        raise ValueError(f"sensing error: a power error of {error_db:.6g} dB puts transmitter {tx_id} out of range")
+    return sensed
 
 
 def perturb_system(sys: RFSystem, model: SensingErrorModel) -> RFSystem:
@@ -208,12 +222,10 @@ def perturb_system(sys: RFSystem, model: SensingErrorModel) -> RFSystem:
                 if rng.random() < model.p_missed_detection:
                     continue
                 jitter = rng.normal(0.0, model.geolocation_sigma, size=2)
-                power_err_db = rng.normal(0.0, model.power_error_sigma_db)
+                power = _sensed_power(tx.id, tx.tx_power, rng.normal(0.0, model.power_error_sigma_db))
                 x = min(max(tx.position[0] + jitter[0], 0.0), spec.region_width)
                 y = min(max(tx.position[1] + jitter[1], 0.0), spec.region_height)
-                transmitters.append(
-                    dataclasses.replace(tx, position=(x, y), tx_power=tx.tx_power * db_to_linear(power_err_db))
-                )
+                transmitters.append(dataclasses.replace(tx, position=(x, y), tx_power=power))
             if had_tx and not transmitters:
                 receivers: tuple = ()
             else:
@@ -232,19 +244,9 @@ def perturb_system(sys: RFSystem, model: SensingErrorModel) -> RFSystem:
             base = true_powers[int(rng.integers(len(true_powers)))]
         else:
             base = 1e-3
-        power_err_db = rng.normal(0.0, model.power_error_sigma_db)
-        spurious.append(
-            RFLink(
-                id=f"sensed-artifact-{k}",
-                transmitters=(
-                    Transmitter(
-                        id=f"sensed-artifact-tx-{k}",
-                        position=(x, y),
-                        tx_power=base * db_to_linear(power_err_db),
-                    ),
-                ),
-            )
-        )
+        tx_id = f"sensed-artifact-tx-{k}"
+        power = _sensed_power(tx_id, base, rng.normal(0.0, model.power_error_sigma_db))
+        spurious.append(RFLink(id=f"sensed-artifact-{k}", transmitters=(Transmitter(id=tx_id, position=(x, y), tx_power=power),)))
     if spurious:
         networks.append(RFNetwork(id="sensed-artifacts", links=tuple(spurious)))
 

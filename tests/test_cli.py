@@ -457,10 +457,15 @@ def test_unparsable_scenario_exit_code(runner, tmp_path, monkeypatch, loader, co
         (["smf", "--power-sigma-db", "inf"], "error sigmas must be finite and nonnegative"),
         (["smf", "--false-positives", "nan"], "false_positive_rate must be finite and nonnegative"),
         (["smf", "--false-positives", "inf"], "false_positive_rate must be finite and nonnegative"),
+        (["smf", "--false-positives", "1e18"], "false_positive_rate must be finite and nonnegative, at most 65536"),
+        (["smf", "--power-sigma-db", "1e6"], "sensing error: a power error of 104900 dB puts transmitter tx-1 out of range"),
+        (["smf", "--power-sigma-db", "1e6", "--seed", "1"], "sensing error: a power error of -1.30316e+06 dB puts transmitter tx-1"),
+        (["smf", "--power-sigma-db", "1e4", "--false-positives", "3", "--p-missed", "1"], "puts transmitter sensed-artifact-tx-0"),
     ],
     ids=["time-past-horizon", "time-negative", "beta-minus-inf", "beta-nan", "beta-overflow", "beta-underflow", "beta-inf",
          "side-zero", "side-negative", "side-nan", "side-too-small", "fp-power-overflow", "fp-power-minus-inf",
-         "fp-power-nan", "geo-sigma-nan", "geo-sigma-inf", "power-sigma-inf", "false-positives-nan", "false-positives-inf"],
+         "fp-power-nan", "geo-sigma-nan", "geo-sigma-inf", "power-sigma-inf", "false-positives-nan", "false-positives-inf",
+         "false-positives-huge", "power-sigma-overflow", "power-sigma-underflow", "power-sigma-false-positive"],
 )
 def test_invalid_option_exit_code(runner, scenario_path, tmp_path, args, message):
     if args[0] == "connectivity":
@@ -483,3 +488,80 @@ def test_units_flag(runner, high_power_path):
         main, ["point", "--scenario", high_power_path, "--x", "2250", "--y", "1800", "--units", "w"]
     )
     assert "dBm" not in w_only.output
+
+
+USAGE_ERRORS = [
+    (["report"], "usage: Missing option '--scenario'."),
+    (["point", "--scenario", "s.yaml", "--x", "abc", "--y", "1"], "usage: Invalid value for '--x': 'abc' is not a valid float."),
+    (["report", "--bogus"], "usage: No such option '--bogus'."),
+    (["bogus"], "usage: No such command 'bogus'."),
+    (["--bogus"], "usage: No such option '--bogus'."),
+    (["map", "--scenario", "s.yaml", "--out", "m.csv", "--heatmap", "nope"], "usage: Invalid value for '--heatmap': 'nope'"),
+]
+
+
+@pytest.mark.parametrize("args, message", USAGE_ERRORS, ids=["missing", "bad-value", "unknown-option", "unknown-command",
+                                                             "unknown-group-option", "bad-choice"])
+def test_usage_error_exit_code(runner, capsys, args, message):
+    """Click's usage and parameter errors keep the error contract, as the console
+    script runs the group and as ``main(args, standalone_mode=False)`` does."""
+    result = runner.invoke(main, args)
+    lines = result.output.strip().splitlines()
+    assert result.exit_code == 2 and len(lines) == 1
+    assert json.loads(lines[0])["error"].startswith(message) and json.loads(lines[0])["exit_code"] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(args, standalone_mode=False)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == lines[0] + "\n"
+
+
+def test_help_still_prints_usage(runner):
+    bare = runner.invoke(main, [])
+    assert bare.output.startswith("Usage: ") and bare.exit_code in (0, 2)  # click 8.2 and later exit 2
+    for args in (["--help"], ["report", "--help"]):
+        result = runner.invoke(main, args)
+        assert result.output.startswith("Usage: ") and result.exit_code == 0
+
+
+@pytest.mark.parametrize("n", [1, 6, 7, 8, 14, 15, 100])
+def test_smf_json_is_json_dumps_of_the_payload(monkeypatch, n):
+    """The streamed report equals json.dumps(payload, indent=2) byte for byte, at
+    chunk boundaries and with non-finite values and signed zeros."""
+    import dataclasses
+    import math
+
+    import muse.cli as cli
+    from muse.smf import SMFReport
+
+    monkeypatch.setattr(cli, "_THETA_CHUNK", 7)
+    rng = np.random.default_rng(n)
+    theta = rng.normal(size=(n, 1, 1)) * 10.0 ** rng.integers(-300, 300, size=(n, 1, 1)).astype(float)
+    special = [math.inf, -math.inf, -0.0, 0.0, 5e-324]
+    theta.ravel()[: min(n, 5)] = special[: min(n, 5)]
+    rep = SMFReport(theta=theta, theta_total=1.0, truth_total=2.5, recovered_available=-0.0, lost_available=math.inf)
+    payload = dataclasses.asdict(rep)
+    payload["theta"] = theta.ravel().tolist()
+    assert "".join(cli._smf_json(rep)) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_smf_out_holds_no_copies_of_theta(monkeypatch, tmp_path):
+    """Writing the simulated smf report holds theta a chunk at a time: the whole
+    command stays below 8 maps, where a list and a formatted copy of theta took
+    it past 20."""
+    import tracemalloc
+
+    path = tmp_path / "campus.yaml"
+    path.write_text((DEMO_SCENARIOS / "three_band_campus.yaml").read_text().replace("hex_side_m: 100.0", "hex_side_m: 5.0"))
+    grid = load_scenario(path).grid
+    assert grid.cell_count > 1 << 17
+    monkeypatch.setenv("MUSE_THREADS", "1")
+    args = ["smf", "--scenario", str(path), "--p-missed", "0.1", "--false-positives", "3", "--seed", "8"]
+    tracemalloc.start()
+    try:
+        main(args + ["--out", str(tmp_path / "smf.json")], standalone_mode=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(json.loads((tmp_path / "smf.json").read_text())["theta"]) == grid.cell_count
+    assert peak < 8 * grid.cell_count * 8

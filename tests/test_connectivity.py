@@ -175,14 +175,14 @@ def test_link_feasibility_evaluates_only_its_two_regions(monkeypatch):
     sys_ = multi_band_system(horizon=2)
     grid = sys_.grid
     quanta, slices = [], []
-    active, evaluate = consumption._LinkBudget.active, consumption._evaluate_slice
+    active, evaluate = consumption._LinkBudget.active, consumption._evaluate
 
-    def record(budget, pts, *args):
-        slices.append((budget.band_index, np.asarray(pts).tolist()))
-        return evaluate(budget, pts, *args)
+    def record(slots, pts, *args):
+        slices.append(([budget.band_index for budget, _ in slots], np.asarray(pts).tolist()))
+        return evaluate(slots, pts, *args)
 
     monkeypatch.setattr(consumption._LinkBudget, "active", lambda self, tau: quanta.append(tau) or active(self, tau))
-    monkeypatch.setattr(consumption, "_evaluate_slice", record)
+    monkeypatch.setattr(consumption, "_evaluate", record)
     a = 12
     for b in grid.neighbors(a):
         for src, dst in ((a, b), (b, a)):
@@ -192,7 +192,7 @@ def test_link_feasibility_evaluates_only_its_two_regions(monkeypatch):
             # two one-point slices, at the source's and the destination's sample point,
             # each on the requested band and in the cells' quantum
             assert quanta == [1, 1]
-            assert slices == [(1, [grid.sample_points[chi].tolist()]) for chi in (src, dst)]
+            assert slices == [([1], [grid.sample_points[chi].tolist()]) for chi in (src, dst)]
 
 
 def test_best_band_is_first_feasible_argmax():
@@ -227,9 +227,9 @@ def test_connectivity_evaluates_only_the_requested_quantum(monkeypatch):
     )
     maps = compute_maps(sys_)
     quanta, slices = [], []
-    active, evaluate = consumption._LinkBudget.active, consumption._evaluate_slice
+    active, evaluate = consumption._LinkBudget.active, consumption._evaluate
     monkeypatch.setattr(consumption._LinkBudget, "active", lambda self, tau: quanta.append(tau) or active(self, tau))
-    monkeypatch.setattr(consumption, "_evaluate_slice", lambda *args: slices.append(args[0].band_index) or evaluate(*args))
+    monkeypatch.setattr(consumption, "_evaluate", lambda *args: slices.extend(b.band_index for b, _ in args[0]) or evaluate(*args))
     beta = db_to_linear(6.0)
     bands = range(sys_.grid.band_count)
     for tau in range(sys_.grid_spec.horizon):

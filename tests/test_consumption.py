@@ -36,6 +36,7 @@ from muse import (
     receiver_sinr,
     system_report,
     tx_occupancy_at,
+    validate_system,
     watts_to_dbm,
 )
 
@@ -75,7 +76,8 @@ def test_tx_occupancy_reference_value():
 
 def test_tx_occupancy_inactive_and_capped():
     tx = Transmitter(id="t", position=(100.0, 100.0), tx_power=1.0, active_intervals=frozenset({1}))
-    sys_ = two_link_system(RFLink(id="l", transmitters=(tx,)))
+    sys_ = dataclasses.replace(two_link_system(RFLink(id="l", transmitters=(tx,))), grid_spec=reference_grid(horizon=2))
+    assert validate_system(sys_).ok
     assert tx_occupancy_at(sys_, "t", PROBE, time_index=0) == 0.0
     # inside the reference distance the full transmit power is deposited
     assert tx_occupancy_at(sys_, "t", (100.0, 100.5), time_index=1) == 1.0
@@ -503,6 +505,40 @@ def repeating_system(hex_side: float = 100.0) -> RFSystem:
     )
 
 
+def _link_feasibility(sys_, time_index, band_index):
+    from muse.connectivity import link_feasibility
+
+    a = 12
+    return link_feasibility(sys_, sys_.grid.cell(a), sys_.grid.cell(sys_.grid.neighbors(a)[0]), band_index, 4.0)
+
+
+POINT = (300.0, 200.0)
+POINT_QUERIES = {  # name: (query of (system, time, band), whether it reads a time index)
+    "tx_occupancy_at": (lambda s, t, b: tx_occupancy_at(s, "ta", POINT, t, b), True),
+    "aggregate_occupancy_at": (lambda s, t, b: aggregate_occupancy_at(s, POINT, t, b), True),
+    "interference_margin": (lambda s, t, b: interference_margin(s, "ra", b), False),
+    "interference_opportunity": (lambda s, t, b: interference_opportunity(s, "ra", POINT, t, b), True),
+    "net_opportunity_at": (lambda s, t, b: net_opportunity_at(s, POINT, t, b), True),
+    "receiver_sinr": (lambda s, t, b: receiver_sinr(s, "ra", t, b), True),
+    "point_metrics": (lambda s, t, b: point_metrics(s, POINT, t, b), True),
+    "cell_metrics": (lambda s, t, b: cell_metrics(s, dataclasses.replace(s.grid.cell(12), time_index=t, band_index=b)), True),
+    "link_feasibility": (_link_feasibility, False),
+}
+
+
+@pytest.mark.parametrize("name", list(POINT_QUERIES))
+def test_point_queries_reject_indices_outside_the_grid(name):
+    query, reads_time = POINT_QUERIES[name]
+    sys_ = repeating_system()  # four quanta, three bands
+    query(sys_, 3, 2)  # the last quantum and band are in range
+    cases = [(0, 3, "band index 3"), (0, -1, "band index -1"), (0, 42, "band index 42")]
+    if reads_time:
+        cases += [(4, 0, "time index 4"), (-1, 0, "time index -1"), (77, -1, "band index -1")]
+    for time_index, band_index, message in cases:
+        with pytest.raises(IndexError, match=f"^{message} out of range$"):
+            query(sys_, time_index, band_index)
+
+
 def leaf_chunks(sys_) -> list[tuple[int, int]]:
     """The chunks of ``sys_``'s regions at a cap below the 128-region leaf:
     3 or more on ``repeating_system(hex_side=25.0)``'s 289 regions."""
@@ -521,32 +557,36 @@ def test_gain_fields_computed_once_per_chunk(monkeypatch, threads):
     points = sys_.grid.sample_points
     chunks = {points[lo:hi].tobytes(): lo for lo, hi in spans}
     calls, slices = [], []
-    link_gain, evaluate = consumption.link_gain, consumption._evaluate_slice
+    link_gain, evaluate = consumption.link_gain, consumption._evaluate
 
     def record(model, antenna, origin, pts):
         calls.append((chunks.get(np.asarray(pts).tobytes()), (model, antenna, tuple(origin))))
         return link_gain(model, antenna, origin, pts)
 
     monkeypatch.setattr(consumption, "link_gain", record)
-    monkeypatch.setattr(consumption, "_evaluate_slice", lambda *args: slices.append(len(args[1])) or evaluate(*args))
+    monkeypatch.setattr(consumption, "_evaluate", lambda *args: slices.append((len(args[0]), len(args[1]))) or evaluate(*args))
     monkeypatch.setattr(consumption, "_CHUNK", 7)
     monkeypatch.setenv("MUSE_THREADS", threads)
     system_report(sys_)
 
     entities = [e for _, _, e in sys_.iter_transmitters()] + [e for _, _, e in sys_.iter_receivers()]
-    expected = {
-        (sys_.model_for_band(nu), e.antenna, sys_.position_of(e))
+    expected = Counter(
+        (model, e.antenna, sys_.position_of(e))
         for e in entities
-        for tau in range(sys_.grid.horizon)
-        for nu in range(sys_.grid.band_count)
-        if e.is_active(tau, nu)
-    }
-    # ta and ra on two models, tb and rb on two, rd shares ta's default-model field, tc never runs
-    assert len(expected) == 8
+        for model in {
+            sys_.model_for_band(nu)
+            for tau in range(sys_.grid.horizon)
+            for nu in range(sys_.grid.band_count)
+            if e.is_active(tau, nu)
+        }
+    )
+    # one field per (transceiver, model): ta, ra, tb and rb on two models each, rd on one, tc
+    # never runs; rd's field equals ta's default-model one but is computed on its own
+    assert sum(expected.values()) == 9 and len(expected) == 8
     for lo in chunks.values():
-        assert Counter(key for chunk, key in calls if chunk == lo) == Counter(expected)
-    # every band's quanta 2 and 3 repeat quanta 0 and 1: 6 of the 12 slots are evaluated per chunk
-    assert sorted(slices) == sorted([hi - lo for lo, hi in spans] * 6)
+        assert Counter(key for chunk, key in calls if chunk == lo) == expected
+    # every band's quanta 2 and 3 repeat quanta 0 and 1: one kernel call per chunk, on 6 of the 12 slots
+    assert sorted(slices) == sorted((6, hi - lo) for lo, hi in spans)
 
 
 @pytest.mark.parametrize("threads", ["1", "4"])
@@ -570,8 +610,8 @@ def test_maps_equal_per_slot_evaluation_bitwise(monkeypatch, threads):
         noise = consumption._noise_vector(sys_, nu, 0, grid.region_count)
         for tau in range(grid.horizon):
             fields = np.empty((4, grid.region_count))  # occupancy, opportunity, raw opportunity, liability
-            part = consumption._evaluate_slice(budget, grid.sample_points, budget.active(tau), noise, members, fields, {})
-            per_slot[nu, tau] = dict(zip(budget.ids, part))
+            part = consumption._evaluate([(budget, budget.active(tau))], grid.sample_points, {budget: noise}, members, [fields])
+            per_slot[nu, tau] = dict(zip(budget.ids, part[0]))
             for name, field in zip(consumption._FIELDS, fields):
                 assert maps[name][:, tau, nu].tobytes() == field.tobytes()
     totals = dict.fromkeys(members, 0.0)
@@ -811,6 +851,34 @@ def test_report_holds_no_full_maps(monkeypatch):
     # eight chunks of 12 slots per region; the four maps would take 4 x cells x 8 bytes
     assert grid.horizon * grid.band_count == 12
     assert peak < 4 * grid.cell_count * 8 / 2
+
+
+@pytest.mark.parametrize("added", [10, 400])
+def test_report_memory_does_not_grow_with_transmitters(monkeypatch, added):
+    import muse.consumption as consumption
+
+    base = dataclasses.replace(repeating_system(), grid_spec=small_grid(hex_side=5.0, horizon=4, n_bands=3))
+    rng = np.random.default_rng(5)
+    extra = tuple(
+        RFLink(id=f"lx{k}", transmitters=(Transmitter(id=f"x{k}", position=tuple(rng.uniform(0.0, 590.0, 2)), tx_power=1e-3),))
+        for k in range(added)
+    )
+    sys_ = dataclasses.replace(base, networks=base.networks + (RFNetwork(id="extra", links=extra),))
+    grid = sys_.grid  # built before the trace starts
+    monkeypatch.setattr(consumption, "_CHUNK", 1 << 12)
+    monkeypatch.setenv("MUSE_THREADS", "1")
+    spans = consumption._tree_spans(0, grid.region_count, 1 << 12)
+    assert len(spans) == 2
+    width = max(hi - lo for lo, hi in spans)
+    tracemalloc.start()
+    try:
+        system_report(sys_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a block of three fields x six slots beside one gain field, one received power and link_gain's
+    # temporaries, whatever the transmitter count; a field kept per transmitter in a chunk takes 400 widths
+    assert peak < 48 * width * 8
 
 
 def test_maps_blocks_stay_small_beside_the_maps(monkeypatch):

@@ -179,3 +179,18 @@ def test_grid_size_cap():
     ):
         with pytest.raises(ValueError, match="grid too large"):
             reference_grid(**spec)
+
+
+def test_cell_rejects_indices_outside_the_grid():
+    grid = SpectrumGrid(reference_grid(100.0, horizon=2, bands=(Band(6e8, 6e6), Band(6.1e8, 6e6))))
+    assert grid.cell(675, 1, 1).sample_point == tuple(grid.sample_points[675])
+    for args, message in (
+        ((676, 0, 0), "region index 676"),
+        ((-1, 0, 0), "region index -1"),
+        ((0, 2, 0), "time index 2"),
+        ((0, -1, 0), "time index -1"),
+        ((0, 0, 2), "band index 2"),
+        ((0, 0, -1), "band index -1"),
+    ):
+        with pytest.raises(IndexError, match=f"^{message} out of range$"):
+            grid.cell(*args)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -19,6 +20,7 @@ from muse import (
     load_scenario,
     parse_scenario,
     read_map_csv,
+    save_scenario,
     serialize_scenario,
     validate_system,
     write_map_csv,
@@ -152,6 +154,14 @@ def test_demo_serialization_bytes_pinned(name):
 def test_demo_round_trip_exact(name):
     sys_ = load_scenario(SCENARIOS / name)
     assert parse_scenario(serialize_scenario(sys_)) == sys_
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_SERIALIZED_SHA256))
+def test_save_scenario_writes_the_serialized_bytes(tmp_path, name):
+    sys_ = load_scenario(SCENARIOS / name)
+    save_scenario(sys_, tmp_path / name)
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == DEMO_SERIALIZED_SHA256[name]
+    assert load_scenario(tmp_path / name) == sys_
 
 
 def test_unit_writers_give_the_shortest_exact_decimal():
@@ -440,6 +450,16 @@ def _no_rows(rows):
     rows.clear()
 
 
+def _missing_row(rows):
+    del rows[-1]
+
+
+def _extra_region(rows):
+    fields = rows[0].split(",")
+    fields[0] = str(1 + max(int(row.split(",")[0]) for row in rows))
+    rows.append(",".join(fields))
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -453,9 +473,11 @@ def _no_rows(rows):
         (_set_field(0, "1e0"), "malformed number"),
         (_comment_row, "fields"),
         (_no_rows, "no data rows"),
+        (_missing_row, "row count does not match its index ranges"),
+        (_extra_region, "row count does not match its index ranges"),
     ],
     ids=["cut-row", "negative-index", "duplicate-row", "nan", "infinite", "malformed",
-         "fractional-index", "exponent-index", "comment-row", "header-only"],
+         "fractional-index", "exponent-index", "comment-row", "header-only", "missing-row", "extra-region"],
 )
 def test_read_map_csv_rejects_bad_rows(tmp_path, mutate, message):
     path = tmp_path / "map.csv"
@@ -585,3 +607,13 @@ def test_heatmap_matrix_shape():
     assert len(widths) == 1  # rectangular, nan-padded
     total = sum(1 for r in rows for v in r.split() if v != "nan")
     assert total == maps.grid.region_count
+
+
+@pytest.mark.parametrize("header", ["", "region,time,band", MAP_CSV_HEADER.replace("liability", "phi")])
+def test_read_map_csv_rejects_an_unexpected_header(tmp_path, header):
+    path = tmp_path / "map.csv"
+    write_map_csv(path, compute_maps(dataclasses.replace(region_link_system(), grid_spec=small_grid())))
+    rows = path.read_text().splitlines()[1:]
+    path.write_text("\n".join([header] + rows) + "\n")
+    with pytest.raises(ScenarioError, match=f"^unexpected map CSV header: {re.escape(repr(header))}$"):
+        read_map_csv(path)

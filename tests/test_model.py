@@ -6,6 +6,7 @@ import pytest
 from muse import (
     AntennaPattern,
     Band,
+    GridSpec,
     PropagationModel,
     Receiver,
     RFLink,
@@ -104,6 +105,14 @@ def test_per_band_noise_of_the_wrong_length_flagged():
     assert validate_system(sys_).violations == ("ambient noise: 2 per-band values for 3 bands",)
     fixed = dataclasses.replace(params, ambient_noise=(1e-13, 2e-13, 3e-13))
     assert validate_system(dataclasses.replace(sys_, params=fixed)).ok
+
+
+def test_degenerate_grid_flagged():
+    """A region too small for one hexagon: the grid's own error is the one violation."""
+    spec = GridSpec(region_width=150.0, region_height=150.0, hex_side=100.0)
+    sys_ = RFSystem(params=reference_params(), propagation=PropagationModel(), grid_spec=spec)
+    (violation,) = validate_system(sys_).violations
+    assert violation.startswith("degenerate grid")
 
 
 def test_receive_only_needs_explicit_margin():

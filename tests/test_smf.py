@@ -19,7 +19,9 @@ from muse import (
     smf_aggregate,
 )
 
-from helpers import empty_system, probe_scenario, random_system, region_link_system, small_grid
+from muse.smf import MAX_FALSE_POSITIVES, perturb_system
+
+from helpers import empty_system, four_pair_system, probe_scenario, random_system, region_link_system, small_grid
 
 
 def dyadic_map(rng, like: OpportunityMap, scale=1.0) -> OpportunityMap:
@@ -189,6 +191,40 @@ def test_recovery_false_positives_add_transmitters():
     # spurious transmitters eat into the estimated opportunity: mass is lost, nothing incursed
     assert rep.lost_available > 0.0
     assert rep.potentially_incursed == 0.0
+
+
+def spurious_powers(sensed) -> list[float]:
+    (net,) = [n for n in sensed.networks if n.id == "sensed-artifacts"]
+    return [link.transmitters[0].tx_power for link in net.links]
+
+
+def test_false_positive_power_is_sampled_from_the_true_transmitters():
+    sys_ = four_pair_system()
+    true_powers = {tx.tx_power for _, _, tx in sys_.iter_transmitters()}
+    assert len(true_powers) == 4
+    powers = spurious_powers(perturb_system(sys_, SensingErrorModel(false_positive_rate=40.0, rng_seed=3)))
+    assert len(powers) > 20 and set(powers) == true_powers
+
+
+def test_false_positive_power_falls_back_to_a_milliwatt_without_transmitters():
+    powers = spurious_powers(perturb_system(empty_system(), SensingErrorModel(false_positive_rate=5.0, rng_seed=3)))
+    assert powers and set(powers) == {1e-3}
+
+
+@pytest.mark.parametrize("sigma_db, seed", [(1e6, 0), (1e6, 1), (1e4, 2)])
+def test_perturbed_power_out_of_range_is_a_sensing_error(sigma_db, seed):
+    """A power error that overflows (or underflows) the sensed power is named as
+    a sensing error, whichever transmitter it hits."""
+    model = SensingErrorModel(power_error_sigma_db=sigma_db, false_positive_rate=2.0, rng_seed=seed)
+    with pytest.raises(ValueError, match=r"^sensing error: a power error of .* dB puts transmitter .* out of range$"):
+        perturb_system(four_pair_system(), model)
+
+
+def test_false_positive_rate_is_bounded():
+    SensingErrorModel(false_positive_rate=float(MAX_FALSE_POSITIVES))
+    for bad in (MAX_FALSE_POSITIVES + 1.0, 1e18):
+        with pytest.raises(ValueError, match=f"at most {MAX_FALSE_POSITIVES}"):
+            SensingErrorModel(false_positive_rate=bad)
 
 
 def test_model_validation():
