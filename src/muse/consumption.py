@@ -501,7 +501,7 @@ def _evaluate_grid(sys: RFSystem, members=frozenset(), times=None, keep=()):
         raw = rows.get("raw_opportunity", rows["opportunity"])
         out = list(zip(rows["occupancy"], rows["opportunity"], raw, rows["liability"]))
         noise = {b: _noise_vector(sys, b.band_index, lo, hi) for b in budgets}
-        consumed = _evaluate(slots, grid.sample_points[lo:hi], noise, members, out)
+        consumed = _evaluate(slots, grid.points(lo, hi), noise, members, out)
         for (j, k), i in zip(np.ndindex(len(budgets), len(times)), source):
             for name, field in maps.items():
                 field[lo:hi, k, j] = rows[name][i]

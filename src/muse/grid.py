@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -118,7 +119,8 @@ def _point_in_hex(dx: float, dy: float, side: float, tol: float = 0.0) -> bool:
 
 
 class SpectrumGrid:
-    """Materialized tessellation: centroids, sample points and index math."""
+    """Tessellation index math: row tables, and the points of any region range
+    computed from them on demand."""
 
     def __init__(self, spec: GridSpec):
         s = spec.hex_side
@@ -129,8 +131,7 @@ class SpectrumGrid:
             )
         self.spec = spec
         col_pitch = SQRT3 * s
-        row_pitch = 1.5 * s
-        nrows = math.floor((spec.region_height + s) / row_pitch) + 1
+        nrows = math.floor((spec.region_height + s) / (1.5 * s)) + 1
 
         rows = np.arange(nrows)
         self._row_offset = np.where(rows % 2 == 0, 0.0, -0.5 * col_pitch)
@@ -140,19 +141,41 @@ class SpectrumGrid:
         self._row_start = np.concatenate(([0], np.cumsum(self._row_counts)))
         self.region_count = int(self._row_start[-1])
 
-        row = np.repeat(rows, self._row_counts)
-        col = np.arange(self.region_count) - np.repeat(self._row_start[:-1] - self._row_jmin, self._row_counts)
-        centroids = np.column_stack([self._row_offset[row] + col_pitch * col, row_pitch * row])
-        self.centroids = centroids
-        self.centroids.setflags(write=False)
+    def _centroids(self, lo: int, hi: int) -> np.ndarray:
+        """Centroids of regions [lo, hi), shape (hi - lo, 2)."""
+        if not 0 <= lo <= hi <= self.region_count:
+            raise IndexError(f"region range [{lo}, {hi}) outside [0, {self.region_count})")
+        s = self.spec.hex_side
+        first = int(np.searchsorted(self._row_start, lo, side="right")) - 1  # the rows that hold [lo, hi)
+        last = int(np.searchsorted(self._row_start, hi, side="left"))
+        counts = np.diff(np.clip(self._row_start[first : last + 1], lo, hi))
+        row = np.repeat(np.arange(first, last), counts)
+        col = np.arange(lo, hi) - np.repeat(self._row_start[first:last] - self._row_jmin[first:last], counts)
+        return np.column_stack([self._row_offset[row] + SQRT3 * s * col, 1.5 * s * row])
 
-        if spec.sample_point_policy == "centroid":
-            self.sample_points = centroids
-        else:
-            ox, oy = spec.sample_offset
-            pts = centroids + np.array([ox, oy])
-            pts.setflags(write=False)
-            self.sample_points = pts
+    def points(self, lo: int, hi: int) -> np.ndarray:
+        """Sample points of regions [lo, hi), shape (hi - lo, 2): the values of
+        ``sample_points[lo:hi]``, without building the whole lattice."""
+        pts = self._centroids(lo, hi)
+        if self.spec.sample_point_policy == "offset":
+            pts += self.spec.sample_offset
+        return pts
+
+    @cached_property
+    def centroids(self) -> np.ndarray:
+        """Every region's centroid, read-only, built on first use."""
+        centroids = self._centroids(0, self.region_count)
+        centroids.setflags(write=False)
+        return centroids
+
+    @cached_property
+    def sample_points(self) -> np.ndarray:
+        """Every region's sample point, read-only, built on first use."""
+        if self.spec.sample_point_policy == "centroid":
+            return self.centroids
+        pts = self.points(0, self.region_count)
+        pts.setflags(write=False)
+        return pts
 
     # -- dimensions ------------------------------------------------------
 
@@ -175,7 +198,7 @@ class SpectrumGrid:
     # -- geometry --------------------------------------------------------
 
     def hex_vertices(self, region_index: int) -> np.ndarray:
-        cx, cy = self.centroids[region_index]
+        cx, cy = self._centroids(region_index, region_index + 1)[0]
         s = self.spec.hex_side
         return np.array([(cx + s * math.cos(a), cy + s * math.sin(a)) for a in _VERTEX_ANGLES])
 
@@ -238,15 +261,16 @@ class SpectrumGrid:
             region_index=region_index,
             time_index=time_index,
             band_index=band_index,
-            centroid=tuple(self.centroids[region_index]),
-            sample_point=tuple(self.sample_points[region_index]),
+            centroid=tuple(self._centroids(region_index, region_index + 1)[0]),
+            sample_point=tuple(self.points(region_index, region_index + 1)[0]),
         )
 
     def cells(self) -> Iterator[Cell]:
-        for chi in range(self.region_count):
+        """Every cell, in canonical order, read from the whole lattice."""
+        for chi, (centroid, sample_point) in enumerate(zip(self.centroids, self.sample_points)):
             for tau in range(self.horizon):
                 for nu in range(self.band_count):
-                    yield self.cell(chi, tau, nu)
+                    yield Cell(chi, tau, nu, tuple(centroid), tuple(sample_point))
 
 
 def tessellate(spec: GridSpec) -> list[Cell]:

@@ -881,6 +881,47 @@ def test_report_memory_does_not_grow_with_transmitters(monkeypatch, added):
     assert peak < 48 * width * 8
 
 
+@pytest.mark.parametrize("hex_side, regions", [(24.0, 10_868), (8.0, 96_565)])
+def test_report_memory_does_not_grow_with_the_grid(monkeypatch, hex_side, regions):
+    import muse.consumption as consumption
+
+    sys_ = region_link_system(hex_side=hex_side)  # the grid is built in the trace
+    monkeypatch.setattr(consumption, "_CHUNK", 1 << 12)
+    monkeypatch.setenv("MUSE_THREADS", "1")
+    tracemalloc.start()
+    try:
+        system_report(sys_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a block of three 4096-region rows beside the gain field and link_gain's temporaries, whatever the
+    # region count; the whole lattice peaks at six float64 per region, 141 chunk-widths at 8 m
+    assert sys_.grid.region_count == regions
+    assert peak < 16 * (1 << 12) * 8
+
+
+@pytest.mark.parametrize("worst_case", [False, True], ids=["as-placed", "worst-case"])
+def test_streamed_queries_build_no_lattice(monkeypatch, tmp_path, worst_case):
+    from muse import SpectrumGrid, save_scenario
+    from muse.cli import main
+
+    sys_ = region_link_system(worst_case=worst_case, hex_side=50.0)
+    probe = (1500.0, 1500.0)
+    system_report(sys_)
+    entity_consumption(sys_, "link-1")
+    point_metrics(sys_, probe)
+    cell_metrics(sys_, sys_.grid.cell(sys_.grid.locate(probe)))
+    assert not {"centroids", "sample_points"} & sys_.grid.__dict__.keys()
+
+    grids, build = [], SpectrumGrid.__init__
+    monkeypatch.setattr(SpectrumGrid, "__init__", lambda grid, spec: (build(grid, spec), grids.append(grid))[0])
+    save_scenario(sys_, tmp_path / "scenario.yaml")
+    main(["sweep", "--scenario", str(tmp_path / "scenario.yaml"), "--hex-sides", "25,100"], standalone_mode=False)
+    assert sorted(grid.spec.hex_side for grid in grids) == [25.0, 50.0, 100.0]  # loaded, then each side
+    for grid in grids:
+        assert not {"centroids", "sample_points"} & grid.__dict__.keys()
+
+
 def test_maps_blocks_stay_small_beside_the_maps(monkeypatch):
     import muse.consumption as consumption
 

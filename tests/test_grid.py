@@ -1,13 +1,15 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from muse import Band, GridSpec, SpectrumGrid, tessellate, total_spectrum_space
+from muse import Band, GridSpec, SpectrumGrid, tessellate, total_spectrum_space, validate_system
 from muse.grid import MAX_CELLS
 
-from helpers import reference_grid, reference_params
+from helpers import reference_grid, reference_params, region_link_system
 
 SQRT3 = math.sqrt(3.0)
 
@@ -194,3 +196,70 @@ def test_cell_rejects_indices_outside_the_grid():
     ):
         with pytest.raises(IndexError, match=f"^{message} out of range$"):
             grid.cell(*args)
+
+
+def lattice_built_whole(grid):
+    """Centroids and sample points built for every region at once from the
+    row tables: each row repeated over its regions, then the same elementwise
+    expressions as ``SpectrumGrid.points``."""
+    s = grid.spec.hex_side
+    row = np.repeat(np.arange(grid.row_count), grid._row_counts)
+    col = np.arange(grid.region_count) - np.repeat(grid._row_start[:-1] - grid._row_jmin, grid._row_counts)
+    centroids = np.column_stack([grid._row_offset[row] + SQRT3 * s * col, 1.5 * s * row])
+    if grid.spec.sample_point_policy == "centroid":
+        return centroids, centroids
+    return centroids, centroids + np.array(grid.spec.sample_offset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    side=st.floats(0.5, 200.0),
+    columns=st.floats(SQRT3, 40.0),  # region width in hexagon sides
+    rows=st.floats(2.0, 40.0),  # region height in hexagon sides
+    offset=st.none() | st.tuples(st.floats(-0.99, 0.99), st.floats(-0.99, 0.99)),
+    data=st.data(),
+)
+def test_points_of_any_split_equal_the_whole_lattice_bitwise(side, columns, rows, offset, data):
+    policy = {} if offset is None else dict(
+        sample_point_policy="offset",  # inside the hexagon: |dx| / sqrt(3) + |dy| <= side
+        sample_offset=(offset[0] * SQRT3 / 2 * side, offset[1] * (1 - abs(offset[0]) / 2) * side),
+    )
+    grid = SpectrumGrid(GridSpec(region_width=columns * side, region_height=rows * side, hex_side=side, **policy))
+    centroids, sample_points = lattice_built_whole(grid)
+    n = grid.region_count
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)) + [0, n])
+    parts = [grid.points(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    assert np.concatenate(parts).tobytes() == sample_points.tobytes()
+    assert grid.centroids.tobytes() == centroids.tobytes()
+    assert grid.sample_points.tobytes() == sample_points.tobytes()
+    assert not grid.centroids.flags.writeable and not grid.sample_points.flags.writeable
+    assert (grid.sample_points is grid.centroids) == (offset is None)
+    lattice = [(tuple(c), tuple(p)) for c, p in zip(centroids, sample_points)]
+    assert [(cell.centroid, cell.sample_point) for cell in grid.cells()] == lattice
+    chi = data.draw(st.integers(0, n - 1))
+    cell = grid.cell(chi)
+    assert np.array(cell.centroid).tobytes() == centroids[chi].tobytes()
+    assert np.array(cell.sample_point).tobytes() == sample_points[chi].tobytes()
+    for lo, hi in ((-1, 0), (0, n + 1), (1, 0)):
+        with pytest.raises(IndexError, match="outside"):
+            grid.points(lo, hi)
+
+
+def test_grid_size_queries_read_only_the_row_tables():
+    """1.53M regions at 2 m: the lattice would peak near 73 MB (six float64
+    per region); the row tables and the count take a few kB."""
+    spec = reference_grid(2.0)
+    sys_ = dataclasses.replace(region_link_system(), grid_spec=spec)
+    queries = {
+        "validate_system": lambda: validate_system(sys_).ok,
+        "total_spectrum_space": lambda: total_spectrum_space(spec, reference_params()) > 1.5e6,
+    }
+    for name, query in queries.items():
+        tracemalloc.start()
+        try:
+            result = query()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result and peak < 1 << 20, (name, peak)
+    assert sys_.grid.region_count > 1_500_000

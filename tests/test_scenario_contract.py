@@ -5,16 +5,20 @@ the sections below it) over the six demo documents and changes one key:
 it drops it, or sets it (present or not) to a value of another YAML type.
 Every such file must end ``muse report`` with exit 0, 2 or 3; a failure
 prints exactly one JSON line on stderr, a success a conservation residual
-of at most 1e-9.
+of at most 1e-9.  So must every demo with one receiver moved onto a
+transmitter.
 """
 
 import contextlib
+import copy
 import io
+import itertools
 import json
 import math
 import re
 from pathlib import Path
 
+import pytest
 import yaml
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
@@ -99,11 +103,9 @@ def mutated_demos(draw):
     return name, path, change, yaml.safe_dump(doc)
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=mutated_demos())
-def test_report_on_generated_scenarios_keeps_the_cli_contract(tmp_path, case):
-    name, path, change, text = case
-    scenario = tmp_path / "scenario.yaml"
+def assert_report_keeps_the_contract(scenario: Path, text: str, *context):
+    """``muse report`` on ``text`` ends with exit 0, 2 or 3: a failure prints
+    exactly one JSON line on stderr, a success a residual of at most 1e-9."""
     scenario.write_text(text)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -112,16 +114,42 @@ def test_report_on_generated_scenarios_keeps_the_cli_contract(tmp_path, case):
             code = 0
         except SystemExit as exc:
             code = exc.code
-    assert code in (0, 2, 3), (name, path, change, code)
+    assert code in (0, 2, 3), (*context, code)
     if code:
         lines = err.getvalue().splitlines()
-        assert len(lines) == 1, (name, path, change, lines)
+        assert len(lines) == 1, (*context, lines)
         assert json.loads(lines[0]).keys() == {"error", "exit_code"}
         assert json.loads(lines[0])["exit_code"] == code
     else:
         assert err.getvalue() == ""
         residual = re.search(r"conservation residual: +(\S+) \(relative\)", out.getvalue())
-        assert float(residual.group(1)) <= 1e-9, (name, path, change, out.getvalue())
+        assert float(residual.group(1)) <= 1e-9, (*context, out.getvalue())
+    return code
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=mutated_demos())
+def test_report_on_generated_scenarios_keeps_the_cli_contract(tmp_path, case):
+    name, path, change, text = case
+    assert_report_keeps_the_contract(tmp_path / "scenario.yaml", text, name, path, change)
+
+
+@pytest.mark.parametrize("worst_case", [False, True], ids=["as-placed", "worst-case"])
+def test_coincident_transceivers_keep_the_cli_contract(tmp_path, worst_case):
+    """Every receiver of every demo moved onto each transmitter, its own or
+    another link's: zero separation must not end in a traceback."""
+    codes = []
+    for name, demo in DEMOS.items():
+        links = [link for net in demo["networks"] for link in net["links"]]
+        receivers = [(k, r) for k, link in enumerate(links) for r in range(len(link.get("receivers", [])))]
+        transmitters = [link["transmitter"]["position"] for link in links if "transmitter" in link]
+        for (k, r), position in itertools.product(receivers, transmitters):
+            doc = copy.deepcopy(demo)
+            rx = [link for net in doc["networks"] for link in net["links"]][k]["receivers"][r]
+            rx["position"] = list(position)
+            doc["grid"]["worst_case_placement"] = worst_case
+            codes.append(assert_report_keeps_the_contract(tmp_path / "scenario.yaml", yaml.safe_dump(doc), name, rx["id"], position))
+    assert len(codes) == 29 and set(codes) <= {0, 2}
 
 
 def test_the_walk_reaches_every_key_of_the_demos():
