@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .connectivity import build_connectivity_map
 from .consumption import _thread_budget, compute_maps, entity_consumption, point_metrics, system_report
-from .model import RFSystem, validate_system
+from .model import RFSystem, UnknownEntityError, validate_system
 from .scenario_io import (
     ScenarioError,
     heatmap_text,
@@ -49,9 +49,7 @@ def _load(path: str) -> RFSystem:
         _fail(EXIT_IO, f"cannot read scenario: {exc}")
     except ScenarioError as exc:
         _fail(EXIT_VALIDATION, f"malformed scenario: {exc}")
-    report = validate_system(system)
-    if not report.ok:
-        _fail(EXIT_VALIDATION, "invalid scenario: " + "; ".join(report.violations))
+    validate_system(system).raise_if_invalid()
     return system
 
 
@@ -92,25 +90,32 @@ _BARE_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())  # click >= 8.2 
 
 
 @contextlib.contextmanager
-def _usage_errors():
+def _failures():
+    """The one failure contract: a usage error, a rejected scenario or query
+    (``ValueError``, ``IndexError``, ``UnknownEntityError``) and an I/O error
+    end in one JSON line on stderr and exit 2, 2 and 3.  A closed stdout is
+    left to click; any other exception is a fault and keeps its traceback."""
     try:
         yield
-    except _BARE_HELP:
+    except (_BARE_HELP, BrokenPipeError):
         raise
     except click.UsageError as exc:
         _fail(EXIT_VALIDATION, f"usage: {exc.format_message()}")
+    except (ValueError, IndexError, UnknownEntityError) as exc:
+        _fail(EXIT_VALIDATION, str(exc))
+    except OSError as exc:
+        _fail(EXIT_IO, str(exc))
 
 
 class _Group(click.Group):
-    """A missing, unknown or malformed option or command ends like any other
-    failure: one JSON line on stderr, exit 2."""
+    """Every command, and the parsing of its options, fails through ``_failures``."""
 
     def make_context(self, *args, **kwargs):
-        with _usage_errors():
+        with _failures():
             return super().make_context(*args, **kwargs)
 
     def invoke(self, ctx):
-        with _usage_errors():
+        with _failures():
             return super().invoke(ctx)
 
 
@@ -118,10 +123,7 @@ class _Group(click.Group):
 @click.version_option(version=__version__, prog_name="muse")
 def main():
     """Quantify the use of RF spectrum over a discretized space-time-frequency grid."""
-    try:
-        _thread_budget()
-    except ValueError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    _thread_budget()
 
 
 @main.command()
@@ -138,8 +140,6 @@ def point(scenario, x, y, time_index, band_index, out, units):
     spec = system.grid_spec
     if not (0.0 <= x <= spec.region_width and 0.0 <= y <= spec.region_height):
         _fail(EXIT_VALIDATION, f"point ({x}, {y}) outside the scenario region")
-    if not (0 <= time_index < spec.horizon and 0 <= band_index < spec.band_count):
-        _fail(EXIT_VALIDATION, "time or band index outside the grid")
     pm = point_metrics(system, (x, y), time_index, band_index)
 
     click.echo(f"point ({x:g}, {y:g})  time {time_index}  band {band_index}")
@@ -222,10 +222,7 @@ def report(scenario, out):
 def entity(scenario, entity_id):
     """Spectrum consumed by one RF entity."""
     system = _load(scenario)
-    try:
-        consumed = entity_consumption(system, entity_id)
-    except LookupError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    consumed = entity_consumption(system, entity_id)
     total = system.params.p_cmax * system.grid.cell_count
     click.echo(f"{entity_id}: {consumed:.6g} W*m^2 ({100 * consumed / total:.4g} % of total spectrum space)")
 
@@ -244,10 +241,7 @@ def connectivity(scenario, beta_db, time_index, out):
         beta = math.inf
     if beta in (0.0, math.inf) and beta_db != -math.inf:  # -inf dB is the nonpositive beta 0
         _fail(EXIT_VALIDATION, f"--beta-db {beta_db} is out of range")
-    try:
-        cmap = build_connectivity_map(system, beta, time_index)
-    except ValueError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    cmap = build_connectivity_map(system, beta, time_index)
     _write(out, cmap.to_csv())
     click.echo(f"wrote {cmap.sinr.size} directed edges ({int(cmap.feasible.sum())} feasible) to {out}")
 
@@ -274,27 +268,22 @@ def smf(scenario, truth_map, other_map, p_missed, false_positives, geo_sigma, po
         fp_power = None if fp_power_dbm is None else dbm_to_watts(fp_power_dbm)
     except OverflowError:
         fp_power = math.inf  # rejected by SensingErrorModel
-    try:
-        truth = read_map_csv(truth_map)["opportunity_map"] if truth_map else opportunity_map(system)
-        grid = system.grid  # compare_maps checks the other map against the truth's grid
-        _check_grid(truth, (grid.region_count, grid.horizon, grid.band_count), grid.centroids)
-        if other_map:
-            other = read_map_csv(other_map)["opportunity_map"]
-        else:
-            model = SensingErrorModel(
-                p_missed_detection=p_missed,
-                false_positive_rate=false_positives,
-                geolocation_sigma=geo_sigma,
-                power_error_sigma_db=power_sigma_db,
-                false_positive_power=fp_power,
-                rng_seed=seed,
-            )
-            other = simulate_recovery(system, model)
-        rep = compare_maps(truth, other)
-    except OSError as exc:
-        _fail(EXIT_IO, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    truth = read_map_csv(truth_map)["opportunity_map"] if truth_map else opportunity_map(system)
+    grid = system.grid  # compare_maps checks the other map against the truth's grid
+    _check_grid(truth, (grid.region_count, grid.horizon, grid.band_count), grid.centroids)
+    if other_map:
+        other = read_map_csv(other_map)["opportunity_map"]
+    else:
+        model = SensingErrorModel(
+            p_missed_detection=p_missed,
+            false_positive_rate=false_positives,
+            geolocation_sigma=geo_sigma,
+            power_error_sigma_db=power_sigma_db,
+            false_positive_power=fp_power,
+            rng_seed=seed,
+        )
+        other = simulate_recovery(system, model)
+    rep = compare_maps(truth, other)
 
     total = system.params.p_cmax * system.grid.cell_count
     labels = ("true available", "recovered available", "lost available", "potentially incursed")

@@ -89,11 +89,10 @@ class ConnectivityMap:
         return "".join(text)
 
 
-def _hop_gains(sys: RFSystem, a: np.ndarray, b: np.ndarray, bands) -> np.ndarray:
-    """Path gain between the sample points of each ordered (a, b) region
-    pair on each of ``bands``, (pairs, bands)."""
-    pts = sys.grid.sample_points
-    offset = pts[b] - pts[a]
+def _hop_gains(sys: RFSystem, src: np.ndarray, dst: np.ndarray, bands) -> np.ndarray:
+    """Path gain from each of the (pairs, 2) points ``src`` to the matching
+    point of ``dst`` on each of ``bands``, (pairs, bands)."""
+    offset = dst - src
     d = _distance(offset[:, 0], offset[:, 1])
     return np.stack([path_gain(sys.model_for_band(nu), d) for nu in bands], axis=1)
 
@@ -131,12 +130,11 @@ def link_feasibility(
     a, b = cell_a.region_index, cell_b.region_index
     if b not in sys.grid.neighbors(a):
         raise ValueError(f"regions {a} and {b} are not adjacent")
-    if not 0 <= band_index < sys.grid.band_count:
-        raise IndexError(f"band index {band_index} out of range")
     tau = cell_a.time_index
     _check_request(sys, candidate_beta, tau)
-    source, dest = (_point_slice(sys, sys.grid.sample_points[chi], tau, band_index, chi)[2] for chi in (a, b))
-    gains = _hop_gains(sys, np.array([a]), np.array([b]), [band_index])
+    src, dst = (sys.grid.points(chi, chi + 1) for chi in (a, b))
+    source, dest = (_point_slice(sys, p[0], tau, band_index, chi)[2] for p, chi in ((src, a), (dst, b)))
+    gains = _hop_gains(sys, src, dst, [band_index])
     feasible, max_power, sinr = _budget(sys, source[2:3], dest[0], gains, candidate_beta)
     return bool(feasible[0, 0]), float(max_power[0]), float(sinr[0, 0])
 
@@ -153,7 +151,8 @@ def build_connectivity_map(sys: RFSystem, candidate_beta: float, time_index: int
     candidates, valid = sys.grid._neighbor_table(np.arange(sys.grid.region_count))
     a, b = np.nonzero(valid)[0], candidates[valid]
     maps, _, _ = _evaluate_grid(sys, times=[time_index], keep=("occupancy", "raw_opportunity"))
-    gains = _hop_gains(sys, a, b, range(sys.grid.band_count))
+    pts = sys.grid.sample_points
+    gains = _hop_gains(sys, pts[a], pts[b], range(sys.grid.band_count))
     feasible, max_power, sinr = _budget(sys, maps["raw_opportunity"][a, 0], maps["occupancy"][b, 0], gains, candidate_beta)
     best = np.where(feasible.any(axis=1), np.argmax(np.where(feasible, sinr, -np.inf), axis=1), -1)
     for array in (a, b, feasible, max_power, sinr, best):

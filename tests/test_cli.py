@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from click.testing import CliRunner
 
 from muse import compute_maps, dbm_to_watts, load_scenario, read_map_csv, scenario_io
 from muse.cli import main
+from muse.model import UnknownEntityError
 from muse.scenario_io import heatmap_text
 
 from helpers import probe_scenario, region_link_system
@@ -514,6 +519,70 @@ def test_usage_error_exit_code(runner, capsys, args, message):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == lines[0] + "\n"
+
+
+FAILURES = [
+    (ValueError("bad value"), 2, "bad value"),
+    (IndexError("band index 9 out of range"), 2, "band index 9 out of range"),
+    (UnknownEntityError("no such entity: ghost"), 2, "no such entity: ghost"),
+    (PermissionError(13, "Permission denied"), 3, "[Errno 13] Permission denied"),
+    (OSError("No space left on device"), 3, "No space left on device"),
+]
+
+
+@pytest.mark.parametrize("error, code, message", FAILURES, ids=["value", "index", "entity", "permission", "os"])
+def test_library_errors_map_to_exit_codes_in_one_handler(runner, monkeypatch, scenario_path, error, code, message):
+    """Whatever command raises it, a rejected input exits 2 and an I/O error
+    exits 3, each with the exception's text as the one JSON line."""
+    import muse.cli as cli
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "system_report", fail)
+    result = runner.invoke(main, ["report", "--scenario", scenario_path])
+    assert result.exit_code == code
+    assert result.output.splitlines() == [json.dumps({"error": message, "exit_code": code})]
+
+
+@pytest.mark.parametrize("error", [KeyError("psi"), TypeError("not a float")], ids=["key", "type"])
+def test_program_faults_keep_their_traceback(monkeypatch, scenario_path, error):
+    import muse.cli as cli
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "system_report", fail)
+    with pytest.raises(type(error)):
+        main(["report", "--scenario", scenario_path], standalone_mode=False)
+
+
+@pytest.mark.parametrize("args, message", [(["--time", "99"], "time index 99 out of range"),
+                                           (["--band", "-1"], "band index -1 out of range")], ids=["time", "band"])
+def test_point_outside_the_grid_reports_the_library_error(runner, scenario_path, args, message):
+    result = runner.invoke(main, ["point", "--scenario", scenario_path, "--x", "10", "--y", "10"] + args)
+    assert result.exit_code == 2
+    assert result.output.splitlines() == [json.dumps({"error": message, "exit_code": 2})]
+
+
+def test_closed_stdout_is_left_to_click():
+    """``muse report | head -c 1`` with ``head`` already gone: the write to the
+    closed pipe ends the command as click ends it (exit 1), with nothing on
+    stderr, not as an I/O failure."""
+    head = subprocess.Popen(["head", "-c", "1"], stdin=subprocess.PIPE, stdout=subprocess.DEVNULL)
+    head.stdin.write(b"x")
+    head.stdin.flush()
+    head.wait()
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "muse.cli", "report", "--scenario", str(DEMO_SCENARIOS / "region_with_link.yaml")],
+            stdout=head.stdin, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        head.stdin.close()
+    assert (result.returncode, result.stderr) == (1, b"")
 
 
 def test_help_still_prints_usage(runner):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -195,6 +196,25 @@ def test_link_feasibility_evaluates_only_its_two_regions(monkeypatch):
             assert slices == [([1], [grid.sample_points[chi].tolist()]) for chi in (src, dst)]
 
 
+def test_link_feasibility_builds_no_lattice():
+    """One pair on a 2 m grid of 1,534,487 regions: its two sample points are
+    computed alone, so the call holds a few kilobytes, not the lattice."""
+    sys_ = load_scenario(SCENARIOS / "region_with_link.yaml")
+    sys_ = dataclasses.replace(sys_, grid_spec=dataclasses.replace(sys_.grid_spec, hex_side=2.0))
+    grid = sys_.grid
+    a = grid.locate((2000.0, 2000.0))
+    cells = grid.cell(a), grid.cell(grid.neighbors(a)[0])
+    tracemalloc.start()
+    try:
+        result = link_feasibility(sys_, *cells, 0, db_to_linear(10.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.region_count == 1_534_487 and result[0]
+    assert peak < 1 << 20
+    assert "sample_points" not in grid.__dict__ and "centroids" not in grid.__dict__
+
+
 def test_best_band_is_first_feasible_argmax():
     base = multi_band_system()
     # guards that shrink the opportunity of band 1 in one corner and of band 2 in the other
@@ -242,7 +262,8 @@ def test_connectivity_evaluates_only_the_requested_quantum(monkeypatch):
         # the budget as computed from the full maps before
         a, b = cmap.cell_a, cmap.cell_b
         max_power = np.minimum(np.maximum(maps.raw_opportunity[a, tau, :], 0.0), sys_.params.p_max)
-        sinr = max_power * _hop_gains(sys_, a, b, bands) / maps.occupancy[b, tau, :]
+        pts = sys_.grid.sample_points
+        sinr = max_power * _hop_gains(sys_, pts[a], pts[b], bands) / maps.occupancy[b, tau, :]
         assert max_power.tobytes() == cmap.max_power.tobytes()
         assert sinr.tobytes() == cmap.sinr.tobytes()
         assert np.array_equal(sinr >= beta, cmap.feasible)
@@ -258,7 +279,7 @@ def test_hop_gains_equal_link_gains_bitwise():
     rng = np.random.default_rng(11)
     a, b = rng.integers(0, sys_.grid.region_count, size=(2, 2000))
     pts = sys_.grid.sample_points
-    hops = _hop_gains(sys_, a, b, [0])[:, 0]
+    hops = _hop_gains(sys_, pts[a], pts[b], [0])[:, 0]
     model = sys_.model_for_band(0)
     assert hops.tolist() == [link_gain(model, OMNI, pts[i], [pts[j]])[0] for i, j in zip(a, b)]
 
