@@ -21,15 +21,9 @@ import numpy as np
 
 from . import __version__
 from .connectivity import build_connectivity_map
-from .consumption import _thread_budget, compute_maps, entity_consumption, point_metrics, system_report
+from .consumption import _FIELDS, _thread_budget, compute_maps, entity_consumption, point_metrics, system_report
 from .model import RFSystem, UnknownEntityError, validate_system
-from .scenario_io import (
-    ScenarioError,
-    heatmap_text,
-    load_scenario,
-    read_map_csv,
-    write_map_csv,
-)
+from .scenario_io import ScenarioError, _heatmap_chunks, _map_csv_chunks, load_scenario, read_map_csv
 from .smf import SensingErrorModel, SMFReport, _check_grid, compare_maps, opportunity_map, simulate_recovery
 from .units import db_to_linear, dbm_to_watts, watts_to_dbm
 
@@ -54,7 +48,7 @@ def _load(path: str) -> RFSystem:
 
 
 def _write(path: str, text):
-    """Write ``text``, a string or an iterable of strings, to ``path``."""
+    """Write ``text``, a string or an iterable of text chunks, to ``path``: every output file goes through here."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines([text] if isinstance(text, str) else text)
@@ -173,7 +167,7 @@ def point(scenario, x, y, time_index, band_index, out, units):
 @click.option(
     "--heatmap",
     "heatmaps",
-    type=click.Choice(["occupancy", "opportunity", "raw_opportunity", "liability"]),
+    type=click.Choice(_FIELDS),
     multiple=True,
     help="Also write gnuplot matrix files of this quantity, one per (time, band) slice; repeatable.",
 )
@@ -181,17 +175,14 @@ def map_cmd(scenario, out, heatmaps):
     """Per-cell consumption map as CSV."""
     system = _load(scenario)
     maps = compute_maps(system)
-    try:
-        write_map_csv(out, maps)
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot write {out}: {exc}")
+    _write(out, _map_csv_chunks(maps))
     click.echo(f"wrote {maps.grid.cell_count} cells to {out}")
     stem = out[: -len(".csv")] if out.endswith(".csv") else out
     for heatmap in dict.fromkeys(heatmaps):  # each distinct quantity once, in the order given
         for tau in range(maps.grid.horizon):
             for nu in range(maps.grid.band_count):
                 path = f"{stem}-{heatmap}-t{tau}b{nu}.mat"
-                _write(path, heatmap_text(maps, heatmap, tau, nu))
+                _write(path, _heatmap_chunks(maps, heatmap, tau, nu))
                 click.echo(f"wrote {path}")
 
 
@@ -235,14 +226,11 @@ def entity(scenario, entity_id):
 def connectivity(scenario, beta_db, time_index, out):
     """Adjacent-region connectivity map over all bands."""
     system = _load(scenario)
-    try:
-        beta = db_to_linear(beta_db)
-    except OverflowError:
-        beta = math.inf
+    beta = db_to_linear(beta_db)
     if beta in (0.0, math.inf) and beta_db != -math.inf:  # -inf dB is the nonpositive beta 0
         _fail(EXIT_VALIDATION, f"--beta-db {beta_db} is out of range")
     cmap = build_connectivity_map(system, beta, time_index)
-    _write(out, cmap.to_csv())
+    _write(out, cmap._csv_chunks())
     click.echo(f"wrote {cmap.sinr.size} directed edges ({int(cmap.feasible.sum())} feasible) to {out}")
 
 
@@ -264,10 +252,7 @@ def smf(scenario, truth_map, other_map, p_missed, false_positives, geo_sigma, po
     parametric sensing-error model.
     """
     system = _load(scenario)
-    try:
-        fp_power = None if fp_power_dbm is None else dbm_to_watts(fp_power_dbm)
-    except OverflowError:
-        fp_power = math.inf  # rejected by SensingErrorModel
+    fp_power = None if fp_power_dbm is None else dbm_to_watts(fp_power_dbm)  # inf is rejected by SensingErrorModel
     truth = read_map_csv(truth_map)["opportunity_map"] if truth_map else opportunity_map(system)
     grid = system.grid  # compare_maps checks the other map against the truth's grid
     _check_grid(truth, (grid.region_count, grid.horizon, grid.band_count), grid.centroids)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -65,28 +66,30 @@ class ConnectivityMap:
         return {(a, b): None if nu < 0 else nu for a, b, nu in pairs}
 
     def to_csv(self) -> str:
-        """The edge list, floats as ``%.12g``: max power is formatted once per
-        (source, band), the "a,b," prefix and best band once per pair, and
-        each chunk of at most ``_CSV_CHUNK_ROWS`` rows by one ``%`` call."""
+        """The edge list, floats as ``%.12g``."""
+        return "".join(self._csv_chunks())
+
+    def _csv_chunks(self) -> Iterator[str]:
+        """The edge list as text chunks of at most ``_CSV_CHUNK_ROWS`` rows, each
+        formatted by one ``%`` call: max power once per (source, band) of the
+        chunk, the "a,b," prefix and best band once per pair."""
         pairs, bands = self.sinr.shape
-        first = np.flatnonzero(np.diff(self.cell_a, prepend=-1))  # pairs run source by source
-        dbm = map(watts_to_dbm, self.max_power[first].ravel().tolist())
-        power = np.array(["%.12g" % p for p in dbm], dtype=object).reshape(-1, bands)
-        power = np.repeat(power, np.diff(first, append=pairs), axis=0)
-        sinr_db = np.full(self.sinr.shape, -math.inf)
-        positive = self.sinr > 0.0
-        sinr_db[positive] = [10.0 * math.log10(s) for s in self.sinr[positive].tolist()]
         row = "".join(f"%s{nu},%d,%s,%.12g,%s\n" for nu in range(bands))
         step = max(1, _CSV_CHUNK_ROWS // bands)
-        text = ["cell_a,cell_b,band,feasible,max_power_dbm,sinr_db,best_band\n"]
+        yield "cell_a,cell_b,band,feasible,max_power_dbm,sinr_db,best_band\n"
         for lo in range(0, pairs, step):
-            hi = min(lo + step, pairs)
-            pair = zip(self.cell_a[lo:hi].tolist(), self.cell_b[lo:hi].tolist())
-            prefix = np.array([f"{a},{b}," for a, b in pair], dtype=object)
-            best = np.array(["" if nu < 0 else str(nu) for nu in self.best[lo:hi].tolist()], dtype=object)
-            columns = np.broadcast_arrays(prefix[:, None], self.feasible[lo:hi], power[lo:hi], sinr_db[lo:hi], best[:, None])
-            text.append((row * (hi - lo)) % tuple(np.stack(columns, axis=-1).ravel().tolist()))
-        return "".join(text)
+            a, b, sinr = (x[lo : lo + step] for x in (self.cell_a, self.cell_b, self.sinr))
+            first = np.flatnonzero(np.diff(a, prepend=-1))  # pairs run source by source
+            dbm = map(watts_to_dbm, self.max_power[lo + first].ravel().tolist())
+            power = np.array(["%.12g" % p for p in dbm], dtype=object).reshape(-1, bands)
+            power = np.repeat(power, np.diff(first, append=len(a)), axis=0)
+            sinr_db = np.full(sinr.shape, -math.inf)
+            positive = sinr > 0.0
+            sinr_db[positive] = [10.0 * math.log10(s) for s in sinr[positive].tolist()]
+            prefix = np.array([f"{x},{y}," for x, y in zip(a.tolist(), b.tolist())], dtype=object)
+            best = np.array(["" if nu < 0 else str(nu) for nu in self.best[lo : lo + step].tolist()], dtype=object)
+            columns = np.broadcast_arrays(prefix[:, None], self.feasible[lo : lo + step], power, sinr_db, best[:, None])
+            yield (row * len(a)) % tuple(np.stack(columns, axis=-1).ravel().tolist())
 
 
 def _hop_gains(sys: RFSystem, src: np.ndarray, dst: np.ndarray, bands) -> np.ndarray:

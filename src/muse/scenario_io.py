@@ -24,7 +24,7 @@ from typing import Any, Callable, Iterator, NamedTuple
 import numpy as np
 import yaml
 
-from .consumption import ConsumptionMaps
+from .consumption import _FIELDS, ConsumptionMaps
 from .grid import Band, GridSpec
 from .model import Receiver, RFLink, RFNetwork, RFSystem, SystemParams, Transmitter
 from .propagation import OMNI, AntennaPattern, PropagationModel
@@ -69,7 +69,7 @@ def _number(obj, ctx: str, convert=float, positive=False) -> float:
         raise ScenarioError(f"{ctx}: expected a number, got {obj!r}")
     try:
         value = convert(float(obj))
-    except OverflowError:
+    except OverflowError:  # float() of an integer beyond the float range
         value = math.inf
     if not math.isfinite(value):
         raise ScenarioError(f"{ctx}: expected a finite number, got {obj!r}")
@@ -91,11 +91,8 @@ def _unit(read, write):
         converted = write(value)
         for digits in range(1, 18):
             short = float(f"{converted:.{digits}g}")
-            try:
-                if read(short) == value:
-                    return short
-            except OverflowError:  # a rounded-up dB value beyond the float range
-                pass
+            if read(short) == value:
+                return short
         return converted
 
     return read, exact
@@ -464,14 +461,13 @@ def save_scenario(sys: RFSystem, path):
 # ---------------------------------------------------------------------------
 # map CSV
 
-_MAP_FIELDS = ("occupancy", "opportunity", "raw_opportunity", "liability")
 _MAP_DTYPE = np.dtype(
     [("region", np.int64), ("time", np.int64), ("band", np.int64), ("centroid_x", np.float64), ("centroid_y", np.float64)]
-    + [(name, np.float64) for name in _MAP_FIELDS]
+    + [(name, np.float64) for name in _FIELDS]
 )
 # One map CSV row from (region prefix, "tau,nu," prefix, centroid prefix, four fields).
 _MAP_ROW = "%s%s%s%.17e,%.17e,%.17e,%.17e\n"
-_CSV_CHUNK_ROWS = 4096  # rows formatted per write; bounds the text held in memory
+_CSV_CHUNK_ROWS = 4096  # map CSV rows, or heatmap values, formatted per chunk; bounds the text held
 
 
 def _map_csv_chunks(maps: ConsumptionMaps) -> Iterator[str]:
@@ -483,7 +479,7 @@ def _map_csv_chunks(maps: ConsumptionMaps) -> Iterator[str]:
     """
     grid = maps.grid
     slots = [f"{tau},{nu}," for tau in range(grid.horizon) for nu in range(grid.band_count)]
-    fields = [getattr(maps, name).reshape(grid.region_count, len(slots)) for name in _MAP_FIELDS]
+    fields = [getattr(maps, name).reshape(grid.region_count, len(slots)) for name in _FIELDS]
     step = max(1, _CSV_CHUNK_ROWS // len(slots))
     yield MAP_CSV_HEADER + "\n"
     for lo in range(0, grid.region_count, step):
@@ -546,7 +542,7 @@ def read_map_csv(path) -> dict[str, np.ndarray | OpportunityMap]:
     centroids[chis, 0] = rows["centroid_x"]
     centroids[chis, 1] = rows["centroid_y"]
     data = {}
-    for name in _MAP_FIELDS:
+    for name in _FIELDS:
         data[name] = np.zeros(shape)
         data[name][chis, taus, nus] = rows[name]
     result: dict[str, Any] = dict(data)
@@ -559,11 +555,24 @@ def heatmap_text(maps: ConsumptionMaps, quantity: str, time_index: int, band_ind
     """Gnuplot-compatible matrix of one quantity for one (time, band) slice.
 
     Rows follow the hexagon rows bottom-up; short rows are padded with nan.
-    The slice is formatted in one ``%`` call, as ``f"{v:.17e}"`` would.
     """
-    grid = maps.grid
+    return "".join(_heatmap_chunks(maps, quantity, time_index, band_index))
+
+
+def _heatmap_chunks(maps: ConsumptionMaps, quantity: str, time_index: int, band_index: int) -> Iterator[str]:
+    """``heatmap_text`` as text chunks of whole hexagon rows, at most
+    ``_CSV_CHUNK_ROWS`` values each (or one row), each formatted in one ``%``
+    call, as ``f"{v:.17e}"`` would."""
+    counts = maps.grid._row_counts.tolist()
     values = getattr(maps, quantity)[:, time_index, band_index]
-    width = int(max(grid._row_counts))
-    row_fmt = {n: " ".join(["%.17e"] * n + ["nan"] * (width - n)) for n in set(grid._row_counts.tolist())}
-    text_fmt = "\n".join(row_fmt[n] for n in grid._row_counts.tolist()) + "\n"
-    return text_fmt % tuple(values.tolist())
+    width = max(counts)
+    row_fmt = {n: " ".join(["%.17e"] * n + ["nan"] * (width - n)) + "\n" for n in set(counts)}
+    lo = hi = 0  # the chunk's values
+    rows = []
+    for n in counts:
+        if rows and hi + n - lo > _CSV_CHUNK_ROWS:
+            yield "".join(rows) % tuple(values[lo:hi].tolist())
+            lo, rows = hi, []
+        rows.append(row_fmt[n])
+        hi += n
+    yield "".join(rows) % tuple(values[lo:hi].tolist())

@@ -185,10 +185,7 @@ class SensingErrorModel:
 
 def _sensed_power(tx_id: str, power: float, error_db: float) -> float:
     """``power`` off by ``error_db``; a ValueError where the sensed power is not a positive finite float."""
-    try:
-        sensed = power * db_to_linear(error_db)
-    except OverflowError:
-        sensed = math.inf
+    sensed = power * db_to_linear(error_db)
     if not 0.0 < sensed < math.inf:
         raise ValueError(f"sensing error: a power error of {error_db:.6g} dB puts transmitter {tx_id} out of range")
     return sensed

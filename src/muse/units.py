@@ -10,7 +10,7 @@ __all__ = ["dbm_to_watts", "watts_to_dbm", "db_to_linear", "linear_to_db"]
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    return db_to_linear(dbm - 30.0)
 
 
 def watts_to_dbm(watts: float) -> float:
@@ -23,7 +23,11 @@ def watts_to_dbm(watts: float) -> float:
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    """10^(db / 10) as a float; inf where that overflows the float range."""
+    try:
+        return math.pow(10.0, db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def linear_to_db(ratio: float) -> float:

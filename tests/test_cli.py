@@ -10,7 +10,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from muse import compute_maps, dbm_to_watts, load_scenario, read_map_csv, scenario_io
+from muse import compute_maps, consumption, dbm_to_watts, load_scenario, read_map_csv, scenario_io
 from muse.cli import main
 from muse.model import UnknownEntityError
 from muse.scenario_io import heatmap_text
@@ -614,23 +614,64 @@ def test_smf_json_is_json_dumps_of_the_payload(monkeypatch, n):
     assert "".join(cli._smf_json(rep)) == json.dumps(payload, indent=2) + "\n"
 
 
+def _traced_peak(args) -> int:
+    """The tracemalloc peak of one in-process command."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        main(args, standalone_mode=False)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_smf_out_holds_no_copies_of_theta(monkeypatch, tmp_path):
     """Writing the simulated smf report holds theta a chunk at a time: the whole
     command stays below 8 maps, where a list and a formatted copy of theta took
     it past 20."""
-    import tracemalloc
-
     path = tmp_path / "campus.yaml"
     path.write_text((DEMO_SCENARIOS / "three_band_campus.yaml").read_text().replace("hex_side_m: 100.0", "hex_side_m: 5.0"))
     grid = load_scenario(path).grid
     assert grid.cell_count > 1 << 17
     monkeypatch.setenv("MUSE_THREADS", "1")
     args = ["smf", "--scenario", str(path), "--p-missed", "0.1", "--false-positives", "3", "--seed", "8"]
-    tracemalloc.start()
-    try:
-        main(args + ["--out", str(tmp_path / "smf.json")], standalone_mode=False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(args + ["--out", str(tmp_path / "smf.json")])
     assert len(json.loads((tmp_path / "smf.json").read_text())["theta"]) == grid.cell_count
     assert peak < 8 * grid.cell_count * 8
+
+
+def test_connectivity_streams_its_edge_csv(monkeypatch, tmp_path):
+    """``muse connectivity`` on the 12 m campus (8,287 regions x 3 bands, about
+    36 CSV chunks) holds its edge arrays and one chunk of text: it peaks near 35
+    one-quantum maps, its build's own peak, where holding the 6.4 MB text (32
+    maps) and its chunk list took it to 107."""
+    path = tmp_path / "campus.yaml"
+    path.write_text((DEMO_SCENARIOS / "three_band_campus.yaml").read_text().replace("hex_side_m: 100.0", "hex_side_m: 12.0"))
+    grid = load_scenario(path).grid
+    one_map = grid.region_count * grid.band_count * 8
+    monkeypatch.setenv("MUSE_THREADS", "1")
+    out = tmp_path / "edges.csv"
+    peak = _traced_peak(["connectivity", "--scenario", str(path), "--beta-db", "10", "--out", str(out)])
+    assert grid.region_count == 8287 and out.stat().st_size > 30 * one_map
+    assert peak <= 40 * one_map
+
+
+def test_map_heatmap_streams_its_slice(monkeypatch, tmp_path):
+    """A heatmap is formatted a chunk of hexagon rows at a time, so on a one-slot
+    grid ``map --heatmap`` peaks within half a map of ``map`` alone; formatting the
+    whole slice added four maps.  The grid (10,868 regions) and the chunks are
+    scaled down together, so the four held maps set the peak as they do with the
+    default chunks on grids above 2^16 regions."""
+    path = tmp_path / "region.yaml"
+    path.write_text((DEMO_SCENARIOS / "region_with_link.yaml").read_text().replace("hex_side_m: 100.0", "hex_side_m: 24.0"))
+    grid = load_scenario(path).grid
+    assert grid.cell_count == grid.region_count == 10868
+    monkeypatch.setenv("MUSE_THREADS", "1")
+    monkeypatch.setattr(consumption, "_CHUNK", 1 << 12)
+    monkeypatch.setattr(scenario_io, "_CSV_CHUNK_ROWS", 256)
+    args = ["map", "--scenario", str(path), "--out", str(tmp_path / "map.csv")]
+    alone = _traced_peak(args)
+    with_heatmap = _traced_peak(args + ["--heatmap", "opportunity"])
+    assert len((tmp_path / "map-opportunity-t0b0.mat").read_text().splitlines()) == len(grid._row_counts)
+    assert with_heatmap <= alone + 0.5 * grid.cell_count * 8

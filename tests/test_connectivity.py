@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -28,7 +29,7 @@ from muse import (
     load_scenario,
     watts_to_dbm,
 )
-from muse import connectivity, consumption
+from muse import cli, connectivity, consumption
 from muse.connectivity import _hop_gains
 from muse.propagation import link_gain
 
@@ -302,9 +303,16 @@ def reference_edges_csv_text(cmap) -> str:
 
 
 def assert_csv_matches_reference(cmap):
-    for chunk_rows in (1, 7, 64, 4096):
-        with mock.patch.object(connectivity, "_CSV_CHUNK_ROWS", chunk_rows):
-            assert_same_text(cmap.to_csv(), reference_edges_csv_text(cmap))
+    """``to_csv()`` and the file ``muse connectivity`` streams through ``cli._write``
+    equal the reference byte for byte, whatever the chunk size."""
+    expected = reference_edges_csv_text(cmap)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edges.csv"
+        for chunk_rows in (1, 7, 64, 4096):
+            with mock.patch.object(connectivity, "_CSV_CHUNK_ROWS", chunk_rows):
+                assert_same_text(cmap.to_csv(), expected)
+                cli._write(str(path), cmap._csv_chunks())
+            assert_same_text(path.read_bytes().decode("utf-8"), expected)
 
 
 # No explain phase: on a failure it reruns the failing example some 500 times

@@ -25,7 +25,7 @@ from muse import (
     validate_system,
     write_map_csv,
 )
-from muse import scenario_io
+from muse import cli, scenario_io
 from muse.consumption import ConsumptionMaps
 from muse.scenario_io import MAP_CSV_HEADER, heatmap_text
 
@@ -562,12 +562,16 @@ def generated_maps(draw):
 @given(maps=generated_maps(), chunk_rows=st.sampled_from([1, 7, 64, 4096]))
 def test_map_writers_match_reference_and_round_trip_bitwise(tmp_path_factory, maps, chunk_rows):
     path = tmp_path_factory.mktemp("map") / "map.csv"
+    mat = path.with_suffix(".mat")
     with mock.patch.object(scenario_io, "_CSV_CHUNK_ROWS", chunk_rows):
         write_map_csv(path, maps)
+        for tau in range(maps.grid.horizon):
+            for nu in range(maps.grid.band_count):
+                expected = reference_heatmap_text(maps, "raw_opportunity", tau, nu)
+                assert_same_text(heatmap_text(maps, "raw_opportunity", tau, nu), expected)
+                cli._write(str(mat), scenario_io._heatmap_chunks(maps, "raw_opportunity", tau, nu))  # as `muse map --heatmap`
+                assert_same_text(mat.read_bytes().decode("utf-8"), expected)
     assert_same_text(path.read_bytes().decode("utf-8"), reference_map_csv_text(maps))
-    for tau in range(maps.grid.horizon):
-        for nu in range(maps.grid.band_count):
-            assert_same_text(heatmap_text(maps, "raw_opportunity", tau, nu), reference_heatmap_text(maps, "raw_opportunity", tau, nu))
 
     loaded = read_map_csv(path)
     for name in ("occupancy", "opportunity", "raw_opportunity", "liability"):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,3 +30,14 @@ def test_edges():
         watts_to_dbm(-1.0)
     with pytest.raises(ValueError):
         linear_to_db(0.0)
+
+
+def test_db_conversions_saturate_to_inf():
+    """Where 10^(x / 10) overflows the float range, both conversions return inf,
+    for a Python float and a numpy scalar alike, with no error and no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in (5000.0, np.float64(5000.0)):
+            assert db_to_linear(value) == math.inf
+            assert dbm_to_watts(value) == math.inf
+        assert db_to_linear(np.float64(-5000.0)) == dbm_to_watts(-5000.0) == 0.0
