@@ -22,9 +22,9 @@ from typing import Iterator
 import numpy as np
 
 from .consumption import _evaluate_grid, _point_slice
-from .grid import Cell
+from .grid import SQRT3, Cell
 from .model import RFSystem
-from .propagation import _distance, path_gain
+from .propagation import path_gain
 from .units import watts_to_dbm
 
 __all__ = ["LinkAssessment", "ConnectivityMap", "link_feasibility", "build_connectivity_map"]
@@ -92,12 +92,11 @@ class ConnectivityMap:
             yield (row * len(a)) % tuple(np.stack(columns, axis=-1).ravel().tolist())
 
 
-def _hop_gains(sys: RFSystem, src: np.ndarray, dst: np.ndarray, bands) -> np.ndarray:
-    """Path gain from each of the (pairs, 2) points ``src`` to the matching
-    point of ``dst`` on each of ``bands``, (pairs, bands)."""
-    offset = dst - src
-    d = _distance(offset[:, 0], offset[:, 1])
-    return np.stack([path_gain(sys.model_for_band(nu), d) for nu in bands], axis=1)
+def _hop_gains(sys: RFSystem, bands) -> np.ndarray:
+    """Path gain of one hop on each of ``bands``, (bands,).  Adjacent sample
+    points, centroid or offset alike, lie one column pitch, sqrt(3) x hex side, apart."""
+    pitch = SQRT3 * sys.grid_spec.hex_side
+    return np.array([path_gain(sys.model_for_band(nu), pitch) for nu in bands])
 
 
 def _check_request(sys: RFSystem, candidate_beta: float, time_index: int):
@@ -111,10 +110,11 @@ def _check_request(sys: RFSystem, candidate_beta: float, time_index: int):
 def _budget(sys: RFSystem, raw_opportunity, occupancy, gains: np.ndarray, candidate_beta: float):
     """Candidate links on each band: (feasible, max_power, sinr), each
     (pairs, bands).  The power is the raw opportunity at the source clipped
-    to [0, p_max]; the SINR is power x hop gain over the occupancy at the
-    destination.  Both are computed in place, in ``raw_opportunity`` and ``gains``."""
+    to [0, p_max], computed in place in ``raw_opportunity``; the SINR is
+    power x the band's hop gain over the occupancy at the destination."""
     max_power = np.minimum(np.maximum(raw_opportunity, 0.0, out=raw_opportunity), sys.params.p_max, out=raw_opportunity)
-    sinr = np.divide(np.multiply(max_power, gains, out=gains), occupancy, out=gains)
+    sinr = max_power * gains
+    sinr /= occupancy
     return sinr >= candidate_beta, max_power, sinr
 
 
@@ -137,9 +137,8 @@ def link_feasibility(
     _check_request(sys, candidate_beta, tau)
     src, dst = (sys.grid.points(chi, chi + 1) for chi in (a, b))
     source, dest = (_point_slice(sys, p[0], tau, band_index, chi)[2] for p, chi in ((src, a), (dst, b)))
-    gains = _hop_gains(sys, src, dst, [band_index])
-    feasible, max_power, sinr = _budget(sys, source[2:3], dest[0], gains, candidate_beta)
-    return bool(feasible[0, 0]), float(max_power[0]), float(sinr[0, 0])
+    feasible, max_power, sinr = _budget(sys, source[2:3], dest[0], _hop_gains(sys, [band_index]), candidate_beta)
+    return bool(feasible[0]), float(max_power[0]), float(sinr[0])
 
 
 def build_connectivity_map(sys: RFSystem, candidate_beta: float, time_index: int = 0) -> ConnectivityMap:
@@ -152,12 +151,11 @@ def build_connectivity_map(sys: RFSystem, candidate_beta: float, time_index: int
     """
     _check_request(sys, candidate_beta, time_index)
     candidates, valid = sys.grid._neighbor_table(np.arange(sys.grid.region_count))
-    a, b = np.nonzero(valid)[0], candidates[valid]
+    a, b = np.flatnonzero(valid) // 6, candidates[valid]  # nonzero(valid)[0] would keep both index rows
     maps, _, _ = _evaluate_grid(sys, times=[time_index], keep=("occupancy", "raw_opportunity"))
-    pts = sys.grid.sample_points
-    gains = _hop_gains(sys, pts[a], pts[b], range(sys.grid.band_count))
+    gains = _hop_gains(sys, range(sys.grid.band_count))
     feasible, max_power, sinr = _budget(sys, maps["raw_opportunity"][a, 0], maps["occupancy"][b, 0], gains, candidate_beta)
-    best = np.where(feasible.any(axis=1), np.argmax(np.where(feasible, sinr, -np.inf), axis=1), -1)
+    best = np.where(feasible.any(axis=1), np.argmax(sinr, axis=1), -1)  # a pair's largest SINR is feasible if any is
     for array in (a, b, feasible, max_power, sinr, best):
         array.setflags(write=False)  # the edges and best_band views are cached
     return ConnectivityMap(candidate_beta, time_index, a, b, feasible, max_power, sinr, best)

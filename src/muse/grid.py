@@ -206,9 +206,11 @@ class SpectrumGrid:
         """Region index of the hexagon containing the point.
 
         Points on a shared edge resolve to the lowest region index.
-        Raises ValueError for points outside the tessellated area.
+        Raises ValueError for points outside the tessellated area or not finite.
         """
         x, y = float(point[0]), float(point[1])
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"point {(x, y)} is not finite")
         s = self.spec.hex_side
         col_pitch = SQRT3 * s
         i0 = int(round(y / (1.5 * s)))

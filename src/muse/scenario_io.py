@@ -454,7 +454,7 @@ def load_scenario(path) -> RFSystem:
 
 
 def save_scenario(sys: RFSystem, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(serialize_scenario(sys))
 
 
@@ -506,8 +506,9 @@ def read_map_csv(path) -> dict[str, np.ndarray | OpportunityMap]:
 
     The header must match, every row must hold three integer indices and
     six numbers (no comment lines; empty lines are skipped), every
-    (region, time, band) index triple must appear exactly once and every
-    value must be finite; anything else raises ScenarioError.
+    (region, time, band) index triple must appear exactly once, every value
+    must be finite and the rows of a region must agree on its centroid;
+    anything else raises ScenarioError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -541,6 +542,8 @@ def read_map_csv(path) -> dict[str, np.ndarray | OpportunityMap]:
     centroids = np.zeros((n_regions, 2))
     centroids[chis, 0] = rows["centroid_x"]
     centroids[chis, 1] = rows["centroid_y"]
+    if np.any(centroids[chis, 0] != rows["centroid_x"]) or np.any(centroids[chis, 1] != rows["centroid_y"]):
+        raise ScenarioError("map CSV rows of one region disagree on its centroid")
     data = {}
     for name in _FIELDS:
         data[name] = np.zeros(shape)

@@ -10,7 +10,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from muse import compute_maps, consumption, dbm_to_watts, load_scenario, read_map_csv, scenario_io
+from muse import cli, compute_maps, consumption, dbm_to_watts, load_scenario, read_map_csv, scenario_io
 from muse.cli import main
 from muse.model import UnknownEntityError
 from muse.scenario_io import heatmap_text
@@ -643,18 +643,22 @@ def test_smf_out_holds_no_copies_of_theta(monkeypatch, tmp_path):
 
 def test_connectivity_streams_its_edge_csv(monkeypatch, tmp_path):
     """``muse connectivity`` on the 12 m campus (8,287 regions x 3 bands, about
-    36 CSV chunks) holds its edge arrays and one chunk of text: it peaks near 35
+    36 CSV chunks) holds its edge arrays and one chunk of text: it peaks near 27
     one-quantum maps, its build's own peak, where holding the 6.4 MB text (32
-    maps) and its chunk list took it to 107."""
+    maps) and its chunk list took it to 107, and per-pair sample points and
+    distances to 35.  A hop is one lattice pitch, so no lattice is built."""
     path = tmp_path / "campus.yaml"
     path.write_text((DEMO_SCENARIOS / "three_band_campus.yaml").read_text().replace("hex_side_m: 100.0", "hex_side_m: 12.0"))
     grid = load_scenario(path).grid
     one_map = grid.region_count * grid.band_count * 8
     monkeypatch.setenv("MUSE_THREADS", "1")
+    systems, build = [], cli.build_connectivity_map
+    monkeypatch.setattr(cli, "build_connectivity_map", lambda system, *args: systems.append(system) or build(system, *args))
     out = tmp_path / "edges.csv"
     peak = _traced_peak(["connectivity", "--scenario", str(path), "--beta-db", "10", "--out", str(out)])
     assert grid.region_count == 8287 and out.stat().st_size > 30 * one_map
-    assert peak <= 40 * one_map
+    assert peak <= 31 * one_map
+    assert not {"sample_points", "centroids"} & systems[0].grid.__dict__.keys()
 
 
 def test_map_heatmap_streams_its_slice(monkeypatch, tmp_path):

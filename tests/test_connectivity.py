@@ -31,6 +31,7 @@ from muse import (
 )
 from muse import cli, connectivity, consumption
 from muse.connectivity import _hop_gains
+from muse.grid import SQRT3, GridSpec
 from muse.propagation import link_gain
 
 from helpers import add_random_receiver, assert_same_text, empty_system, random_system, reference_params, small_grid
@@ -263,8 +264,7 @@ def test_connectivity_evaluates_only_the_requested_quantum(monkeypatch):
         # the budget as computed from the full maps before
         a, b = cmap.cell_a, cmap.cell_b
         max_power = np.minimum(np.maximum(maps.raw_opportunity[a, tau, :], 0.0), sys_.params.p_max)
-        pts = sys_.grid.sample_points
-        sinr = max_power * _hop_gains(sys_, pts[a], pts[b], bands) / maps.occupancy[b, tau, :]
+        sinr = max_power * _hop_gains(sys_, bands) / maps.occupancy[b, tau, :]
         assert max_power.tobytes() == cmap.max_power.tobytes()
         assert sinr.tobytes() == cmap.sinr.tobytes()
         assert np.array_equal(sinr >= beta, cmap.feasible)
@@ -272,17 +272,38 @@ def test_connectivity_evaluates_only_the_requested_quantum(monkeypatch):
     assert not np.array_equal(quiet, build_connectivity_map(sys_, beta, 0).max_power)
 
 
-def test_hop_gains_equal_link_gains_bitwise():
-    """Hops and gain fields measure distance with one formula: on random,
-    mostly non-adjacent, region pairs of an 8 m grid the hop gains equal
-    ``link_gain`` of an omni antenna at the source's sample point."""
-    sys_ = random_system(np.random.default_rng(3), spec=small_grid(8.0))
-    rng = np.random.default_rng(11)
-    a, b = rng.integers(0, sys_.grid.region_count, size=(2, 2000))
-    pts = sys_.grid.sample_points
-    hops = _hop_gains(sys_, pts[a], pts[b], [0])[:, 0]
-    model = sys_.model_for_band(0)
-    assert hops.tolist() == [link_gain(model, OMNI, pts[i], [pts[j]])[0] for i, j in zip(a, b)]
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(1.5, 100.0),
+    st.tuples(st.floats(690.0, 4300.0), st.floats(590.0, 3700.0)),
+    st.one_of(st.none(), st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))),
+    st.floats(0.0, 1.0),
+    st.floats(2.0, 6.0),
+)
+def test_a_hop_is_one_lattice_pitch(side, size, offset, where, alpha):
+    """Every adjacent pair's sample points, centroid or offset, lie one column
+    pitch apart, so the hop gain is ``link_gain`` of an omni antenna at the
+    source's sample point toward the destination's.  Checked on up to 2,000
+    regions from anywhere in grids of up to 4300 x 3700 m at 1.5 m."""
+    spec = GridSpec(
+        *size,
+        side,
+        sample_point_policy="centroid" if offset is None else "offset",
+        sample_offset=None if offset is None else (offset[0] * side, offset[1] * side),
+    )
+    sys_ = dataclasses.replace(empty_system(), grid_spec=spec, propagation=PropagationModel(alpha=alpha))
+    grid = sys_.grid
+    lo = int(where * max(0, grid.region_count - 2000))
+    regions = np.arange(lo, min(lo + 2000, grid.region_count))
+    candidates, valid = grid._neighbor_table(regions)
+    a, b = np.repeat(regions, 6)[valid.ravel()], candidates[valid]
+    first = min(a.min(), b.min())
+    pts = grid.points(first, max(a.max(), b.max()) + 1)
+    a, b = a - first, b - first
+    assert np.allclose(np.hypot(*(pts[b] - pts[a]).T), SQRT3 * side, rtol=1e-12, atol=0.0)
+    (hop,) = _hop_gains(sys_, [0])
+    for i, j in zip(a[::41].tolist(), b[::41].tolist()):
+        assert hop == pytest.approx(link_gain(sys_.propagation, OMNI, pts[i], [pts[j]])[0], rel=1e-11, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +343,11 @@ def assert_csv_matches_reference(cmap):
 def test_csv_matches_reference_on_generated_systems(sys_, time_index):
     time_index = min(time_index, sys_.grid_spec.horizon - 1)
     for beta_db in (6.0, 20.0):
-        assert_csv_matches_reference(build_connectivity_map(sys_, db_to_linear(beta_db), time_index))
+        cmap = build_connectivity_map(sys_, db_to_linear(beta_db), time_index)
+        assert_csv_matches_reference(cmap)
+        # the best band is the first SINR argmax over the feasible bands
+        masked = np.argmax(np.where(cmap.feasible, cmap.sinr, -np.inf), axis=1)
+        assert np.array_equal(cmap.best, np.where(cmap.feasible.any(axis=1), masked, -1))
 
 
 def test_csv_zero_power_source_and_no_feasible_band():

@@ -383,6 +383,13 @@ def test_per_band_noise_and_override():
     assert maps.occupancy[3, 0, 0] == dbm_to_watts(-90.0)
 
 
+@pytest.mark.parametrize("point", [(math.inf, 10.0), (10.0, -math.inf), (math.nan, 10.0), (1e6, 1e6)])
+def test_noise_at_falls_back_to_band_noise_off_the_grid(point):
+    sys_ = dataclasses.replace(empty_system(), noise_cell_overrides={(3, 0): dbm_to_watts(-90.0)})
+    assert sys_.noise_at(point, 0) == sys_.params.noise_for_band(0)
+    assert point_metrics(sys_, point).occupancy == sys_.params.noise_for_band(0)
+
+
 def test_threaded_chunked_evaluation_bitwise_deterministic(monkeypatch):
     import muse.consumption as consumption
 

@@ -97,6 +97,12 @@ def test_locate_and_vertices():
         grid.locate((1e6, 1e6))
 
 
+@pytest.mark.parametrize("point", [(math.inf, 10.0), (-math.inf, 10.0), (10.0, math.inf), (math.nan, 10.0), (10.0, math.nan)])
+def test_locate_rejects_non_finite_points(point):
+    with pytest.raises(ValueError, match="not finite"):
+        SpectrumGrid(reference_grid(100.0)).locate(point)
+
+
 def test_locate_fuzz_region_and_boundaries():
     from muse.grid import _point_in_hex
 

@@ -157,9 +157,13 @@ def test_demo_round_trip_exact(name):
 
 
 @pytest.mark.parametrize("name", sorted(DEMO_SERIALIZED_SHA256))
-def test_save_scenario_writes_the_serialized_bytes(tmp_path, name):
+def test_save_scenario_writes_the_serialized_bytes(monkeypatch, tmp_path, name):
     sys_ = load_scenario(SCENARIOS / name)
+    newlines = []
+    monkeypatch.setattr(scenario_io, "open", lambda *args, **kw: newlines.append(kw.get("newline")) or open(*args, **kw), raising=False)
     save_scenario(sys_, tmp_path / name)
+    # "\n" line ends on every platform, so the file holds serialize_scenario's bytes
+    assert newlines == ["\n"]
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == DEMO_SERIALIZED_SHA256[name]
     assert load_scenario(tmp_path / name) == sys_
 
@@ -454,6 +458,12 @@ def _missing_row(rows):
     del rows[-1]
 
 
+def _stray_centroid(rows):
+    fields = rows[0].split(",")  # region 0's first row; its other row keeps x = 0
+    fields[3] = "9.9e+03"
+    rows[0] = ",".join(fields)
+
+
 def _extra_region(rows):
     fields = rows[0].split(",")
     fields[0] = str(1 + max(int(row.split(",")[0]) for row in rows))
@@ -475,9 +485,11 @@ def _extra_region(rows):
         (_no_rows, "no data rows"),
         (_missing_row, "row count does not match its index ranges"),
         (_extra_region, "row count does not match its index ranges"),
+        (_stray_centroid, "disagree on its centroid"),
     ],
     ids=["cut-row", "negative-index", "duplicate-row", "nan", "infinite", "malformed",
-         "fractional-index", "exponent-index", "comment-row", "header-only", "missing-row", "extra-region"],
+         "fractional-index", "exponent-index", "comment-row", "header-only", "missing-row", "extra-region",
+         "stray-centroid"],
 )
 def test_read_map_csv_rejects_bad_rows(tmp_path, mutate, message):
     path = tmp_path / "map.csv"
