@@ -21,12 +21,13 @@ from muse import (
     load_scenario,
     opportunity_map,
     simulate_recovery,
+    total_spectrum_space,
 )
 
 HERE = Path(__file__).parent
 system = load_scenario(HERE / "scenarios" / "four_pair_field.yaml")
 truth = opportunity_map(system)
-total = system.params.p_cmax * system.grid.cell_count
+total = total_spectrum_space(system.grid_spec, system.params)
 print(f"true available spectrum: {truth.total:.1f} of {total:.0f} W*m^2 ({100 * truth.total / total:.1f} %)\n")
 
 model = SensingErrorModel(

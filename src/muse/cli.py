@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .connectivity import build_connectivity_map
 from .consumption import _FIELDS, _thread_budget, compute_maps, entity_consumption, point_metrics, system_report
+from .grid import total_spectrum_space
 from .model import RFSystem, UnknownEntityError, validate_system
 from .scenario_io import ScenarioError, _heatmap_chunks, _map_csv_chunks, load_scenario, read_map_csv
 from .smf import SensingErrorModel, SMFReport, _check_grid, compare_maps, opportunity_map, simulate_recovery
@@ -214,7 +215,7 @@ def entity(scenario, entity_id):
     """Spectrum consumed by one RF entity."""
     system = _load(scenario)
     consumed = entity_consumption(system, entity_id)
-    total = system.params.p_cmax * system.grid.cell_count
+    total = total_spectrum_space(system.grid_spec, system.params)
     click.echo(f"{entity_id}: {consumed:.6g} W*m^2 ({100 * consumed / total:.4g} % of total spectrum space)")
 
 
@@ -270,7 +271,7 @@ def smf(scenario, truth_map, other_map, p_missed, false_positives, geo_sigma, po
         other = simulate_recovery(system, model)
     rep = compare_maps(truth, other)
 
-    total = system.params.p_cmax * system.grid.cell_count
+    total = total_spectrum_space(system.grid_spec, system.params)
     labels = ("true available", "recovered available", "lost available", "potentially incursed")
     for label, value in zip(labels, (rep.truth_total, rep.recovered_available, rep.lost_available, rep.potentially_incursed)):
         click.echo(f"{label + ':':<22} {value:.6g} W*m^2 ({100 * value / total:.4g} % of total)")

@@ -563,7 +563,7 @@ def system_report(sys: RFSystem, include_entities: bool = True) -> ConsumptionRe
     """System-wide consumption spaces and the conservation check."""
     members = frozenset(m.id for m in entity_selector(sys, "system")) if include_entities else frozenset()
     _, sums, entities = _evaluate_grid(sys, members)
-    psi_total = sys.params.p_cmax * sys.grid.cell_count
+    psi_total = sys.params.p_cmax * sys.grid.cell_count  # total_spectrum_space, on the grid already built
     psi_utilized, psi_available, psi_forbidden = map(float, sums)
     residual = abs(psi_utilized + psi_forbidden + psi_available - psi_total) / psi_total
 

@@ -282,5 +282,4 @@ def tessellate(spec: GridSpec) -> list[Cell]:
 
 def total_spectrum_space(spec: GridSpec, params) -> float:
     """Maximum consumable spectrum: p_cmax * A * T * B (unit-region weights)."""
-    grid = SpectrumGrid(spec)
-    return params.p_cmax * grid.region_count * spec.horizon * spec.band_count
+    return params.p_cmax * SpectrumGrid(spec).cell_count

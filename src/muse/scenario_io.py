@@ -53,6 +53,7 @@ MAP_CSV_HEADER = (
 
 # libyaml's parser where pyyaml was built with it; both build the same documents.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_NOT_ID = (type(None), list, dict)  # what an id may not be; a mapping is not named by one
 
 
 class ScenarioError(ValueError):
@@ -115,7 +116,7 @@ def _bool(obj, ctx: str) -> bool:
 
 
 def _id(obj, ctx: str) -> str:
-    if obj is None or isinstance(obj, (list, dict)):
+    if isinstance(obj, _NOT_ID):
         raise ScenarioError(f"{ctx}: expected a scalar id, got {obj!r}")
     return str(obj)
 
@@ -128,8 +129,8 @@ def _index(obj, ctx: str) -> int:
 
 def _position(obj, ctx: str) -> tuple[float, float]:
     if not isinstance(obj, list) or len(obj) != 2:
-        raise ScenarioError(f"{ctx}: position must be [x_m, y_m]")
-    return (_number(obj[0], ctx), _number(obj[1], ctx))
+        raise ScenarioError(f"{ctx}: expected [x_m, y_m], got {obj!r}")
+    return (_number(obj[0], f"{ctx}[0]"), _number(obj[1], f"{ctx}[1]"))
 
 
 def _activity(obj, ctx: str) -> frozenset[int] | None:
@@ -153,7 +154,7 @@ def _version(obj, ctx: str) -> dict:
 def _noise(obj, ctx: str) -> float | tuple[float, ...]:
     """One ambient noise for all bands, or a list of one per band."""
     if isinstance(obj, list):
-        return tuple(_number(v, ctx, dbm_to_watts) for v in obj)
+        return tuple(_number(v, f"{ctx}[{k}]", dbm_to_watts) for k, v in enumerate(obj))
     return _number(obj, ctx, dbm_to_watts)
 
 
@@ -187,36 +188,23 @@ def _policy_doc(spec: GridSpec):
     return "centroid" if spec.sample_point_policy == "centroid" else _OFFSET.write(spec)
 
 
-def _list_of(section, item, nonempty=False, least=0):
-    """The reader and writer of a list of ``section``'s mappings, a tuple of models;
-    ``item(ctx, k)`` is the k-th mapping's context.  A list of fewer than
-    ``least`` models is not written."""
+def _list_of(section, nonempty=False, least=0):
+    """The reader and writer of a list of ``section``'s mappings, a tuple of models,
+    the k-th read at ``<ctx>[k]``.  A list of fewer than ``least`` models is not written."""
 
     def read(obj, ctx: str) -> tuple:
         if not isinstance(obj, list) or (nonempty and not obj):
             raise ScenarioError(f"{ctx}: expected {'a non-empty list' if nonempty else 'a list'}")
-        return tuple(section(v, item(ctx, k)) for k, v in enumerate(obj))
+        return tuple(section(v, f"{ctx}[{k}]") for k, v in enumerate(obj))
 
     return read, lambda models: [section.write(m) for m in models] if len(models) >= least else None
-
-
-def _nth(ctx: str, k) -> str:
-    return f"{ctx}[{k}]"
-
-
-def _one_of(ctx: str, k) -> str:
-    return ctx[:-1]  # "link l-1: receiver" of "link l-1: receivers"
-
-
-def _unnumbered(ctx: str, k) -> str:
-    return ctx.rpartition(" ")[2] + "[]"  # "networks[]"; "links[]" of "network n-1: links"
 
 
 def _band_overrides(obj, ctx: str) -> dict:
     """{band: (override mapping, its context)}; ``_propagation`` reads each over the base model."""
     if not isinstance(obj, dict):
         raise ScenarioError(f"{ctx}: expected a mapping, got {type(obj).__name__}")
-    return {_index(k, ctx): (v, _nth(ctx, k)) for k, v in obj.items()}
+    return {_index(k, ctx): (v, f"{ctx}[{k}]") for k, v in obj.items()}
 
 
 def _noise_overrides(obj, ctx: str) -> dict[tuple[int, int], float]:
@@ -247,34 +235,33 @@ class _Key(NamedTuple):
     """A key of a mapping and the model field it fills: ``read`` gives the field,
     ``write`` the key's value or None to leave the key out, and ``default`` the
     field of an absent key.  With ``field`` None the key fills several fields:
-    ``read`` returns them as a dict and ``write`` gets the whole model.  ``at``
-    joins the section's context and the key into the context of ``read``'s
-    errors: None gives the section's alone, "" the key alone."""
+    ``read`` returns them as a dict and ``write`` gets the whole model."""
 
     key: str
     field: str | None
     read: Callable[[Any, str], Any]
     write: Callable[[Any], Any]
     default: Any = _REQUIRED
-    at: str | None = None
 
 
 class _Section:
-    """A mapping: ``build``, which makes its model of the fields its keys fill,
-    and its keys in file order.  ``name(ctx, mapping)`` names a mapping by its id;
-    ``view(model)`` is what the keys are written from, if not the model itself."""
+    """A mapping: ``build``, which makes its model of the fields its keys fill, and its
+    keys in file order.  A ``label`` names a mapping ``<label> <id>`` once its id is a
+    scalar; ``view(model)`` is what the keys are written from, if not the model itself."""
 
-    def __init__(self, build, *keys: _Key, name=None, view=None):
-        self.build, self.keys, self.name, self.view = build, keys, name, view
+    def __init__(self, build, *keys: _Key, label=None, view=None):
+        self.build, self.keys, self.label, self.view = build, keys, label, view
         self.allowed = frozenset(e.key for e in keys)
         self.required = frozenset(e.key for e in keys if e.default is _REQUIRED)
 
     def __call__(self, obj, ctx: str):
-        """Read the mapping ``obj`` found at ``ctx`` into its model."""
+        """Read the mapping ``obj`` found at ``ctx`` into its model, each key at
+        ``<ctx>.<key>``; the document root's ``ctx`` is "", so its keys stand alone."""
         if not isinstance(obj, dict):
-            raise ScenarioError(f"{ctx}: expected a mapping, got {type(obj).__name__}")
-        if self.name is not None:
-            ctx = self.name(ctx, obj)
+            raise ScenarioError(f"{ctx or 'scenario'}: expected a mapping, got {type(obj).__name__}")
+        if self.label is not None and not isinstance(obj.get(_ID.key), _NOT_ID):
+            ctx = f"{self.label} {obj[_ID.key]}"
+        at, ctx = ctx and ctx + ".", ctx or "scenario"
         unknown = obj.keys() - self.allowed
         if unknown:  # sorted by type first: YAML keys need not be strings
             raise ScenarioError(f"{ctx}: unknown key(s) {sorted(unknown, key=lambda k: (type(k).__name__, k))}")
@@ -282,12 +269,12 @@ class _Section:
         if missing:
             raise ScenarioError(f"{ctx}: missing key(s) {sorted(missing)}")
         fields = {}
-        for key, field, read, _, default, at in self.keys:
+        for key, field, read, _, default in self.keys:
             value = obj.get(key, _REQUIRED)
             if value is _REQUIRED:  # absent, so not required
                 value = default
             else:
-                value = read(value, ctx if at is None else f"{ctx}{at}{key}" if at else key)
+                value = read(value, at + key)
             if field is None:
                 fields.update(value)
             elif field in fields:
@@ -304,16 +291,11 @@ class _Section:
     def write(self, model) -> dict[str, Any]:
         obj = model if self.view is None else self.view(model)
         doc = {}
-        for key, field, _, write, _, _ in self.keys:
+        for key, field, _, write, _ in self.keys:
             value = write(obj if field is None else getattr(obj, field))
             if value is not None:
                 doc[key] = value
         return doc
-
-
-def _named(label: str | None = None):
-    """Name a mapping by its unread id after ``label``, else after its context: "link l-1: transmitter t-1"."""
-    return lambda ctx, obj: f"{label or ctx} {obj.get(_ID.key)}"
 
 
 _ID = _Key("id", "id", _id, _as_is)
@@ -333,7 +315,7 @@ _TRANSCEIVER = (  # a transmitter's or receiver's own first key comes after the 
     _Key("bands", "bands", _activity, _activity_doc, None),
 )
 _TX = _Section(
-    Transmitter, *_TRANSCEIVER[:2], _Key("power_dbm", "tx_power", *_num(_DBM)), *_TRANSCEIVER[2:], name=_named()
+    Transmitter, *_TRANSCEIVER[:2], _Key("power_dbm", "tx_power", *_num(_DBM)), *_TRANSCEIVER[2:], label="transmitter"
 )
 _RX = _Section(
     Receiver,
@@ -341,9 +323,9 @@ _RX = _Section(
     _Key("beta_db", "beta", *_num(_DB)),
     *_TRANSCEIVER[2:],
     _Key("margin_dbm", "explicit_margin", _num(_DBM)[0], lambda w: None if w is None else _DBM[1](w), None),
-    name=_named(),
+    label="receiver",
 )
-_TRANSMITTERS = _Key("transmitters", "transmitters", *_list_of(_TX, _one_of, least=2), (), ": ")
+_TRANSMITTERS = _Key("transmitters", "transmitters", *_list_of(_TX, least=2), ())
 _LINK = _Section(
     RFLink,
     _ID,
@@ -353,18 +335,17 @@ _LINK = _Section(
         lambda obj, ctx: () if obj is None else (_TX(obj, ctx),),
         lambda txs: _TX.write(txs[0]) if len(txs) == 1 else None,
         (),
-        ": ",
     ),
     _TRANSMITTERS,
-    _Key("receivers", "receivers", *_list_of(_RX, _one_of, least=1), (), ": "),
-    name=_named("link"),
+    _Key("receivers", "receivers", *_list_of(_RX, least=1), ()),
+    label="link",
 )
 _NETWORK = _Section(
     RFNetwork,
     _ID,
-    _Key("links", "links", *_list_of(_LINK, _unnumbered), at=": "),
-    _Key("orthogonal", "orthogonal", _bool, lambda orthogonal: True if orthogonal else None, False, ": "),
-    name=_named("network"),
+    _Key("links", "links", *_list_of(_LINK)),
+    _Key("orthogonal", "orthogonal", _bool, lambda orthogonal: True if orthogonal else None, False),
+    label="network",
 )
 _BAND = _Section(
     Band,
@@ -373,18 +354,18 @@ _BAND = _Section(
 )
 _OFFSET = _Section(
     lambda sample_offset: dict(sample_point_policy="offset", sample_offset=sample_offset),
-    _Key("offset_m", "sample_offset", _position, list, at="."),
+    _Key("offset_m", "sample_offset", _position, list),
 )
 _GRID = _Section(
     GridSpec,
-    _Key("width_m", "region_width", *_num(), at="."),
-    _Key("height_m", "region_height", *_num(), at="."),
-    _Key("hex_side_m", "hex_side", *_num(), at="."),
-    _Key("time_quantum_s", "time_quantum", *_num(), 1.0, "."),
-    _Key("time_quanta", "horizon", _index, _as_is, 1, "."),
-    _Key("bands", "bands", *_list_of(_BAND, _nth, nonempty=True), at="."),
-    _Key("sample_point_policy", None, _policy, _policy_doc, _CENTROID, "."),
-    _Key("worst_case_placement", "worst_case_placement", _bool, _as_is, False, "."),
+    _Key("width_m", "region_width", *_num()),
+    _Key("height_m", "region_height", *_num()),
+    _Key("hex_side_m", "hex_side", *_num()),
+    _Key("time_quantum_s", "time_quantum", *_num(), 1.0),
+    _Key("time_quanta", "horizon", _index, _as_is, 1),
+    _Key("bands", "bands", *_list_of(_BAND, nonempty=True)),
+    _Key("sample_point_policy", None, _policy, _policy_doc, _CENTROID),
+    _Key("worst_case_placement", "worst_case_placement", _bool, _as_is, False),
 )
 _PATH_LOSS = (_Key("alpha", "alpha", *_num()), _Key("reference_distance_m", "reference_distance", *_num(), 1.0))
 _BAND_OVERRIDE = _Section(PropagationModel, *_PATH_LOSS)  # writes an override; ``_propagation`` reads them
@@ -401,7 +382,7 @@ def _propagation(band_propagation, **base) -> dict:
 _PROPAGATION = _Section(
     _propagation,
     *_PATH_LOSS,
-    _Key("band_overrides", "band_propagation", _band_overrides, _band_overrides_doc, {}, "."),
+    _Key("band_overrides", "band_propagation", _band_overrides, _band_overrides_doc, {}),
     view=lambda sys: SimpleNamespace(**vars(sys.propagation), band_propagation=sys.band_propagation),
 )
 _NOISE_OVERRIDE = _Section(  # one (region chi, band nu) cell's noise, as ((chi, nu), watts)
@@ -411,24 +392,24 @@ _NOISE_OVERRIDE = _Section(  # one (region chi, band nu) cell's noise, as ((chi,
     _Key("noise_dbm", "watts", *_num(_DBM)),
     view=lambda item: SimpleNamespace(chi=item[0][0], nu=item[0][1], watts=item[1]),
 )
-_NOISE_OVERRIDES = _list_of(_NOISE_OVERRIDE, _nth, least=1)
+_NOISE_OVERRIDES = _list_of(_NOISE_OVERRIDE, least=1)
 _SYSTEM = _Section(
     lambda noise_cell_overrides, **p: dict(params=SystemParams(**p), noise_cell_overrides=noise_cell_overrides),
-    _Key("p_max_dbm", "p_max", *_num(_DBM), at="."),
-    _Key("p_min_dbm", "p_min", *_num(_DBM), at="."),
-    _Key("noise_dbm", "ambient_noise", _noise, _noise_doc, at="."),
-    _Key("noise_overrides", "noise_cell_overrides", _noise_overrides, _noise_overrides_doc, {}, "."),
+    _Key("p_max_dbm", "p_max", *_num(_DBM)),
+    _Key("p_min_dbm", "p_min", *_num(_DBM)),
+    _Key("noise_dbm", "ambient_noise", _noise, _noise_doc),
+    _Key("noise_overrides", "noise_cell_overrides", _noise_overrides, _noise_overrides_doc, {}),
     view=lambda sys: SimpleNamespace(**vars(sys.params), noise_cell_overrides=sys.noise_cell_overrides),
 )
 
 
 _SCENARIO = _Section(
     RFSystem,
-    _Key("muse_scenario", None, _version, lambda sys: SCHEMA_VERSION, at=""),
-    _Key("system", None, _SYSTEM, _SYSTEM.write, at=""),
-    _Key("propagation", None, _PROPAGATION, _PROPAGATION.write, at=""),
-    _Key("grid", "grid_spec", _GRID, _GRID.write, at=""),
-    _Key("networks", "networks", *_list_of(_NETWORK, _unnumbered), at=""),
+    _Key("muse_scenario", None, _version, lambda sys: SCHEMA_VERSION),
+    _Key("system", None, _SYSTEM, _SYSTEM.write),
+    _Key("propagation", None, _PROPAGATION, _PROPAGATION.write),
+    _Key("grid", "grid_spec", _GRID, _GRID.write),
+    _Key("networks", "networks", *_list_of(_NETWORK)),
 )
 
 
@@ -437,7 +418,15 @@ def parse_scenario(text: str) -> RFSystem:
         doc = yaml.load(text, Loader=_YAML_LOADER)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer beyond int()'s digit limit
         raise ScenarioError("malformed YAML: " + " ".join(str(exc).split())) from exc
-    return _SCENARIO(doc, "scenario")
+    count, stack = 0, [doc] if "*" in text else []  # each value takes a character unless an alias repeats it
+    while stack:  # mapping values, list items and !!pairs' pairs (keys are scalars), without recursion
+        node = stack.pop()
+        children = node.values() if isinstance(node, dict) else node if isinstance(node, (list, tuple)) else ()
+        count += len(children)
+        if count > len(text):
+            raise ScenarioError(f"scenario: aliases expand it to more values than its {len(text)} characters")
+        stack.extend(children)
+    return _SCENARIO(doc, "")
 
 
 def serialize_scenario(sys: RFSystem) -> str:

@@ -339,55 +339,64 @@ def _band(doc):
 @pytest.mark.parametrize(
     "mutate, message",
     [
-        (lambda d: d["networks"][0].update(links=5), "network net-1: links: expected a list"),
-        (lambda d: _link(d).update(receivers=5), "link link-1: receivers: expected a list"),
-        (lambda d: _link(d).update(transmitters=7), "link link-1: transmitters: expected a list"),
-        (lambda d: _link(d)["transmitter"].update(id=[1]), "link link-1: transmitter [1]: expected a scalar id, got [1]"),
+        (lambda d: d["networks"][0].update(links=5), "network net-1.links: expected a list"),
+        (lambda d: _link(d).update(receivers=5), "link link-1.receivers: expected a list"),
+        (lambda d: _link(d).update(transmitters=7), "link link-1.transmitters: expected a list"),
+        (lambda d: _link(d)["transmitter"].update(id=[1]), "link link-1.transmitter.id: expected a scalar id, got [1]"),
         (
             lambda d: _link(d)["receivers"][0].update(id={"a": 1}),
-            "link link-1: receiver {'a': 1}: expected a scalar id, got {'a': 1}",
+            "link link-1.receivers[0].id: expected a scalar id, got {'a': 1}",
         ),
-        (lambda d: _link(d).update(id=["l"]), "link ['l']: expected a scalar id, got ['l']"),
-        (lambda d: d["networks"][0].update(id={"n": 1}), "network {'n': 1}: expected a scalar id, got {'n': 1}"),
-        (lambda d: d["networks"][0].update(id=None), "network None: expected a scalar id, got None"),
-        (lambda d: _link(d).update(id=None), "link None: expected a scalar id, got None"),
+        (lambda d: _link(d).update(id=["l"]), "network net-1.links[0].id: expected a scalar id, got ['l']"),
+        (lambda d: d["networks"][0].update(id={"n": 1}), "networks[0].id: expected a scalar id, got {'n': 1}"),
+        (lambda d: d["networks"][0].update(id=None), "networks[0].id: expected a scalar id, got None"),
+        (lambda d: _link(d).update(id=None), "network net-1.links[0].id: expected a scalar id, got None"),
         (
             lambda d: _link(d)["transmitter"].update(id=None),
-            "link link-1: transmitter None: expected a scalar id, got None",
+            "link link-1.transmitter.id: expected a scalar id, got None",
         ),
         (
             lambda d: _link(d)["receivers"][0].update(id=None),
-            "link link-1: receiver None: expected a scalar id, got None",
+            "link link-1.receivers[0].id: expected a scalar id, got None",
         ),
-        (lambda d: _band(d).update(center_mhz=1.0e308), "grid.bands[0]: expected a finite number, got 1e+308"),
-        (lambda d: _band(d).update(center_mhz=0.0), "grid.bands[0]: expected a positive number, got 0.0"),
-        (lambda d: _band(d).update(center_mhz=-600.0), "grid.bands[0]: expected a positive number, got -600.0"),
-        (lambda d: _band(d).update(bandwidth_mhz=0), "grid.bands[0]: expected a positive number, got 0"),
-        (lambda d: _band(d).update(bandwidth_mhz=-6.0), "grid.bands[0]: expected a positive number, got -6.0"),
+        (
+            lambda d: _band(d).update(center_mhz=1.0e308),
+            "grid.bands[0].center_mhz: expected a finite number, got 1e+308",
+        ),
+        (lambda d: _band(d).update(center_mhz=0.0), "grid.bands[0].center_mhz: expected a positive number, got 0.0"),
+        (
+            lambda d: _band(d).update(center_mhz=-600.0),
+            "grid.bands[0].center_mhz: expected a positive number, got -600.0",
+        ),
+        (lambda d: _band(d).update(bandwidth_mhz=0), "grid.bands[0].bandwidth_mhz: expected a positive number, got 0"),
+        (
+            lambda d: _band(d).update(bandwidth_mhz=-6.0),
+            "grid.bands[0].bandwidth_mhz: expected a positive number, got -6.0",
+        ),
         (lambda d: d.update({1: "x", "zz": "y"}), "scenario: unknown key(s) [1, 'zz']"),
         (
             lambda d: _link(d)["transmitter"].update(antenna={"kind": "omni", "main_gain_db": "high"}),
-            "link link-1: transmitter tx-1: expected a number, got 'high'",
+            "transmitter tx-1.antenna.main_gain_db: expected a number, got 'high'",
         ),
         (
             lambda d: _link(d)["transmitter"].update(antenna={"kind": [1]}),
-            "link link-1: transmitter tx-1: unknown antenna kind [1]",
+            "transmitter tx-1.antenna: unknown antenna kind [1]",
         ),
         (
             lambda d: _link(d)["transmitter"].update(position=[1000.0]),
-            "link link-1: transmitter tx-1: position must be [x_m, y_m]",
+            "transmitter tx-1.position: expected [x_m, y_m], got [1000.0]",
         ),
         (
             lambda d: _link(d)["transmitter"].update(antenna={"kind": "sector", "main_gain_db": -3}),
-            "link link-1: transmitter tx-1: sector main_gain must be >= 1",
+            "transmitter tx-1.antenna: sector main_gain must be >= 1",
         ),
         (
             lambda d: _link(d)["receivers"][0].update(antenna={"kind": "sector", "beamwidth_deg": 0}),
-            "link link-1: receiver rx-1: sector beamwidth must be in (0, 2*pi]",
+            "receiver rx-1.antenna: sector beamwidth must be in (0, 2*pi]",
         ),
         (
             lambda d: _link(d)["transmitter"].update(antenna={"kind": "sector", "main_gain_db": 3, "back_gain_db": 6}),
-            "link link-1: transmitter tx-1: sector back_gain must be in (0, main_gain]",
+            "transmitter tx-1.antenna: sector back_gain must be in (0, main_gain]",
         ),
     ],
     ids=["links-int", "receivers-int", "transmitters-int", "list-id", "mapping-id", "list-link-id",
@@ -406,6 +415,40 @@ def test_malformed_structure_exit_code(runner, tmp_path, mutate, message):
     lines = result.output.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0]) == {"error": f"malformed scenario: {message}", "exit_code": 2}
+
+
+def test_alias_expansion_is_bounded_by_the_file_length(runner, tmp_path):
+    """Sixty aliases of a network, of a link and of a receiver make 216,000
+    receivers of a 2 KB file; parsing stops once the document holds more values
+    than the file has characters, also where they hide in a ``!!pairs`` pair
+    that an error message would print.  An anchor shared by two transceivers,
+    as ``yaml.safe_dump`` writes for a reused list, still parses."""
+    receiver = "&x {id: rx-1, position: [1000.0, 2100.0], beta_db: 3.0}"
+    transmitter = "{id: tx-1, position: [1000.0, 2000.0], power_dbm: -24.0}"
+    link = f"&l {{id: link-1, transmitter: {transmitter}, receivers: [{receiver}{', *x' * 59}]}}"
+    networks = f"networks: [&n {{id: net-1, links: [{link}{', *l' * 59}]}}{', *n' * 59}]\n"
+    cube = f"[&b [&c [{', '.join(['0'] * 40)}]{', *c' * 39}]{', *b' * 39}]"
+    path = tmp_path / "bomb.yaml"
+    for bomb in (
+        SCENARIO_TEXT.split("networks:")[0] + networks,
+        SCENARIO_TEXT.replace("alpha: 3.5", f"alpha: !!pairs [{{a: {cube}}}]"),
+    ):
+        path.write_text(bomb)
+        result = runner.invoke(main, ["report", "--scenario", str(path)])
+        assert result.exit_code == 2
+        assert json.loads(result.output) == {
+            "error": f"malformed scenario: scenario: aliases expand it to more values than its {len(bomb)} characters",
+            "exit_code": 2,
+        }
+
+    shared = SCENARIO_TEXT.replace("antenna: omni", "antenna: &sector {kind: sector, main_gain_db: 6.0}").replace(
+        "beta_db: 3.0", "beta_db: 3.0\n            antenna: *sector"
+    )
+    system = scenario_io.parse_scenario(shared)
+    link = system.networks[0].links[0]
+    assert link.transmitters[0].antenna == link.receivers[0].antenna != scenario_io.OMNI
+    path.write_text(shared)
+    assert runner.invoke(main, ["report", "--scenario", str(path)]).exit_code == 0
 
 
 def test_bad_thread_env_exit_code(runner, scenario_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -79,6 +80,23 @@ def test_total_spectrum_space_values():
     ten_cells = GridSpec(region_width=690.0, region_height=590.0, hex_side=100.0)
     assert SpectrumGrid(ten_cells).region_count == 25
     assert total_spectrum_space(ten_cells, HalfWatt()) == pytest.approx(12.5, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    width=st.floats(200.0, 4300.0),
+    height=st.floats(200.0, 3700.0),
+    side=st.floats(10.0, 60.0),
+    horizon=st.integers(1, 8),
+    n_bands=st.integers(1, 5),
+    p_cmax=st.floats(1e-6, 1e6),
+)
+def test_total_spectrum_space_is_p_cmax_times_cell_count_bitwise(width, height, side, horizon, n_bands, p_cmax):
+    """The one formula ``system_report`` and the CLI's percentages use too."""
+    spec = GridSpec(region_width=width, region_height=height, hex_side=side, horizon=horizon,
+                    bands=(Band(6e8, 6e6),) * n_bands)
+    params = types.SimpleNamespace(p_cmax=p_cmax)
+    assert total_spectrum_space(spec, params) == p_cmax * SpectrumGrid(spec).cell_count
 
 
 def test_degenerate_region_rejected():

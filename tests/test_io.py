@@ -367,7 +367,7 @@ def test_missing_and_malformed_fields():
     [
         ("  worst_case_placement: false", "  worst_case_placement: {}", "grid.worst_case_placement",
          lambda sys_: sys_.grid_spec.worst_case_placement),
-        ("  - id: net-1", "  - id: net-1\n    orthogonal: {}", "network net-1: orthogonal",
+        ("  - id: net-1", "  - id: net-1\n    orthogonal: {}", "network net-1.orthogonal",
          lambda sys_: sys_.networks[0].orthogonal),
     ],
     ids=["worst_case_placement", "orthogonal"],

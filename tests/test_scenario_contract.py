@@ -10,7 +10,8 @@ exactly one JSON line on stderr, a successful ``report`` a conservation
 residual of at most 1e-9.  So must every demo with an empty list for one
 list-valued key, every demo with one receiver moved onto a transmitter, and
 every demo with two faults in two sections, where the error names the one
-that comes first in the file.
+that comes first in the file.  A key of a demo set to a value of the wrong
+type is named in the parser's error.
 """
 
 import contextlib
@@ -235,6 +236,31 @@ def test_coincident_transceivers_keep_the_cli_contract(tmp_path, worst_case):
             doc["grid"]["worst_case_placement"] = worst_case
             codes.append(run_cli("report", tmp_path / "scenario.yaml", yaml.safe_dump(doc), name, rx["id"], position)[0])
     assert len(codes) == 29 and set(codes) <= {0, 2}
+
+
+# The keys whose errors name another place: the version has a message of its
+# own, and the antenna's constructor reports an unknown kind at the antenna.
+UNNAMED = {"muse_scenario", "kind"}
+
+
+def test_an_error_names_its_key():
+    """Each key of each demo, set to a list of a list (a wrong type for every
+    key), ends in an error at ``….<key>`` or, for a list's item, ``….<key>[k]``."""
+    unnamed = set()
+    for demo in DEMOS.values():
+        for path, key, present in keys_in(S._SCENARIO, demo):
+            if not present:
+                continue
+            doc = copy.deepcopy(demo)
+            node = doc
+            for step in path:
+                node = node[step]
+            node[key] = [[1]]
+            with pytest.raises(S.ScenarioError) as info:
+                S.parse_scenario(yaml.safe_dump(doc, sort_keys=False))
+            if not re.match(rf"([^:]*\.)?{re.escape(key)}(\[\d+\])?: ", str(info.value)):
+                unnamed.add(key)
+    assert unnamed == UNNAMED
 
 
 def test_the_walk_reaches_every_key_of_the_demos():
