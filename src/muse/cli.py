@@ -21,7 +21,8 @@ import numpy as np
 
 from . import __version__
 from .connectivity import build_connectivity_map
-from .consumption import _FIELDS, _thread_budget, compute_maps, entity_consumption, point_metrics, system_report
+from .consumption import _FIELDS, _evaluate_grids, _report, _thread_budget, compute_maps, entity_consumption
+from .consumption import point_metrics, system_report
 from .grid import total_spectrum_space
 from .model import RFSystem, UnknownEntityError, validate_system
 from .scenario_io import ScenarioError, _heatmap_chunks, _map_csv_chunks, load_scenario, read_map_csv
@@ -309,14 +310,15 @@ def sweep(scenario, hex_sides, out):
     if not sides:
         _fail(EXIT_VALIDATION, "--hex-sides must name at least one side")
 
-    rows = []
-    for side in sides:
+    swept = []
+    for side in sides:  # every side's grid is built, and so checked, before any is evaluated
         try:
-            swept = dataclasses.replace(system, grid_spec=dataclasses.replace(system.grid_spec, hex_side=side))
-            cells = swept.grid.region_count
+            scaled = dataclasses.replace(system, grid_spec=dataclasses.replace(system.grid_spec, hex_side=side))
+            swept.append((side, scaled, scaled.grid.region_count))
         except ValueError as exc:
             _fail(EXIT_VALIDATION, f"bad --hex-sides value {side:g}: {exc}")
-        rows.append((side, cells, system_report(swept, include_entities=False)))
+    passes = _evaluate_grids([scaled for _, scaled, _ in swept])  # every side's chunks in one thread pool
+    rows = [(side, cells, _report(scaled, sums, entities)) for (side, scaled, cells), (_, sums, entities) in zip(swept, passes)]
 
     click.echo(f"{'hex_side_m':>10} {'cells':>9} {'utilized':>13} {'forbidden':>13} {'available':>13} {'consumed_%':>10} {'available_%':>11}")
     for side, cells, rep in rows:

@@ -61,6 +61,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -467,55 +468,90 @@ def _tree_fold(sums: dict, lo: int, hi: int):
     return _tree_fold(sums, lo, mid) + _tree_fold(sums, mid, hi)
 
 
-def _evaluate_grid(sys: RFSystem, members=frozenset(), times=None, keep=()):
-    """Every region's slices in the quanta ``times`` (by default all) and all
-    bands, one link budget per band.
+class _Plan(NamedTuple):
+    """One system's share of a grid pass: its band budgets, its distinct slots,
+    each (band, quantum)'s distinct one, its chunk spans, its kept maps and,
+    once they have run, its chunks' sums."""
 
-    Returns the maps named in ``keep`` (fields of ConsumptionMaps), each of
-    shape (regions, times, bands), a repeated slot copied; the sums of
-    occupancy, clamped opportunity and liability; and each member id's
-    consumption.  Each sum is per slot ``np.sum`` over all regions bit for bit,
-    the slots added up from 0.0 in (band, quantum) order, a repeated slot's
-    reused; so no sum depends on _CHUNK or MUSE_THREADS.  Where maps are kept,
-    chunks hold _CHUNK // slots regions, so a block holds about _CHUNK points."""
+    sys: RFSystem
+    budgets: list
+    slots: list
+    source: list
+    spans: list
+    maps: dict
+    sums: dict
+
+
+def _plan(sys: RFSystem, times, keep) -> _Plan:
+    """``sys``'s share of a pass over the quanta ``times`` that keeps the maps ``keep``."""
     grid = sys.grid
-    times = range(grid.horizon) if times is None else times
     budgets = [_LinkBudget(sys, nu) for nu in range(grid.band_count)]
-    slots, source, first = [], [], {}  # the distinct slots; each (band, quantum)'s distinct one
+    slots, source, first = [], [], {}
     for j, k in np.ndindex(len(budgets), len(times)):
         active = budgets[j].active(times[k])
         source.append(first.setdefault((j, active[0].tobytes(), active[1].tobytes()), len(slots)))
         if source[-1] == len(slots):
             slots.append((budgets[j], active))
     spans = _tree_spans(0, grid.region_count, _CHUNK // len(slots) if keep else _CHUNK)
-    width = max(hi - lo for lo, hi in spans)
     maps = {name: np.empty((grid.region_count, len(times), len(budgets))) for name in keep}
+    return _Plan(sys, budgets, slots, source, spans, maps, {})
+
+
+def _evaluate_grids(systems, members=frozenset(), times=None, keep=()):
+    """Every region's slices of each system in the quanta ``times`` (by default
+    all) and all bands, one link budget per band.
+
+    Returns, per system, the maps named in ``keep`` (fields of
+    ConsumptionMaps), each of shape (regions, times, bands), a repeated slot
+    copied; the sums of occupancy, clamped opportunity and liability; and each
+    member id's consumption.  Each sum is per slot ``np.sum`` over all regions
+    bit for bit, the slots added up from 0.0 in (band, quantum) order, a
+    repeated slot's reused; so no sum depends on _CHUNK or MUSE_THREADS.  The
+    chunks of every system share one pool of at most MUSE_THREADS threads,
+    largest (regions x distinct slots) first, and each thread reuses one block
+    sized for the largest.  Where maps are kept, chunks hold _CHUNK // slots
+    regions, so a block holds about _CHUNK points."""
+    plans = [_plan(sys, range(sys.grid.horizon) if times is None else times, keep) for sys in systems]
     names = ("occupancy", "opportunity", "liability", "raw_opportunity")[: 4 if "raw_opportunity" in keep else 3]
+    tasks = [(len(plan.slots) * (hi - lo), plan, (lo, hi)) for plan in plans for lo, hi in plan.spans]
+    tasks.sort(key=lambda task: task[0], reverse=True)  # stable: equal chunks keep system and region order
+    size = len(names) * tasks[0][0]
     local = threading.local()
 
-    def run(span):
-        lo, hi = span
+    def run(task):
+        _, (sys, budgets, slots, source, _, maps, _), (lo, hi) = task
         if not hasattr(local, "block"):  # each thread reuses one; raw opportunity is stored only for its map
-            local.block = np.empty((len(names), len(slots), width))
-        rows = dict(zip(names, local.block[..., : hi - lo]))
+            local.block = np.empty(size)
+        block = local.block[: len(names) * len(slots) * (hi - lo)].reshape(len(names), len(slots), hi - lo)
+        rows = dict(zip(names, block))
         raw = rows.get("raw_opportunity", rows["opportunity"])
         out = list(zip(rows["occupancy"], rows["opportunity"], raw, rows["liability"]))
         noise = {b: _noise_vector(sys, b.band_index, lo, hi) for b in budgets}
-        consumed = _evaluate(slots, grid.points(lo, hi), noise, members, out)
-        for (j, k), i in zip(np.ndindex(len(budgets), len(times)), source):
+        consumed = _evaluate(slots, sys.grid.points(lo, hi), noise, members, out)
+        for (j, k), i in zip(np.ndindex(len(budgets), len(source) // len(budgets)), source):
             for name, field in maps.items():
                 field[lo:hi, k, j] = rows[name][i]
-        return np.concatenate([np.sum(local.block[:3, :, : hi - lo], axis=-1), consumed.T])
+        return np.concatenate([np.sum(block[:3], axis=-1), consumed.T])
 
-    workers = min(_thread_budget(), len(spans))
+    workers = min(_thread_budget(), len(tasks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, spans))
+            parts = list(pool.map(run, tasks))
     else:
-        parts = [run(span) for span in spans]
-    sums = sum(_tree_fold(dict(zip(spans, parts)), 0, grid.region_count).T[source])
-    entities = {i: float(v) for i, v in zip(budgets[0].ids, sums[3:]) if i in members}
-    return maps, sums[:3], entities
+        parts = [run(task) for task in tasks]
+    for (_, plan, span), part in zip(tasks, parts):
+        plan.sums[span] = part
+    results = []
+    for plan in plans:
+        sums = sum(_tree_fold(plan.sums, 0, plan.sys.grid.region_count).T[plan.source])
+        entities = {i: float(v) for i, v in zip(plan.budgets[0].ids, sums[3:]) if i in members}
+        results.append((plan.maps, sums[:3], entities))
+    return results
+
+
+def _evaluate_grid(sys: RFSystem, members=frozenset(), times=None, keep=()):
+    """``_evaluate_grids`` of one system."""
+    return _evaluate_grids([sys], members, times, keep)[0]
 
 
 def compute_maps(sys: RFSystem) -> ConsumptionMaps:
@@ -563,6 +599,11 @@ def system_report(sys: RFSystem, include_entities: bool = True) -> ConsumptionRe
     """System-wide consumption spaces and the conservation check."""
     members = frozenset(m.id for m in entity_selector(sys, "system")) if include_entities else frozenset()
     _, sums, entities = _evaluate_grid(sys, members)
+    return _report(sys, sums, entities)
+
+
+def _report(sys: RFSystem, sums, entities: dict) -> ConsumptionReport:
+    """The report of a grid pass's three sums and entity consumption."""
     psi_total = sys.params.p_cmax * sys.grid.cell_count  # total_spectrum_space, on the grid already built
     psi_utilized, psi_available, psi_forbidden = map(float, sums)
     residual = abs(psi_utilized + psi_forbidden + psi_available - psi_total) / psi_total

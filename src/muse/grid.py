@@ -151,7 +151,10 @@ class SpectrumGrid:
         counts = np.diff(np.clip(self._row_start[first : last + 1], lo, hi))
         row = np.repeat(np.arange(first, last), counts)
         col = np.arange(lo, hi) - np.repeat(self._row_start[first:last] - self._row_jmin[first:last], counts)
-        return np.column_stack([self._row_offset[row] + SQRT3 * s * col, 1.5 * s * row])
+        out = np.empty((2, hi - lo)).T  # column-major, so a gain field reads x and y contiguously
+        np.add(self._row_offset[row], SQRT3 * s * col, out=out[:, 0])
+        np.multiply(1.5 * s, row, out=out[:, 1])
+        return out
 
     def points(self, lo: int, hi: int) -> np.ndarray:
         """Sample points of regions [lo, hi), shape (hi - lo, 2): the values of

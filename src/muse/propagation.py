@@ -25,6 +25,8 @@ __all__ = [
 ]
 
 PROPAGATION_KINDS = ("power-law",)
+_LOBE_BAND = 1e-9  # relative half-width of the lobe edge that _toward resolves by bearing
+_SIGN_TEST_BORESIGHT = 1e4  # radians; beyond it every sector point takes the bearing path
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,8 @@ def _power_law(model: PropagationModel, d: np.ndarray) -> np.ndarray:
     """``path_gain`` of nonnegative distances, computed in place in ``d``:
     min(1, (d / d0) ** -alpha), which is 1 wherever d <= d0."""
     with np.errstate(divide="ignore", over="ignore"):  # only where d <= d0, cut to 1 below
-        d /= model.reference_distance
+        if model.reference_distance != 1.0:  # x / 1.0 is x for every float
+            d /= model.reference_distance
         d **= -model.alpha
     return np.minimum(d, 1.0, out=d)
 
@@ -102,7 +105,7 @@ def link_gain(model: PropagationModel, antenna: AntennaPattern, origin, pts) -> 
     with ``origin``, where the bearing is undefined."""
     d, gain = _toward(antenna, origin, pts)
     path = _power_law(model, d)  # d is _toward's own array
-    return path * gain if antenna.kind == "sector" else path
+    return np.multiply(path, gain, out=path) if antenna.kind == "sector" else path
 
 
 def _toward(antenna: AntennaPattern, origin, pts):
@@ -111,10 +114,39 @@ def _toward(antenna: AntennaPattern, origin, pts):
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     dx = pts[:, 0] - origin[0]
     dy = pts[:, 1] - origin[1]
-    gain = 1.0
-    if antenna.kind == "sector":  # keyed on the offsets: a distance can underflow to 0 where they are not
-        gain = np.where((dx == 0.0) & (dy == 0.0), antenna.main_gain, pattern_gain(antenna, np.arctan2(dy, dx)))
-    return _distance(dx, dy), gain
+    if antenna.kind != "sector":
+        return _distance(dx, dy), 1.0
+    if not abs(antenna.boresight) <= _SIGN_TEST_BORESIGHT:
+        gain = _bearing_gain(antenna, dx, dy)
+        return _distance(dx, dy), gain
+    # A point is in the main lobe iff its offset is within beamwidth / 2 of
+    # the boresight: m = dx cos(boresight) + dy sin(boresight) - cos(beamwidth / 2) d >= 0.
+    # Computed, m is off by a few roundings of terms up to d, about 1e-15 d;
+    # the bearing path (arctan2, pattern_gain's wrap) by a few roundings of
+    # angles up to |boresight| + 2 pi, about 1e-15 rad at |boresight| <= 3 pi
+    # and 1e-11 rad at _SIGN_TEST_BORESIGHT, and an angle error e moves m by at
+    # most e d.  So where |m| > _LOBE_BAND d both agree with the exact lobe;
+    # the band's points take the bearing path.  The 1e-130 keeps in the band
+    # coincident points and offsets under ~1e-140, whose squares in d underflow.
+    lobe = np.multiply(dx, math.cos(antenna.boresight))
+    lobe += np.multiply(dy, math.sin(antenna.boresight))
+    d = _distance(dx, dy)
+    lobe -= math.cos(0.5 * antenna.beamwidth) * d
+    gain = np.where(lobe >= 0.0, antenna.main_gain, antenna.back_gain)
+    band = d + 1e-130
+    band *= _LOBE_BAND
+    edge = np.flatnonzero(np.abs(lobe, out=lobe) <= band)
+    if edge.size:
+        offsets = pts[edge] - origin
+        gain[edge] = _bearing_gain(antenna, offsets[:, 0], offsets[:, 1])
+    return d, gain
+
+
+def _bearing_gain(antenna: AntennaPattern, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """A sector's gain toward the offsets from their bearing, the main lobe
+    where an offset is zero (keyed on the offsets: a distance can underflow
+    to 0 where they are not)."""
+    return np.where((dx == 0.0) & (dy == 0.0), antenna.main_gain, pattern_gain(antenna, np.arctan2(dy, dx)))
 
 
 def _distance(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:

@@ -174,6 +174,21 @@ def test_link_feasibility_equals_map_bitwise():
         assert (single[0], single[1].hex(), single[2].hex()) == (e.feasible, e.max_power.hex(), e.sinr.hex())
 
 
+def test_a_sinr_equal_to_beta_is_feasible():
+    """Feasible iff SINR >= beta: a pair whose SINR is beta exactly is
+    feasible, in the map and in the one-pair query; one ulp more is not."""
+    sys_ = multi_band_system()
+    grid = sys_.grid
+    a, b, nu = 12, grid.neighbors(12)[0], 0
+    sinr = link_feasibility(sys_, grid.cell(a), grid.cell(b), nu, 1.0)[2]
+    assert 0.0 < sinr < math.inf
+    for beta, feasible in [(sinr, True), (np.nextafter(sinr, math.inf), False)]:
+        assert link_feasibility(sys_, grid.cell(a), grid.cell(b), nu, beta)[::2] == (feasible, sinr)
+        cmap = build_connectivity_map(sys_, beta)
+        k = int(np.flatnonzero((cmap.cell_a == a) & (cmap.cell_b == b))[0])
+        assert (bool(cmap.feasible[k, nu]), float(cmap.sinr[k, nu])) == (feasible, sinr)
+
+
 def test_link_feasibility_evaluates_only_its_two_regions(monkeypatch):
     sys_ = multi_band_system(horizon=2)
     grid = sys_.grid

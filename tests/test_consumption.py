@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import sys
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -440,6 +441,49 @@ def test_entity_sums_do_not_depend_on_chunk_size_or_threads(monkeypatch):
     assert chunks == [8, 4, 1]
     assert len(reports[0]) == 8
     assert all(consumed == reports[0] for consumed in reports)
+
+
+@pytest.mark.parametrize("keep", [(), ("occupancy", "raw_opportunity"), ("occupancy", "opportunity", "raw_opportunity", "liability")])
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_one_pool_over_many_grids_equals_each_grid_alone(monkeypatch, threads, keep):
+    """The chunks of four systems in one pool, largest (regions x distinct
+    slots) first and interleaved, give each system's maps, psi sums and
+    entity sums bit for bit as its own one-chunk serial pass does."""
+    import muse.consumption as consumption
+
+    systems = [
+        repeating_system(hex_side=25.0),
+        four_pair_system(hex_side=100.0),
+        four_pair_system(hex_side=150.0),
+        region_link_system(worst_case=True, hex_side=60.0),
+    ]
+    members = frozenset(e.id for s in systems for e in entity_selector(s, "system"))
+    monkeypatch.setenv("MUSE_THREADS", "1")
+    alone = [consumption._evaluate_grid(s, members, keep=keep) for s in systems]
+
+    runs, evaluate = [], consumption._evaluate
+    monkeypatch.setattr(consumption, "_evaluate", lambda *args: runs.append((args[0][0][0].sys, len(args[0]) * len(args[1]))) or evaluate(*args))
+    monkeypatch.setattr(consumption, "_CHUNK", 43)
+    monkeypatch.setenv("MUSE_THREADS", threads)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads swap often, so a block shared or a map span overwritten would show
+    try:
+        together = consumption._evaluate_grids(systems, members, keep=keep)
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(runs) == 4 + 8 + 4 + 16
+    if threads == "1":
+        costs = [cost for _, cost in runs]
+        assert costs == sorted(costs, reverse=True)
+        order = [systems.index(s) for s, _ in runs]
+        assert order == [0] * 4 + [3] * 16 + [1] * 4 + [2] + [1] * 4 + [2] * 3  # the two four-pair grids interleave
+    for (maps, sums, entities), (alone_maps, alone_sums, alone_entities) in zip(together, alone):
+        assert list(maps) == list(keep)
+        for name in keep:
+            assert maps[name].tobytes() == alone_maps[name].tobytes()
+        assert sums.tobytes() == alone_sums.tobytes()
+        assert {k: bits(v) for k, v in entities.items()} == {k: bits(v) for k, v in alone_entities.items()}
+        assert len(entities) in (2, 6, 8)
 
 
 def test_tree_spans_split_where_numpy_does():

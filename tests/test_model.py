@@ -19,7 +19,7 @@ from muse import (
     validate_system,
 )
 
-from helpers import probe_scenario, reference_grid, reference_params
+from helpers import probe_scenario, reference_grid, reference_params, region_link_system
 
 
 def test_p_cmax_is_derived():
@@ -237,3 +237,39 @@ def test_region_whose_squared_distances_overflow_is_rejected():
     # just inside the bound: the grown diagonal is 1.47e153 m, below 2^511 = 6.7e153 m
     grid = dataclasses.replace(base.grid_spec, region_width=1e153, region_height=1e153, hex_side=1e151)
     assert validate_system(dataclasses.replace(base, grid_spec=grid)).ok
+
+
+def test_worst_case_vertex_rule():
+    """Worst-case placement puts a transceiver on a vertex of its hexagon:
+    vertex 0 (the top) without a counterpart, else the vertex farthest from
+    the counterpart, the first such vertex on ties."""
+    import numpy as np
+
+    from muse.grid import SpectrumGrid
+    from muse.model import _worst_case_vertex
+
+    grid = SpectrumGrid(reference_grid(100.0))
+    position = (1000.0, 2000.0)
+    vertices = grid.hex_vertices(grid.locate(position))
+    assert vertices[0][1] == max(v[1] for v in vertices)
+    assert _worst_case_vertex(grid, position, None) == tuple(vertices[0])
+    for counterpart, k in [((1000.0, 0.0), 0), ((3000.0, 3000.0), 2), ((0.0, 2000.0), 4), ((1000.0, 3700.0), 3)]:
+        assert _worst_case_vertex(grid, position, counterpart) == tuple(vertices[k])
+
+    class Ties:  # vertices 1, 3 and 4 all lie 2 from the counterpart at the origin
+        def locate(self, point):
+            return 0
+
+        def hex_vertices(self, region_index):
+            return np.array([(0.0, 1.0), (2.0, 0.0), (0.0, -1.0), (0.0, 2.0), (-2.0, 0.0), (1.0, 0.0)])
+
+    assert _worst_case_vertex(Ties(), (0.0, 0.0), (0.0, 0.0)) == (2.0, 0.0)
+    assert _worst_case_vertex(Ties(), (0.0, 0.0), None) == (0.0, 1.0)
+
+    # in a scenario: the transmitter's counterpart is the mean of its link's
+    # receivers, the receiver's its serving transmitter, both as placed
+    sys_ = region_link_system(worst_case=True)
+    tx, rx = sys_.transmitter("tx-1"), sys_.receiver("rx-1")
+    assert sys_.position_of(tx) == _worst_case_vertex(sys_.grid, tx.position, rx.position)
+    assert sys_.position_of(rx) == _worst_case_vertex(sys_.grid, rx.position, tx.position)
+    assert sys_.position_of(rx) != _worst_case_vertex(sys_.grid, rx.position, None)

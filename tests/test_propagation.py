@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from muse import OMNI, AntennaPattern, PropagationModel, directional_gain, inverse_path_gain_bound, path_gain
+import muse.propagation as propagation
 from muse.propagation import _power_law, _toward, link_gain, pattern_gain
 
 
@@ -201,3 +202,79 @@ def test_link_gain_distance_is_the_norm_bitwise(p, q, alpha):
     model = PropagationModel(alpha=alpha)
     expected = path_gain(model, np.linalg.norm(np.subtract([q], [p]), axis=1)[0])
     assert link_gain(model, OMNI, p, [q])[0] == expected
+
+
+def _bearing_reference(antenna, origin, pts):
+    """A sector's gain as the bearing path computes it: arctan2 of the
+    offsets through pattern_gain, the main lobe where an offset is zero."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    dx, dy = pts[:, 0] - origin[0], pts[:, 1] - origin[1]
+    return np.where((dx == 0.0) & (dy == 0.0), antenna.main_gain, pattern_gain(antenna, np.arctan2(dy, dx)))
+
+
+_RADII = np.array([1e-300, 1e-200, 1e-160, 1e-150, 1e-140, 1e-100, 1e-20, 1e-9, 1e-3, 1.0, 37.5, 1e3, 1e6])
+
+
+def _lobe_edge_points(antenna, origin, radii=_RADII):
+    """Points at ``radii`` from ``origin`` on both lobe edges, one ulp either
+    side of each edge bearing and one ulp either side of each coordinate,
+    plus the origin and offsets of 1e-300 along either axis."""
+    edges = np.array([antenna.boresight + s * 0.5 * antenna.beamwidth for s in (1.0, -1.0)])
+    bearings = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+    r, a = (x.ravel() for x in np.meshgrid(radii, bearings))
+    x, y = origin[0] + r * np.cos(a), origin[1] + r * np.sin(a)
+    xs = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf), x, x])
+    ys = np.concatenate([y, y, y, np.nextafter(y, np.inf), np.nextafter(y, -np.inf)])
+    extra = [origin, (origin[0] + 1e-300, origin[1]), (origin[0], origin[1] - 1e-300)]
+    return np.concatenate([np.column_stack([xs, ys]), np.array(extra, dtype=float)])
+
+
+_sectors = st.builds(
+    lambda boresight, beamwidth, main, back: AntennaPattern("sector", boresight, beamwidth, main, main * back),
+    st.sampled_from([0.0, math.pi, -math.pi, 0.5 * math.pi, 3.0 * math.pi, -3.0 * math.pi])
+    | st.floats(-3.0 * math.pi, 3.0 * math.pi),
+    st.sampled_from([2.0 * math.pi, math.pi, 1e-9, np.nextafter(2.0 * math.pi, 0.0)]) | st.floats(1e-9, 2.0 * math.pi),
+    st.floats(1.0, 100.0),
+    st.floats(1e-3, 1.0),
+)
+_origins = st.sampled_from([(0.0, 0.0), (2150.0, 1850.0)]) | st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(antenna=_sectors, origin=_origins, seed=st.integers(0, 2**32 - 1), d0=st.sampled_from([1.0, 2.5]))
+def test_sector_lobe_sign_test_equals_the_bearing_path(antenna, origin, seed, d0):
+    """The sign test classifies every point as the bearing path does: on
+    and one ulp off both lobe edges at radii from 1e-300 to 1e6 m, at
+    coincident points and offsets whose squares underflow, and at random
+    bearings."""
+    model = PropagationModel(alpha=3.5, reference_distance=d0)
+    rng = np.random.default_rng(seed)
+    a, r = rng.uniform(-4.0, 4.0, 200), 10.0 ** rng.uniform(-300.0, 6.0, 200)
+    pts = np.concatenate([_lobe_edge_points(antenna, origin), np.column_stack([origin[0] + r * np.cos(a), origin[1] + r * np.sin(a)])])
+    expected = _bearing_reference(antenna, origin, pts)
+    distance, gain = _toward(antenna, origin, pts)
+    assert gain.tobytes() == expected.tobytes()
+    assert link_gain(model, antenna, origin, pts).tobytes() == (path_gain(model, distance) * expected).tobytes()
+
+
+def test_sector_lobe_edges_need_the_band(monkeypatch):
+    """The edge points above reach into the band: with a band of width 0
+    some of them land in the other lobe than the bearing path gives."""
+    antennas = [AntennaPattern("sector", b, w, 4.0, 0.25) for b in (0.3, 2.0, -2.5, 3.0 * math.pi) for w in (0.1, 1.7, math.pi, 5.0)]
+    origin = (2150.0, 1850.0)
+    monkeypatch.setattr(propagation, "_LOBE_BAND", 0.0)
+    flipped = 0
+    for antenna in antennas:
+        pts = _lobe_edge_points(antenna, origin)
+        flipped += int(np.sum(_toward(antenna, origin, pts)[1] != _bearing_reference(antenna, origin, pts)))
+    assert flipped > 0
+
+
+def test_sector_boresight_beyond_the_sign_test_takes_the_bearing_path():
+    """Past 1e4 rad the bearing path's rounding is no longer within the band,
+    so every point takes it."""
+    origin = (10.0, -20.0)
+    for boresight in (1e4 + 1.0, -1e7, 1e300):
+        antenna = AntennaPattern("sector", boresight, 1.0, 4.0, 0.25)
+        pts = _lobe_edge_points(antenna, origin)
+        assert _toward(antenna, origin, pts)[1].tobytes() == _bearing_reference(antenna, origin, pts).tobytes()

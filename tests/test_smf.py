@@ -242,3 +242,42 @@ def test_model_validation():
         with pytest.raises(ValueError, match="false_positive_power must be finite and positive"):
             SensingErrorModel(false_positive_power=bad)
     SensingErrorModel(false_positive_power=1e-3)
+
+
+@pytest.mark.parametrize("fp_power", [None, 1e-4])
+def test_perturb_system_draws_in_the_documented_order(fp_power):
+    """``perturb_system`` draws from ``default_rng(rng_seed)``: per
+    transmitter, in scenario order, the miss draw, the x and y jitter and
+    the power error; then the false-positive count and, per false positive,
+    x, y, the true power it copies (without a fixed power) and the power
+    error.  Redrawn here in that order, the positions and powers agree."""
+    sys_ = four_pair_system()
+    spec = sys_.grid_spec
+    model = SensingErrorModel(
+        p_missed_detection=0.3,
+        false_positive_rate=3.0,
+        geolocation_sigma=400.0,
+        power_error_sigma_db=2.0,
+        false_positive_power=fp_power,
+        rng_seed=5,
+    )
+    rng = np.random.default_rng(5)
+    true_powers = [tx.tx_power for _, _, tx in sys_.iter_transmitters()]
+    expected = {}
+    for _, _, tx in sys_.iter_transmitters():
+        if rng.random() < model.p_missed_detection:
+            continue
+        jx, jy = rng.normal(0.0, model.geolocation_sigma, size=2)
+        power = tx.tx_power * db_to_linear(rng.normal(0.0, model.power_error_sigma_db))
+        x = min(max(tx.position[0] + jx, 0.0), spec.region_width)
+        y = min(max(tx.position[1] + jy, 0.0), spec.region_height)
+        expected[tx.id] = ((x, y), power)
+    for k in range(rng.poisson(model.false_positive_rate)):
+        x, y = rng.uniform(0.0, spec.region_width), rng.uniform(0.0, spec.region_height)
+        base = fp_power if fp_power is not None else true_powers[int(rng.integers(len(true_powers)))]
+        expected[f"sensed-artifact-tx-{k}"] = ((x, y), base * db_to_linear(rng.normal(0.0, model.power_error_sigma_db)))
+
+    sensed = perturb_system(sys_, model)
+    assert {tx.id: (tx.position, tx.tx_power) for _, _, tx in sensed.iter_transmitters()} == expected
+    kept = [i for i in expected if i.startswith("tx-")]
+    assert 0 < len(kept) < 4 and len(expected) > len(kept)  # a miss, a detection and a false positive
