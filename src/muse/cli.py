@@ -232,8 +232,9 @@ def connectivity(scenario, beta_db, time_index, out):
     if beta in (0.0, math.inf) and beta_db != -math.inf:  # -inf dB is the nonpositive beta 0
         _fail(EXIT_VALIDATION, f"--beta-db {beta_db} is out of range")
     cmap = build_connectivity_map(system, beta, time_index)
-    _write(out, cmap._csv_chunks())
-    click.echo(f"wrote {cmap.sinr.size} directed edges ({int(cmap.feasible.sum())} feasible) to {out}")
+    counts = [0, 0]  # edges and feasible edges, tallied as the file streams
+    _write(out, cmap._csv_chunks(counts))
+    click.echo(f"wrote {counts[0]} directed edges ({counts[1]} feasible) to {out}")
 
 
 @main.command()

@@ -17,19 +17,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
 
 from .consumption import _evaluate_grid, _point_slice
-from .grid import SQRT3, Cell
+from .grid import SQRT3, Cell, SpectrumGrid
 from .model import RFSystem
 from .propagation import path_gain
 from .units import watts_to_dbm
 
 __all__ = ["LinkAssessment", "ConnectivityMap", "link_feasibility", "build_connectivity_map"]
 
-_CSV_CHUNK_ROWS = 4096  # rows formatted per `%` call; bounds the transient objects
+_CSV_CHUNK_ROWS = 4096  # rows per `%` call (a source region's at least); bounds the transient objects
 
 
 @dataclass(frozen=True)
@@ -42,16 +43,47 @@ class LinkAssessment:
     sinr: float  # linear, at B
 
 
+def _pair_array(name: str, doc: str) -> property:
+    """A read-only view of one of ConnectivityMap's pair arrays, all built on first use."""
+    return property(lambda self: self._arrays[name], doc=doc)
+
+
 @dataclass(frozen=True, eq=False)
 class ConnectivityMap:
+    """Every ordered adjacent pair's candidate links, generated from two
+    per-region arrays of one time quantum: the pair arrays are built on
+    first use, and the edge CSV is streamed a chunk of source regions at a time."""
+
     candidate_beta: float
     time_index: int
-    cell_a: np.ndarray  # (pairs,) source regions
-    cell_b: np.ndarray  # (pairs,) destination regions
-    feasible: np.ndarray  # (pairs, bands)
-    max_power: np.ndarray  # (pairs, bands), watts a new transmitter at A may radiate
-    sinr: np.ndarray  # (pairs, bands), linear, at B
-    best: np.ndarray  # (pairs,) best band, -1 where no band is feasible
+    grid: SpectrumGrid
+    power: np.ndarray  # (regions, bands), watts a new transmitter in the region may radiate
+    occupancy: np.ndarray  # (regions, bands), watts
+    gains: np.ndarray  # (bands,), path gain of one hop
+
+    def _pairs(self, lo: int, hi: int):
+        """The pairs whose source lies in [lo, hi), source then destination
+        ascending: (cell_a, cell_b, feasible, sinr, best)."""
+        candidates, valid = self.grid._neighbor_table(np.arange(lo, hi))
+        a, b = lo + np.flatnonzero(valid) // 6, candidates[valid]  # nonzero(valid)[0] would keep both index rows
+        feasible, sinr = _budget(self.power[a], self.occupancy[b], self.gains, self.candidate_beta)
+        best = np.where(feasible.any(axis=1), np.argmax(sinr, axis=1), -1)  # a pair's largest SINR is feasible if any is
+        return a, b, feasible, sinr, best
+
+    @cached_property
+    def _arrays(self) -> dict[str, np.ndarray]:
+        a, b, feasible, sinr, best = self._pairs(0, self.grid.region_count)
+        arrays = dict(cell_a=a, cell_b=b, feasible=feasible, max_power=self.power[a], sinr=sinr, best=best)
+        for array in arrays.values():
+            array.setflags(write=False)  # the edges and best_band views are cached
+        return arrays
+
+    cell_a = _pair_array("cell_a", "(pairs,) source regions")
+    cell_b = _pair_array("cell_b", "(pairs,) destination regions")
+    feasible = _pair_array("feasible", "(pairs, bands)")
+    max_power = _pair_array("max_power", "(pairs, bands), watts a new transmitter at A may radiate")
+    sinr = _pair_array("sinr", "(pairs, bands), linear, at B")
+    best = _pair_array("best", "(pairs,) best band, -1 where no band is feasible")
 
     @cached_property
     def edges(self) -> list[LinkAssessment]:
@@ -69,27 +101,31 @@ class ConnectivityMap:
         """The edge list, floats as ``%.12g``."""
         return "".join(self._csv_chunks())
 
-    def _csv_chunks(self) -> Iterator[str]:
-        """The edge list as text chunks of at most ``_CSV_CHUNK_ROWS`` rows, each
-        formatted by one ``%`` call: max power once per (source, band) of the
-        chunk, the "a,b," prefix and best band once per pair."""
-        pairs, bands = self.sinr.shape
-        row = "".join(f"%s{nu},%d,%s,%.12g,%s\n" for nu in range(bands))
-        step = max(1, _CSV_CHUNK_ROWS // bands)
+    def _csv_chunks(self, counts: list[int] | None = None) -> Iterator[str]:
+        """The edge list as text chunks, each the pairs of _CSV_CHUNK_ROWS / (6 x
+        bands) source regions (at most six pairs each), formatted by one ``%``
+        call.  A row's fixed text comes from a table over (band, feasible, best
+        band); max power is formatted once per (source region, band), the
+        "a,b," prefix once per pair.  ``counts``, if given, a two-item list,
+        gains each chunk's edge and feasible-edge counts."""
+        bands = len(self.gains)
+        tails = [f"{nu}\n" for nu in range(bands)] + ["\n"]  # best band -1 reads the last
+        rows = [[[f"%s{nu},{flag},%s,%.12g,{t}" for t in tails] for flag in (0, 1)] for nu in range(bands)]
+        rows = np.array(rows, dtype=object)
+        step = max(1, _CSV_CHUNK_ROWS // (6 * bands))
         yield "cell_a,cell_b,band,feasible,max_power_dbm,sinr_db,best_band\n"
-        for lo in range(0, pairs, step):
-            a, b, sinr = (x[lo : lo + step] for x in (self.cell_a, self.cell_b, self.sinr))
-            first = np.flatnonzero(np.diff(a, prepend=-1))  # pairs run source by source
-            dbm = map(watts_to_dbm, self.max_power[lo + first].ravel().tolist())
-            power = np.array(["%.12g" % p for p in dbm], dtype=object).reshape(-1, bands)
-            power = np.repeat(power, np.diff(first, append=len(a)), axis=0)
-            sinr_db = np.full(sinr.shape, -math.inf)
-            positive = sinr > 0.0
-            sinr_db[positive] = [10.0 * math.log10(s) for s in sinr[positive].tolist()]
-            prefix = np.array([f"{x},{y}," for x, y in zip(a.tolist(), b.tolist())], dtype=object)
-            best = np.array(["" if nu < 0 else str(nu) for nu in self.best[lo : lo + step].tolist()], dtype=object)
-            columns = np.broadcast_arrays(prefix[:, None], self.feasible[lo : lo + step], power, sinr_db, best[:, None])
-            yield (row * len(a)) % tuple(np.stack(columns, axis=-1).ravel().tolist())
+        for lo in range(0, self.grid.region_count, step):
+            a, b, feasible, sinr, best = self._pairs(lo, min(lo + step, self.grid.region_count))
+            if counts is not None:
+                counts[0] += feasible.size
+                counts[1] += int(np.count_nonzero(feasible))
+            template = "".join(rows[np.arange(bands), feasible.view(np.int8), best[:, None]].ravel().tolist())
+            dbm = map(watts_to_dbm, self.power[lo : lo + step].ravel().tolist())
+            power = np.array(["%.12g" % p for p in dbm], dtype=object).reshape(-1, bands)[a - lo].T.tolist()
+            sinr_db = [[10.0 * math.log10(s) if s > 0.0 else -math.inf for s in column] for column in sinr.T.tolist()]
+            prefix = [f"{x},{y}," for x, y in zip(a.tolist(), b.tolist())]
+            columns = (c for nu in range(bands) for c in (prefix, power[nu], sinr_db[nu]))
+            yield template % tuple(chain.from_iterable(zip(*columns)))
 
 
 def _hop_gains(sys: RFSystem, bands) -> np.ndarray:
@@ -107,15 +143,19 @@ def _check_request(sys: RFSystem, candidate_beta: float, time_index: int):
         raise ValueError(f"time index {time_index} outside the horizon of {sys.grid_spec.horizon} quanta")
 
 
-def _budget(sys: RFSystem, raw_opportunity, occupancy, gains: np.ndarray, candidate_beta: float):
-    """Candidate links on each band: (feasible, max_power, sinr), each
-    (pairs, bands).  The power is the raw opportunity at the source clipped
-    to [0, p_max], computed in place in ``raw_opportunity``; the SINR is
-    power x the band's hop gain over the occupancy at the destination."""
-    max_power = np.minimum(np.maximum(raw_opportunity, 0.0, out=raw_opportunity), sys.params.p_max, out=raw_opportunity)
+def _clip(sys: RFSystem, raw_opportunity: np.ndarray) -> np.ndarray:
+    """The power a new transmitter may radiate: the raw opportunity clipped
+    to [0, p_max], in place."""
+    return np.minimum(np.maximum(raw_opportunity, 0.0, out=raw_opportunity), sys.params.p_max, out=raw_opportunity)
+
+
+def _budget(max_power: np.ndarray, occupancy, gains: np.ndarray, candidate_beta: float):
+    """Candidate links on each band: (feasible, sinr), each (pairs, bands).
+    The SINR is the source's power x the band's hop gain over the occupancy
+    at the destination."""
     sinr = max_power * gains
     sinr /= occupancy
-    return sinr >= candidate_beta, max_power, sinr
+    return sinr >= candidate_beta, sinr
 
 
 def link_feasibility(
@@ -137,7 +177,8 @@ def link_feasibility(
     _check_request(sys, candidate_beta, tau)
     src, dst = (sys.grid.points(chi, chi + 1) for chi in (a, b))
     source, dest = (_point_slice(sys, p[0], tau, band_index, chi)[2] for p, chi in ((src, a), (dst, b)))
-    feasible, max_power, sinr = _budget(sys, source[2:3], dest[0], _hop_gains(sys, [band_index]), candidate_beta)
+    max_power = _clip(sys, source[2:3])
+    feasible, sinr = _budget(max_power, dest[0], _hop_gains(sys, [band_index]), candidate_beta)
     return bool(feasible[0]), float(max_power[0]), float(sinr[0])
 
 
@@ -150,12 +191,9 @@ def build_connectivity_map(sys: RFSystem, candidate_beta: float, time_index: int
     SINR requirement or a time index outside the horizon.
     """
     _check_request(sys, candidate_beta, time_index)
-    candidates, valid = sys.grid._neighbor_table(np.arange(sys.grid.region_count))
-    a, b = np.flatnonzero(valid) // 6, candidates[valid]  # nonzero(valid)[0] would keep both index rows
     maps, _, _ = _evaluate_grid(sys, times=[time_index], keep=("occupancy", "raw_opportunity"))
+    power, occupancy = _clip(sys, maps["raw_opportunity"][:, 0]), maps["occupancy"][:, 0]
     gains = _hop_gains(sys, range(sys.grid.band_count))
-    feasible, max_power, sinr = _budget(sys, maps["raw_opportunity"][a, 0], maps["occupancy"][b, 0], gains, candidate_beta)
-    best = np.where(feasible.any(axis=1), np.argmax(sinr, axis=1), -1)  # a pair's largest SINR is feasible if any is
-    for array in (a, b, feasible, max_power, sinr, best):
-        array.setflags(write=False)  # the edges and best_band views are cached
-    return ConnectivityMap(candidate_beta, time_index, a, b, feasible, max_power, sinr, best)
+    for array in (power, occupancy, gains):
+        array.setflags(write=False)  # the pair arrays and their views are cached
+    return ConnectivityMap(candidate_beta, time_index, sys.grid, power, occupancy, gains)

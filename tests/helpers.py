@@ -1,6 +1,7 @@
-"""Shared scenario builders for the test suite."""
+"""Shared scenario builders and measuring helpers for the test suite."""
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -17,6 +18,16 @@ from muse import (
     db_to_linear,
     dbm_to_watts,
 )
+
+def traced_peak(call, *args, **kwargs):
+    """``call(*args, **kwargs)``'s result and the tracemalloc peak, in bytes, while it ran."""
+    tracemalloc.start()
+    try:
+        result = call(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 def assert_same_text(actual: str, expected: str):
     """Fail unless the two texts are equal, naming the first line that differs.

@@ -10,12 +10,12 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from muse import cli, compute_maps, consumption, dbm_to_watts, load_scenario, read_map_csv, scenario_io
+from muse import cli, compute_maps, connectivity, consumption, dbm_to_watts, load_scenario, read_map_csv, scenario_io
 from muse.cli import main
 from muse.model import UnknownEntityError
 from muse.scenario_io import heatmap_text
 
-from helpers import probe_scenario, region_link_system
+from helpers import probe_scenario, region_link_system, traced_peak
 from muse import serialize_scenario
 from test_io import SCENARIO_TEXT, SCENARIOS as DEMO_SCENARIOS
 
@@ -144,6 +144,19 @@ def test_connectivity_command(runner, scenario_path, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "cell_a,cell_b,band,feasible,max_power_dbm,sinr_db,best_band"
     assert len(lines) > 676
+
+
+@pytest.mark.parametrize("path", sorted(DEMO_SCENARIOS.glob("*.yaml")), ids=lambda p: p.stem)
+def test_connectivity_counts_what_it_wrote(runner, path, tmp_path):
+    """The counts on stdout are tallied while the edge file streams: they equal
+    its row count and its count of feasible rows."""
+    out = tmp_path / "edges.csv"
+    result = runner.invoke(main, ["connectivity", "--scenario", str(path), "--beta-db", "10", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    feasible = sum(row[3] == "1" for row in rows)
+    assert 0 < feasible < len(rows)
+    assert result.output == f"wrote {len(rows)} directed edges ({feasible} feasible) to {out}\n"
 
 
 def test_smf_simulated(runner, scenario_path, tmp_path):
@@ -657,18 +670,6 @@ def test_smf_json_is_json_dumps_of_the_payload(monkeypatch, n):
     assert "".join(cli._smf_json(rep)) == json.dumps(payload, indent=2) + "\n"
 
 
-def _traced_peak(args) -> int:
-    """The tracemalloc peak of one in-process command."""
-    import tracemalloc
-
-    tracemalloc.start()
-    try:
-        main(args, standalone_mode=False)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_smf_out_holds_no_copies_of_theta(monkeypatch, tmp_path):
     """Writing the simulated smf report holds theta a chunk at a time: the whole
     command stays below 8 maps, where a list and a formatted copy of theta took
@@ -679,28 +680,33 @@ def test_smf_out_holds_no_copies_of_theta(monkeypatch, tmp_path):
     assert grid.cell_count > 1 << 17
     monkeypatch.setenv("MUSE_THREADS", "1")
     args = ["smf", "--scenario", str(path), "--p-missed", "0.1", "--false-positives", "3", "--seed", "8"]
-    peak = _traced_peak(args + ["--out", str(tmp_path / "smf.json")])
+    _, peak = traced_peak(main, args + ["--out", str(tmp_path / "smf.json")], standalone_mode=False)
     assert len(json.loads((tmp_path / "smf.json").read_text())["theta"]) == grid.cell_count
     assert peak < 8 * grid.cell_count * 8
 
 
 def test_connectivity_streams_its_edge_csv(monkeypatch, tmp_path):
-    """``muse connectivity`` on the 12 m campus (8,287 regions x 3 bands, about
-    36 CSV chunks) holds its edge arrays and one chunk of text: it peaks near 27
-    one-quantum maps, its build's own peak, where holding the 6.4 MB text (32
-    maps) and its chunk list took it to 107, and per-pair sample points and
-    distances to 35.  A hop is one lattice pitch, so no lattice is built."""
+    """``muse connectivity`` holds two per-region arrays of one quantum, the
+    occupancy and the clipped source power, and generates each CSV chunk's
+    pairs from them: on the 12 m campus (8,287 regions x 3 bands) it peaks near
+    3.3 one-quantum maps, where holding the (pairs, bands) result arrays took it
+    to 27, their 6.4 MB text to 107 and per-pair sample points to 35.  The grid
+    and the chunks (evaluation and CSV) are scaled down together, as with the
+    default chunks on grids above 2^16 regions.  A hop is one lattice pitch, so
+    no lattice is built."""
     path = tmp_path / "campus.yaml"
     path.write_text((DEMO_SCENARIOS / "three_band_campus.yaml").read_text().replace("hex_side_m: 100.0", "hex_side_m: 12.0"))
     grid = load_scenario(path).grid
     one_map = grid.region_count * grid.band_count * 8
     monkeypatch.setenv("MUSE_THREADS", "1")
+    monkeypatch.setattr(consumption, "_CHUNK", 1 << 12)
+    monkeypatch.setattr(connectivity, "_CSV_CHUNK_ROWS", 512)
     systems, build = [], cli.build_connectivity_map
     monkeypatch.setattr(cli, "build_connectivity_map", lambda system, *args: systems.append(system) or build(system, *args))
     out = tmp_path / "edges.csv"
-    peak = _traced_peak(["connectivity", "--scenario", str(path), "--beta-db", "10", "--out", str(out)])
+    _, peak = traced_peak(main, ["connectivity", "--scenario", str(path), "--beta-db", "10", "--out", str(out)], standalone_mode=False)
     assert grid.region_count == 8287 and out.stat().st_size > 30 * one_map
-    assert peak <= 31 * one_map
+    assert peak <= 4 * one_map
     assert not {"sample_points", "centroids"} & systems[0].grid.__dict__.keys()
 
 
@@ -718,7 +724,7 @@ def test_map_heatmap_streams_its_slice(monkeypatch, tmp_path):
     monkeypatch.setattr(consumption, "_CHUNK", 1 << 12)
     monkeypatch.setattr(scenario_io, "_CSV_CHUNK_ROWS", 256)
     args = ["map", "--scenario", str(path), "--out", str(tmp_path / "map.csv")]
-    alone = _traced_peak(args)
-    with_heatmap = _traced_peak(args + ["--heatmap", "opportunity"])
+    _, alone = traced_peak(main, args, standalone_mode=False)
+    _, with_heatmap = traced_peak(main, args + ["--heatmap", "opportunity"], standalone_mode=False)
     assert len((tmp_path / "map-opportunity-t0b0.mat").read_text().splitlines()) == len(grid._row_counts)
     assert with_heatmap <= alone + 0.5 * grid.cell_count * 8

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -34,7 +33,15 @@ from muse.connectivity import _hop_gains
 from muse.grid import SQRT3, GridSpec
 from muse.propagation import link_gain
 
-from helpers import add_random_receiver, assert_same_text, empty_system, random_system, reference_params, small_grid
+from helpers import (
+    add_random_receiver,
+    assert_same_text,
+    empty_system,
+    random_system,
+    reference_params,
+    small_grid,
+    traced_peak,
+)
 from test_consumption import generated_systems
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
@@ -221,12 +228,7 @@ def test_link_feasibility_builds_no_lattice():
     grid = sys_.grid
     a = grid.locate((2000.0, 2000.0))
     cells = grid.cell(a), grid.cell(grid.neighbors(a)[0])
-    tracemalloc.start()
-    try:
-        result = link_feasibility(sys_, *cells, 0, db_to_linear(10.0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    result, peak = traced_peak(link_feasibility, sys_, *cells, 0, db_to_linear(10.0))
     assert grid.region_count == 1_534_487 and result[0]
     assert peak < 1 << 20
     assert "sample_points" not in grid.__dict__ and "centroids" not in grid.__dict__
@@ -383,10 +385,13 @@ def test_csv_zero_power_source_and_no_feasible_band():
     assert all(row[3:] == ["0", "-inf", "-inf", ""] for row in rows)
 
 
-def test_csv_one_band_grid():
-    sys_ = dataclasses.replace(multi_band_system(), grid_spec=small_grid(n_bands=1))
+@pytest.mark.parametrize("bands", [1, 2, 4])
+def test_csv_band_counts(bands):
+    """The row table, one fixed text per (band, feasible, best band), at each
+    of its sizes: 1 x 2 x 2, 2 x 2 x 3 and 4 x 2 x 5 entries."""
+    sys_ = dataclasses.replace(multi_band_system(), grid_spec=small_grid(n_bands=bands))
     cmap = build_connectivity_map(sys_, db_to_linear(6.0))
-    assert cmap.sinr.shape[1] == 1
+    assert cmap.sinr.shape[1] == bands
     assert_csv_matches_reference(cmap)
 
 
