@@ -19,7 +19,7 @@ import sys as _sys
 import click
 import numpy as np
 
-from . import __version__
+from . import __version__, consumption
 from .connectivity import build_connectivity_map
 from .consumption import _FIELDS, _evaluate_grids, _report, _thread_budget, compute_maps, entity_consumption
 from .consumption import point_metrics, system_report
@@ -281,9 +281,6 @@ def smf(scenario, truth_map, other_map, p_missed, false_positives, geo_sigma, po
         _write(out, _smf_json(rep))
 
 
-_THETA_CHUNK = 1 << 12  # theta values formatted at a time
-
-
 def _smf_json(rep: SMFReport):
     """The report as ``json.dumps(payload, indent=2)`` plus a newline, theta
     (never empty: a grid has a cell) flattened into a list: yielded in pieces,
@@ -291,8 +288,8 @@ def _smf_json(rep: SMFReport):
     theta = np.asarray(rep.theta).ravel()
     rest = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep) if f.name != "theta"}
     yield '{\n  "theta": ['
-    for lo in range(0, theta.size, _THETA_CHUNK):
-        values = json.dumps(theta[lo : lo + _THETA_CHUNK].tolist())[1:-1]  # "a, b, ..." as json.dumps writes them
+    for lo in range(0, theta.size, consumption._TEXT_CHUNK):
+        values = json.dumps(theta[lo : lo + consumption._TEXT_CHUNK].tolist())[1:-1]  # "a, b, ..." as json.dumps writes them
         yield ("\n    " if lo == 0 else ",\n    ") + values.replace(", ", ",\n    ")
     yield "\n  ],\n" + json.dumps(rest, indent=2)[2:] + "\n"
 

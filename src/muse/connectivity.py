@@ -22,6 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import consumption
 from .consumption import _evaluate_grid, _point_slice
 from .grid import SQRT3, Cell, SpectrumGrid
 from .model import RFSystem
@@ -29,8 +30,6 @@ from .propagation import path_gain
 from .units import watts_to_dbm
 
 __all__ = ["LinkAssessment", "ConnectivityMap", "link_feasibility", "build_connectivity_map"]
-
-_CSV_CHUNK_ROWS = 4096  # rows per `%` call (a source region's at least); bounds the transient objects
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,7 @@ class ConnectivityMap:
         return "".join(self._csv_chunks())
 
     def _csv_chunks(self, counts: list[int] | None = None) -> Iterator[str]:
-        """The edge list as text chunks, each the pairs of _CSV_CHUNK_ROWS / (6 x
+        """The edge list as text chunks, each the pairs of consumption._TEXT_CHUNK / (6 x
         bands) source regions (at most six pairs each), formatted by one ``%``
         call.  A row's fixed text comes from a table over (band, feasible, best
         band); max power is formatted once per (source region, band), the
@@ -112,7 +111,7 @@ class ConnectivityMap:
         tails = [f"{nu}\n" for nu in range(bands)] + ["\n"]  # best band -1 reads the last
         rows = [[[f"%s{nu},{flag},%s,%.12g,{t}" for t in tails] for flag in (0, 1)] for nu in range(bands)]
         rows = np.array(rows, dtype=object)
-        step = max(1, _CSV_CHUNK_ROWS // (6 * bands))
+        step = max(1, consumption._TEXT_CHUNK // (6 * bands))
         yield "cell_a,cell_b,band,feasible,max_power_dbm,sinr_db,best_band\n"
         for lo in range(0, self.grid.region_count, step):
             a, b, feasible, sinr, best = self._pairs(lo, min(lo + step, self.grid.region_count))

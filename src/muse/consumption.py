@@ -89,6 +89,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16  # most regions per chunk, _CHUNK // slots for the maps (see _tree_spans); bounds the block and each field
+_TEXT_CHUNK = 1 << 12  # map CSV rows, heatmap or smf theta values, or edge CSV rows per formatted chunk; bounds the text held
 
 
 def _thread_budget() -> int:
@@ -407,6 +408,7 @@ class CellMetrics:
 def cell_metrics(sys: RFSystem, cell: Cell) -> CellMetrics:
     """Occupancy / opportunity / liability of one unit spectrum space,
     evaluated at its sample point."""
+    sys.grid.cell(cell.region_index)  # IndexError for a region outside the grid
     budget, (tx_active, rx_active), fields, consumed = _point_slice(
         sys, cell.sample_point, cell.time_index, cell.band_index, cell.region_index
     )

@@ -37,7 +37,7 @@ __all__ = [
 SQRT3 = math.sqrt(3.0)
 
 # Largest grid accepted, in unit spectrum spaces (regions x time quanta x
-# bands): 512 MiB per float64 map, `map` and simulated `smf` hold four (2 GiB).
+# bands): 512 MiB per float64 map, `map` holds four (2 GiB; README's memory table).
 # The 1 m sweep grid of a 4300 m x 3700 m region is 6.1M cells.
 MAX_CELLS = 1 << 26
 

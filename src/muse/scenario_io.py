@@ -24,6 +24,7 @@ from typing import Any, Callable, Iterator, NamedTuple
 import numpy as np
 import yaml
 
+from . import consumption
 from .consumption import _FIELDS, ConsumptionMaps
 from .grid import Band, GridSpec
 from .model import Receiver, RFLink, RFNetwork, RFSystem, SystemParams, Transmitter
@@ -456,25 +457,24 @@ _MAP_DTYPE = np.dtype(
 )
 # One map CSV row from (region prefix, "tau,nu," prefix, centroid prefix, four fields).
 _MAP_ROW = "%s%s%s%.17e,%.17e,%.17e,%.17e\n"
-_CSV_CHUNK_ROWS = 4096  # map CSV rows, or heatmap values, formatted per chunk; bounds the text held
 
 
 def _map_csv_chunks(maps: ConsumptionMaps) -> Iterator[str]:
-    """The map CSV as text chunks of at most ``_CSV_CHUNK_ROWS`` rows.
+    """The map CSV as text chunks of at most ``consumption._TEXT_CHUNK`` rows.
 
     Each chunk is one ``%`` call over Python floats, so every value is
     formatted exactly as ``f"{v:.17e}"`` would format it; the region and
-    centroid prefixes are formatted once per region.
+    centroid prefixes are formatted once per region (no lattice is built).
     """
     grid = maps.grid
     slots = [f"{tau},{nu}," for tau in range(grid.horizon) for nu in range(grid.band_count)]
     fields = [getattr(maps, name).reshape(grid.region_count, len(slots)) for name in _FIELDS]
-    step = max(1, _CSV_CHUNK_ROWS // len(slots))
+    step = max(1, consumption._TEXT_CHUNK // len(slots))
     yield MAP_CSV_HEADER + "\n"
     for lo in range(0, grid.region_count, step):
         hi = min(lo + step, grid.region_count)
         regions = [f"{chi}," for chi in range(lo, hi)]
-        centroids = ["%.17e,%.17e," % (x, y) for x, y in grid.centroids[lo:hi].tolist()]
+        centroids = ["%.17e,%.17e," % (x, y) for x, y in grid._centroids(lo, hi).tolist()]
         columns = (
             [p for p in regions for _ in slots],
             slots * (hi - lo),
@@ -553,7 +553,7 @@ def heatmap_text(maps: ConsumptionMaps, quantity: str, time_index: int, band_ind
 
 def _heatmap_chunks(maps: ConsumptionMaps, quantity: str, time_index: int, band_index: int) -> Iterator[str]:
     """``heatmap_text`` as text chunks of whole hexagon rows, at most
-    ``_CSV_CHUNK_ROWS`` values each (or one row), each formatted in one ``%``
+    ``consumption._TEXT_CHUNK`` values each (or one row), each formatted in one ``%``
     call, as ``f"{v:.17e}"`` would."""
     counts = maps.grid._row_counts.tolist()
     values = getattr(maps, quantity)[:, time_index, band_index]
@@ -562,7 +562,7 @@ def _heatmap_chunks(maps: ConsumptionMaps, quantity: str, time_index: int, band_
     lo = hi = 0  # the chunk's values
     rows = []
     for n in counts:
-        if rows and hi + n - lo > _CSV_CHUNK_ROWS:
+        if rows and hi + n - lo > consumption._TEXT_CHUNK:
             yield "".join(rows) % tuple(values[lo:hi].tolist())
             lo, rows = hi, []
         rows.append(row_fmt[n])

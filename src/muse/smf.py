@@ -247,7 +247,9 @@ def perturb_system(sys: RFSystem, model: SensingErrorModel) -> RFSystem:
     if spurious:
         networks.append(RFNetwork(id="sensed-artifacts", links=tuple(spurious)))
 
-    return dataclasses.replace(sys, networks=tuple(networks))
+    sensed = dataclasses.replace(sys, networks=tuple(networks))
+    vars(sensed)["grid"] = sys.grid  # the same grid spec, so the same grid and, once built, the same lattice
+    return sensed
 
 
 def simulate_recovery(sys: RFSystem, model: SensingErrorModel) -> OpportunityMap:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -10,7 +11,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from muse import cli, compute_maps, connectivity, consumption, dbm_to_watts, load_scenario, read_map_csv, scenario_io
+from muse import SpectrumGrid, cli, compute_maps, consumption, dbm_to_watts, load_scenario, read_map_csv, scenario_io
 from muse.cli import main
 from muse.model import UnknownEntityError
 from muse.scenario_io import heatmap_text
@@ -18,6 +19,8 @@ from muse.scenario_io import heatmap_text
 from helpers import probe_scenario, region_link_system, traced_peak
 from muse import serialize_scenario
 from test_io import SCENARIO_TEXT, SCENARIOS as DEMO_SCENARIOS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -659,7 +662,7 @@ def test_smf_json_is_json_dumps_of_the_payload(monkeypatch, n):
     import muse.cli as cli
     from muse.smf import SMFReport
 
-    monkeypatch.setattr(cli, "_THETA_CHUNK", 7)
+    monkeypatch.setattr(consumption, "_TEXT_CHUNK", 7)
     rng = np.random.default_rng(n)
     theta = rng.normal(size=(n, 1, 1)) * 10.0 ** rng.integers(-300, 300, size=(n, 1, 1)).astype(float)
     special = [math.inf, -math.inf, -0.0, 0.0, 5e-324]
@@ -670,61 +673,48 @@ def test_smf_json_is_json_dumps_of_the_payload(monkeypatch, n):
     assert "".join(cli._smf_json(rep)) == json.dumps(payload, indent=2) + "\n"
 
 
-def test_smf_out_holds_no_copies_of_theta(monkeypatch, tmp_path):
-    """Writing the simulated smf report holds theta a chunk at a time: the whole
-    command stays below 8 maps, where a list and a formatted copy of theta took
-    it past 20."""
-    path = tmp_path / "campus.yaml"
-    path.write_text((DEMO_SCENARIOS / "three_band_campus.yaml").read_text().replace("hex_side_m: 100.0", "hex_side_m: 5.0"))
-    grid = load_scenario(path).grid
-    assert grid.cell_count > 1 << 17
-    monkeypatch.setenv("MUSE_THREADS", "1")
-    args = ["smf", "--scenario", str(path), "--p-missed", "0.1", "--false-positives", "3", "--seed", "8"]
-    _, peak = traced_peak(main, args + ["--out", str(tmp_path / "smf.json")], standalone_mode=False)
-    assert len(json.loads((tmp_path / "smf.json").read_text())["theta"]) == grid.cell_count
-    assert peak < 8 * grid.cell_count * 8
+def _memory_table() -> dict[str, dict[str, float]]:
+    """README's memory table: each command's bound, as its numbers of maps, lattices and blocks."""
+    lines = README.read_text().split("| command | arrays held | bound |")[1].splitlines()[2:]
+    rows = [line.split("|")[1:-1] for line in lines[: lines.index("")]]
+    return {row[0].strip(" `"): {unit: float(k) for k, unit in re.findall(r"([\d.]+) (map|lattice|block)", row[2])} for row in rows}
 
 
-def test_connectivity_streams_its_edge_csv(monkeypatch, tmp_path):
-    """``muse connectivity`` holds two per-region arrays of one quantum, the
-    occupancy and the clipped source power, and generates each CSV chunk's
-    pairs from them: on the 12 m campus (8,287 regions x 3 bands) it peaks near
-    3.3 one-quantum maps, where holding the (pairs, bands) result arrays took it
-    to 27, their 6.4 MB text to 107 and per-pair sample points to 35.  The grid
-    and the chunks (evaluation and CSV) are scaled down together, as with the
-    default chunks on grids above 2^16 regions.  A hop is one lattice pitch, so
-    no lattice is built."""
-    path = tmp_path / "campus.yaml"
-    path.write_text((DEMO_SCENARIOS / "three_band_campus.yaml").read_text().replace("hex_side_m: 100.0", "hex_side_m: 12.0"))
+MEMORY_TABLE = _memory_table()
+
+
+@pytest.mark.parametrize("scenario, side, regions", [("three_band_campus", 12.0, 8287), ("region_with_link", 24.0, 10868)])
+@pytest.mark.parametrize("command", list(MEMORY_TABLE))
+def test_memory_table(monkeypatch, tmp_path, command, scenario, side, regions):
+    """Each command of README's memory table, traced with one thread, peaks within its
+    bound and builds no more lattices than the bound counts.  The grids and the
+    chunks (evaluation and text) are scaled down together, as with the default chunks
+    on grids above 2^16 regions."""
+    path, csv, out = tmp_path / "scenario.yaml", str(tmp_path / "map.csv"), str(tmp_path / "out")
+    path.write_text((DEMO_SCENARIOS / f"{scenario}.yaml").read_text().replace("hex_side_m: 100.0", f"hex_side_m: {side}"))
     grid = load_scenario(path).grid
-    one_map = grid.region_count * grid.band_count * 8
     monkeypatch.setenv("MUSE_THREADS", "1")
     monkeypatch.setattr(consumption, "_CHUNK", 1 << 12)
-    monkeypatch.setattr(connectivity, "_CSV_CHUNK_ROWS", 512)
-    systems, build = [], cli.build_connectivity_map
-    monkeypatch.setattr(cli, "build_connectivity_map", lambda system, *args: systems.append(system) or build(system, *args))
-    out = tmp_path / "edges.csv"
-    _, peak = traced_peak(main, ["connectivity", "--scenario", str(path), "--beta-db", "10", "--out", str(out)], standalone_mode=False)
-    assert grid.region_count == 8287 and out.stat().st_size > 30 * one_map
-    assert peak <= 4 * one_map
-    assert not {"sample_points", "centroids"} & systems[0].grid.__dict__.keys()
-
-
-def test_map_heatmap_streams_its_slice(monkeypatch, tmp_path):
-    """A heatmap is formatted a chunk of hexagon rows at a time, so on a one-slot
-    grid ``map --heatmap`` peaks within half a map of ``map`` alone; formatting the
-    whole slice added four maps.  The grid (10,868 regions) and the chunks are
-    scaled down together, so the four held maps set the peak as they do with the
-    default chunks on grids above 2^16 regions."""
-    path = tmp_path / "region.yaml"
-    path.write_text((DEMO_SCENARIOS / "region_with_link.yaml").read_text().replace("hex_side_m: 100.0", "hex_side_m: 24.0"))
-    grid = load_scenario(path).grid
-    assert grid.cell_count == grid.region_count == 10868
-    monkeypatch.setenv("MUSE_THREADS", "1")
-    monkeypatch.setattr(consumption, "_CHUNK", 1 << 12)
-    monkeypatch.setattr(scenario_io, "_CSV_CHUNK_ROWS", 256)
-    args = ["map", "--scenario", str(path), "--out", str(tmp_path / "map.csv")]
-    _, alone = traced_peak(main, args, standalone_mode=False)
-    _, with_heatmap = traced_peak(main, args + ["--heatmap", "opportunity"], standalone_mode=False)
-    assert len((tmp_path / "map-opportunity-t0b0.mat").read_text().splitlines()) == len(grid._row_counts)
-    assert with_heatmap <= alone + 0.5 * grid.cell_count * 8
+    monkeypatch.setattr(consumption, "_TEXT_CHUNK", 1 << 8)
+    if command == "smf --truth-map --other-map":
+        main(["map", "--scenario", str(path), "--out", csv], standalone_mode=False)
+    args, fields, keeps_maps = {  # the arguments after --scenario, the block's fields, whether chunks hold _CHUNK // slots regions
+        "point": (["point", "--x", "1000", "--y", "1000"], 3, False),
+        "report": (["report", "--out", out], 3, False),
+        "entity": (["entity", "--id", "system"], 3, False),
+        "sweep": (["sweep", "--hex-sides", f"{side},100", "--out", out], 3, False),
+        "map": (["map", "--out", out], 4, True),
+        "map --heatmap": (["map", "--out", out, "--heatmap", "opportunity"], 4, True),
+        "smf": (["smf", "--p-missed", "0.1", "--false-positives", "3", "--seed", "8", "--out", out], 3, True),
+        "smf --truth-map --other-map": (["smf", "--truth-map", csv, "--other-map", csv, "--out", out], 3, False),
+        "connectivity": (["connectivity", "--beta-db", "10", "--out", out], 4, True),
+    }[command]
+    grids, build = [], SpectrumGrid.__init__
+    monkeypatch.setattr(SpectrumGrid, "__init__", lambda grid, spec: (build(grid, spec), grids.append(grid))[0])
+    _, peak = traced_peak(main, [args[0], "--scenario", str(path), *args[1:]], standalone_mode=False)
+    slots = grid.horizon * grid.band_count
+    spans = consumption._tree_spans(0, grid.region_count, consumption._CHUNK // (slots if keeps_maps else 1))
+    units = {"map": grid.cell_count * 8, "lattice": grid.region_count * 16, "block": fields * slots * max(hi - lo for lo, hi in spans) * 8}
+    assert grid.region_count == regions
+    assert peak <= sum(k * units[unit] for unit, k in MEMORY_TABLE[command].items())
+    assert sum(bool({"centroids", "sample_points"} & g.__dict__.keys()) for g in grids) <= MEMORY_TABLE[command].get("lattice", 0)

@@ -28,7 +28,7 @@ from muse import (
     load_scenario,
     watts_to_dbm,
 )
-from muse import cli, connectivity, consumption
+from muse import cli, consumption
 from muse.connectivity import _hop_gains
 from muse.grid import SQRT3, GridSpec
 from muse.propagation import link_gain
@@ -347,7 +347,7 @@ def assert_csv_matches_reference(cmap):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "edges.csv"
         for chunk_rows in (1, 7, 64, 4096):
-            with mock.patch.object(connectivity, "_CSV_CHUNK_ROWS", chunk_rows):
+            with mock.patch.object(consumption, "_TEXT_CHUNK", chunk_rows):
                 assert_same_text(cmap.to_csv(), expected)
                 cli._write(str(path), cmap._csv_chunks())
             assert_same_text(path.read_bytes().decode("utf-8"), expected)

@@ -2,7 +2,6 @@ import dataclasses
 import math
 import os
 import sys
-import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -53,6 +52,7 @@ from helpers import (
     reference_params,
     region_link_system,
     small_grid,
+    traced_peak,
 )
 
 
@@ -588,6 +588,9 @@ def test_point_queries_reject_indices_outside_the_grid(name):
     for time_index, band_index, message in cases:
         with pytest.raises(IndexError, match=f"^{message} out of range$"):
             query(sys_, time_index, band_index)
+    for region in (-3, sys_.grid.region_count, 10**9) if name == "cell_metrics" else ():
+        with pytest.raises(IndexError, match=f"^region index {region} out of range$"):
+            cell_metrics(sys_, dataclasses.replace(sys_.grid.cell(12), region_index=region))
 
 
 def leaf_chunks(sys_) -> list[tuple[int, int]]:
@@ -885,25 +888,6 @@ def test_generated_report_totals_equal_map_sums_bitwise(sys_, chunk, threads):
     assert_totals_equal_maps(fine, chunk, threads)
 
 
-def test_report_holds_no_full_maps(monkeypatch):
-    import muse.consumption as consumption
-
-    sys_ = dataclasses.replace(repeating_system(), grid_spec=small_grid(hex_side=5.0, horizon=4, n_bands=3))
-    grid = sys_.grid  # built before the trace starts
-    monkeypatch.setattr(consumption, "_CHUNK", 1 << 10)
-    assert len(consumption._tree_spans(0, grid.region_count, 1 << 10)) == 8
-    monkeypatch.setenv("MUSE_THREADS", "1")
-    tracemalloc.start()
-    try:
-        system_report(sys_)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # eight chunks of 12 slots per region; the four maps would take 4 x cells x 8 bytes
-    assert grid.horizon * grid.band_count == 12
-    assert peak < 4 * grid.cell_count * 8 / 2
-
-
 @pytest.mark.parametrize("added", [10, 400])
 def test_report_memory_does_not_grow_with_transmitters(monkeypatch, added):
     import muse.consumption as consumption
@@ -921,12 +905,7 @@ def test_report_memory_does_not_grow_with_transmitters(monkeypatch, added):
     spans = consumption._tree_spans(0, grid.region_count, 1 << 12)
     assert len(spans) == 2
     width = max(hi - lo for lo, hi in spans)
-    tracemalloc.start()
-    try:
-        system_report(sys_)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(system_report, sys_)
     # a block of three fields x six slots beside one gain field, one received power and link_gain's
     # temporaries, whatever the transmitter count; a field kept per transmitter in a chunk takes 400 widths
     assert peak < 48 * width * 8
@@ -939,12 +918,7 @@ def test_report_memory_does_not_grow_with_the_grid(monkeypatch, hex_side, region
     sys_ = region_link_system(hex_side=hex_side)  # the grid is built in the trace
     monkeypatch.setattr(consumption, "_CHUNK", 1 << 12)
     monkeypatch.setenv("MUSE_THREADS", "1")
-    tracemalloc.start()
-    try:
-        system_report(sys_)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(system_report, sys_)
     # a block of three 4096-region rows beside the gain field and link_gain's temporaries, whatever the
     # region count; the whole lattice peaks at six float64 per region, 141 chunk-widths at 8 m
     assert sys_.grid.region_count == regions
@@ -980,12 +954,7 @@ def test_maps_blocks_stay_small_beside_the_maps(monkeypatch):
     grid = sys_.grid  # built before the trace starts
     monkeypatch.setattr(consumption, "_CHUNK", 1 << 12)
     monkeypatch.setenv("MUSE_THREADS", "4")
-    tracemalloc.start()
-    try:
-        compute_maps(sys_)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(compute_maps, sys_)
     # six distinct slots, so chunks of 4096 // 6 regions; 4096-region chunks would take it to about 1.9 x
     assert grid.region_count > 4 * (1 << 12) // 6
     assert peak < 1.5 * 4 * grid.cell_count * 8
@@ -999,16 +968,11 @@ def test_opportunity_map_holds_only_its_map(monkeypatch):
     monkeypatch.setattr(consumption, "_CHUNK", 1 << 12)
     monkeypatch.setenv("MUSE_THREADS", "1")
     assert len(consumption._tree_spans(0, grid.region_count, (1 << 12) // 6)) >= 8  # six distinct slots
-    tracemalloc.start()
-    try:
-        values = opportunity_map(sys_).values
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    omap, peak = traced_peak(opportunity_map, sys_)
     # the one map it returns, beside a block of three fields x six slots x 4096 // 6 regions and its gain fields;
     # holding all four maps would take it above 4 x
-    assert values.nbytes == grid.cell_count * 8
-    assert peak < 2 * values.nbytes
+    assert omap.values.nbytes == grid.cell_count * 8
+    assert peak < 2 * omap.values.nbytes
 
 
 # ---------------------------------------------------------------------------

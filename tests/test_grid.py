@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 import types
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from muse import Band, GridSpec, SpectrumGrid, tessellate, total_spectrum_space, validate_system
 from muse.grid import MAX_CELLS
 
-from helpers import reference_grid, reference_params, region_link_system
+from helpers import reference_grid, reference_params, region_link_system, traced_peak
 
 SQRT3 = math.sqrt(3.0)
 
@@ -279,11 +278,6 @@ def test_grid_size_queries_read_only_the_row_tables():
         "total_spectrum_space": lambda: total_spectrum_space(spec, reference_params()) > 1.5e6,
     }
     for name, query in queries.items():
-        tracemalloc.start()
-        try:
-            result = query()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        result, peak = traced_peak(query)
         assert result and peak < 1 << 20, (name, peak)
     assert sys_.grid.region_count > 1_500_000

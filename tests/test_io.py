@@ -25,7 +25,7 @@ from muse import (
     validate_system,
     write_map_csv,
 )
-from muse import cli, scenario_io
+from muse import cli, consumption, scenario_io
 from muse.consumption import ConsumptionMaps
 from muse.scenario_io import MAP_CSV_HEADER, heatmap_text
 
@@ -575,7 +575,7 @@ def generated_maps(draw):
 def test_map_writers_match_reference_and_round_trip_bitwise(tmp_path_factory, maps, chunk_rows):
     path = tmp_path_factory.mktemp("map") / "map.csv"
     mat = path.with_suffix(".mat")
-    with mock.patch.object(scenario_io, "_CSV_CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(consumption, "_TEXT_CHUNK", chunk_rows):
         write_map_csv(path, maps)
         for tau in range(maps.grid.horizon):
             for nu in range(maps.grid.band_count):

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from muse import (
 
 from muse.smf import MAX_FALSE_POSITIVES, perturb_system
 
-from helpers import empty_system, four_pair_system, probe_scenario, random_system, region_link_system, small_grid
+from helpers import empty_system, four_pair_system, probe_scenario, random_system, region_link_system, small_grid, traced_peak
 
 
 def dyadic_map(rng, like: OpportunityMap, scale=1.0) -> OpportunityMap:
@@ -92,12 +91,7 @@ def test_compare_maps_holds_one_mass_at_a_time():
     rng = np.random.default_rng(3)
     centroids = rng.random((1000, 2))
     truth, other = (OpportunityMap(values=rng.random((1000, 8, 8)), centroids=centroids) for _ in range(2))
-    tracemalloc.start()
-    try:
-        compare_maps(truth, other)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(compare_maps, truth, other)
     # theta, which the report keeps, and one buffer for the masses; all three masses at once take 4 x
     assert peak <= 2.1 * truth.values.nbytes
 
@@ -157,6 +151,14 @@ def test_recovery_zero_error_bit_exact():
     assert np.array_equal(truth.values, est.values)
     rep = compare_maps(truth, est)
     assert rep.lost_available == 0.0 and rep.potentially_incursed == 0.0
+
+
+def test_simulated_recovery_shares_the_truth_lattice():
+    """The sensed system keeps the scenario's grid, so the truth and the estimate read one lattice."""
+    sys_ = region_link_system(hex_side=230.0)
+    truth = opportunity_map(sys_)
+    est = simulate_recovery(sys_, SensingErrorModel(false_positive_rate=2.0, geolocation_sigma=60.0, rng_seed=7))
+    assert np.shares_memory(truth.centroids, est.centroids)
 
 
 def test_recovery_full_miss_equals_empty_map():
