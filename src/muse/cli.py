@@ -258,7 +258,8 @@ def smf(scenario, truth_map, other_map, p_missed, false_positives, geo_sigma, po
     fp_power = None if fp_power_dbm is None else dbm_to_watts(fp_power_dbm)  # inf is rejected by SensingErrorModel
     truth = read_map_csv(truth_map)["opportunity_map"] if truth_map else opportunity_map(system)
     grid = system.grid  # compare_maps checks the other map against the truth's grid
-    _check_grid(truth, (grid.region_count, grid.horizon, grid.band_count), grid.centroids)
+    if truth_map:  # a simulated truth is on the grid's own lattice
+        _check_grid(truth, (grid.region_count, grid.horizon, grid.band_count), grid._centroids)
     if other_map:
         other = read_map_csv(other_map)["opportunity_map"]
     else:
@@ -309,14 +310,15 @@ def sweep(scenario, hex_sides, out):
         _fail(EXIT_VALIDATION, "--hex-sides must name at least one side")
 
     swept = []
-    for side in sides:  # every side's grid is built, and so checked, before any is evaluated
+    for side in sides:  # every side is validated, as `report` validates its scenario, before any is evaluated
         try:
-            scaled = dataclasses.replace(system, grid_spec=dataclasses.replace(system.grid_spec, hex_side=side))
-            swept.append((side, scaled, scaled.grid.region_count))
+            swept.append(dataclasses.replace(system, grid_spec=dataclasses.replace(system.grid_spec, hex_side=side)))
+            validate_system(swept[-1]).raise_if_invalid()
         except ValueError as exc:
             _fail(EXIT_VALIDATION, f"bad --hex-sides value {side:g}: {exc}")
-    passes = _evaluate_grids([scaled for _, scaled, _ in swept])  # every side's chunks in one thread pool
-    rows = [(side, cells, _report(scaled, sums, entities)) for (side, scaled, cells), (_, sums, entities) in zip(swept, passes)]
+    passes = _evaluate_grids(swept)  # every side's chunks in one thread pool
+    rows = [(side, scaled.grid.region_count, _report(scaled, sums, entities))
+            for side, scaled, (_, sums, entities) in zip(sides, swept, passes)]
 
     click.echo(f"{'hex_side_m':>10} {'cells':>9} {'utilized':>13} {'forbidden':>13} {'available':>13} {'consumed_%':>10} {'available_%':>11}")
     for side, cells, rep in rows:

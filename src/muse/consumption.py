@@ -494,6 +494,8 @@ def _plan(sys: RFSystem, times, keep) -> _Plan:
         source.append(first.setdefault((j, active[0].tobytes(), active[1].tobytes()), len(slots)))
         if source[-1] == len(slots):
             slots.append((budgets[j], active))
+    # The totals keep 2^16-region chunks: cut to _CHUNK // slots, fine_sweep ran faster on one thread but
+    # much slower on two, as numpy calls on 16k-region arrays are too short to overlap under the GIL.
     spans = _tree_spans(0, grid.region_count, _CHUNK // len(slots) if keep else _CHUNK)
     maps = {name: np.empty((grid.region_count, len(times), len(budgets))) for name in keep}
     return _Plan(sys, budgets, slots, source, spans, maps, {})

@@ -59,8 +59,7 @@ class GridSpec:
     time_quantum: float = 1.0
     horizon: int = 1
     bands: tuple[Band, ...] = (Band(600e6, 6e6),)
-    sample_point_policy: str = "centroid"  # "centroid" | "offset"
-    sample_offset: tuple[float, float] | None = None
+    sample_offset: tuple[float, float] | None = None  # a region's sample point is its centroid (None) or this offset from it
     worst_case_placement: bool = False
 
     def __post_init__(self):
@@ -82,13 +81,8 @@ class GridSpec:
         cells = regions * min(self.horizon, MAX_CELLS + 1) * len(self.bands)
         if cells > MAX_CELLS:
             raise ValueError(f"grid too large: an estimated {cells:.3g} cells exceed the cap of {MAX_CELLS}")
-        if self.sample_point_policy not in ("centroid", "offset"):
-            raise ValueError(f"unknown sample point policy {self.sample_point_policy!r}")
-        if self.sample_point_policy == "offset":
-            if self.sample_offset is None:
-                raise ValueError("offset sample policy requires sample_offset")
-            if not _point_in_hex(self.sample_offset[0], self.sample_offset[1], self.hex_side):
-                raise ValueError("sample_offset falls outside the unit hexagon")
+        if self.sample_offset is not None and not _point_in_hex(*self.sample_offset, self.hex_side):
+            raise ValueError("sample_offset falls outside the unit hexagon")
 
     @property
     def band_count(self) -> int:
@@ -160,7 +154,7 @@ class SpectrumGrid:
         """Sample points of regions [lo, hi), shape (hi - lo, 2): the values of
         ``sample_points[lo:hi]``, without building the whole lattice."""
         pts = self._centroids(lo, hi)
-        if self.spec.sample_point_policy == "offset":
+        if self.spec.sample_offset is not None:
             pts += self.spec.sample_offset
         return pts
 
@@ -174,7 +168,7 @@ class SpectrumGrid:
     @cached_property
     def sample_points(self) -> np.ndarray:
         """Every region's sample point, read-only, built on first use."""
-        if self.spec.sample_point_policy == "centroid":
+        if self.spec.sample_offset is None:
             return self.centroids
         pts = self.points(0, self.region_count)
         pts.setflags(write=False)

@@ -1,9 +1,7 @@
 """Distance-dependent path gain and antenna directivity.
 
-The shipped propagation model is a power-law decay: the gain factor at
-distance d is min(1, (d / d0) ** -alpha), always in (0, 1].  The ``kind``
-field is a registry hook so alternative models (shadowing, fading) can be
-plugged in later; only "power-law" is registered.
+The propagation model is a power-law decay: the gain factor at
+distance d is min(1, (d / d0) ** -alpha), always in (0, 1].
 """
 
 from __future__ import annotations
@@ -24,20 +22,16 @@ __all__ = [
     "pattern_gain",
 ]
 
-PROPAGATION_KINDS = ("power-law",)
 _LOBE_BAND = 1e-9  # relative half-width of the lobe edge that _toward resolves by bearing
 _SIGN_TEST_BORESIGHT = 1e4  # radians; beyond it every sector point takes the bearing path
 
 
 @dataclass(frozen=True)
 class PropagationModel:
-    kind: str = "power-law"
     alpha: float = 3.5
     reference_distance: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in PROPAGATION_KINDS:
-            raise ValueError(f"unknown propagation kind {self.kind!r}; known: {PROPAGATION_KINDS}")
         if not self.alpha > 0.0:
             raise ValueError("path-loss exponent must be positive")
         if not self.reference_distance > 0.0:
@@ -91,12 +85,13 @@ def path_gain(model: PropagationModel, distance):
 
 def _power_law(model: PropagationModel, d: np.ndarray) -> np.ndarray:
     """``path_gain`` of nonnegative distances, computed in place in ``d``:
-    min(1, (d / d0) ** -alpha), which is 1 wherever d <= d0."""
-    with np.errstate(divide="ignore", over="ignore"):  # only where d <= d0, cut to 1 below
-        if model.reference_distance != 1.0:  # x / 1.0 is x for every float
-            d /= model.reference_distance
-        d **= -model.alpha
-    return np.minimum(d, 1.0, out=d)
+    (max(d, d0) / d0) ** -alpha, which is min(1, (d / d0) ** -alpha) bit for bit."""
+    d0 = model.reference_distance
+    np.maximum(d, d0, out=d)  # clamped first, so no distance divides by zero
+    if d0 != 1.0:  # x / 1.0 is x for every float
+        with np.errstate(over="ignore"):  # beyond the float range d / d0 is inf, whose gain is 0
+            d /= d0
+    return np.power(d, -model.alpha, out=d)
 
 
 def link_gain(model: PropagationModel, antenna: AntennaPattern, origin, pts) -> np.ndarray:

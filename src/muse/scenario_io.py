@@ -173,20 +173,17 @@ def _antenna_doc(antenna: AntennaPattern):
     return "omni" if antenna.kind == "omni" else _ANTENNA.write(antenna)
 
 
-_CENTROID = dict(sample_point_policy="centroid", sample_offset=None)
-
-
-def _policy(obj, ctx: str) -> dict:
-    """A hexagon's sample point: its centroid, or a fixed offset from it."""
+def _policy(obj, ctx: str) -> tuple[float, float] | None:
+    """A hexagon's sample point as ``GridSpec.sample_offset``: None for its centroid, or a fixed offset from it."""
     if obj == "centroid":
-        return _CENTROID
+        return None
     if isinstance(obj, dict):
         return _OFFSET(obj, ctx)
     raise ScenarioError(f"{ctx}: expected 'centroid' or an offset mapping, got {obj!r}")
 
 
-def _policy_doc(spec: GridSpec):
-    return "centroid" if spec.sample_point_policy == "centroid" else _OFFSET.write(spec)
+def _policy_doc(offset: tuple[float, float] | None):
+    return "centroid" if offset is None else _OFFSET.write(SimpleNamespace(sample_offset=offset))
 
 
 def _list_of(section, nonempty=False, least=0):
@@ -354,7 +351,7 @@ _BAND = _Section(
     _Key("bandwidth_mhz", "bandwidth_hz", *_num(_MHZ, positive=True)),
 )
 _OFFSET = _Section(
-    lambda sample_offset: dict(sample_point_policy="offset", sample_offset=sample_offset),
+    lambda sample_offset: sample_offset,
     _Key("offset_m", "sample_offset", _position, list),
 )
 _GRID = _Section(
@@ -365,7 +362,7 @@ _GRID = _Section(
     _Key("time_quantum_s", "time_quantum", *_num(), 1.0),
     _Key("time_quanta", "horizon", _index, _as_is, 1),
     _Key("bands", "bands", *_list_of(_BAND, nonempty=True)),
-    _Key("sample_point_policy", None, _policy, _policy_doc, _CENTROID),
+    _Key("sample_point_policy", "sample_offset", _policy, _policy_doc, None),
     _Key("worst_case_placement", "worst_case_placement", _bool, _as_is, False),
 )
 _PATH_LOSS = (_Key("alpha", "alpha", *_num()), _Key("reference_distance_m", "reference_distance", *_num(), 1.0))

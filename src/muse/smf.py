@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import consumption
 from .consumption import _evaluate_grid
 from .model import RFLink, RFNetwork, RFSystem, Transmitter
 from .units import db_to_linear
@@ -73,9 +74,14 @@ def opportunity_map(sys: RFSystem, provenance: str = "ground-truth") -> Opportun
     return OpportunityMap(values=values, centroids=np.asarray(sys.grid.centroids), provenance=provenance)
 
 
-def _check_grid(m: OpportunityMap, shape: tuple[int, ...], centroids: np.ndarray):
-    """Raise unless the map has this shape and these region centroids."""
-    if m.values.shape != shape or not np.array_equal(m.centroids, centroids):
+def _check_grid(m: OpportunityMap, shape: tuple[int, ...], centroids):
+    """Raise unless the map has this shape and the region centroids
+    ``centroids(lo, hi)`` gives for regions [lo, hi), compared a chunk at a time."""
+    chunk = consumption._CHUNK
+    if m.values.shape != shape or not all(
+        np.array_equal(m.centroids[lo : lo + chunk], centroids(lo, min(lo + chunk, shape[0])))
+        for lo in range(0, shape[0], chunk)
+    ):
         raise ValueError("grid mismatch: maps were built on different discretizations")
 
 
@@ -131,7 +137,7 @@ def compare_maps(truth: OpportunityMap, other: OpportunityMap) -> SMFReport:
     positive error potentially leads to harmful interference; the
     recovered mass is the overlap min(truth, other).
     """
-    _check_grid(other, truth.values.shape, truth.centroids)
+    _check_grid(other, truth.values.shape, lambda lo, hi: truth.centroids[lo:hi])
     return _score(truth, other.values, "recovered_available", "lost_available", "potentially_incursed")
 
 

@@ -543,6 +543,28 @@ def test_invalid_option_exit_code(runner, scenario_path, tmp_path, args, message
     assert message in err["error"] and err["exit_code"] == 2
 
 
+@pytest.mark.parametrize(
+    "field, bad, sides, message",
+    [
+        ("  noise_dbm: -106.0\n", "  noise_dbm: -106.0\n  noise_overrides: [{region: 600, band: 0, noise_dbm: -90.0}]\n",
+         "100,400", "bad --hex-sides value 400: invalid scenario: noise override (600, 0) outside the grid"),
+        ("alpha: 3.5", "alpha: 80.0", "100,1800",
+         "bad --hex-sides value 1800: invalid scenario: band 0: link gain 0 at 15844.9 m is not a normal float"),
+    ],
+    ids=["noise-override-outside-a-side", "link-gain-underflows-at-a-side"],
+)
+def test_sweep_validates_every_side(runner, tmp_path, field, bad, sides, message):
+    """A scenario valid at its own side is validated again at every swept side,
+    as ``report`` validates it: a side that would drop a noise override or
+    divide by a zero link gain fails the sweep before any side is evaluated."""
+    path = tmp_path / "scenario.yaml"
+    path.write_text(SCENARIO_TEXT.replace(field, bad))
+    assert runner.invoke(main, ["report", "--scenario", str(path)]).exit_code == 0
+    result = runner.invoke(main, ["sweep", "--scenario", str(path), "--hex-sides", sides])
+    assert result.exit_code == 2
+    assert result.output.splitlines() == [json.dumps({"error": message, "exit_code": 2})]
+
+
 def test_units_flag(runner, high_power_path):
     dbm_only = runner.invoke(
         main, ["point", "--scenario", high_power_path, "--x", "2250", "--y", "1800", "--units", "dbm"]
@@ -687,7 +709,7 @@ MEMORY_TABLE = _memory_table()
 @pytest.mark.parametrize("command", list(MEMORY_TABLE))
 def test_memory_table(monkeypatch, tmp_path, command, scenario, side, regions):
     """Each command of README's memory table, traced with one thread, peaks within its
-    bound and builds no more lattices than the bound counts.  The grids and the
+    bound, and no command but simulated ``smf`` has a grid build its lattice.  The grids and the
     chunks (evaluation and text) are scaled down together, as with the default chunks
     on grids above 2^16 regions."""
     path, csv, out = tmp_path / "scenario.yaml", str(tmp_path / "map.csv"), str(tmp_path / "out")
@@ -717,4 +739,4 @@ def test_memory_table(monkeypatch, tmp_path, command, scenario, side, regions):
     units = {"map": grid.cell_count * 8, "lattice": grid.region_count * 16, "block": fields * slots * max(hi - lo for lo, hi in spans) * 8}
     assert grid.region_count == regions
     assert peak <= sum(k * units[unit] for unit, k in MEMORY_TABLE[command].items())
-    assert sum(bool({"centroids", "sample_points"} & g.__dict__.keys()) for g in grids) <= MEMORY_TABLE[command].get("lattice", 0)
+    assert sum(bool({"centroids", "sample_points"} & g.__dict__.keys()) for g in grids) <= (command == "smf")

@@ -305,7 +305,6 @@ def test_a_hop_is_one_lattice_pitch(side, size, offset, where, alpha):
     spec = GridSpec(
         *size,
         side,
-        sample_point_policy="centroid" if offset is None else "offset",
         sample_offset=None if offset is None else (offset[0] * side, offset[1] * side),
     )
     sys_ = dataclasses.replace(empty_system(), grid_spec=spec, propagation=PropagationModel(alpha=alpha))

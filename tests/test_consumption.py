@@ -696,7 +696,6 @@ def generated_systems(draw):
         horizon=draw(st.integers(1, 2)),
         n_bands=draw(st.integers(1, 2)),
         worst_case_placement=draw(st.booleans()),
-        sample_point_policy="centroid" if offset is None else "offset",
         sample_offset=offset,
     )
     position = st.tuples(st.floats(0.0, spec.region_width), st.floats(0.0, spec.region_height))

@@ -139,13 +139,15 @@ def test_locate_fuzz_region_and_boundaries():
 
 
 def test_sample_point_policies():
-    spec = reference_grid(100.0, sample_point_policy="offset", sample_offset=(30.0, -20.0))
-    grid = SpectrumGrid(spec)
+    """``sample_offset`` alone picks the sample point: None is the centroid."""
+    grid = SpectrumGrid(reference_grid(100.0, sample_offset=(30.0, -20.0)))
     assert np.allclose(grid.sample_points - grid.centroids, [30.0, -20.0])
+    centroid = SpectrumGrid(reference_grid(100.0))
+    assert centroid.sample_points is centroid.centroids
     with pytest.raises(ValueError, match="outside the unit hexagon"):
-        reference_grid(100.0, sample_point_policy="offset", sample_offset=(100.0, 100.0))
-    with pytest.raises(ValueError):
-        reference_grid(100.0, sample_point_policy="offset")
+        reference_grid(100.0, sample_offset=(100.0, 100.0))
+    with pytest.raises(TypeError):
+        reference_grid(100.0, sample_point_policy="centroid", sample_offset=(5.0, 5.0))
 
 
 def test_neighbors_share_edges():
@@ -229,7 +231,7 @@ def lattice_built_whole(grid):
     row = np.repeat(np.arange(grid.row_count), grid._row_counts)
     col = np.arange(grid.region_count) - np.repeat(grid._row_start[:-1] - grid._row_jmin, grid._row_counts)
     centroids = np.column_stack([grid._row_offset[row] + SQRT3 * s * col, 1.5 * s * row])
-    if grid.spec.sample_point_policy == "centroid":
+    if grid.spec.sample_offset is None:
         return centroids, centroids
     return centroids, centroids + np.array(grid.spec.sample_offset)
 
@@ -243,11 +245,9 @@ def lattice_built_whole(grid):
     data=st.data(),
 )
 def test_points_of_any_split_equal_the_whole_lattice_bitwise(side, columns, rows, offset, data):
-    policy = {} if offset is None else dict(
-        sample_point_policy="offset",  # inside the hexagon: |dx| / sqrt(3) + |dy| <= side
-        sample_offset=(offset[0] * SQRT3 / 2 * side, offset[1] * (1 - abs(offset[0]) / 2) * side),
-    )
-    grid = SpectrumGrid(GridSpec(region_width=columns * side, region_height=rows * side, hex_side=side, **policy))
+    if offset is not None:  # inside the hexagon: |dx| / sqrt(3) + |dy| <= side
+        offset = (offset[0] * SQRT3 / 2 * side, offset[1] * (1 - abs(offset[0]) / 2) * side)
+    grid = SpectrumGrid(GridSpec(region_width=columns * side, region_height=rows * side, hex_side=side, sample_offset=offset))
     centroids, sample_points = lattice_built_whole(grid)
     n = grid.region_count
     cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)) + [0, n])

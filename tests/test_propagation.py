@@ -138,8 +138,8 @@ def test_pattern_validation():
         AntennaPattern(main_gain=2.0, back_gain=2.0)
     with pytest.raises(ValueError):
         PropagationModel(alpha=-1.0)
-    with pytest.raises(ValueError):
-        PropagationModel(kind="two-ray")
+    with pytest.raises(TypeError):
+        PropagationModel(kind="power-law")
 
 
 def _mask_power_law(model, d):
