@@ -25,7 +25,7 @@ from .consumption import _FIELDS, _evaluate_grids, _report, _thread_budget, comp
 from .consumption import point_metrics, system_report
 from .grid import total_spectrum_space
 from .model import RFSystem, UnknownEntityError, validate_system
-from .scenario_io import ScenarioError, _heatmap_chunks, _map_csv_chunks, load_scenario, read_map_csv
+from .scenario_io import ScenarioError, _heatmap_chunks, _map_csv_chunks, _read_map, load_scenario
 from .smf import SensingErrorModel, SMFReport, _check_grid, compare_maps, opportunity_map, simulate_recovery
 from .units import db_to_linear, dbm_to_watts, watts_to_dbm
 
@@ -256,12 +256,12 @@ def smf(scenario, truth_map, other_map, p_missed, false_positives, geo_sigma, po
     """
     system = _load(scenario)
     fp_power = None if fp_power_dbm is None else dbm_to_watts(fp_power_dbm)  # inf is rejected by SensingErrorModel
-    truth = read_map_csv(truth_map)["opportunity_map"] if truth_map else opportunity_map(system)
+    truth = _read_map(truth_map, ("opportunity",))["opportunity_map"] if truth_map else opportunity_map(system)
     grid = system.grid  # compare_maps checks the other map against the truth's grid
     if truth_map:  # a simulated truth is on the grid's own lattice
         _check_grid(truth, (grid.region_count, grid.horizon, grid.band_count), grid._centroids)
     if other_map:
-        other = read_map_csv(other_map)["opportunity_map"]
+        other = _read_map(other_map, ("opportunity",))["opportunity_map"]
     else:
         model = SensingErrorModel(
             p_missed_detection=p_missed,

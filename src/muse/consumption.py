@@ -49,10 +49,10 @@ one's in its band is evaluated once.  Slot fields are contiguous rows of one
 reused per-thread block.  Only the maps a caller keeps are allocated and
 copied from it (``compute_maps`` all four, ``opportunity_map`` one,
 connectivity two of one quantum, the totals none), and then chunks hold
-_CHUNK // slots regions.  Each chunk's per-slot sums are folded up the same
-tree, so every total is, per slot, ``np.sum`` over all regions bit for bit,
-the slots then added in (band, quantum) order: no total depends on the chunk
-size or MUSE_THREADS.
+_CHUNK // slots regions; the totals' hold min(_CHUNK, 4 x _CHUNK // slots).
+Each chunk's per-slot sums are folded up the same tree, so every total is,
+per slot, ``np.sum`` over all regions bit for bit, the slots then added in
+(band, quantum) order: no total depends on the chunk size or MUSE_THREADS.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ __all__ = [
     "system_report",
 ]
 
-_CHUNK = 1 << 16  # most regions per chunk, _CHUNK // slots for the maps (see _tree_spans); bounds the block and each field
+_CHUNK = 1 << 16  # most regions per chunk, fewer for several slots (see _plan); bounds the block and each field
 _TEXT_CHUNK = 1 << 12  # map CSV rows, heatmap or smf theta values, or edge CSV rows per formatted chunk; bounds the text held
 
 
@@ -494,9 +494,10 @@ def _plan(sys: RFSystem, times, keep) -> _Plan:
         source.append(first.setdefault((j, active[0].tobytes(), active[1].tobytes()), len(slots)))
         if source[-1] == len(slots):
             slots.append((budgets[j], active))
-    # The totals keep 2^16-region chunks: cut to _CHUNK // slots, fine_sweep ran faster on one thread but
-    # much slower on two, as numpy calls on 16k-region arrays are too short to overlap under the GIL.
-    spans = _tree_spans(0, grid.region_count, _CHUNK // len(slots) if keep else _CHUNK)
+    # The totals' chunks hold 4 x _CHUNK points, at most _CHUNK regions: cut to _CHUNK // slots, fine_sweep
+    # (4 slots) ran faster on one thread but much slower on two, as numpy calls on 16k-region arrays are too
+    # short to overlap under the GIL.
+    spans = _tree_spans(0, grid.region_count, _CHUNK // len(slots) if keep else min(_CHUNK, 4 * _CHUNK // len(slots)))
     maps = {name: np.empty((grid.region_count, len(times), len(budgets))) for name in keep}
     return _Plan(sys, budgets, slots, source, spans, maps, {})
 
@@ -514,7 +515,8 @@ def _evaluate_grids(systems, members=frozenset(), times=None, keep=()):
     chunks of every system share one pool of at most MUSE_THREADS threads,
     largest (regions x distinct slots) first, and each thread reuses one block
     sized for the largest.  Where maps are kept, chunks hold _CHUNK // slots
-    regions, so a block holds about _CHUNK points."""
+    regions, so a block holds about _CHUNK points; elsewhere at most
+    min(_CHUNK, 4 x _CHUNK // slots) regions, about 4 x _CHUNK points."""
     plans = [_plan(sys, range(sys.grid.horizon) if times is None else times, keep) for sys in systems]
     names = ("occupancy", "opportunity", "liability", "raw_opportunity")[: 4 if "raw_opportunity" in keep else 3]
     tasks = [(len(plan.slots) * (hi - lo), plan, (lo, hi)) for plan in plans for lo, hi in plan.spans]

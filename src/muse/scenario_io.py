@@ -496,6 +496,16 @@ def read_map_csv(path) -> dict[str, np.ndarray | OpportunityMap]:
     must be finite and the rows of a region must agree on its centroid;
     anything else raises ScenarioError.
     """
+    return _read_map(path, _FIELDS)
+
+
+def _read_map(path, fields) -> dict[str, np.ndarray | OpportunityMap]:
+    """``read_map_csv`` of the indices, the centroids and the named ``fields``: other
+    columns are not converted, so of them only each row's field count is checked."""
+    kinds = {n: _MAP_DTYPE[n] for n in _MAP_DTYPE.names if n in fields or n not in _FIELDS}
+    kinds = {"liability": kinds.get("liability", "S1")} | kinds  # the last column first: a short row fails on it
+    with open(path, "rb") as fh:  # a row loadtxt reads has 8 commas or more, so 8 per line means none has more
+        commas = sum(block.count(b",") for block in iter(lambda: fh.read(1 << 16), b""))
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != MAP_CSV_HEADER:
@@ -503,41 +513,40 @@ def read_map_csv(path) -> dict[str, np.ndarray | OpportunityMap]:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                rows = np.loadtxt(fh, dtype=_MAP_DTYPE, delimiter=",", comments=None, ndmin=1)
+                rows = np.loadtxt(fh, dtype=list(kinds.items()), delimiter=",", comments=None, ndmin=1,
+                                  usecols=[_MAP_DTYPE.names.index(n) for n in kinds])
         except ValueError as exc:
-            # numpy reports a row of the wrong width by its column count
+            # numpy reports a row too short for the last column by its column count
             if "columns" in str(exc):
                 raise ScenarioError(f"map CSV has a row without {len(_MAP_DTYPE)} fields: {exc}") from exc
             raise ScenarioError(f"map CSV has a malformed number: {exc}") from exc
+    if commas != 8 * (len(rows) + 1):  # the header's and the rows'
+        raise ScenarioError(f"map CSV has a row without {len(_MAP_DTYPE)} fields")
     if not rows.size:
         raise ScenarioError("map CSV has no data rows")
     chis, taus, nus = rows["region"], rows["time"], rows["band"]
     if min(chis.min(), taus.min(), nus.min()) < 0:
         raise ScenarioError("map CSV has a negative index")
-    n_regions = int(chis.max()) + 1
-    horizon = int(taus.max()) + 1
-    n_bands = int(nus.max()) + 1
-    if len(rows) != n_regions * horizon * n_bands:
+    shape = (int(chis.max()) + 1, int(taus.max()) + 1, int(nus.max()) + 1)
+    if len(rows) != math.prod(shape):
         raise ScenarioError("map CSV row count does not match its index ranges")
-    if np.any(np.bincount((chis * horizon + taus) * n_bands + nus, minlength=len(rows)) != 1):
-        raise ScenarioError("map CSV has duplicate or missing (region, time, band) rows")
-    if not all(np.isfinite(rows[name]).all() for name in _MAP_DTYPE.names[3:]):
+    if not all(np.isfinite(rows[name]).all() for name in ("centroid_x", "centroid_y", *fields)):
         raise ScenarioError("map CSV has a non-finite value")
-
-    shape = (n_regions, horizon, n_bands)
-    centroids = np.zeros((n_regions, 2))
-    centroids[chis, 0] = rows["centroid_x"]
-    centroids[chis, 1] = rows["centroid_y"]
+    centroids = np.zeros((shape[0], 2))
+    centroids[chis, 0], centroids[chis, 1] = rows["centroid_x"], rows["centroid_y"]
     if np.any(centroids[chis, 0] != rows["centroid_x"]) or np.any(centroids[chis, 1] != rows["centroid_y"]):
         raise ScenarioError("map CSV rows of one region disagree on its centroid")
-    data = {}
-    for name in _FIELDS:
-        data[name] = np.zeros(shape)
-        data[name][chis, taus, nus] = rows[name]
-    result: dict[str, Any] = dict(data)
-    result["centroids"] = centroids
-    result["opportunity_map"] = OpportunityMap(values=data["opportunity"], centroids=centroids, provenance="ground-truth")
-    return result
+    cells = chis * shape[1]  # each row's place in a (region, time, band) map, in place: no temporary
+    cells += taus
+    cells *= shape[2]
+    cells += nus
+    if np.any(np.bincount(cells, minlength=len(rows)) != 1):
+        raise ScenarioError("map CSV has duplicate or missing (region, time, band) rows")
+    result: dict[str, Any] = {name: np.zeros(shape) for name in fields}
+    for name in fields:
+        result[name].reshape(-1)[cells] = rows[name]
+    opportunity = OpportunityMap(values=result["opportunity"], centroids=centroids, provenance="ground-truth")
+    return result | {"centroids": centroids, "opportunity_map": opportunity}
 
 
 def heatmap_text(maps: ConsumptionMaps, quantity: str, time_index: int, band_index: int) -> str:

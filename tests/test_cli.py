@@ -223,6 +223,20 @@ def test_smf_rejects_truth_map_of_another_grid(runner, tmp_path, shift_centroid)
     assert "grid mismatch" in json.loads(lines[0])["error"]
 
 
+def test_smf_rejects_a_truth_map_row_with_a_tenth_field(runner, scenario_path, tmp_path):
+    """smf converts only the columns it scores, yet a row with a field too many still exits 2."""
+    map_a = tmp_path / "a.csv"
+    runner.invoke(main, ["map", "--scenario", scenario_path, "--out", str(map_a)])
+    header, first, *rows = map_a.read_text().splitlines()
+    map_a.write_text("\n".join([header, first + ",0.0", *rows]) + "\n")
+    result = runner.invoke(main, ["smf", "--scenario", scenario_path, "--truth-map", str(map_a)])
+    assert result.exit_code == 2
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert "map CSV has a row without 9 fields" in err["error"] and err["exit_code"] == 2
+
+
 def test_sweep_command(runner, tmp_path):
     path = tmp_path / "region.yaml"
     path.write_text(serialize_scenario(region_link_system(worst_case=True)))
@@ -735,7 +749,8 @@ def test_memory_table(monkeypatch, tmp_path, command, scenario, side, regions):
     monkeypatch.setattr(SpectrumGrid, "__init__", lambda grid, spec: (build(grid, spec), grids.append(grid))[0])
     _, peak = traced_peak(main, [args[0], "--scenario", str(path), *args[1:]], standalone_mode=False)
     slots = grid.horizon * grid.band_count
-    spans = consumption._tree_spans(0, grid.region_count, consumption._CHUNK // (slots if keeps_maps else 1))
+    cap = consumption._CHUNK // slots if keeps_maps else min(consumption._CHUNK, 4 * consumption._CHUNK // slots)
+    spans = consumption._tree_spans(0, grid.region_count, cap)
     units = {"map": grid.cell_count * 8, "lattice": grid.region_count * 16, "block": fields * slots * max(hi - lo for lo, hi in spans) * 8}
     assert grid.region_count == regions
     assert peak <= sum(k * units[unit] for unit, k in MEMORY_TABLE[command].items())

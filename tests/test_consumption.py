@@ -3,6 +3,7 @@ import math
 import os
 import sys
 from collections import Counter
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -957,6 +958,35 @@ def test_maps_blocks_stay_small_beside_the_maps(monkeypatch):
     # six distinct slots, so chunks of 4096 // 6 regions; 4096-region chunks would take it to about 1.9 x
     assert grid.region_count > 4 * (1 << 12) // 6
     assert peak < 1.5 * 4 * grid.cell_count * 8
+
+
+def test_totals_block_is_capped_in_points(monkeypatch):
+    """Where no map is kept, a chunk holds at most min(_CHUNK, 4 x _CHUNK // slots) regions, so
+    each thread's block is at most three fields x 2^18 points x 8 B however many distinct slots
+    the grid has; 2^16-region chunks would give these 12 slots a block of about 19 MB."""
+    import muse.consumption as consumption
+
+    txs = [Transmitter(id=f"t{q}", position=(100.0 + 150.0 * q, 300.0), tx_power=1e-3, active_intervals=frozenset({q}))
+           for q in range(4)]  # one active per quantum, so each band's four quanta differ
+    sys_ = RFSystem(
+        params=reference_params(),
+        propagation=PropagationModel(alpha=3.5),
+        grid_spec=small_grid(hex_side=1.6, horizon=4, n_bands=3),
+        networks=(RFNetwork(id="n", links=tuple(RFLink(id=f"l{q}", transmitters=(tx,)) for q, tx in enumerate(txs))),),
+    )
+    blocks = []
+
+    class Local:  # the one thread's store, recording the block it allocates
+        def __setattr__(self, name, value):
+            blocks.append(value.nbytes)
+            super().__setattr__(name, value)
+
+    monkeypatch.setattr(consumption, "threading", SimpleNamespace(local=Local))
+    monkeypatch.setenv("MUSE_THREADS", "1")
+    system_report(sys_)
+    assert len(consumption._plan(sys_, range(4), ()).slots) == 12
+    assert 4 * (1 << 16) // 12 < sys_.grid.region_count <= 1 << 16
+    assert len(blocks) == 1 and blocks[0] <= 3 * (1 << 18) * 8
 
 
 def test_opportunity_map_holds_only_its_map(monkeypatch):

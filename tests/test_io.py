@@ -425,6 +425,19 @@ def _cut_row(rows):
     rows[3] = ",".join(rows[3].split(",")[:5])
 
 
+def _seven_fields(rows):
+    rows[3] = ",".join(rows[3].split(",")[:7])
+
+
+def _ten_fields(rows):
+    rows[3] += ",0.0"
+
+
+def _balanced_widths(rows):  # as many commas as nine-field rows have
+    _seven_fields(rows)
+    rows[4] += ",0.0,0.0"
+
+
 def _negative_index(rows):
     rows[0] = "-1" + rows[0][1:]
 
@@ -474,6 +487,9 @@ def _extra_region(rows):
     "mutate, message",
     [
         (_cut_row, "fields"),
+        (_seven_fields, "fields"),
+        (_ten_fields, "fields"),
+        (_balanced_widths, "fields"),
         (_negative_index, "negative index"),
         (_duplicate_row, "duplicate or missing"),
         (_set_value("nan"), "non-finite"),
@@ -487,11 +503,13 @@ def _extra_region(rows):
         (_extra_region, "row count does not match its index ranges"),
         (_stray_centroid, "disagree on its centroid"),
     ],
-    ids=["cut-row", "negative-index", "duplicate-row", "nan", "infinite", "malformed",
-         "fractional-index", "exponent-index", "comment-row", "header-only", "missing-row", "extra-region",
-         "stray-centroid"],
+    ids=["cut-row", "seven-fields", "ten-fields", "seven-and-eleven-fields", "negative-index", "duplicate-row", "nan",
+         "infinite", "malformed", "fractional-index", "exponent-index", "comment-row", "header-only", "missing-row",
+         "extra-region", "stray-centroid"],
 )
 def test_read_map_csv_rejects_bad_rows(tmp_path, mutate, message):
+    """Every reader rejects every bad row: read_map_csv, and the opportunity-only read of smf,
+    which converts fewer columns but checks each row's field count all the same."""
     path = tmp_path / "map.csv"
     write_map_csv(path, compute_maps(dataclasses.replace(region_link_system(), grid_spec=small_grid(n_bands=2))))
     header, *rows = path.read_text().splitlines()
@@ -499,6 +517,26 @@ def test_read_map_csv_rejects_bad_rows(tmp_path, mutate, message):
     path.write_text("\n".join([header] + rows) + "\n")
     with pytest.raises(ScenarioError, match=message):
         read_map_csv(path)
+    with pytest.raises(ScenarioError, match=message):
+        scenario_io._read_map(path, ("opportunity",))
+
+
+def test_opportunity_read_converts_only_what_smf_scores(tmp_path):
+    """The opportunity-only read returns read_map_csv's opportunity and centroids, and does
+    not look into the columns it skips: a non-finite occupancy passes it."""
+    path = tmp_path / "map.csv"
+    write_map_csv(path, compute_maps(dataclasses.replace(region_link_system(), grid_spec=small_grid(n_bands=2))))
+    full, opportunity = read_map_csv(path), scenario_io._read_map(path, ("opportunity",))
+    assert opportunity.keys() == {"opportunity", "centroids", "opportunity_map"}
+    for name in opportunity.keys() - {"opportunity_map"}:
+        assert np.array_equal(opportunity[name], full[name])
+    assert np.array_equal(opportunity["opportunity_map"].values, full["opportunity"])
+    header, *rows = path.read_text().splitlines()
+    _set_field(5, "nan")(rows)
+    path.write_text("\n".join([header] + rows) + "\n")
+    with pytest.raises(ScenarioError, match="non-finite"):
+        read_map_csv(path)
+    assert np.array_equal(scenario_io._read_map(path, ("opportunity",))["opportunity"], full["opportunity"])
 
 
 @pytest.mark.parametrize(
