@@ -47,5 +47,5 @@ print("Every protected receiver suppresses all nearby hops; away from the")
 print("receivers the best channel flips with the bearing of the neighbor.")
 
 path = OUT / "three_band_campus_edges.csv"
-path.write_text(cmap.to_csv())
+path.write_text("".join(cmap.csv_chunks()))
 print(f"\nwrote the edge list to {path}")

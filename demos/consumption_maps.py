@@ -9,7 +9,7 @@ per-cell map goes to CSV (and a gnuplot matrix) for external plotting.
 from pathlib import Path
 
 from muse import compute_maps, entity_consumption, load_scenario, system_report, write_map_csv
-from muse.scenario_io import heatmap_text
+from muse.scenario_io import heatmap_chunks
 
 HERE = Path(__file__).parent
 OUT = HERE / "output"
@@ -36,7 +36,7 @@ write_map_csv(csv_path, maps)
 print(f"\nwrote per-cell map to {csv_path}")
 
 mat_path = OUT / "region_with_link_opportunity.mat"
-mat_path.write_text(heatmap_text(maps, "opportunity", 0, 0))
+mat_path.write_text("".join(heatmap_chunks(maps, "opportunity", 0, 0)))
 print(f"wrote opportunity matrix (gnuplot 'plot ... matrix with image') to {mat_path}")
 
 row = maps.liability[:, 0, 0]

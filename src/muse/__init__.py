@@ -26,6 +26,7 @@ from .consumption import (
     point_metrics,
     receiver_sinr,
     system_report,
+    system_reports,
     tx_occupancy_at,
 )
 from .grid import Band, Cell, GridSpec, SpectrumGrid, tessellate, total_spectrum_space
@@ -127,6 +128,7 @@ __all__ = [
     "simulate_recovery",
     "smf_aggregate",
     "system_report",
+    "system_reports",
     "tessellate",
     "total_spectrum_space",
     "tx_occupancy_at",

@@ -17,16 +17,15 @@ import math
 import sys as _sys
 
 import click
-import numpy as np
 
-from . import __version__, consumption
+from . import __version__, scenario_io
 from .connectivity import build_connectivity_map
-from .consumption import _FIELDS, _evaluate_grids, _report, _thread_budget, compute_maps, entity_consumption
-from .consumption import point_metrics, system_report
+from .consumption import MAP_FIELDS, compute_maps, entity_consumption, point_metrics, system_report, system_reports
+from .consumption import thread_budget
 from .grid import total_spectrum_space
 from .model import RFSystem, UnknownEntityError, validate_system
-from .scenario_io import ScenarioError, _heatmap_chunks, _map_csv_chunks, _read_map, load_scenario
-from .smf import SensingErrorModel, SMFReport, _check_grid, compare_maps, opportunity_map, simulate_recovery
+from .scenario_io import ScenarioError, heatmap_chunks, load_scenario, map_csv_chunks
+from .smf import SensingErrorModel, check_grid, compare_maps, opportunity_map, simulate_recovery
 from .units import db_to_linear, dbm_to_watts, watts_to_dbm
 
 EXIT_VALIDATION = 2
@@ -39,23 +38,19 @@ def _fail(code: int, message: str):
 
 
 def _load(path: str) -> RFSystem:
-    try:
-        system = load_scenario(path)
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot read scenario: {exc}")
-    except ScenarioError as exc:
-        _fail(EXIT_VALIDATION, f"malformed scenario: {exc}")
+    with _failures("cannot read scenario"):
+        try:
+            system = load_scenario(path)
+        except ScenarioError as exc:
+            _fail(EXIT_VALIDATION, f"malformed scenario: {exc}")
     validate_system(system).raise_if_invalid()
     return system
 
 
 def _write(path: str, text):
     """Write ``text``, a string or an iterable of text chunks, to ``path``: every output file goes through here."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot write {path}: {exc}")
+    with _failures(f"cannot write {path}"), open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 def _fmt_power(watts: float, units: str, negative_note: str = "") -> str:
@@ -86,21 +81,24 @@ _BARE_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())  # click >= 8.2 
 
 
 @contextlib.contextmanager
-def _failures():
+def _failures(io_context: str = ""):
     """The one failure contract: a usage error, a rejected scenario or query
     (``ValueError``, ``IndexError``, ``UnknownEntityError``) and an I/O error
-    end in one JSON line on stderr and exit 2, 2 and 3.  A closed stdout is
-    left to click; any other exception is a fault and keeps its traceback."""
+    end in one JSON line on stderr and exit 2, 2 and 3, an I/O error's text
+    after ``io_context: `` where one is given.  A closed stdout is left to
+    click; any other exception is a fault and keeps its traceback."""
     try:
         yield
-    except (_BARE_HELP, BrokenPipeError):
+    except _BARE_HELP:
         raise
     except click.UsageError as exc:
         _fail(EXIT_VALIDATION, f"usage: {exc.format_message()}")
     except (ValueError, IndexError, UnknownEntityError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
     except OSError as exc:
-        _fail(EXIT_IO, str(exc))
+        if isinstance(exc, BrokenPipeError) and not io_context:  # a closed stdout
+            raise
+        _fail(EXIT_IO, f"{io_context}: {exc}" if io_context else str(exc))
 
 
 class _Group(click.Group):
@@ -119,7 +117,7 @@ class _Group(click.Group):
 @click.version_option(version=__version__, prog_name="muse")
 def main():
     """Quantify the use of RF spectrum over a discretized space-time-frequency grid."""
-    _thread_budget()
+    thread_budget()
 
 
 @main.command()
@@ -169,7 +167,7 @@ def point(scenario, x, y, time_index, band_index, out, units):
 @click.option(
     "--heatmap",
     "heatmaps",
-    type=click.Choice(_FIELDS),
+    type=click.Choice(MAP_FIELDS),
     multiple=True,
     help="Also write gnuplot matrix files of this quantity, one per (time, band) slice; repeatable.",
 )
@@ -177,14 +175,14 @@ def map_cmd(scenario, out, heatmaps):
     """Per-cell consumption map as CSV."""
     system = _load(scenario)
     maps = compute_maps(system)
-    _write(out, _map_csv_chunks(maps))
+    _write(out, map_csv_chunks(maps))
     click.echo(f"wrote {maps.grid.cell_count} cells to {out}")
     stem = out[: -len(".csv")] if out.endswith(".csv") else out
     for heatmap in dict.fromkeys(heatmaps):  # each distinct quantity once, in the order given
         for tau in range(maps.grid.horizon):
             for nu in range(maps.grid.band_count):
                 path = f"{stem}-{heatmap}-t{tau}b{nu}.mat"
-                _write(path, _heatmap_chunks(maps, heatmap, tau, nu))
+                _write(path, heatmap_chunks(maps, heatmap, tau, nu))
                 click.echo(f"wrote {path}")
 
 
@@ -233,7 +231,7 @@ def connectivity(scenario, beta_db, time_index, out):
         _fail(EXIT_VALIDATION, f"--beta-db {beta_db} is out of range")
     cmap = build_connectivity_map(system, beta, time_index)
     counts = [0, 0]  # edges and feasible edges, tallied as the file streams
-    _write(out, cmap._csv_chunks(counts))
+    _write(out, cmap.csv_chunks(counts))
     click.echo(f"wrote {counts[0]} directed edges ({counts[1]} feasible) to {out}")
 
 
@@ -256,12 +254,12 @@ def smf(scenario, truth_map, other_map, p_missed, false_positives, geo_sigma, po
     """
     system = _load(scenario)
     fp_power = None if fp_power_dbm is None else dbm_to_watts(fp_power_dbm)  # inf is rejected by SensingErrorModel
-    truth = _read_map(truth_map, ("opportunity",))["opportunity_map"] if truth_map else opportunity_map(system)
-    grid = system.grid  # compare_maps checks the other map against the truth's grid
-    if truth_map:  # a simulated truth is on the grid's own lattice
-        _check_grid(truth, (grid.region_count, grid.horizon, grid.band_count), grid._centroids)
+    # through the module: benchmarks/tracing.py counts the occupancy of a read_map_csv bound here, and these read none
+    truth = scenario_io.read_map_csv(truth_map, ("opportunity",))["opportunity_map"] if truth_map else opportunity_map(system)
+    if truth_map:  # a simulated truth is on the grid's own lattice; compare_maps checks the other map against the truth
+        check_grid(truth, system.grid)
     if other_map:
-        other = _read_map(other_map, ("opportunity",))["opportunity_map"]
+        other = scenario_io.read_map_csv(other_map, ("opportunity",))["opportunity_map"]
     else:
         model = SensingErrorModel(
             p_missed_detection=p_missed,
@@ -279,20 +277,7 @@ def smf(scenario, truth_map, other_map, p_missed, false_positives, geo_sigma, po
     for label, value in zip(labels, (rep.truth_total, rep.recovered_available, rep.lost_available, rep.potentially_incursed)):
         click.echo(f"{label + ':':<22} {value:.6g} W*m^2 ({100 * value / total:.4g} % of total)")
     if out:
-        _write(out, _smf_json(rep))
-
-
-def _smf_json(rep: SMFReport):
-    """The report as ``json.dumps(payload, indent=2)`` plus a newline, theta
-    (never empty: a grid has a cell) flattened into a list: yielded in pieces,
-    theta a chunk at a time, so no copy of the whole map is formatted at once."""
-    theta = np.asarray(rep.theta).ravel()
-    rest = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep) if f.name != "theta"}
-    yield '{\n  "theta": ['
-    for lo in range(0, theta.size, consumption._TEXT_CHUNK):
-        values = json.dumps(theta[lo : lo + consumption._TEXT_CHUNK].tolist())[1:-1]  # "a, b, ..." as json.dumps writes them
-        yield ("\n    " if lo == 0 else ",\n    ") + values.replace(", ", ",\n    ")
-    yield "\n  ],\n" + json.dumps(rest, indent=2)[2:] + "\n"
+        _write(out, rep.json_chunks())
 
 
 @main.command()
@@ -316,9 +301,8 @@ def sweep(scenario, hex_sides, out):
             validate_system(swept[-1]).raise_if_invalid()
         except ValueError as exc:
             _fail(EXIT_VALIDATION, f"bad --hex-sides value {side:g}: {exc}")
-    passes = _evaluate_grids(swept)  # every side's chunks in one thread pool
-    rows = [(side, scaled.grid.region_count, _report(scaled, sums, entities))
-            for side, scaled, (_, sums, entities) in zip(sides, swept, passes)]
+    reports = system_reports(swept, include_entities=False)  # every side's chunks in one thread pool
+    rows = [(side, scaled.grid.region_count, rep) for side, scaled, rep in zip(sides, swept, reports)]
 
     click.echo(f"{'hex_side_m':>10} {'cells':>9} {'utilized':>13} {'forbidden':>13} {'available':>13} {'consumed_%':>10} {'available_%':>11}")
     for side, cells, rep in rows:

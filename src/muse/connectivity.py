@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from . import consumption
-from .consumption import _evaluate_grid, _point_slice
+from .consumption import _evaluate_grids, _point_slice
 from .grid import SQRT3, Cell, SpectrumGrid
 from .model import RFSystem
 from .propagation import path_gain
@@ -42,16 +42,12 @@ class LinkAssessment:
     sinr: float  # linear, at B
 
 
-def _pair_array(name: str, doc: str) -> property:
-    """A read-only view of one of ConnectivityMap's pair arrays, all built on first use."""
-    return property(lambda self: self._arrays[name], doc=doc)
-
-
 @dataclass(frozen=True, eq=False)
 class ConnectivityMap:
-    """Every ordered adjacent pair's candidate links, generated from two
-    per-region arrays of one time quantum: the pair arrays are built on
-    first use, and the edge CSV is streamed a chunk of source regions at a time."""
+    """Every ordered adjacent pair's candidate links in one time quantum,
+    generated by ``pairs`` from two per-region arrays for any range of source
+    regions: no pair array is kept, and the edge CSV is streamed a chunk of
+    source regions at a time."""
 
     candidate_beta: float
     time_index: int
@@ -60,9 +56,13 @@ class ConnectivityMap:
     occupancy: np.ndarray  # (regions, bands), watts
     gains: np.ndarray  # (bands,), path gain of one hop
 
-    def _pairs(self, lo: int, hi: int):
-        """The pairs whose source lies in [lo, hi), source then destination
-        ascending: (cell_a, cell_b, feasible, sinr, best)."""
+    def pairs(self, lo: int = 0, hi: int | None = None):
+        """The pairs whose source lies in regions [lo, hi) (by default all),
+        source then destination ascending: (cell_a, cell_b, feasible, sinr,
+        best), the first two and the last (pairs,), the others (pairs, bands).
+        ``best`` is the best band, -1 where no band is feasible; the power a
+        new transmitter at A may radiate is ``power[cell_a]``."""
+        hi = self.grid.region_count if hi is None else hi
         candidates, valid = self.grid._neighbor_table(np.arange(lo, hi))
         a, b = lo + np.flatnonzero(valid) // 6, candidates[valid]  # nonzero(valid)[0] would keep both index rows
         feasible, sinr = _budget(self.power[a], self.occupancy[b], self.gains, self.candidate_beta)
@@ -70,40 +70,22 @@ class ConnectivityMap:
         return a, b, feasible, sinr, best
 
     @cached_property
-    def _arrays(self) -> dict[str, np.ndarray]:
-        a, b, feasible, sinr, best = self._pairs(0, self.grid.region_count)
-        arrays = dict(cell_a=a, cell_b=b, feasible=feasible, max_power=self.power[a], sinr=sinr, best=best)
-        for array in arrays.values():
-            array.setflags(write=False)  # the edges and best_band views are cached
-        return arrays
-
-    cell_a = _pair_array("cell_a", "(pairs,) source regions")
-    cell_b = _pair_array("cell_b", "(pairs,) destination regions")
-    feasible = _pair_array("feasible", "(pairs, bands)")
-    max_power = _pair_array("max_power", "(pairs, bands), watts a new transmitter at A may radiate")
-    sinr = _pair_array("sinr", "(pairs, bands), linear, at B")
-    best = _pair_array("best", "(pairs,) best band, -1 where no band is feasible")
-
-    @cached_property
     def edges(self) -> list[LinkAssessment]:
-        pairs, bands = self.sinr.shape
-        a, b = (np.repeat(x, bands).tolist() for x in (self.cell_a, self.cell_b))
-        values = (x.ravel().tolist() for x in (self.feasible, self.max_power, self.sinr))
-        return list(map(LinkAssessment, a, b, np.tile(np.arange(bands), pairs).tolist(), *values))
+        a, b, feasible, sinr, _ = self.pairs()
+        pairs, bands = sinr.shape
+        cells = (np.repeat(x, bands).tolist() for x in (a, b))
+        values = (x.ravel().tolist() for x in (feasible, self.power[a], sinr))
+        return list(map(LinkAssessment, *cells, np.tile(np.arange(bands), pairs).tolist(), *values))
 
     @cached_property
     def best_band(self) -> dict[tuple[int, int], int | None]:
-        pairs = zip(self.cell_a.tolist(), self.cell_b.tolist(), self.best.tolist())
-        return {(a, b): None if nu < 0 else nu for a, b, nu in pairs}
+        a, b, _, _, best = self.pairs()
+        return {(x, y): None if nu < 0 else nu for x, y, nu in zip(a.tolist(), b.tolist(), best.tolist())}
 
-    def to_csv(self) -> str:
-        """The edge list, floats as ``%.12g``."""
-        return "".join(self._csv_chunks())
-
-    def _csv_chunks(self, counts: list[int] | None = None) -> Iterator[str]:
-        """The edge list as text chunks, each the pairs of consumption._TEXT_CHUNK / (6 x
-        bands) source regions (at most six pairs each), formatted by one ``%``
-        call.  A row's fixed text comes from a table over (band, feasible, best
+    def csv_chunks(self, counts: list[int] | None = None) -> Iterator[str]:
+        """The edge list, floats as ``%.12g``, as text chunks, each the pairs of
+        consumption._TEXT_CHUNK / (6 x bands) source regions (at most six pairs
+        each), formatted by one ``%`` call.  A row's fixed text comes from a table over (band, feasible, best
         band); max power is formatted once per (source region, band), the
         "a,b," prefix once per pair.  ``counts``, if given, a two-item list,
         gains each chunk's edge and feasible-edge counts."""
@@ -114,7 +96,7 @@ class ConnectivityMap:
         step = max(1, consumption._TEXT_CHUNK // (6 * bands))
         yield "cell_a,cell_b,band,feasible,max_power_dbm,sinr_db,best_band\n"
         for lo in range(0, self.grid.region_count, step):
-            a, b, feasible, sinr, best = self._pairs(lo, min(lo + step, self.grid.region_count))
+            a, b, feasible, sinr, best = self.pairs(lo, min(lo + step, self.grid.region_count))
             if counts is not None:
                 counts[0] += feasible.size
                 counts[1] += int(np.count_nonzero(feasible))
@@ -190,9 +172,9 @@ def build_connectivity_map(sys: RFSystem, candidate_beta: float, time_index: int
     SINR requirement or a time index outside the horizon.
     """
     _check_request(sys, candidate_beta, time_index)
-    maps, _, _ = _evaluate_grid(sys, times=[time_index], keep=("occupancy", "raw_opportunity"))
+    maps, _, _ = _evaluate_grids([sys], times=[time_index], keep=("occupancy", "raw_opportunity"))[0]
     power, occupancy = _clip(sys, maps["raw_opportunity"][:, 0]), maps["occupancy"][:, 0]
     gains = _hop_gains(sys, range(sys.grid.band_count))
     for array in (power, occupancy, gains):
-        array.setflags(write=False)  # the pair arrays and their views are cached
+        array.setflags(write=False)  # edges and best_band, derived from them, are cached
     return ConnectivityMap(candidate_beta, time_index, sys.grid, power, occupancy, gains)

@@ -86,13 +86,18 @@ __all__ = [
     "compute_maps",
     "entity_consumption",
     "system_report",
+    "system_reports",
+    "thread_budget",
+    "MAP_FIELDS",
 ]
 
 _CHUNK = 1 << 16  # most regions per chunk, fewer for several slots (see _plan); bounds the block and each field
 _TEXT_CHUNK = 1 << 12  # map CSV rows, heatmap or smf theta values, or edge CSV rows per formatted chunk; bounds the text held
 
 
-def _thread_budget() -> int:
+def thread_budget() -> int:
+    """The most threads a grid pass runs: MUSE_THREADS (at least 1), else the
+    CPUs this process may use, at most 4.  ValueError for a non-integer MUSE_THREADS."""
     env = os.environ.get("MUSE_THREADS")
     if env is not None:
         try:
@@ -438,7 +443,7 @@ class ConsumptionMaps:
     liability: np.ndarray
 
 
-_FIELDS = ("occupancy", "opportunity", "raw_opportunity", "liability")  # of ConsumptionMaps
+MAP_FIELDS = ("occupancy", "opportunity", "raw_opportunity", "liability")  # of ConsumptionMaps
 _PAIRWISE_LEAF = 128  # numpy sums at most this many elements in one unrolled loop
 
 
@@ -539,7 +544,7 @@ def _evaluate_grids(systems, members=frozenset(), times=None, keep=()):
                 field[lo:hi, k, j] = rows[name][i]
         return np.concatenate([np.sum(block[:3], axis=-1), consumed.T])
 
-    workers = min(_thread_budget(), len(tasks))
+    workers = min(thread_budget(), len(tasks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, tasks))
@@ -555,14 +560,9 @@ def _evaluate_grids(systems, members=frozenset(), times=None, keep=()):
     return results
 
 
-def _evaluate_grid(sys: RFSystem, members=frozenset(), times=None, keep=()):
-    """``_evaluate_grids`` of one system."""
-    return _evaluate_grids([sys], members, times, keep)[0]
-
-
 def compute_maps(sys: RFSystem) -> ConsumptionMaps:
     """Evaluate the full grid, one (time, band) slice at a time."""
-    return ConsumptionMaps(sys.grid, **_evaluate_grid(sys, keep=_FIELDS)[0])
+    return ConsumptionMaps(sys.grid, **_evaluate_grids([sys], keep=MAP_FIELDS)[0][0])
 
 
 def entity_consumption(sys: RFSystem, entity: str) -> float:
@@ -572,7 +572,7 @@ def entity_consumption(sys: RFSystem, entity: str) -> float:
     members their aggregated liability; composite entities sum over all
     member transceivers.
     """
-    _, _, consumed = _evaluate_grid(sys, frozenset(m.id for m in entity_selector(sys, entity)))
+    _, _, consumed = _evaluate_grids([sys], frozenset(m.id for m in entity_selector(sys, entity)))[0]
     total = 0.0
     for member_id in sorted(consumed):
         total += consumed[member_id]
@@ -603,22 +603,16 @@ class ConsumptionReport:
 
 def system_report(sys: RFSystem, include_entities: bool = True) -> ConsumptionReport:
     """System-wide consumption spaces and the conservation check."""
-    members = frozenset(m.id for m in entity_selector(sys, "system")) if include_entities else frozenset()
-    _, sums, entities = _evaluate_grid(sys, members)
-    return _report(sys, sums, entities)
+    return system_reports([sys], include_entities)[0]
 
 
-def _report(sys: RFSystem, sums, entities: dict) -> ConsumptionReport:
-    """The report of a grid pass's three sums and entity consumption."""
-    psi_total = sys.params.p_cmax * sys.grid.cell_count  # total_spectrum_space, on the grid already built
-    psi_utilized, psi_available, psi_forbidden = map(float, sums)
-    residual = abs(psi_utilized + psi_forbidden + psi_available - psi_total) / psi_total
-
-    return ConsumptionReport(
-        psi_total=psi_total,
-        psi_utilized=psi_utilized,
-        psi_forbidden=psi_forbidden,
-        psi_available=psi_available,
-        entity_consumption=entities,
-        conservation_residual=residual,
-    )
+def system_reports(systems, include_entities: bool = True) -> list[ConsumptionReport]:
+    """``system_report`` of each system, every system's chunks run in one thread pool."""
+    members = frozenset(m.id for sys in systems for m in entity_selector(sys, "system")) if include_entities else frozenset()
+    reports = []
+    for sys, (_, sums, entities) in zip(systems, _evaluate_grids(systems, members)):
+        psi_total = sys.params.p_cmax * sys.grid.cell_count  # total_spectrum_space, on the grid already built
+        psi_utilized, psi_available, psi_forbidden = map(float, sums)
+        residual = abs(psi_utilized + psi_forbidden + psi_available - psi_total) / psi_total
+        reports.append(ConsumptionReport(psi_total, psi_utilized, psi_forbidden, psi_available, entities, residual))
+    return reports

@@ -25,7 +25,7 @@ import numpy as np
 import yaml
 
 from . import consumption
-from .consumption import _FIELDS, ConsumptionMaps
+from .consumption import MAP_FIELDS, ConsumptionMaps
 from .grid import Band, GridSpec
 from .model import Receiver, RFLink, RFNetwork, RFSystem, SystemParams, Transmitter
 from .propagation import OMNI, AntennaPattern, PropagationModel
@@ -40,7 +40,8 @@ __all__ = [
     "save_scenario",
     "write_map_csv",
     "read_map_csv",
-    "heatmap_text",
+    "map_csv_chunks",
+    "heatmap_chunks",
     "MAP_CSV_HEADER",
 ]
 
@@ -450,13 +451,13 @@ def save_scenario(sys: RFSystem, path):
 
 _MAP_DTYPE = np.dtype(
     [("region", np.int64), ("time", np.int64), ("band", np.int64), ("centroid_x", np.float64), ("centroid_y", np.float64)]
-    + [(name, np.float64) for name in _FIELDS]
+    + [(name, np.float64) for name in MAP_FIELDS]
 )
 # One map CSV row from (region prefix, "tau,nu," prefix, centroid prefix, four fields).
 _MAP_ROW = "%s%s%s%.17e,%.17e,%.17e,%.17e\n"
 
 
-def _map_csv_chunks(maps: ConsumptionMaps) -> Iterator[str]:
+def map_csv_chunks(maps: ConsumptionMaps) -> Iterator[str]:
     """The map CSV as text chunks of at most ``consumption._TEXT_CHUNK`` rows.
 
     Each chunk is one ``%`` call over Python floats, so every value is
@@ -465,7 +466,7 @@ def _map_csv_chunks(maps: ConsumptionMaps) -> Iterator[str]:
     """
     grid = maps.grid
     slots = [f"{tau},{nu}," for tau in range(grid.horizon) for nu in range(grid.band_count)]
-    fields = [getattr(maps, name).reshape(grid.region_count, len(slots)) for name in _FIELDS]
+    fields = [getattr(maps, name).reshape(grid.region_count, len(slots)) for name in MAP_FIELDS]
     step = max(1, consumption._TEXT_CHUNK // len(slots))
     yield MAP_CSV_HEADER + "\n"
     for lo in range(0, grid.region_count, step):
@@ -484,25 +485,23 @@ def _map_csv_chunks(maps: ConsumptionMaps) -> Iterator[str]:
 def write_map_csv(path, maps: ConsumptionMaps):
     """Stream the map CSV to ``path`` chunk by chunk."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_map_csv_chunks(maps))
+        fh.writelines(map_csv_chunks(maps))
 
 
-def read_map_csv(path) -> dict[str, np.ndarray | OpportunityMap]:
-    """Load a map CSV back into arrays plus an OpportunityMap.
+def read_map_csv(path, fields=MAP_FIELDS) -> dict[str, np.ndarray | OpportunityMap]:
+    """Load a map CSV back into the named ``fields`` (of ``MAP_FIELDS``, else
+    ValueError) and the ``centroids``, plus an ``opportunity_map`` where
+    opportunity is read; other fields are not converted, only counted per row.
 
     The header must match, every row must hold three integer indices and
     six numbers (no comment lines; empty lines are skipped), every
     (region, time, band) index triple must appear exactly once, every value
-    must be finite and the rows of a region must agree on its centroid;
+    read must be finite and the rows of a region must agree on its centroid;
     anything else raises ScenarioError.
     """
-    return _read_map(path, _FIELDS)
-
-
-def _read_map(path, fields) -> dict[str, np.ndarray | OpportunityMap]:
-    """``read_map_csv`` of the indices, the centroids and the named ``fields``: other
-    columns are not converted, so of them only each row's field count is checked."""
-    kinds = {n: _MAP_DTYPE[n] for n in _MAP_DTYPE.names if n in fields or n not in _FIELDS}
+    if not set(fields) <= set(MAP_FIELDS):
+        raise ValueError(f"map CSV fields must be of {MAP_FIELDS}, got {tuple(fields)}")
+    kinds = {n: _MAP_DTYPE[n] for n in _MAP_DTYPE.names if n in fields or n not in MAP_FIELDS}
     kinds = {"liability": kinds.get("liability", "S1")} | kinds  # the last column first: a short row fails on it
     with open(path, "rb") as fh:  # a row loadtxt reads has 8 commas or more, so 8 per line means none has more
         commas = sum(block.count(b",") for block in iter(lambda: fh.read(1 << 16), b""))
@@ -542,25 +541,21 @@ def _read_map(path, fields) -> dict[str, np.ndarray | OpportunityMap]:
     cells += nus
     if np.any(np.bincount(cells, minlength=len(rows)) != 1):
         raise ScenarioError("map CSV has duplicate or missing (region, time, band) rows")
-    result: dict[str, Any] = {name: np.zeros(shape) for name in fields}
+    result: dict[str, Any] = {"centroids": centroids}
     for name in fields:
+        result[name] = np.zeros(shape)
         result[name].reshape(-1)[cells] = rows[name]
-    opportunity = OpportunityMap(values=result["opportunity"], centroids=centroids, provenance="ground-truth")
-    return result | {"centroids": centroids, "opportunity_map": opportunity}
+    if "opportunity" in fields:
+        result["opportunity_map"] = OpportunityMap(values=result["opportunity"], centroids=centroids)
+    return result
 
 
-def heatmap_text(maps: ConsumptionMaps, quantity: str, time_index: int, band_index: int) -> str:
-    """Gnuplot-compatible matrix of one quantity for one (time, band) slice.
-
-    Rows follow the hexagon rows bottom-up; short rows are padded with nan.
-    """
-    return "".join(_heatmap_chunks(maps, quantity, time_index, band_index))
-
-
-def _heatmap_chunks(maps: ConsumptionMaps, quantity: str, time_index: int, band_index: int) -> Iterator[str]:
-    """``heatmap_text`` as text chunks of whole hexagon rows, at most
-    ``consumption._TEXT_CHUNK`` values each (or one row), each formatted in one ``%``
-    call, as ``f"{v:.17e}"`` would."""
+def heatmap_chunks(maps: ConsumptionMaps, quantity: str, time_index: int, band_index: int) -> Iterator[str]:
+    """Gnuplot-compatible matrix of one quantity for one (time, band) slice,
+    as text chunks of whole hexagon rows, at most ``consumption._TEXT_CHUNK``
+    values each (or one row), each formatted in one ``%`` call, as
+    ``f"{v:.17e}"`` would.  Rows follow the hexagon rows bottom-up; short rows
+    are padded with nan."""
     counts = maps.grid._row_counts.tolist()
     values = getattr(maps, quantity)[:, time_index, band_index]
     width = max(counts)

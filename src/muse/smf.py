@@ -27,13 +27,15 @@ transmitters.  Any externally estimated map can be scored with
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import consumption
-from .consumption import _evaluate_grid
+from .consumption import _evaluate_grids
+from .grid import SpectrumGrid
 from .model import RFLink, RFNetwork, RFSystem, Transmitter
 from .units import db_to_linear
 
@@ -44,6 +46,7 @@ __all__ = [
     "opportunity_map",
     "smf_aggregate",
     "compare_maps",
+    "check_grid",
     "apply_policy",
     "exploitation_report",
     "simulate_recovery",
@@ -70,13 +73,18 @@ class OpportunityMap:
 
 
 def opportunity_map(sys: RFSystem, provenance: str = "ground-truth") -> OpportunityMap:
-    values = _evaluate_grid(sys, keep=("opportunity",))[0]["opportunity"]
+    values = _evaluate_grids([sys], keep=("opportunity",))[0][0]["opportunity"]
     return OpportunityMap(values=values, centroids=np.asarray(sys.grid.centroids), provenance=provenance)
 
 
-def _check_grid(m: OpportunityMap, shape: tuple[int, ...], centroids):
-    """Raise unless the map has this shape and the region centroids
-    ``centroids(lo, hi)`` gives for regions [lo, hi), compared a chunk at a time."""
+def check_grid(m: OpportunityMap, on: SpectrumGrid | OpportunityMap):
+    """Raise ValueError unless ``m`` has the shape and the region centroids of
+    ``on``, a grid or another map, compared a chunk of regions at a time: a
+    grid's are computed for each chunk, so its lattice is not built."""
+    if isinstance(on, OpportunityMap):
+        shape, centroids = on.values.shape, lambda lo, hi: on.centroids[lo:hi]
+    else:
+        shape, centroids = (on.region_count, on.horizon, on.band_count), on._centroids
     chunk = consumption._CHUNK
     if m.values.shape != shape or not all(
         np.array_equal(m.centroids[lo : lo + chunk], centroids(lo, min(lo + chunk, shape[0])))
@@ -111,6 +119,18 @@ class SMFReport:
     unexploited_available: float | None = None
     incursed: float | None = None
 
+    def json_chunks(self):
+        """The report as ``json.dumps(payload, indent=2)`` plus a newline, theta
+        (never empty: a grid has a cell) flattened into a list: yielded in pieces,
+        theta a chunk at a time, so no copy of the whole map is formatted at once."""
+        theta = np.asarray(self.theta).ravel()
+        rest = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name != "theta"}
+        yield '{\n  "theta": ['
+        for lo in range(0, theta.size, consumption._TEXT_CHUNK):
+            values = json.dumps(theta[lo : lo + consumption._TEXT_CHUNK].tolist())[1:-1]  # "a, b, ..." as json.dumps writes them
+            yield ("\n    " if lo == 0 else ",\n    ") + values.replace(", ", ",\n    ")
+        yield "\n  ],\n" + json.dumps(rest, indent=2)[2:] + "\n"
+
 
 def smf_aggregate(attribute) -> float:
     """Aggregate a per-cell attribute over the whole grid."""
@@ -137,7 +157,7 @@ def compare_maps(truth: OpportunityMap, other: OpportunityMap) -> SMFReport:
     positive error potentially leads to harmful interference; the
     recovered mass is the overlap min(truth, other).
     """
-    _check_grid(other, truth.values.shape, lambda lo, hi: truth.centroids[lo:hi])
+    check_grid(other, truth)
     return _score(truth, other.values, "recovered_available", "lost_available", "potentially_incursed")
 
 

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from muse import SpectrumGrid, cli, compute_maps, consumption, dbm_to_watts, load_scenario, read_map_csv, scenario_io
 from muse.cli import main
 from muse.model import UnknownEntityError
-from muse.scenario_io import heatmap_text
+from muse.scenario_io import heatmap_chunks
 
 from helpers import probe_scenario, region_link_system, traced_peak
 from muse import serialize_scenario
@@ -117,7 +117,7 @@ def test_map_heatmap_repeated(runner, scenario_path, tmp_path):
     assert written == [str(tmp_path / f"map-{q}-t0b0.mat") for q in ("opportunity", "liability")]
     maps = compute_maps(load_scenario(scenario_path))
     for q in ("opportunity", "liability"):
-        assert (tmp_path / f"map-{q}-t0b0.mat").read_text() == heatmap_text(maps, q, 0, 0)
+        assert (tmp_path / f"map-{q}-t0b0.mat").read_text() == "".join(heatmap_chunks(maps, q, 0, 0))
 
 
 def test_report_command(runner, scenario_path, tmp_path):
@@ -640,6 +640,52 @@ def test_library_errors_map_to_exit_codes_in_one_handler(runner, monkeypatch, sc
     assert result.output.splitlines() == [json.dumps({"error": message, "exit_code": code})]
 
 
+# Each writer's arguments after ``--scenario``, given a directory, and the file it fails to write there.
+WRITERS = {
+    "point": (lambda d: ["point", "--x", "10", "--y", "10", "--out", f"{d}/point.json"], "point.json"),
+    "map": (lambda d: ["map", "--out", f"{d}/map.csv"], "map.csv"),
+    "map --heatmap": (lambda d: ["map", "--out", f"{d}/map.csv", "--heatmap", "opportunity"], "map-opportunity-t0b0.mat"),
+    "report": (lambda d: ["report", "--out", f"{d}/report.json"], "report.json"),
+    "connectivity": (lambda d: ["connectivity", "--beta-db", "10", "--out", f"{d}/edges.csv"], "edges.csv"),
+    "smf": (lambda d: ["smf", "--out", f"{d}/smf.json"], "smf.json"),
+    "sweep": (lambda d: ["sweep", "--hex-sides", "250", "--out", f"{d}/sweep.csv"], "sweep.csv"),
+}
+
+
+@pytest.mark.parametrize("writer", list(WRITERS))
+def test_every_out_writer_fails_with_exit_3(capsys, scenario_path, tmp_path, writer):
+    """An ``--out`` file that cannot be opened ends in exit 3 and one JSON line naming it:
+    a missing directory, and for the heatmap (written after the map CSV) a directory in
+    the file's place."""
+    args, name = WRITERS[writer]
+    out = tmp_path if writer == "map --heatmap" else tmp_path / "missing"
+    if writer == "map --heatmap":
+        (out / name).mkdir()
+    with pytest.raises(OSError) as opening:
+        open(out / name, "w")
+    with pytest.raises(SystemExit) as exc:
+        main([*args(out), "--scenario", scenario_path], standalone_mode=False)
+    assert exc.value.code == 3
+    error = {"error": f"cannot write {out / name}: {opening.value}", "exit_code": 3}
+    assert capsys.readouterr().err.splitlines() == [json.dumps(error)]
+
+
+def test_cli_reads_no_private_muse_name():
+    """cli.py imports no underscore name from muse and reads no single-underscore attribute."""
+    import ast
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    found = []
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "muse"):
+            found += [f"import {alias.name}" for alias in node.names if private(alias.name)]
+        elif isinstance(node, ast.Attribute) and private(node.attr):
+            found.append(f".{node.attr}")
+    assert found == []
+
+
 @pytest.mark.parametrize("error", [KeyError("psi"), TypeError("not a float")], ids=["key", "type"])
 def test_program_faults_keep_their_traceback(monkeypatch, scenario_path, error):
     import muse.cli as cli
@@ -695,7 +741,6 @@ def test_smf_json_is_json_dumps_of_the_payload(monkeypatch, n):
     import dataclasses
     import math
 
-    import muse.cli as cli
     from muse.smf import SMFReport
 
     monkeypatch.setattr(consumption, "_TEXT_CHUNK", 7)
@@ -706,7 +751,7 @@ def test_smf_json_is_json_dumps_of_the_payload(monkeypatch, n):
     rep = SMFReport(theta=theta, theta_total=1.0, truth_total=2.5, recovered_available=-0.0, lost_available=math.inf)
     payload = dataclasses.asdict(rep)
     payload["theta"] = theta.ravel().tolist()
-    assert "".join(cli._smf_json(rep)) == json.dumps(payload, indent=2) + "\n"
+    assert "".join(rep.json_chunks()) == json.dumps(payload, indent=2) + "\n"
 
 
 def _memory_table() -> dict[str, dict[str, float]]:

@@ -139,8 +139,8 @@ def test_edges_cover_ordered_pairs_and_bands():
 
 def test_csv_byte_identical_runs():
     sys_ = multi_band_system()
-    a = build_connectivity_map(sys_, db_to_linear(6.0)).to_csv()
-    b = build_connectivity_map(sys_, db_to_linear(6.0)).to_csv()
+    a = "".join(build_connectivity_map(sys_, db_to_linear(6.0)).csv_chunks())
+    b = "".join(build_connectivity_map(sys_, db_to_linear(6.0)).csv_chunks())
     assert a == b
     header = a.splitlines()[0]
     assert header == "cell_a,cell_b,band,feasible,max_power_dbm,sinr_db,best_band"
@@ -191,9 +191,9 @@ def test_a_sinr_equal_to_beta_is_feasible():
     assert 0.0 < sinr < math.inf
     for beta, feasible in [(sinr, True), (np.nextafter(sinr, math.inf), False)]:
         assert link_feasibility(sys_, grid.cell(a), grid.cell(b), nu, beta)[::2] == (feasible, sinr)
-        cmap = build_connectivity_map(sys_, beta)
-        k = int(np.flatnonzero((cmap.cell_a == a) & (cmap.cell_b == b))[0])
-        assert (bool(cmap.feasible[k, nu]), float(cmap.sinr[k, nu])) == (feasible, sinr)
+        cell_a, cell_b, feasible_pairs, sinr_pairs, _ = build_connectivity_map(sys_, beta).pairs()
+        k = int(np.flatnonzero((cell_a == a) & (cell_b == b))[0])
+        assert (bool(feasible_pairs[k, nu]), float(sinr_pairs[k, nu])) == (feasible, sinr)
 
 
 def test_link_feasibility_evaluates_only_its_two_regions(monkeypatch):
@@ -279,14 +279,14 @@ def test_connectivity_evaluates_only_the_requested_quantum(monkeypatch):
         assert quanta == [tau] * sys_.grid.band_count
         assert slices == list(bands)
         # the budget as computed from the full maps before
-        a, b = cmap.cell_a, cmap.cell_b
+        a, b, feasible, pair_sinr, _ = cmap.pairs()
         max_power = np.minimum(np.maximum(maps.raw_opportunity[a, tau, :], 0.0), sys_.params.p_max)
         sinr = max_power * _hop_gains(sys_, bands) / maps.occupancy[b, tau, :]
-        assert max_power.tobytes() == cmap.max_power.tobytes()
-        assert sinr.tobytes() == cmap.sinr.tobytes()
-        assert np.array_equal(sinr >= beta, cmap.feasible)
-    quiet = build_connectivity_map(sys_, beta, 1).max_power
-    assert not np.array_equal(quiet, build_connectivity_map(sys_, beta, 0).max_power)
+        assert max_power.tobytes() == cmap.power[a].tobytes()
+        assert sinr.tobytes() == pair_sinr.tobytes()
+        assert np.array_equal(sinr >= beta, feasible)
+    quiet = build_connectivity_map(sys_, beta, 1).power
+    assert not np.array_equal(quiet, build_connectivity_map(sys_, beta, 0).power)
 
 
 @settings(max_examples=40, deadline=None)
@@ -328,9 +328,11 @@ def test_a_hop_is_one_lattice_pitch(side, size, offset, where, alpha):
 
 def reference_edges_csv_text(cmap) -> str:
     lines = ["cell_a,cell_b,band,feasible,max_power_dbm,sinr_db,best_band"]
-    for p, (a, b, best) in enumerate(zip(cmap.cell_a.tolist(), cmap.cell_b.tolist(), cmap.best.tolist())):
-        for nu in range(cmap.sinr.shape[1]):
-            ok, power, sinr = bool(cmap.feasible[p, nu]), float(cmap.max_power[p, nu]), float(cmap.sinr[p, nu])
+    cell_a, cell_b, feasible, pair_sinr, best_band = cmap.pairs()
+    max_power = cmap.power[cell_a]
+    for p, (a, b, best) in enumerate(zip(cell_a.tolist(), cell_b.tolist(), best_band.tolist())):
+        for nu in range(pair_sinr.shape[1]):
+            ok, power, sinr = bool(feasible[p, nu]), float(max_power[p, nu]), float(pair_sinr[p, nu])
             sinr_db = 10.0 * math.log10(sinr) if sinr > 0.0 else -math.inf
             lines.append(
                 f"{a},{b},{nu},{1 if ok else 0},{watts_to_dbm(power):.12g},{sinr_db:.12g},"
@@ -340,15 +342,15 @@ def reference_edges_csv_text(cmap) -> str:
 
 
 def assert_csv_matches_reference(cmap):
-    """``to_csv()`` and the file ``muse connectivity`` streams through ``cli._write``
-    equal the reference byte for byte, whatever the chunk size."""
+    """``csv_chunks()`` joined and the file ``muse connectivity`` streams through
+    ``cli._write`` equal the reference byte for byte, whatever the chunk size."""
     expected = reference_edges_csv_text(cmap)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "edges.csv"
         for chunk_rows in (1, 7, 64, 4096):
             with mock.patch.object(consumption, "_TEXT_CHUNK", chunk_rows):
-                assert_same_text(cmap.to_csv(), expected)
-                cli._write(str(path), cmap._csv_chunks())
+                assert_same_text("".join(cmap.csv_chunks()), expected)
+                cli._write(str(path), cmap.csv_chunks())
             assert_same_text(path.read_bytes().decode("utf-8"), expected)
 
 
@@ -362,8 +364,9 @@ def test_csv_matches_reference_on_generated_systems(sys_, time_index):
         cmap = build_connectivity_map(sys_, db_to_linear(beta_db), time_index)
         assert_csv_matches_reference(cmap)
         # the best band is the first SINR argmax over the feasible bands
-        masked = np.argmax(np.where(cmap.feasible, cmap.sinr, -np.inf), axis=1)
-        assert np.array_equal(cmap.best, np.where(cmap.feasible.any(axis=1), masked, -1))
+        _, _, feasible, sinr, best = cmap.pairs()
+        masked = np.argmax(np.where(feasible, sinr, -np.inf), axis=1)
+        assert np.array_equal(best, np.where(feasible.any(axis=1), masked, -1))
 
 
 def test_csv_zero_power_source_and_no_feasible_band():
@@ -378,7 +381,7 @@ def test_csv_zero_power_source_and_no_feasible_band():
     cmap = build_connectivity_map(sys_, db_to_linear(6.0))
     assert_csv_matches_reference(cmap)
     source = sys_.grid.locate(guard.position)
-    rows = [line.split(",") for line in cmap.to_csv().splitlines()[1:] if line.startswith(f"{source},")]
+    rows = [line.split(",") for line in "".join(cmap.csv_chunks()).splitlines()[1:] if line.startswith(f"{source},")]
     assert len(rows) == 2 * len(sys_.grid.neighbors(source))
     # no power at the guard's region: both dB columns are -inf and no band is feasible
     assert all(row[3:] == ["0", "-inf", "-inf", ""] for row in rows)
@@ -390,7 +393,7 @@ def test_csv_band_counts(bands):
     of its sizes: 1 x 2 x 2, 2 x 2 x 3 and 4 x 2 x 5 entries."""
     sys_ = dataclasses.replace(multi_band_system(), grid_spec=small_grid(n_bands=bands))
     cmap = build_connectivity_map(sys_, db_to_linear(6.0))
-    assert cmap.sinr.shape[1] == bands
+    assert cmap.pairs()[3].shape[1] == bands
     assert_csv_matches_reference(cmap)
 
 

@@ -36,6 +36,7 @@ from muse import (
     point_metrics,
     receiver_sinr,
     system_report,
+    system_reports,
     tx_occupancy_at,
     validate_system,
     watts_to_dbm,
@@ -460,7 +461,7 @@ def test_one_pool_over_many_grids_equals_each_grid_alone(monkeypatch, threads, k
     ]
     members = frozenset(e.id for s in systems for e in entity_selector(s, "system"))
     monkeypatch.setenv("MUSE_THREADS", "1")
-    alone = [consumption._evaluate_grid(s, members, keep=keep) for s in systems]
+    alone = [consumption._evaluate_grids([s], members, keep=keep)[0] for s in systems]
 
     runs, evaluate = [], consumption._evaluate
     monkeypatch.setattr(consumption, "_evaluate", lambda *args: runs.append((args[0][0][0].sys, len(args[0]) * len(args[1]))) or evaluate(*args))
@@ -503,7 +504,7 @@ def test_bad_thread_env_rejected(monkeypatch):
 
     monkeypatch.setenv("MUSE_THREADS", "many")
     with pytest.raises(ValueError, match="MUSE_THREADS"):
-        consumption._thread_budget()
+        consumption.thread_budget()
 
 
 def test_thread_budget_counts_the_cpus_this_process_may_use(monkeypatch):
@@ -513,14 +514,14 @@ def test_thread_budget_counts_the_cpus_this_process_may_use(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     # pinned to one CPU of eight (taskset -c 0): one thread, not four
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert consumption._thread_budget() == 1
+    assert consumption.thread_budget() == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-    assert consumption._thread_budget() == 3
+    assert consumption.thread_budget() == 3
     # platforms without an affinity mask fall back to the CPU count, at most 4
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert consumption._thread_budget() == 4
+    assert consumption.thread_budget() == 4
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert consumption._thread_budget() == 1
+    assert consumption.thread_budget() == 1
 
 
 def repeating_system(hex_side: float = 100.0) -> RFSystem:
@@ -658,7 +659,7 @@ def test_maps_equal_per_slot_evaluation_bitwise(monkeypatch, threads):
     monkeypatch.setattr(consumption, "_CHUNK", 7)
     monkeypatch.setenv("MUSE_THREADS", threads)
     members = frozenset(e.id for e in entity_selector(sys_, "system"))
-    maps, _, consumed = consumption._evaluate_grid(sys_, members, keep=consumption._FIELDS)
+    maps, _, consumed = consumption._evaluate_grids([sys_], members, keep=consumption.MAP_FIELDS)[0]
     per_slot = {}
     for nu in range(grid.band_count):
         budget = consumption._LinkBudget(sys_, nu)
@@ -667,7 +668,7 @@ def test_maps_equal_per_slot_evaluation_bitwise(monkeypatch, threads):
             fields = np.empty((4, grid.region_count))  # occupancy, opportunity, raw opportunity, liability
             part = consumption._evaluate([(budget, budget.active(tau))], grid.sample_points, {budget: noise}, members, [fields])
             per_slot[nu, tau] = dict(zip(budget.ids, part[0]))
-            for name, field in zip(consumption._FIELDS, fields):
+            for name, field in zip(consumption.MAP_FIELDS, fields):
                 assert maps[name][:, tau, nu].tobytes() == field.tobytes()
     totals = dict.fromkeys(members, 0.0)
     for nu, tau in sorted(per_slot):
@@ -676,8 +677,8 @@ def test_maps_equal_per_slot_evaluation_bitwise(monkeypatch, threads):
     assert consumed == totals
     assert consumed["tc"] == 0.0 and consumed["ta"] > 0.0
     for tau in range(grid.horizon):
-        quantum, _, part = consumption._evaluate_grid(sys_, members, times=[tau], keep=consumption._FIELDS)
-        for name in consumption._FIELDS:
+        quantum, _, part = consumption._evaluate_grids([sys_], members, times=[tau], keep=consumption.MAP_FIELDS)[0]
+        for name in consumption.MAP_FIELDS:
             assert quantum[name][:, 0, :].tobytes() == maps[name][:, tau, :].tobytes()
         for member in members:
             expected = 0.0
@@ -854,7 +855,7 @@ def assert_totals_equal_maps(sys_, chunk, threads):
     with mock.patch.object(consumption, "_CHUNK", chunk), mock.patch.dict(os.environ, {"MUSE_THREADS": threads}):
         assert len(consumption._tree_spans(0, sys_.grid.region_count, chunk)) >= 3
         maps = compute_maps(sys_)
-        _, sums, consumed = consumption._evaluate_grid(sys_, members, keep=("occupancy",))
+        _, sums, consumed = consumption._evaluate_grids([sys_], members, keep=("occupancy",))[0]
         rep = system_report(sys_)
     assert bits(rep.psi_utilized) == bits(slot_sums(maps.occupancy))
     assert bits(rep.psi_available) == bits(slot_sums(maps.opportunity))
@@ -1083,6 +1084,17 @@ def test_empty_system_report():
     assert rep.psi_forbidden == 0.0
     assert rep.psi_available == pytest.approx(rep.psi_total, rel=1e-9)
     assert rep.conservation_residual <= 1e-12
+
+
+@pytest.mark.parametrize("include_entities", [True, False])
+def test_system_reports_equal_each_system_report(monkeypatch, include_entities):
+    """Reports of several systems from one pool equal each system's own report, entity
+    sums included: each system reports its own transceivers only."""
+    monkeypatch.setenv("MUSE_THREADS", "4")
+    systems = [region_link_system(worst_case=True, hex_side=60.0), four_pair_system(hex_side=100.0), empty_system()]
+    together = system_reports(systems, include_entities=include_entities)
+    assert together == [system_report(s, include_entities=include_entities) for s in systems]
+    assert [len(rep.entity_consumption) for rep in together] == ([2, 8, 0] if include_entities else [0, 0, 0])
 
 
 def test_report_identity_random():

@@ -27,7 +27,7 @@ from muse import (
 )
 from muse import cli, consumption, scenario_io
 from muse.consumption import ConsumptionMaps
-from muse.scenario_io import MAP_CSV_HEADER, heatmap_text
+from muse.scenario_io import MAP_CSV_HEADER, heatmap_chunks
 
 from helpers import assert_same_text, region_link_system, small_grid
 from test_consumption import generated_systems
@@ -508,8 +508,8 @@ def _extra_region(rows):
          "extra-region", "stray-centroid"],
 )
 def test_read_map_csv_rejects_bad_rows(tmp_path, mutate, message):
-    """Every reader rejects every bad row: read_map_csv, and the opportunity-only read of smf,
-    which converts fewer columns but checks each row's field count all the same."""
+    """Every read rejects every bad row: read_map_csv of every field, and the opportunity-only
+    read of smf, which converts fewer columns but checks each row's field count all the same."""
     path = tmp_path / "map.csv"
     write_map_csv(path, compute_maps(dataclasses.replace(region_link_system(), grid_spec=small_grid(n_bands=2))))
     header, *rows = path.read_text().splitlines()
@@ -518,7 +518,7 @@ def test_read_map_csv_rejects_bad_rows(tmp_path, mutate, message):
     with pytest.raises(ScenarioError, match=message):
         read_map_csv(path)
     with pytest.raises(ScenarioError, match=message):
-        scenario_io._read_map(path, ("opportunity",))
+        read_map_csv(path, ("opportunity",))
 
 
 def test_opportunity_read_converts_only_what_smf_scores(tmp_path):
@@ -526,7 +526,7 @@ def test_opportunity_read_converts_only_what_smf_scores(tmp_path):
     not look into the columns it skips: a non-finite occupancy passes it."""
     path = tmp_path / "map.csv"
     write_map_csv(path, compute_maps(dataclasses.replace(region_link_system(), grid_spec=small_grid(n_bands=2))))
-    full, opportunity = read_map_csv(path), scenario_io._read_map(path, ("opportunity",))
+    full, opportunity = read_map_csv(path), read_map_csv(path, ("opportunity",))
     assert opportunity.keys() == {"opportunity", "centroids", "opportunity_map"}
     for name in opportunity.keys() - {"opportunity_map"}:
         assert np.array_equal(opportunity[name], full[name])
@@ -536,7 +536,24 @@ def test_opportunity_read_converts_only_what_smf_scores(tmp_path):
     path.write_text("\n".join([header] + rows) + "\n")
     with pytest.raises(ScenarioError, match="non-finite"):
         read_map_csv(path)
-    assert np.array_equal(scenario_io._read_map(path, ("opportunity",))["opportunity"], full["opportunity"])
+    assert np.array_equal(read_map_csv(path, ("opportunity",))["opportunity"], full["opportunity"])
+
+
+def test_read_map_csv_reads_any_named_map_fields_and_rejects_others(tmp_path):
+    """``fields`` may name any of the four map fields, and nothing else (a ValueError, not
+    a ScenarioError: the file is not at fault); the opportunity map comes with opportunity."""
+    path = tmp_path / "map.csv"
+    write_map_csv(path, compute_maps(dataclasses.replace(region_link_system(), grid_spec=small_grid(n_bands=2))))
+    full = read_map_csv(path)
+    assert full.keys() == {"occupancy", "opportunity", "raw_opportunity", "liability", "centroids", "opportunity_map"}
+    occupancy = read_map_csv(path, ("occupancy",))
+    assert occupancy.keys() == {"occupancy", "centroids"}
+    assert np.array_equal(occupancy["occupancy"], full["occupancy"])
+    assert np.array_equal(occupancy["centroids"], full["centroids"])
+    for fields in (("opportunity", "theta"), ("centroid_x",), ("region",), "opportunity"):
+        with pytest.raises(ValueError, match="map CSV fields must be of") as exc:
+            read_map_csv(path, fields)
+        assert not isinstance(exc.value, ScenarioError)
 
 
 @pytest.mark.parametrize(
@@ -618,8 +635,8 @@ def test_map_writers_match_reference_and_round_trip_bitwise(tmp_path_factory, ma
         for tau in range(maps.grid.horizon):
             for nu in range(maps.grid.band_count):
                 expected = reference_heatmap_text(maps, "raw_opportunity", tau, nu)
-                assert_same_text(heatmap_text(maps, "raw_opportunity", tau, nu), expected)
-                cli._write(str(mat), scenario_io._heatmap_chunks(maps, "raw_opportunity", tau, nu))  # as `muse map --heatmap`
+                assert_same_text("".join(heatmap_chunks(maps, "raw_opportunity", tau, nu)), expected)
+                cli._write(str(mat), heatmap_chunks(maps, "raw_opportunity", tau, nu))  # as `muse map --heatmap`
                 assert_same_text(mat.read_bytes().decode("utf-8"), expected)
     assert_same_text(path.read_bytes().decode("utf-8"), reference_map_csv_text(maps))
 
@@ -654,7 +671,7 @@ def test_map_csv_multiband_order(tmp_path):
 def test_heatmap_matrix_shape():
     sys_ = region_link_system(hex_side=230.0)
     maps = compute_maps(sys_)
-    text = heatmap_text(maps, "opportunity", 0, 0)
+    text = "".join(heatmap_chunks(maps, "opportunity", 0, 0))
     rows = text.strip().splitlines()
     assert len(rows) == maps.grid.row_count
     widths = {len(r.split()) for r in rows}
