@@ -60,8 +60,8 @@ rep = compare_maps(truth, estimated)
 worst_loss = int(np.argmax(np.maximum(0.0, -rep.theta).sum(axis=(1, 2))))
 worst_incursion = int(np.argmax(np.maximum(0.0, rep.theta).sum(axis=(1, 2))))
 print(f"\nseed {model.rng_seed}: the largest loss sits in cell {worst_loss} "
-      f"at {tuple(round(c) for c in truth.centroids[worst_loss])},")
+      f"at {tuple(round(c) for c in truth.grid.cell(worst_loss).centroid)},")
 print(f"the largest incursion in cell {worst_incursion} "
-      f"at {tuple(round(c) for c in truth.centroids[worst_incursion])}.")
+      f"at {tuple(round(c) for c in truth.grid.cell(worst_incursion).centroid)}.")
 print("\nA perfect pipeline recovers everything: zero lost, zero incursed;")
 print("its per-cell error map is identically zero (see the acceptance suite).")

@@ -22,10 +22,10 @@ from . import __version__, scenario_io
 from .connectivity import build_connectivity_map
 from .consumption import MAP_FIELDS, compute_maps, entity_consumption, point_metrics, system_report, system_reports
 from .consumption import thread_budget
-from .grid import total_spectrum_space
+from .grid import SpectrumGrid, total_spectrum_space
 from .model import RFSystem, UnknownEntityError, validate_system
 from .scenario_io import ScenarioError, heatmap_chunks, load_scenario, map_csv_chunks
-from .smf import SensingErrorModel, check_grid, compare_maps, opportunity_map, simulate_recovery
+from .smf import OpportunityMap, SensingErrorModel, check_grid, compare_maps, opportunity_map, simulate_recovery
 from .units import db_to_linear, dbm_to_watts, watts_to_dbm
 
 EXIT_VALIDATION = 2
@@ -235,6 +235,14 @@ def connectivity(scenario, beta_db, time_index, out):
     click.echo(f"wrote {counts[0]} directed edges ({counts[1]} feasible) to {out}")
 
 
+def _opportunity_csv(path: str, grid: SpectrumGrid) -> OpportunityMap:
+    """The opportunity of a map CSV, whose centroids are checked against ``grid``, as a map on it."""
+    # through the module: benchmarks/tracing.py counts the occupancy of a read_map_csv bound here, and this reads none
+    read = scenario_io.read_map_csv(path, ("opportunity",))
+    check_grid(read["opportunity"], lambda lo, hi: read["centroids"][lo:hi], grid)
+    return OpportunityMap(read["opportunity"], grid)
+
+
 @main.command()
 @scenario_option
 @click.option("--truth-map", type=click.Path(), default=None, help="Ground-truth map CSV (defaults to the scenario's own map).")
@@ -254,12 +262,9 @@ def smf(scenario, truth_map, other_map, p_missed, false_positives, geo_sigma, po
     """
     system = _load(scenario)
     fp_power = None if fp_power_dbm is None else dbm_to_watts(fp_power_dbm)  # inf is rejected by SensingErrorModel
-    # through the module: benchmarks/tracing.py counts the occupancy of a read_map_csv bound here, and these read none
-    truth = scenario_io.read_map_csv(truth_map, ("opportunity",))["opportunity_map"] if truth_map else opportunity_map(system)
-    if truth_map:  # a simulated truth is on the grid's own lattice; compare_maps checks the other map against the truth
-        check_grid(truth, system.grid)
+    truth = _opportunity_csv(truth_map, system.grid) if truth_map else opportunity_map(system)
     if other_map:
-        other = scenario_io.read_map_csv(other_map, ("opportunity",))["opportunity_map"]
+        other = _opportunity_csv(other_map, system.grid)
     else:
         model = SensingErrorModel(
             p_missed_detection=p_missed,

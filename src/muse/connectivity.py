@@ -61,8 +61,12 @@ class ConnectivityMap:
         source then destination ascending: (cell_a, cell_b, feasible, sinr,
         best), the first two and the last (pairs,), the others (pairs, bands).
         ``best`` is the best band, -1 where no band is feasible; the power a
-        new transmitter at A may radiate is ``power[cell_a]``."""
-        hi = self.grid.region_count if hi is None else hi
+        new transmitter at A may radiate is ``power[cell_a]``.  IndexError for
+        a range outside [0, regions]."""
+        n = self.grid.region_count
+        hi = n if hi is None else hi
+        if not 0 <= lo <= hi <= n:
+            raise IndexError(f"region range [{lo}, {hi}) outside [0, {n})")
         candidates, valid = self.grid._neighbor_table(np.arange(lo, hi))
         a, b = lo + np.flatnonzero(valid) // 6, candidates[valid]  # nonzero(valid)[0] would keep both index rows
         feasible, sinr = _budget(self.power[a], self.occupancy[b], self.gains, self.candidate_beta)

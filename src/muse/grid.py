@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -114,7 +113,7 @@ def _point_in_hex(dx: float, dy: float, side: float, tol: float = 0.0) -> bool:
 
 class SpectrumGrid:
     """Tessellation index math: row tables, and the points of any region range
-    computed from them on demand."""
+    computed from them on demand; no lattice is cached."""
 
     def __init__(self, spec: GridSpec):
         s = spec.hex_side
@@ -135,7 +134,7 @@ class SpectrumGrid:
         self._row_start = np.concatenate(([0], np.cumsum(self._row_counts)))
         self.region_count = int(self._row_start[-1])
 
-    def _centroids(self, lo: int, hi: int) -> np.ndarray:
+    def region_centroids(self, lo: int, hi: int) -> np.ndarray:
         """Centroids of regions [lo, hi), shape (hi - lo, 2)."""
         if not 0 <= lo <= hi <= self.region_count:
             raise IndexError(f"region range [{lo}, {hi}) outside [0, {self.region_count})")
@@ -151,27 +150,11 @@ class SpectrumGrid:
         return out
 
     def points(self, lo: int, hi: int) -> np.ndarray:
-        """Sample points of regions [lo, hi), shape (hi - lo, 2): the values of
-        ``sample_points[lo:hi]``, without building the whole lattice."""
-        pts = self._centroids(lo, hi)
+        """Sample points of regions [lo, hi), shape (hi - lo, 2): their centroids,
+        offset by the spec's ``sample_offset`` where it is set."""
+        pts = self.region_centroids(lo, hi)
         if self.spec.sample_offset is not None:
             pts += self.spec.sample_offset
-        return pts
-
-    @cached_property
-    def centroids(self) -> np.ndarray:
-        """Every region's centroid, read-only, built on first use."""
-        centroids = self._centroids(0, self.region_count)
-        centroids.setflags(write=False)
-        return centroids
-
-    @cached_property
-    def sample_points(self) -> np.ndarray:
-        """Every region's sample point, read-only, built on first use."""
-        if self.spec.sample_offset is None:
-            return self.centroids
-        pts = self.points(0, self.region_count)
-        pts.setflags(write=False)
         return pts
 
     # -- dimensions ------------------------------------------------------
@@ -195,7 +178,7 @@ class SpectrumGrid:
     # -- geometry --------------------------------------------------------
 
     def hex_vertices(self, region_index: int) -> np.ndarray:
-        cx, cy = self._centroids(region_index, region_index + 1)[0]
+        cx, cy = self.region_centroids(region_index, region_index + 1)[0]
         s = self.spec.hex_side
         return np.array([(cx + s * math.cos(a), cy + s * math.sin(a)) for a in _VERTEX_ANGLES])
 
@@ -260,13 +243,14 @@ class SpectrumGrid:
             region_index=region_index,
             time_index=time_index,
             band_index=band_index,
-            centroid=tuple(self._centroids(region_index, region_index + 1)[0]),
+            centroid=tuple(self.region_centroids(region_index, region_index + 1)[0]),
             sample_point=tuple(self.points(region_index, region_index + 1)[0]),
         )
 
     def cells(self) -> Iterator[Cell]:
-        """Every cell, in canonical order, read from the whole lattice."""
-        for chi, (centroid, sample_point) in enumerate(zip(self.centroids, self.sample_points)):
+        """Every cell, in canonical order."""
+        n = self.region_count
+        for chi, (centroid, sample_point) in enumerate(zip(self.region_centroids(0, n), self.points(0, n))):
             for tau in range(self.horizon):
                 for nu in range(self.band_count):
                     yield Cell(chi, tau, nu, tuple(centroid), tuple(sample_point))

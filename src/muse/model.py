@@ -51,6 +51,8 @@ class SystemParams:
         if not self.p_max > self.p_min > 0.0:
             raise ValueError("power window requires p_max > p_min > 0 in watts")
         noises = self.ambient_noise if isinstance(self.ambient_noise, tuple) else (self.ambient_noise,)
+        if not noises:
+            raise ValueError("ambient noise needs one value, or one per band")
         if not all(w > 0.0 for w in noises):
             raise ValueError("ambient noise must be positive")
 

@@ -29,7 +29,6 @@ from .consumption import MAP_FIELDS, ConsumptionMaps
 from .grid import Band, GridSpec
 from .model import Receiver, RFLink, RFNetwork, RFSystem, SystemParams, Transmitter
 from .propagation import OMNI, AntennaPattern, PropagationModel
-from .smf import OpportunityMap
 from .units import db_to_linear, dbm_to_watts, linear_to_db, watts_to_dbm
 
 __all__ = [
@@ -472,7 +471,7 @@ def map_csv_chunks(maps: ConsumptionMaps) -> Iterator[str]:
     for lo in range(0, grid.region_count, step):
         hi = min(lo + step, grid.region_count)
         regions = [f"{chi}," for chi in range(lo, hi)]
-        centroids = ["%.17e,%.17e," % (x, y) for x, y in grid._centroids(lo, hi).tolist()]
+        centroids = ["%.17e,%.17e," % (x, y) for x, y in grid.region_centroids(lo, hi).tolist()]
         columns = (
             [p for p in regions for _ in slots],
             slots * (hi - lo),
@@ -488,10 +487,10 @@ def write_map_csv(path, maps: ConsumptionMaps):
         fh.writelines(map_csv_chunks(maps))
 
 
-def read_map_csv(path, fields=MAP_FIELDS) -> dict[str, np.ndarray | OpportunityMap]:
+def read_map_csv(path, fields=MAP_FIELDS) -> dict[str, np.ndarray]:
     """Load a map CSV back into the named ``fields`` (of ``MAP_FIELDS``, else
-    ValueError) and the ``centroids``, plus an ``opportunity_map`` where
-    opportunity is read; other fields are not converted, only counted per row.
+    ValueError) and the ``centroids``; other fields are not converted, only
+    counted per row.
 
     The header must match, every row must hold three integer indices and
     six numbers (no comment lines; empty lines are skipped), every
@@ -545,8 +544,6 @@ def read_map_csv(path, fields=MAP_FIELDS) -> dict[str, np.ndarray | OpportunityM
     for name in fields:
         result[name] = np.zeros(shape)
         result[name].reshape(-1)[cells] = rows[name]
-    if "opportunity" in fields:
-        result["opportunity_map"] = OpportunityMap(values=result["opportunity"], centroids=centroids)
     return result
 
 
@@ -555,7 +552,11 @@ def heatmap_chunks(maps: ConsumptionMaps, quantity: str, time_index: int, band_i
     as text chunks of whole hexagon rows, at most ``consumption._TEXT_CHUNK``
     values each (or one row), each formatted in one ``%`` call, as
     ``f"{v:.17e}"`` would.  Rows follow the hexagon rows bottom-up; short rows
-    are padded with nan."""
+    are padded with nan.  ValueError for a quantity outside ``MAP_FIELDS``,
+    IndexError for a time or band outside the grid."""
+    if quantity not in MAP_FIELDS:
+        raise ValueError(f"heatmap quantity must be one of {MAP_FIELDS}, got {quantity!r}")
+    maps.grid.cell(0, time_index, band_index)  # IndexError for a time or band outside the grid
     counts = maps.grid._row_counts.tolist()
     values = getattr(maps, quantity)[:, time_index, band_index]
     width = max(counts)

@@ -55,40 +55,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OpportunityMap:
-    """Per-cell opportunity values in watts, shape (regions, quanta, bands)."""
+    """Per-cell opportunity values in watts on ``grid``, shape (regions, quanta, bands)."""
 
     values: np.ndarray
-    centroids: np.ndarray  # (regions, 2), identifies the grid
-    provenance: str = "ground-truth"  # ground-truth | implied-by-policy | estimated
+    grid: SpectrumGrid
 
     def __post_init__(self):
-        if self.values.ndim != 3:
-            raise ValueError("opportunity values must have shape (regions, quanta, bands)")
-        if len(self.centroids) != self.values.shape[0]:
-            raise ValueError("centroid count does not match region count")
+        if self.values.shape != (self.grid.region_count, self.grid.horizon, self.grid.band_count):
+            raise ValueError("opportunity values must have the grid's shape (regions, quanta, bands)")
 
     @property
     def total(self) -> float:
         return float(np.sum(self.values))
 
 
-def opportunity_map(sys: RFSystem, provenance: str = "ground-truth") -> OpportunityMap:
+def opportunity_map(sys: RFSystem) -> OpportunityMap:
     values = _evaluate_grids([sys], keep=("opportunity",))[0][0]["opportunity"]
-    return OpportunityMap(values=values, centroids=np.asarray(sys.grid.centroids), provenance=provenance)
+    return OpportunityMap(values=values, grid=sys.grid)
 
 
-def check_grid(m: OpportunityMap, on: SpectrumGrid | OpportunityMap):
-    """Raise ValueError unless ``m`` has the shape and the region centroids of
-    ``on``, a grid or another map, compared a chunk of regions at a time: a
-    grid's are computed for each chunk, so its lattice is not built."""
-    if isinstance(on, OpportunityMap):
-        shape, centroids = on.values.shape, lambda lo, hi: on.centroids[lo:hi]
-    else:
-        shape, centroids = (on.region_count, on.horizon, on.band_count), on._centroids
-    chunk = consumption._CHUNK
-    if m.values.shape != shape or not all(
-        np.array_equal(m.centroids[lo : lo + chunk], centroids(lo, min(lo + chunk, shape[0])))
-        for lo in range(0, shape[0], chunk)
+def check_grid(values: np.ndarray, centroids, grid: SpectrumGrid):
+    """Raise ValueError unless ``values`` has the shape of ``grid`` and
+    ``centroids(lo, hi)`` returns its region centroids, compared a chunk of
+    regions at a time, so no lattice is built."""
+    n, chunk = grid.region_count, consumption._CHUNK
+    if values.shape != (n, grid.horizon, grid.band_count) or not all(
+        np.array_equal(centroids(lo, min(lo + chunk, n)), grid.region_centroids(lo, min(lo + chunk, n)))
+        for lo in range(0, n, chunk)
     ):
         raise ValueError("grid mismatch: maps were built on different discretizations")
 
@@ -157,7 +150,8 @@ def compare_maps(truth: OpportunityMap, other: OpportunityMap) -> SMFReport:
     positive error potentially leads to harmful interference; the
     recovered mass is the overlap min(truth, other).
     """
-    check_grid(other, truth)
+    if other.grid is not truth.grid:  # a map has its grid's shape, so maps on one grid match
+        check_grid(other.values, other.grid.region_centroids, truth.grid)
     return _score(truth, other.values, "recovered_available", "lost_available", "potentially_incursed")
 
 
@@ -274,7 +268,7 @@ def perturb_system(sys: RFSystem, model: SensingErrorModel) -> RFSystem:
         networks.append(RFNetwork(id="sensed-artifacts", links=tuple(spurious)))
 
     sensed = dataclasses.replace(sys, networks=tuple(networks))
-    vars(sensed)["grid"] = sys.grid  # the same grid spec, so the same grid and, once built, the same lattice
+    vars(sensed)["grid"] = sys.grid  # the same grid spec, so the same grid, not a second build of it
     return sensed
 
 
@@ -286,4 +280,4 @@ def simulate_recovery(sys: RFSystem, model: SensingErrorModel) -> OpportunityMap
     exactly.  With every transmitter missed and no false positives, the
     estimate degenerates to the empty-system map.
     """
-    return opportunity_map(perturb_system(sys, model), provenance="estimated")
+    return opportunity_map(perturb_system(sys, model))

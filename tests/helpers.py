@@ -29,6 +29,12 @@ def traced_peak(call, *args, **kwargs):
         tracemalloc.stop()
 
 
+def holds_only_row_tables(grid) -> bool:
+    """True if no attribute of ``grid`` holds more values than its row tables:
+    it has cached no per-region array, such as a lattice."""
+    return all(np.size(v) <= grid.row_count + 1 for v in vars(grid).values())
+
+
 def assert_same_text(actual: str, expected: str):
     """Fail unless the two texts are equal, naming the first line that differs.
 

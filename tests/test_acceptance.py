@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from muse import (
     OpportunityMap,
@@ -42,6 +43,7 @@ from helpers import (
     region_link_system,
     small_grid,
 )
+from test_consumption import generated_systems
 
 
 def ok(n: int, text: str):
@@ -195,7 +197,7 @@ def test_criterion_7_smf_identities():
 
     def dyadic():
         v = rng.integers(0, 1 << 20, size=base.values.shape).astype(float) * 2.0**-20
-        return OpportunityMap(values=v, centroids=base.centroids)
+        return OpportunityMap(values=v, grid=base.grid)
 
     for _ in range(50):
         t, e = dyadic(), dyadic()
@@ -213,6 +215,30 @@ def test_criterion_7_smf_identities():
     est2 = simulate_recovery(sys_, SensingErrorModel(rng_seed=31337))
     assert np.array_equal(est.values, est2.values)
     ok(7, "partition identity exact on 50 random map pairs; zero-error recovery bit-exact")
+
+
+@settings(max_examples=25, deadline=None)
+@given(generated_systems(), st.integers(0, 2**32 - 1))
+def test_criterion_7_smf_identities_on_generated_grids(sys_, seed):
+    """Criterion 7 over generated grids (quanta, bands, sample offsets): on dyadic
+    maps, whose values are multiples of 2**-20 so that every sum is exact, the
+    overlap plus each one-sided mass is exactly the mass of its side, the estimate
+    on a second build of the grid; a map compared with itself is all zero."""
+    rng = np.random.default_rng(seed)
+    grid = sys_.grid
+    shape = (grid.region_count, grid.horizon, grid.band_count)
+    truth, other = (
+        OpportunityMap(values=rng.integers(0, 1 << 20, size=shape).astype(float) * 2.0**-20, grid=on)
+        for on in (grid, SpectrumGrid(sys_.grid_spec))
+    )
+    rep = compare_maps(truth, other)
+    assert rep.recovered_available + rep.lost_available == np.sum(truth.values) == rep.truth_total
+    assert rep.recovered_available + rep.potentially_incursed == np.sum(other.values)
+    assert rep.theta_total == np.sum(other.values) - np.sum(truth.values)
+    self_rep = compare_maps(truth, truth)
+    assert np.all(self_rep.theta == 0.0) and self_rep.theta_total == 0.0
+    assert self_rep.lost_available == self_rep.potentially_incursed == 0.0
+    assert self_rep.recovered_available == rep.truth_total
 
 
 def test_criterion_8_monotone_growth():

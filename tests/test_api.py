@@ -1,5 +1,6 @@
 """The public API, pinned: ``muse.__all__``, the signature of each public
-callable and the field order of each public dataclass.
+callable, the field order of each public dataclass and the public members
+of each other public class.
 
 An intended API change updates ``public_api.txt`` in the same commit:
 
@@ -23,8 +24,10 @@ def describe(name: str) -> str:
         return f"{name}: exception({', '.join(base.__name__ for base in obj.__bases__)})"
     if inspect.isclass(obj) and dataclasses.is_dataclass(obj):
         return f"{name}: dataclass fields {[f.name for f in dataclasses.fields(obj)]}; signature {inspect.signature(obj)}"
+    if inspect.isclass(obj):
+        return f"{name}: class signature {inspect.signature(obj)}; members {sorted(m for m in vars(obj) if not m.startswith('_'))}"
     if callable(obj):
-        return f"{name}: {'class' if inspect.isclass(obj) else 'function'} signature {inspect.signature(obj)}"
+        return f"{name}: function signature {inspect.signature(obj)}"
     return f"{name}: {type(obj).__name__} instance"
 
 

@@ -16,7 +16,7 @@ from muse.cli import main
 from muse.model import UnknownEntityError
 from muse.scenario_io import heatmap_chunks
 
-from helpers import probe_scenario, region_link_system, traced_peak
+from helpers import holds_only_row_tables, probe_scenario, region_link_system, traced_peak
 from muse import serialize_scenario
 from test_io import SCENARIO_TEXT, SCENARIOS as DEMO_SCENARIOS
 
@@ -216,11 +216,12 @@ def test_smf_rejects_truth_map_of_another_grid(runner, tmp_path, shift_centroid)
         fields = first.split(",")
         fields[3] = repr(float(fields[3]) + 1.0)
         map_a.write_text("\n".join([header, ",".join(fields), *rows]) + "\n")
-    result = runner.invoke(main, ["smf", "--scenario", scenario, "--truth-map", str(map_a), "--other-map", str(map_a)])
-    assert result.exit_code == 2
-    lines = result.output.strip().splitlines()
-    assert len(lines) == 1
-    assert "grid mismatch" in json.loads(lines[0])["error"]
+    for maps in (["--truth-map", str(map_a), "--other-map", str(map_a)], ["--other-map", str(map_a)]):
+        result = runner.invoke(main, ["smf", "--scenario", scenario, *maps])
+        assert result.exit_code == 2
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "grid mismatch: maps were built on different discretizations", "exit_code": 2}
 
 
 def test_smf_rejects_a_truth_map_row_with_a_tenth_field(runner, scenario_path, tmp_path):
@@ -283,9 +284,10 @@ def test_missing_file_exit_code(runner):
             "noise_dbm: -106.0\n  noise_overrides: [{region: 676, band: 0, noise_dbm: -90.0}]",
             "noise override (676, 0) outside the grid",
         ),
+        ("noise_dbm: -106.0", "noise_dbm: []", "malformed scenario: system: ambient noise needs one value, or one per band"),
     ],
     ids=["above-p-max", "infinite-width", "tiny-hex-side", "huge-horizon", "overflowing-dbm", "noise-far-above-p-max",
-         "gain-far-above-p-max", "override-past-grid"],
+         "gain-far-above-p-max", "override-past-grid", "empty-per-band-noise"],
 )
 def test_invalid_scenario_exit_code(runner, tmp_path, field, bad, message):
     path = tmp_path / "bad.yaml"
@@ -768,7 +770,8 @@ MEMORY_TABLE = _memory_table()
 @pytest.mark.parametrize("command", list(MEMORY_TABLE))
 def test_memory_table(monkeypatch, tmp_path, command, scenario, side, regions):
     """Each command of README's memory table, traced with one thread, peaks within its
-    bound, and no command but simulated ``smf`` has a grid build its lattice.  The grids and the
+    bound, and no command has a grid compute more than a chunk of its regions at once, so none
+    builds the lattice, not even for a moment, and no grid keeps one.  The grids and the
     chunks (evaluation and text) are scaled down together, as with the default chunks
     on grids above 2^16 regions."""
     path, csv, out = tmp_path / "scenario.yaml", str(tmp_path / "map.csv"), str(tmp_path / "out")
@@ -790,8 +793,9 @@ def test_memory_table(monkeypatch, tmp_path, command, scenario, side, regions):
         "smf --truth-map --other-map": (["smf", "--truth-map", csv, "--other-map", csv, "--out", out], 3, False),
         "connectivity": (["connectivity", "--beta-db", "10", "--out", out], 4, True),
     }[command]
-    grids, build = [], SpectrumGrid.__init__
+    grids, build, ranges, centroids = [], SpectrumGrid.__init__, [], SpectrumGrid.region_centroids
     monkeypatch.setattr(SpectrumGrid, "__init__", lambda grid, spec: (build(grid, spec), grids.append(grid))[0])
+    monkeypatch.setattr(SpectrumGrid, "region_centroids", lambda grid, lo, hi: (ranges.append(hi - lo), centroids(grid, lo, hi))[1])
     _, peak = traced_peak(main, [args[0], "--scenario", str(path), *args[1:]], standalone_mode=False)
     slots = grid.horizon * grid.band_count
     cap = consumption._CHUNK // slots if keeps_maps else min(consumption._CHUNK, 4 * consumption._CHUNK // slots)
@@ -799,4 +803,5 @@ def test_memory_table(monkeypatch, tmp_path, command, scenario, side, regions):
     units = {"map": grid.cell_count * 8, "lattice": grid.region_count * 16, "block": fields * slots * max(hi - lo for lo, hi in spans) * 8}
     assert grid.region_count == regions
     assert peak <= sum(k * units[unit] for unit, k in MEMORY_TABLE[command].items())
-    assert sum(bool({"centroids", "sample_points"} & g.__dict__.keys()) for g in grids) <= (command == "smf")
+    assert max(ranges, default=0) <= consumption._CHUNK < grid.region_count
+    assert all(holds_only_row_tables(g) for g in grids)

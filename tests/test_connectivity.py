@@ -37,6 +37,7 @@ from helpers import (
     add_random_receiver,
     assert_same_text,
     empty_system,
+    holds_only_row_tables,
     random_system,
     reference_params,
     small_grid,
@@ -137,6 +138,19 @@ def test_edges_cover_ordered_pairs_and_bands():
     assert max(asymmetric) > 0.0
 
 
+def test_pairs_of_a_region_range_outside_the_grid_raise():
+    """``pairs(lo, hi)`` takes a range of [0, regions], as the grid's range methods do:
+    a range past either end raises the grid's IndexError, not numpy's or none."""
+    cmap = build_connectivity_map(empty_system(), db_to_linear(6.0))
+    n = cmap.grid.region_count
+    for lo, hi in ((-3, 2), (n - 2, n + 3), (2, 1)):
+        with pytest.raises(IndexError, match=rf"^region range \[{lo}, {hi}\) outside \[0, {n}\)$"):
+            cmap.pairs(lo, hi)
+    whole = cmap.pairs()
+    for part, full in zip(cmap.pairs(n - 2, n), whole):
+        assert np.array_equal(part, full[-len(part):])
+
+
 def test_csv_byte_identical_runs():
     sys_ = multi_band_system()
     a = "".join(build_connectivity_map(sys_, db_to_linear(6.0)).csv_chunks())
@@ -217,7 +231,7 @@ def test_link_feasibility_evaluates_only_its_two_regions(monkeypatch):
             # two one-point slices, at the source's and the destination's sample point,
             # each on the requested band and in the cells' quantum
             assert quanta == [1, 1]
-            assert slices == [([1], [grid.sample_points[chi].tolist()]) for chi in (src, dst)]
+            assert slices == [([1], grid.points(chi, chi + 1).tolist()) for chi in (src, dst)]
 
 
 def test_link_feasibility_builds_no_lattice():
@@ -231,7 +245,7 @@ def test_link_feasibility_builds_no_lattice():
     result, peak = traced_peak(link_feasibility, sys_, *cells, 0, db_to_linear(10.0))
     assert grid.region_count == 1_534_487 and result[0]
     assert peak < 1 << 20
-    assert "sample_points" not in grid.__dict__ and "centroids" not in grid.__dict__
+    assert holds_only_row_tables(grid)
 
 
 def test_best_band_is_first_feasible_argmax():

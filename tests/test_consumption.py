@@ -48,6 +48,7 @@ from helpers import (
     PROBE,
     empty_system,
     four_pair_system,
+    holds_only_row_tables,
     probe_scenario,
     random_system,
     reference_grid,
@@ -610,7 +611,7 @@ def test_gain_fields_computed_once_per_chunk(monkeypatch, threads):
     sys_ = repeating_system(hex_side=25.0)
     spans = leaf_chunks(sys_)
     assert len(spans) == 4
-    points = sys_.grid.sample_points
+    points = sys_.grid.points(0, sys_.grid.region_count)
     chunks = {points[lo:hi].tobytes(): lo for lo, hi in spans}
     calls, slices = [], []
     link_gain, evaluate = consumption.link_gain, consumption._evaluate
@@ -666,7 +667,7 @@ def test_maps_equal_per_slot_evaluation_bitwise(monkeypatch, threads):
         noise = consumption._noise_vector(sys_, nu, 0, grid.region_count)
         for tau in range(grid.horizon):
             fields = np.empty((4, grid.region_count))  # occupancy, opportunity, raw opportunity, liability
-            part = consumption._evaluate([(budget, budget.active(tau))], grid.sample_points, {budget: noise}, members, [fields])
+            part = consumption._evaluate([(budget, budget.active(tau))], grid.points(0, grid.region_count), {budget: noise}, members, [fields])
             per_slot[nu, tau] = dict(zip(budget.ids, part[0]))
             for name, field in zip(consumption.MAP_FIELDS, fields):
                 assert maps[name][:, tau, nu].tobytes() == field.tobytes()
@@ -863,7 +864,7 @@ def assert_totals_equal_maps(sys_, chunk, threads):
     assert [bits(v) for v in sums] == [bits(rep.psi_utilized), bits(rep.psi_available), bits(rep.psi_forbidden)]
     assert {k: bits(v) for k, v in rep.entity_consumption.items()} == {k: bits(v) for k, v in consumed.items()}
     for _, _, tx in sys_.iter_transmitters():
-        total, points, origin = 0.0, sys_.grid.sample_points, sys_.position_of(tx)
+        total, points, origin = 0.0, sys_.grid.points(0, sys_.grid.region_count), sys_.position_of(tx)
         for nu in range(sys_.grid.band_count):
             power = tx.tx_power * consumption.link_gain(sys_.model_for_band(nu), tx.antenna, origin, points)
             for tau in range(sys_.grid.horizon):
@@ -937,7 +938,7 @@ def test_streamed_queries_build_no_lattice(monkeypatch, tmp_path, worst_case):
     entity_consumption(sys_, "link-1")
     point_metrics(sys_, probe)
     cell_metrics(sys_, sys_.grid.cell(sys_.grid.locate(probe)))
-    assert not {"centroids", "sample_points"} & sys_.grid.__dict__.keys()
+    assert holds_only_row_tables(sys_.grid)
 
     grids, build = [], SpectrumGrid.__init__
     monkeypatch.setattr(SpectrumGrid, "__init__", lambda grid, spec: (build(grid, spec), grids.append(grid))[0])
@@ -945,7 +946,7 @@ def test_streamed_queries_build_no_lattice(monkeypatch, tmp_path, worst_case):
     main(["sweep", "--scenario", str(tmp_path / "scenario.yaml"), "--hex-sides", "25,100"], standalone_mode=False)
     assert sorted(grid.spec.hex_side for grid in grids) == [25.0, 50.0, 100.0]  # loaded, then each side
     for grid in grids:
-        assert not {"centroids", "sample_points"} & grid.__dict__.keys()
+        assert holds_only_row_tables(grid)
 
 
 def test_maps_blocks_stay_small_beside_the_maps(monkeypatch):

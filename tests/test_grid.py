@@ -61,8 +61,9 @@ def test_halving_side_roughly_quadruples_count():
 def test_deterministic_tessellation():
     a = SpectrumGrid(reference_grid(100.0))
     b = SpectrumGrid(reference_grid(100.0))
-    assert np.array_equal(a.centroids, b.centroids)
-    assert np.array_equal(a.sample_points, b.sample_points)
+    n = a.region_count
+    assert np.array_equal(a.region_centroids(0, n), b.region_centroids(0, n))
+    assert np.array_equal(a.points(0, n), b.points(0, n))
     cells = tessellate(reference_grid(100.0))
     assert [c.region_index for c in cells[:3]] == [0, 1, 2]
 
@@ -105,10 +106,11 @@ def test_degenerate_region_rejected():
 
 def test_locate_and_vertices():
     grid = SpectrumGrid(reference_grid(100.0))
+    centroids = grid.region_centroids(0, grid.region_count)
     for chi in (0, 137, 675):
-        assert grid.locate(grid.centroids[chi]) == chi
+        assert grid.locate(centroids[chi]) == chi
         v = grid.hex_vertices(chi)
-        d = np.hypot(v[:, 0] - grid.centroids[chi][0], v[:, 1] - grid.centroids[chi][1])
+        d = np.hypot(v[:, 0] - centroids[chi][0], v[:, 1] - centroids[chi][1])
         assert np.allclose(d, 100.0, rtol=1e-12)
     with pytest.raises(ValueError):
         grid.locate((1e6, 1e6))
@@ -126,24 +128,26 @@ def test_locate_fuzz_region_and_boundaries():
     rng = np.random.default_rng(0)
     for side in (37.0, 100.0):
         grid = SpectrumGrid(reference_grid(side))
+        centroids = grid.region_centroids(0, grid.region_count)
         pts = np.column_stack([rng.uniform(0, 4300, 2000), rng.uniform(0, 3700, 2000)])
         for p in pts:
-            c = grid.centroids[grid.locate(p)]
+            c = centroids[grid.locate(p)]
             assert _point_in_hex(p[0] - c[0], p[1] - c[1], side, 1e-9 * side)
         # vertices sit on shared corners; locate must resolve them without error
         for chi in rng.integers(0, grid.region_count, 50):
             for p in grid.hex_vertices(int(chi)):
                 if 0 <= p[0] <= 4300 and 0 <= p[1] <= 3700:
-                    c = grid.centroids[grid.locate(p)]
+                    c = centroids[grid.locate(p)]
                     assert _point_in_hex(p[0] - c[0], p[1] - c[1], side, 1e-6 * side)
 
 
 def test_sample_point_policies():
     """``sample_offset`` alone picks the sample point: None is the centroid."""
     grid = SpectrumGrid(reference_grid(100.0, sample_offset=(30.0, -20.0)))
-    assert np.allclose(grid.sample_points - grid.centroids, [30.0, -20.0])
+    n = grid.region_count
+    assert np.allclose(grid.points(0, n) - grid.region_centroids(0, n), [30.0, -20.0])
     centroid = SpectrumGrid(reference_grid(100.0))
-    assert centroid.sample_points is centroid.centroids
+    assert centroid.points(0, n).tobytes() == centroid.region_centroids(0, n).tobytes()
     with pytest.raises(ValueError, match="outside the unit hexagon"):
         reference_grid(100.0, sample_offset=(100.0, 100.0))
     with pytest.raises(TypeError):
@@ -156,8 +160,9 @@ def test_neighbors_share_edges():
     nb = grid.neighbors(interior)
     assert len(nb) == 6
     pitch = SQRT3 * 100.0
+    centroids = grid.region_centroids(0, grid.region_count)
     for other in nb:
-        d = math.hypot(*(grid.centroids[other] - grid.centroids[interior]))
+        d = math.hypot(*(centroids[other] - centroids[interior]))
         assert d == pytest.approx(pitch, rel=1e-9)
     corner_nb = grid.neighbors(0)
     assert 2 <= len(corner_nb) <= 4
@@ -174,7 +179,7 @@ def test_neighbors_share_edges():
 @example(side=37.0, columns=7.0 * SQRT3, rows=5.0)  # five rows, width a whole number of columns
 def test_neighbors_match_brute_force(side, columns, rows):
     grid = SpectrumGrid(GridSpec(region_width=columns * side, region_height=rows * side, hex_side=side))
-    c = grid.centroids
+    c = grid.region_centroids(0, grid.region_count)
     d = np.hypot(c[:, None, 0] - c[None, :, 0], c[:, None, 1] - c[None, :, 1])
     near = (d <= 1.001 * SQRT3 * side) & ~np.eye(grid.region_count, dtype=bool)
     for chi in range(grid.region_count):
@@ -210,7 +215,7 @@ def test_grid_size_cap():
 
 def test_cell_rejects_indices_outside_the_grid():
     grid = SpectrumGrid(reference_grid(100.0, horizon=2, bands=(Band(6e8, 6e6), Band(6.1e8, 6e6))))
-    assert grid.cell(675, 1, 1).sample_point == tuple(grid.sample_points[675])
+    assert grid.cell(675, 1, 1).sample_point == tuple(grid.points(675, 676)[0])
     for args, message in (
         ((676, 0, 0), "region index 676"),
         ((-1, 0, 0), "region index -1"),
@@ -248,15 +253,14 @@ def test_points_of_any_split_equal_the_whole_lattice_bitwise(side, columns, rows
     if offset is not None:  # inside the hexagon: |dx| / sqrt(3) + |dy| <= side
         offset = (offset[0] * SQRT3 / 2 * side, offset[1] * (1 - abs(offset[0]) / 2) * side)
     grid = SpectrumGrid(GridSpec(region_width=columns * side, region_height=rows * side, hex_side=side, sample_offset=offset))
+    held = dict(vars(grid))
     centroids, sample_points = lattice_built_whole(grid)
     n = grid.region_count
     cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)) + [0, n])
     parts = [grid.points(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     assert np.concatenate(parts).tobytes() == sample_points.tobytes()
-    assert grid.centroids.tobytes() == centroids.tobytes()
-    assert grid.sample_points.tobytes() == sample_points.tobytes()
-    assert not grid.centroids.flags.writeable and not grid.sample_points.flags.writeable
-    assert (grid.sample_points is grid.centroids) == (offset is None)
+    parts = [grid.region_centroids(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    assert np.concatenate(parts).tobytes() == centroids.tobytes()
     lattice = [(tuple(c), tuple(p)) for c, p in zip(centroids, sample_points)]
     assert [(cell.centroid, cell.sample_point) for cell in grid.cells()] == lattice
     chi = data.draw(st.integers(0, n - 1))
@@ -264,8 +268,12 @@ def test_points_of_any_split_equal_the_whole_lattice_bitwise(side, columns, rows
     assert np.array(cell.centroid).tobytes() == centroids[chi].tobytes()
     assert np.array(cell.sample_point).tobytes() == sample_points[chi].tobytes()
     for lo, hi in ((-1, 0), (0, n + 1), (1, 0)):
-        with pytest.raises(IndexError, match="outside"):
-            grid.points(lo, hi)
+        for points in (grid.points, grid.region_centroids):
+            with pytest.raises(IndexError, match="outside"):
+                points(lo, hi)
+    # the grid caches no lattice: its attributes are the ones it was built with, and no whole-lattice one exists
+    assert vars(grid).keys() == held.keys() and all(vars(grid)[k] is v for k, v in held.items())
+    assert not hasattr(grid, "centroids") and not hasattr(grid, "sample_points")
 
 
 def test_grid_size_queries_read_only_the_row_tables():

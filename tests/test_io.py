@@ -415,7 +415,6 @@ def test_map_csv_round_trip(tmp_path):
     loaded = read_map_csv(path)
     for name in ("occupancy", "opportunity", "raw_opportunity", "liability"):
         assert np.array_equal(loaded[name], getattr(maps, name))
-    assert np.array_equal(loaded["opportunity_map"].values, maps.opportunity)
 
     write_map_csv(tmp_path / "again.csv", compute_maps(sys_))
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
@@ -527,10 +526,9 @@ def test_opportunity_read_converts_only_what_smf_scores(tmp_path):
     path = tmp_path / "map.csv"
     write_map_csv(path, compute_maps(dataclasses.replace(region_link_system(), grid_spec=small_grid(n_bands=2))))
     full, opportunity = read_map_csv(path), read_map_csv(path, ("opportunity",))
-    assert opportunity.keys() == {"opportunity", "centroids", "opportunity_map"}
-    for name in opportunity.keys() - {"opportunity_map"}:
+    assert opportunity.keys() == {"opportunity", "centroids"}
+    for name in opportunity.keys():
         assert np.array_equal(opportunity[name], full[name])
-    assert np.array_equal(opportunity["opportunity_map"].values, full["opportunity"])
     header, *rows = path.read_text().splitlines()
     _set_field(5, "nan")(rows)
     path.write_text("\n".join([header] + rows) + "\n")
@@ -541,11 +539,11 @@ def test_opportunity_read_converts_only_what_smf_scores(tmp_path):
 
 def test_read_map_csv_reads_any_named_map_fields_and_rejects_others(tmp_path):
     """``fields`` may name any of the four map fields, and nothing else (a ValueError, not
-    a ScenarioError: the file is not at fault); the opportunity map comes with opportunity."""
+    a ScenarioError: the file is not at fault); the centroids come with every read."""
     path = tmp_path / "map.csv"
     write_map_csv(path, compute_maps(dataclasses.replace(region_link_system(), grid_spec=small_grid(n_bands=2))))
     full = read_map_csv(path)
-    assert full.keys() == {"occupancy", "opportunity", "raw_opportunity", "liability", "centroids", "opportunity_map"}
+    assert full.keys() == {"occupancy", "opportunity", "raw_opportunity", "liability", "centroids"}
     occupancy = read_map_csv(path, ("occupancy",))
     assert occupancy.keys() == {"occupancy", "centroids"}
     assert np.array_equal(occupancy["occupancy"], full["occupancy"])
@@ -579,7 +577,7 @@ def reference_map_csv_text(maps: ConsumptionMaps) -> str:
     grid = maps.grid
     lines = [MAP_CSV_HEADER]
     for chi in range(grid.region_count):
-        cx, cy = grid.centroids[chi]
+        cx, cy = grid.region_centroids(chi, chi + 1)[0]
         for tau in range(grid.horizon):
             for nu in range(grid.band_count):
                 lines.append(
@@ -643,7 +641,7 @@ def test_map_writers_match_reference_and_round_trip_bitwise(tmp_path_factory, ma
     loaded = read_map_csv(path)
     for name in ("occupancy", "opportunity", "raw_opportunity", "liability"):
         assert loaded[name].tobytes() == getattr(maps, name).tobytes()
-    assert loaded["centroids"].tobytes() == maps.grid.centroids.tobytes()
+    assert loaded["centroids"].tobytes() == maps.grid.region_centroids(0, maps.grid.region_count).tobytes()
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="pyyaml built without libyaml")
@@ -666,6 +664,26 @@ def test_map_csv_multiband_order(tmp_path):
     indices = [tuple(int(v) for v in r.split(",")[:3]) for r in rows]
     assert indices == sorted(indices)
     assert len(indices) == maps.grid.cell_count
+
+
+@pytest.mark.parametrize(
+    "quantity, time_index, band_index, error, message",
+    [
+        ("grid", 0, 0, ValueError, r"^heatmap quantity must be one of \('occupancy', .*\), got 'grid'$"),
+        ("theta", 0, 0, ValueError, "heatmap quantity must be one of"),
+        ("opportunity", -1, 0, IndexError, "^time index -1 out of range$"),
+        ("opportunity", 2, 0, IndexError, "^time index 2 out of range$"),
+        ("opportunity", 0, -1, IndexError, "^band index -1 out of range$"),
+        ("opportunity", 0, 2, IndexError, "^band index 2 out of range$"),
+    ],
+    ids=["grid", "theta", "negative-time", "time-past-horizon", "negative-band", "band-past-grid"],
+)
+def test_heatmap_chunks_reject_a_quantity_or_slice_outside_the_maps(quantity, time_index, band_index, error, message):
+    """A quantity outside MAP_FIELDS is a ValueError, as read_map_csv's fields are; a time
+    or band outside the grid an IndexError, as for the point queries, not a wrapped index."""
+    maps = compute_maps(dataclasses.replace(region_link_system(), grid_spec=small_grid(horizon=2, n_bands=2)))
+    with pytest.raises(error, match=message):
+        next(heatmap_chunks(maps, quantity, time_index, band_index))
 
 
 def test_heatmap_matrix_shape():

@@ -184,7 +184,8 @@ def test_worst_case_positions_sit_on_vertices():
     for _, _, tx in moved.iter_transmitters():
         chi = grid.locate(tx.position)
         eff = moved.position_of(tx)
-        d_sample = math.hypot(eff[0] - grid.sample_points[chi][0], eff[1] - grid.sample_points[chi][1])
+        (sample,) = grid.points(chi, chi + 1)
+        d_sample = math.hypot(eff[0] - sample[0], eff[1] - sample[1])
         assert d_sample == pytest.approx(spec.hex_side, rel=1e-12)
     # receiver vertex maximizes distance from serving transmitter
     rx = moved.receiver("rx-1")

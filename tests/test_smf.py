@@ -9,6 +9,7 @@ from muse import (
     RFLink,
     RFNetwork,
     SensingErrorModel,
+    SpectrumGrid,
     apply_policy,
     compare_maps,
     db_to_linear,
@@ -26,7 +27,7 @@ from helpers import empty_system, four_pair_system, probe_scenario, random_syste
 def dyadic_map(rng, like: OpportunityMap, scale=1.0) -> OpportunityMap:
     """Random map whose values are multiples of 2**-20: float sums stay exact."""
     values = rng.integers(0, 1 << 20, size=like.values.shape).astype(float) * 2.0**-20 * scale
-    return OpportunityMap(values=values, centroids=like.centroids, provenance="estimated")
+    return OpportunityMap(values=values, grid=like.grid)
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +55,7 @@ def test_compare_identity_map(truth):
 
 
 def test_compare_all_zero_estimate(truth):
-    zero = OpportunityMap(values=np.zeros_like(truth.values), centroids=truth.centroids)
+    zero = OpportunityMap(values=np.zeros_like(truth.values), grid=truth.grid)
     rep = compare_maps(truth, zero)
     assert rep.recovered_available == 0.0
     assert rep.lost_available == truth.total
@@ -89,8 +90,8 @@ def test_partition_identity_engine_maps(truth):
 
 def test_compare_maps_holds_one_mass_at_a_time():
     rng = np.random.default_rng(3)
-    centroids = rng.random((1000, 2))
-    truth, other = (OpportunityMap(values=rng.random((1000, 8, 8)), centroids=centroids) for _ in range(2))
+    grid = SpectrumGrid(small_grid(hex_side=13.0, horizon=8, n_bands=8))
+    truth, other = (OpportunityMap(values=rng.random((grid.region_count, 8, 8)), grid=grid) for _ in range(2))
     _, peak = traced_peak(compare_maps, truth, other)
     # theta, which the report keeps, and one buffer for the masses; all three masses at once take 4 x
     assert peak <= 2.1 * truth.values.nbytes
@@ -100,6 +101,26 @@ def test_grid_mismatch_rejected(truth):
     other = opportunity_map(region_link_system(hex_side=100.0))
     with pytest.raises(ValueError, match="grid mismatch"):
         compare_maps(truth, other)
+
+
+def test_compare_maps_compares_the_grids_centroids(truth):
+    """A map names its grid, and maps on grids of the same shape and region centroids
+    compare, however the grids were built: two builds of one spec, or specs that differ
+    in the time quantum alone.  A grid of that shape with other centroids is a mismatch."""
+    spec = truth.grid.spec
+    for grid in (SpectrumGrid(spec), SpectrumGrid(dataclasses.replace(spec, time_quantum=2.0 * spec.time_quantum))):
+        rep = compare_maps(truth, OpportunityMap(values=truth.values.copy(), grid=grid))
+        assert rep.recovered_available == truth.total and rep.lost_available == rep.potentially_incursed == 0.0
+    moved = SpectrumGrid(dataclasses.replace(spec, hex_side=spec.hex_side * (1.0 + 1e-9)))
+    assert moved.region_count == truth.grid.region_count
+    with pytest.raises(ValueError, match="^grid mismatch: maps were built on different discretizations$"):
+        compare_maps(truth, OpportunityMap(values=truth.values, grid=moved))
+
+
+def test_opportunity_map_rejects_values_not_of_its_grid(truth):
+    for shape in ((truth.grid.region_count - 1, 1, 1), (truth.grid.region_count, 1), (truth.grid.region_count, 2, 1)):
+        with pytest.raises(ValueError, match="must have the grid's shape"):
+            OpportunityMap(values=np.zeros(shape), grid=truth.grid)
 
 
 def test_apply_policy_extremes(truth):
@@ -154,11 +175,11 @@ def test_recovery_zero_error_bit_exact():
 
 
 def test_simulated_recovery_shares_the_truth_lattice():
-    """The sensed system keeps the scenario's grid, so the truth and the estimate read one lattice."""
+    """The sensed system keeps the scenario's grid, so the truth and the estimate name one grid."""
     sys_ = region_link_system(hex_side=230.0)
     truth = opportunity_map(sys_)
     est = simulate_recovery(sys_, SensingErrorModel(false_positive_rate=2.0, geolocation_sigma=60.0, rng_seed=7))
-    assert np.shares_memory(truth.centroids, est.centroids)
+    assert est.grid is truth.grid is sys_.grid
 
 
 def test_recovery_full_miss_equals_empty_map():
