@@ -29,7 +29,7 @@ from .consumption import (
     system_reports,
     tx_occupancy_at,
 )
-from .grid import Band, Cell, GridSpec, SpectrumGrid, tessellate, total_spectrum_space
+from .grid import Band, Cell, GridSpec, SpectrumGrid, total_spectrum_space
 from .model import (
     Receiver,
     RFLink,
@@ -68,7 +68,6 @@ from .smf import (
     exploitation_report,
     opportunity_map,
     simulate_recovery,
-    smf_aggregate,
 )
 from .units import db_to_linear, dbm_to_watts, linear_to_db, watts_to_dbm
 
@@ -126,10 +125,8 @@ __all__ = [
     "save_scenario",
     "serialize_scenario",
     "simulate_recovery",
-    "smf_aggregate",
     "system_report",
     "system_reports",
-    "tessellate",
     "total_spectrum_space",
     "tx_occupancy_at",
     "validate_system",

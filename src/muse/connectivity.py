@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from . import consumption
-from .consumption import _evaluate_grids, _point_slice
+from .consumption import _check_cell, _evaluate_grids, _point_slice
 from .grid import SQRT3, Cell, SpectrumGrid
 from .model import RFSystem
 from .propagation import path_gain
@@ -120,12 +120,10 @@ def _hop_gains(sys: RFSystem, bands) -> np.ndarray:
     return np.array([path_gain(sys.model_for_band(nu), pitch) for nu in bands])
 
 
-def _check_request(sys: RFSystem, candidate_beta: float, time_index: int):
-    """Raise ValueError for a nonpositive or NaN beta or a time index outside the horizon."""
+def _check_request(candidate_beta: float):
+    """Raise ValueError for a nonpositive or NaN beta."""
     if not candidate_beta > 0.0:
         raise ValueError("candidate beta must be positive")
-    if not 0 <= time_index < sys.grid_spec.horizon:
-        raise ValueError(f"time index {time_index} outside the horizon of {sys.grid_spec.horizon} quanta")
 
 
 def _clip(sys: RFSystem, raw_opportunity: np.ndarray) -> np.ndarray:
@@ -150,18 +148,22 @@ def link_feasibility(
     band_index: int,
     candidate_beta: float,
 ) -> tuple[bool, float, float]:
-    """Assess one candidate link between adjacent cells.
+    """Assess one candidate link between adjacent cells of ``sys.grid`` in one
+    time quantum, on ``band_index`` (the cells' band indices are not read).
 
-    Returns (feasible, max_power_w, sinr_linear).  Raises ValueError for non-adjacent
-    regions or a nonpositive SINR requirement, IndexError for a band outside the grid.
+    Returns (feasible, max_power_w, sinr_linear).  Raises ValueError for a cell
+    not the grid's own, cells in two quanta, non-adjacent regions or a nonpositive
+    SINR requirement, IndexError for an index outside the grid.
     """
-    a, b = cell_a.region_index, cell_b.region_index
+    for cell in (cell_a, cell_b):
+        _check_cell(sys, cell)
+    a, b, tau = cell_a.region_index, cell_b.region_index, cell_a.time_index
+    if cell_b.time_index != tau:
+        raise ValueError(f"cells in time quanta {tau} and {cell_b.time_index}: a link is assessed in one")
     if b not in sys.grid.neighbors(a):
         raise ValueError(f"regions {a} and {b} are not adjacent")
-    tau = cell_a.time_index
-    _check_request(sys, candidate_beta, tau)
-    src, dst = (sys.grid.points(chi, chi + 1) for chi in (a, b))
-    source, dest = (_point_slice(sys, p[0], tau, band_index, chi)[2] for p, chi in ((src, a), (dst, b)))
+    _check_request(candidate_beta)
+    source, dest = (_point_slice(sys, c.sample_point, tau, band_index, c.region_index)[2] for c in (cell_a, cell_b))
     max_power = _clip(sys, source[2:3])
     feasible, sinr = _budget(max_power, dest[0], _hop_gains(sys, [band_index]), candidate_beta)
     return bool(feasible[0]), float(max_power[0]), float(sinr[0])
@@ -173,9 +175,9 @@ def build_connectivity_map(sys: RFSystem, candidate_beta: float, time_index: int
     Pairs run source region ascending, then destination ascending.  The
     best band is the first SINR argmax over the feasible bands, so ties go
     to the lowest band index.  Raises ValueError for a nonpositive or NaN
-    SINR requirement or a time index outside the horizon.
+    SINR requirement, IndexError for a time index outside the horizon.
     """
-    _check_request(sys, candidate_beta, time_index)
+    _check_request(candidate_beta)
     maps, _, _ = _evaluate_grids([sys], times=[time_index], keep=("occupancy", "raw_opportunity"))[0]
     power, occupancy = _clip(sys, maps["raw_opportunity"][:, 0]), maps["occupancy"][:, 0]
     gains = _hop_gains(sys, range(sys.grid.band_count))

@@ -410,10 +410,18 @@ class CellMetrics:
     harmful_interference: frozenset[str]  # receivers with negative remaining margin
 
 
+def _check_cell(sys: RFSystem, cell: Cell):
+    """IndexError for an index of ``cell`` outside ``sys.grid`` (region, then
+    band, then time); ValueError unless it equals the grid's own cell."""
+    if cell != sys.grid.cell(cell.region_index, cell.time_index, cell.band_index):
+        raise ValueError(f"cell {cell.region_index, cell.time_index, cell.band_index} is not the grid's own")
+
+
 def cell_metrics(sys: RFSystem, cell: Cell) -> CellMetrics:
-    """Occupancy / opportunity / liability of one unit spectrum space,
-    evaluated at its sample point."""
-    sys.grid.cell(cell.region_index)  # IndexError for a region outside the grid
+    """Occupancy / opportunity / liability of one unit spectrum space of
+    ``sys.grid``, evaluated at its sample point.  IndexError for an index
+    outside the grid, ValueError for a cell not equal to the grid's own."""
+    _check_cell(sys, cell)
     budget, (tx_active, rx_active), fields, consumed = _point_slice(
         sys, cell.sample_point, cell.time_index, cell.band_index, cell.region_index
     )

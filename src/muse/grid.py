@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -29,7 +28,6 @@ __all__ = [
     "GridSpec",
     "Cell",
     "SpectrumGrid",
-    "tessellate",
     "total_spectrum_space",
 ]
 
@@ -233,32 +231,13 @@ class SpectrumGrid:
     # -- cells -----------------------------------------------------------
 
     def cell(self, region_index: int, time_index: int = 0, band_index: int = 0) -> Cell:
-        if not 0 <= region_index < self.region_count:
-            raise IndexError(f"region index {region_index} out of range")
-        if not 0 <= time_index < self.horizon:
-            raise IndexError(f"time index {time_index} out of range")
-        if not 0 <= band_index < self.band_count:
-            raise IndexError(f"band index {band_index} out of range")
-        return Cell(
-            region_index=region_index,
-            time_index=time_index,
-            band_index=band_index,
-            centroid=tuple(self.region_centroids(region_index, region_index + 1)[0]),
-            sample_point=tuple(self.points(region_index, region_index + 1)[0]),
-        )
-
-    def cells(self) -> Iterator[Cell]:
-        """Every cell, in canonical order."""
-        n = self.region_count
-        for chi, (centroid, sample_point) in enumerate(zip(self.region_centroids(0, n), self.points(0, n))):
-            for tau in range(self.horizon):
-                for nu in range(self.band_count):
-                    yield Cell(chi, tau, nu, tuple(centroid), tuple(sample_point))
-
-
-def tessellate(spec: GridSpec) -> list[Cell]:
-    """All unit spectrum spaces of the grid, in canonical order."""
-    return list(SpectrumGrid(spec).cells())
+        """The grid's cell; IndexError for an index outside the grid, checked region, then band, then time."""
+        checks = (("region", region_index, self.region_count), ("band", band_index, self.band_count), ("time", time_index, self.horizon))
+        for name, index, count in checks:
+            if not 0 <= index < count:
+                raise IndexError(f"{name} index {index} out of range")
+        span = (region_index, region_index + 1)
+        return Cell(region_index, time_index, band_index, tuple(self.region_centroids(*span)[0]), tuple(self.points(*span)[0]))
 
 
 def total_spectrum_space(spec: GridSpec, params) -> float:

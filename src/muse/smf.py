@@ -44,7 +44,6 @@ __all__ = [
     "SMFReport",
     "SensingErrorModel",
     "opportunity_map",
-    "smf_aggregate",
     "compare_maps",
     "check_grid",
     "apply_policy",
@@ -125,12 +124,6 @@ class SMFReport:
         yield "\n  ],\n" + json.dumps(rest, indent=2)[2:] + "\n"
 
 
-def smf_aggregate(attribute) -> float:
-    """Aggregate a per-cell attribute over the whole grid."""
-    values = attribute.values if isinstance(attribute, OpportunityMap) else np.asarray(attribute)
-    return float(np.sum(values))
-
-
 def _score(truth: OpportunityMap, values: np.ndarray, overlap: str, deficit: str, excess: str) -> SMFReport:
     """The report of ``values`` scored against the truth: theta = values -
     truth and the overlap min(truth, values), deficit max(0, truth - values)
@@ -150,7 +143,7 @@ def compare_maps(truth: OpportunityMap, other: OpportunityMap) -> SMFReport:
     positive error potentially leads to harmful interference; the
     recovered mass is the overlap min(truth, other).
     """
-    if other.grid is not truth.grid:  # a map has its grid's shape, so maps on one grid match
+    if other.grid.spec != truth.grid.spec:  # a spec fixes the lattice, and a map has its grid's shape
         check_grid(other.values, other.grid.region_centroids, truth.grid)
     return _score(truth, other.values, "recovered_available", "lost_available", "potentially_incursed")
 
@@ -267,9 +260,7 @@ def perturb_system(sys: RFSystem, model: SensingErrorModel) -> RFSystem:
     if spurious:
         networks.append(RFNetwork(id="sensed-artifacts", links=tuple(spurious)))
 
-    sensed = dataclasses.replace(sys, networks=tuple(networks))
-    vars(sensed)["grid"] = sys.grid  # the same grid spec, so the same grid, not a second build of it
-    return sensed
+    return dataclasses.replace(sys, networks=tuple(networks))
 
 
 def simulate_recovery(sys: RFSystem, model: SensingErrorModel) -> OpportunityMap:

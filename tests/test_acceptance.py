@@ -273,6 +273,19 @@ def test_criterion_9_connectivity_determinism_and_monotonicity():
     ok(9, "connectivity map byte-stable; candidate powers monotone under receiver adds")
 
 
+@settings(max_examples=25, deadline=None)
+@given(generated_systems(), st.integers(0, 2**32 - 1), st.integers(0, 1))
+def test_criterion_9_receiver_adds_on_generated_systems(base, seed, time_index):
+    """Criterion 9 over generated systems (quanta, bands, sectors, sample offsets,
+    worst-case placement): adding a receiver never raises the power a new
+    transmitter may radiate in any region and band, and leaves the occupancy as it was."""
+    tau = min(time_index, base.grid.horizon - 1)
+    grown = add_random_receiver(base, np.random.default_rng(seed))
+    before, after = (build_connectivity_map(s, db_to_linear(6.0), tau) for s in (base, grown))
+    assert np.all(after.power <= before.power)
+    assert np.array_equal(after.occupancy, before.occupancy)
+
+
 def test_error_model_demonstration_run():
     """A lossy sensing model must yield a well-formed three-way split; the
     specific numbers are scenario- and pipeline-dependent and not asserted."""

@@ -518,8 +518,8 @@ def test_unparsable_scenario_exit_code(runner, tmp_path, monkeypatch, loader, co
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["connectivity", "--beta-db", "6", "--time", "99"], "time index 99 outside the horizon"),
-        (["connectivity", "--beta-db", "6", "--time", "-1"], "time index -1 outside the horizon"),
+        (["connectivity", "--beta-db", "6", "--time", "99"], "time index 99 out of range"),
+        (["connectivity", "--beta-db", "6", "--time", "-1"], "time index -1 out of range"),
         (["connectivity", "--beta-db", "-inf"], "candidate beta must be positive"),
         (["connectivity", "--beta-db", "nan"], "candidate beta must be positive"),
         (["connectivity", "--beta-db", "4000"], "--beta-db 4000.0 is out of range"),
@@ -673,18 +673,21 @@ def test_every_out_writer_fails_with_exit_3(capsys, scenario_path, tmp_path, wri
 
 
 def test_cli_reads_no_private_muse_name():
-    """cli.py imports no underscore name from muse and reads no single-underscore attribute."""
+    """cli.py and the demos import no underscore name from muse and read no single-underscore attribute."""
     import ast
 
     def private(name: str) -> bool:
         return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
+    demos = sorted((README.parent / "demos").glob("*.py"))
+    assert len(demos) == 5
     found = []
-    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
-        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "muse"):
-            found += [f"import {alias.name}" for alias in node.names if private(alias.name)]
-        elif isinstance(node, ast.Attribute) and private(node.attr):
-            found.append(f".{node.attr}")
+    for path in [Path(cli.__file__), *demos]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "muse"):
+                found += [f"{path.name}: import {alias.name}" for alias in node.names if private(alias.name)]
+            elif isinstance(node, ast.Attribute) and private(node.attr):
+                found.append(f"{path.name}: .{node.attr}")
     assert found == []
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from muse import (
     OMNI,
+    Cell,
     PropagationModel,
     Receiver,
     RFLink,
@@ -208,6 +209,24 @@ def test_a_sinr_equal_to_beta_is_feasible():
         cell_a, cell_b, feasible_pairs, sinr_pairs, _ = build_connectivity_map(sys_, beta).pairs()
         k = int(np.flatnonzero((cell_a == a) & (cell_b == b))[0])
         assert (bool(feasible_pairs[k, nu]), float(sinr_pairs[k, nu])) == (feasible, sinr)
+
+
+def test_link_feasibility_takes_only_the_grids_own_cells_in_one_quantum():
+    """Each cell must equal the grid's own, and both lie in one quantum: else a
+    ValueError.  The cells' band indices are not read; ``band_index`` governs."""
+    sys_ = multi_band_system(horizon=2)
+    grid = sys_.grid
+    a, b = 12, grid.neighbors(12)[0]
+    result = link_feasibility(sys_, grid.cell(a, 1, 0), grid.cell(b, 1, 0), 1, 4.0)
+    assert link_feasibility(sys_, grid.cell(a, 1, 2), grid.cell(b, 1, 1), 1, 4.0) == result
+    by_hand = Cell(a, 1, 0, tuple(map(float, grid.cell(a).centroid)), tuple(map(float, grid.cell(a).sample_point)))
+    assert link_feasibility(sys_, by_hand, grid.cell(b, 1, 0), 1, 4.0) == result
+    moved = dataclasses.replace(grid.cell(b, 1, 0), sample_point=grid.cell(a).sample_point)
+    for pair in ((dataclasses.replace(by_hand, centroid=(0.0, 0.0)), grid.cell(b, 1)), (grid.cell(a, 1), moved)):
+        with pytest.raises(ValueError, match=r"^cell \(\d+, 1, 0\) is not the grid's own$"):
+            link_feasibility(sys_, *pair, 1, 4.0)
+    with pytest.raises(ValueError, match="^cells in time quanta 0 and 1: a link is assessed in one$"):
+        link_feasibility(sys_, grid.cell(a, 0), grid.cell(b, 1), 1, 4.0)
 
 
 def test_link_feasibility_evaluates_only_its_two_regions(monkeypatch):

@@ -15,6 +15,7 @@ from muse import (
     OMNI,
     AntennaPattern,
     Band,
+    Cell,
     PropagationModel,
     Receiver,
     RFLink,
@@ -596,6 +597,22 @@ def test_point_queries_reject_indices_outside_the_grid(name):
             cell_metrics(sys_, dataclasses.replace(sys_.grid.cell(12), region_index=region))
 
 
+def test_cell_metrics_takes_only_the_grids_own_cells():
+    """A cell equal to the grid's own is evaluated, one made by hand included; a
+    cell with another centroid, sample point or region is a ValueError."""
+    sys_ = repeating_system()
+    own = sys_.grid.cell(12, 1, 2)
+    by_hand = Cell(12, 1, 2, tuple(map(float, own.centroid)), tuple(map(float, own.sample_point)))
+    assert cell_metrics(sys_, by_hand) == cell_metrics(sys_, own)
+    for changed in (
+        dict(centroid=(own.centroid[0] + 1.0, own.centroid[1])),
+        dict(sample_point=sys_.grid.cell(13).sample_point),
+        dict(region_index=13),
+    ):
+        with pytest.raises(ValueError, match=r"^cell \(1[23], 1, 2\) is not the grid's own$"):
+            cell_metrics(sys_, dataclasses.replace(own, **changed))
+
+
 def leaf_chunks(sys_) -> list[tuple[int, int]]:
     """The chunks of ``sys_``'s regions at a cap below the 128-region leaf:
     3 or more on ``repeating_system(hex_side=25.0)``'s 289 regions."""
@@ -762,8 +779,9 @@ def test_point_and_cell_queries_equal_map_bitwise(sys_):
     maps = compute_maps(sys_)
     p_cmax = sys_.params.p_cmax
     assert np.all(np.abs(maps.occupancy + maps.opportunity + maps.liability - p_cmax) <= 1e-12 * p_cmax)
-    for cell in sys_.grid.cells():
-        at = (cell.region_index, cell.time_index, cell.band_index)
+    grid = sys_.grid
+    for at in np.ndindex(grid.region_count, grid.horizon, grid.band_count):
+        cell = grid.cell(*at)
         point, tau, nu = cell.sample_point, cell.time_index, cell.band_index
         pm = point_metrics(sys_, point, tau, nu)
         assert pm.occupancy == maps.occupancy[at]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from muse import Band, GridSpec, SpectrumGrid, tessellate, total_spectrum_space, validate_system
+from muse import Band, GridSpec, SpectrumGrid, total_spectrum_space, validate_system
 from muse.grid import MAX_CELLS
 
 from helpers import reference_grid, reference_params, region_link_system, traced_peak
@@ -43,7 +43,6 @@ def test_cell_count_product_rule():
     spec = reference_grid(100.0, horizon=2, bands=(Band(6e8, 6e6), Band(6.1e8, 6e6), Band(6.2e8, 6e6)))
     grid = SpectrumGrid(spec)
     assert grid.cell_count == 676 * 2 * 3
-    assert len(tessellate(spec)) == grid.cell_count
 
 
 @pytest.mark.parametrize("side", [50.0, 100.0, 137.0, 230.0])
@@ -64,8 +63,7 @@ def test_deterministic_tessellation():
     n = a.region_count
     assert np.array_equal(a.region_centroids(0, n), b.region_centroids(0, n))
     assert np.array_equal(a.points(0, n), b.points(0, n))
-    cells = tessellate(reference_grid(100.0))
-    assert [c.region_index for c in cells[:3]] == [0, 1, 2]
+    assert all(a.cell(chi, 0, 0) == b.cell(chi, 0, 0) for chi in (0, 1, 2, n - 1))
 
 
 def test_total_spectrum_space_values():
@@ -223,6 +221,8 @@ def test_cell_rejects_indices_outside_the_grid():
         ((0, -1, 0), "time index -1"),
         ((0, 0, 2), "band index 2"),
         ((0, 0, -1), "band index -1"),
+        ((676, 2, 2), "region index 676"),  # region, then band, then time
+        ((0, 2, 2), "band index 2"),
     ):
         with pytest.raises(IndexError, match=f"^{message} out of range$"):
             grid.cell(*args)
@@ -261,8 +261,6 @@ def test_points_of_any_split_equal_the_whole_lattice_bitwise(side, columns, rows
     assert np.concatenate(parts).tobytes() == sample_points.tobytes()
     parts = [grid.region_centroids(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     assert np.concatenate(parts).tobytes() == centroids.tobytes()
-    lattice = [(tuple(c), tuple(p)) for c, p in zip(centroids, sample_points)]
-    assert [(cell.centroid, cell.sample_point) for cell in grid.cells()] == lattice
     chi = data.draw(st.integers(0, n - 1))
     cell = grid.cell(chi)
     assert np.array(cell.centroid).tobytes() == centroids[chi].tobytes()

@@ -16,7 +16,6 @@ from muse import (
     exploitation_report,
     opportunity_map,
     simulate_recovery,
-    smf_aggregate,
 )
 
 from muse.smf import MAX_FALSE_POSITIVES, perturb_system
@@ -36,13 +35,16 @@ def truth():
 
 
 def test_aggregate_values(truth):
-    assert smf_aggregate(np.zeros((10, 1, 1))) == 0.0
-    uniform = np.full((676, 1, 1), 0.01)
-    assert smf_aggregate(uniform) == pytest.approx(6.76, rel=1e-12)
+    def on_grid(values):
+        return OpportunityMap(values=values, grid=truth.grid)
+
+    assert on_grid(np.zeros_like(truth.values)).total == 0.0
+    uniform = np.full_like(truth.values, 0.01)
+    assert on_grid(uniform).total == pytest.approx(0.01 * uniform.size, rel=1e-12)
     rng = np.random.default_rng(5)
-    assert smf_aggregate(truth) == pytest.approx(math.fsum(truth.values.ravel().tolist()), rel=1e-12)
-    random_attr = rng.uniform(-1, 1, size=(40, 2, 2))
-    assert smf_aggregate(random_attr) == pytest.approx(math.fsum(random_attr.ravel().tolist()), rel=1e-9)
+    assert truth.total == pytest.approx(math.fsum(truth.values.ravel().tolist()), rel=1e-12)
+    random_attr = rng.uniform(-1, 1, size=truth.values.shape)
+    assert on_grid(random_attr).total == pytest.approx(math.fsum(random_attr.ravel().tolist()), rel=1e-9)
 
 
 def test_compare_identity_map(truth):
@@ -174,12 +176,17 @@ def test_recovery_zero_error_bit_exact():
     assert rep.lost_available == 0.0 and rep.potentially_incursed == 0.0
 
 
-def test_simulated_recovery_shares_the_truth_lattice():
-    """The sensed system keeps the scenario's grid, so the truth and the estimate name one grid."""
+def test_simulated_recovery_shares_the_truth_lattice(monkeypatch):
+    """The sensed system keeps the scenario's grid spec, so compare_maps takes the
+    estimate as on the truth's lattice and computes no centroid of either."""
     sys_ = region_link_system(hex_side=230.0)
     truth = opportunity_map(sys_)
     est = simulate_recovery(sys_, SensingErrorModel(false_positive_rate=2.0, geolocation_sigma=60.0, rng_seed=7))
-    assert est.grid is truth.grid is sys_.grid
+    assert est.grid.spec == truth.grid.spec == sys_.grid_spec
+    calls = []
+    monkeypatch.setattr(SpectrumGrid, "region_centroids", lambda self, lo, hi: calls.append((lo, hi)))
+    compare_maps(truth, est)
+    assert calls == []
 
 
 def test_recovery_full_miss_equals_empty_map():
