@@ -23,6 +23,8 @@ from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 import yaml
+from yaml.events import AliasEvent, MappingEndEvent, MappingStartEvent, ScalarEvent, SequenceEndEvent, SequenceStartEvent
+from yaml.nodes import ScalarNode
 
 from . import consumption
 from .consumption import MAP_FIELDS, ConsumptionMaps
@@ -411,7 +413,108 @@ _SCENARIO = _Section(
 )
 
 
-def parse_scenario(text: str) -> RFSystem:
+_DEPTH = 64  # collections open at once; the schema's deepest value, a transmitter's antenna, opens 8
+_BUILT = frozenset(f"tag:yaml.org,2002:{kind}" for kind in ("null", "bool", "int", "float", "str"))
+
+
+def _malformed(what: str, event) -> ScenarioError:
+    mark = event.start_mark
+    return ScenarioError(f"malformed YAML: {what} (line {mark.line + 1}, column {mark.column + 1})")
+
+
+def _built(text: str) -> tuple[Any, bool]:
+    """``(document, True)``, built from the parser's events without pyyaml's composer and
+    constructor, or ``(_, False)`` where ``yaml.load`` must build it: for an anchor, an
+    alias, a tag other than ``!``, a scalar that resolves to neither null, a boolean, a number
+    nor a string (a timestamp, a ``<<`` merge), a key that is not a scalar, a second document
+    or any error, so that every error text is pyyaml's.  Plain scalars resolve and convert
+    through the loader's own resolver and constructors, once per text.  Every event is read
+    even so: a collection nested deeper than ``_DEPTH`` (``yaml.load``'s composer recurses,
+    in C for libyaml) or a scalar key given twice in one mapping (compared as a dict compares
+    keys) raises ``ScenarioError`` before ``yaml.load`` sees the text."""
+    try:
+        loader = _YAML_LOADER(text)
+    except Exception:  # yaml.load raises it again, with pyyaml's text
+        return None, False
+    constructors, no = loader.yaml_constructors, object()  # ``no``: a value yaml.load must build
+
+    def scalar(event):
+        nonlocal built
+        tag = event.tag
+        if tag is None or tag == "!":
+            tag = loader.resolve(ScalarNode, event.value, event.implicit)
+        try:  # a key that fails to convert is never a duplicate; yaml.load reports it
+            value = constructors.get(tag, constructors[None])(loader, ScalarNode(tag, event.value))
+        except Exception:
+            tag = None
+        if tag in _BUILT:
+            return value
+        built = False
+        return no
+
+    def mapping(items, events):  # keys and values in turn: the slow path of a key a dict cannot take once
+        nonlocal built
+        value = {}
+        for key, item, event in zip(items[::2], items[1::2], events[::2]):
+            if key is no or isinstance(key, (dict, list)):
+                built, key = False, object()
+            elif key in value:
+                raise _malformed(f"duplicate key {key!r}", event)
+            value[key] = item
+        return value
+
+    plain, built, stack = {}, True, []
+    top, events = [], []  # the open collection's items (a mapping's keys and values in turn) and their events
+    try:
+        for event in iter(loader.get_event, None):
+            kind = event.__class__
+            if kind is ScalarEvent:
+                value = event.value  # a quoted untagged scalar is the string itself
+                if event.anchor is not None or event.tag is not None:
+                    built = built and event.anchor is None and event.tag == "!"
+                    value = scalar(event)
+                elif event.implicit[0]:
+                    value = plain.get(value, no)
+                    if value is no:
+                        value = plain[event.value] = scalar(event)
+            elif kind is MappingStartEvent or kind is SequenceStartEvent:
+                if len(stack) == _DEPTH:
+                    raise _malformed(f"collections nested deeper than {_DEPTH} levels", event)
+                built = built and event.anchor is None and event.tag in (None, "!")
+                stack.append((top, events))
+                top, events = [], []
+                continue
+            elif kind is SequenceEndEvent:
+                value = top
+                top, events = stack.pop()
+            elif kind is MappingEndEvent:
+                try:
+                    value = dict(zip(top[::2], top[1::2]))
+                    if 2 * len(value) != len(top):
+                        raise TypeError
+                except TypeError:  # an unhashable key too
+                    value = mapping(top, events)
+                top, events = stack.pop()
+            elif kind is AliasEvent:
+                value, built = no, False
+            else:
+                continue
+            top.append(value)
+            events.append(event)
+    except ScenarioError:
+        raise
+    except Exception:  # yaml.load raises it again, with pyyaml's text
+        return None, False
+    finally:
+        loader.dispose()
+    return (top[0] if top else None), built and len(top) < 2
+
+
+def _document(text: str):
+    """The YAML document of ``text``: ``_built``'s, else ``yaml.load``'s, bounded in aliases."""
+    doc, built = _built(text)
+    if built:
+        return doc
     try:
         doc = yaml.load(text, Loader=_YAML_LOADER)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer beyond int()'s digit limit
@@ -424,7 +527,11 @@ def parse_scenario(text: str) -> RFSystem:
         if count > len(text):
             raise ScenarioError(f"scenario: aliases expand it to more values than its {len(text)} characters")
         stack.extend(children)
-    return _SCENARIO(doc, "")
+    return doc
+
+
+def parse_scenario(text: str) -> RFSystem:
+    return _SCENARIO(_document(text), "")
 
 
 def serialize_scenario(sys: RFSystem) -> str:

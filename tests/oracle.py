@@ -78,7 +78,7 @@ def evaluate_cell(sys, cell):
             margin = rx.explicit_margin
         else:
             received = serving.tx_power * _pair_gain(alpha, d0, pos[serving.id], serving.antenna, pos[rx.id], rx.antenna)
-            margin = received / rx.beta - sys.params.noise_for_band(nu)
+            margin = received / rx.beta - sys.noise_at(pos[rx.id], nu)  # the noise of the receiver's own cell
         interference = 0.0
         for net2, link2, tx2 in sys.iter_transmitters():
             if not tx2.is_active(tau, nu):

@@ -169,6 +169,21 @@ def test_criterion_5_oracle_equivalence_1000_instances():
     ok(5, f"engine equals brute-force evaluation on {checked} cells across 1000 instances")
 
 
+@settings(max_examples=40, deadline=None)
+@given(generated_systems())
+def test_criterion_5_oracle_equivalence_on_generated_systems(sys_):
+    """Criterion 5 over generated systems (quanta, bands, sectors, sample offsets,
+    worst-case placement, noise overrides): every cell's four quantities match the
+    scalar oracle, with the fixed-seed test's tolerances."""
+    maps = compute_maps(sys_)
+    scale = sys_.params.p_cmax
+    for at in np.ndindex(maps.occupancy.shape):
+        want = oracle.evaluate_cell(sys_, sys_.grid.cell(*at))
+        assert maps.occupancy[at] == pytest.approx(want["occupancy"], rel=1e-9)
+        for name in ("raw_opportunity", "opportunity", "liability"):
+            assert getattr(maps, name)[at] == pytest.approx(want[name], rel=1e-9, abs=1e-12 * scale), (at, name)
+
+
 def test_criterion_6_sampling_sweep_monotone():
     """Worst-case placement: shrinking the hexagon side never increases the
     transceiver-consumed fraction and never decreases the available

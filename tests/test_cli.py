@@ -18,7 +18,7 @@ from muse.scenario_io import heatmap_chunks
 
 from helpers import holds_only_row_tables, probe_scenario, region_link_system, traced_peak
 from muse import serialize_scenario
-from test_io import SCENARIO_TEXT, SCENARIOS as DEMO_SCENARIOS
+from test_io import LOADERS, SCENARIO_TEXT, SCENARIOS as DEMO_SCENARIOS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -513,6 +513,59 @@ def test_unparsable_scenario_exit_code(runner, tmp_path, monkeypatch, loader, co
     assert len(lines) == 1
     err = json.loads(lines[0])
     assert message in err["error"] and err["exit_code"] == 2
+
+
+# `muse` with the scenario loader named by its first argument, in a process of its own
+_MUSE_WITH_LOADER = "import sys, yaml; from muse import cli, scenario_io; " \
+    "scenario_io._YAML_LOADER = getattr(yaml, sys.argv.pop(1)); cli.main(sys.argv[1:], prog_name='muse')"
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize(
+    "case, where",
+    [("flow-100000", "line 1, column 65"), ("position-2000", "line 26, column 79")],
+)
+def test_deep_nesting_exits_2(tmp_path, loader, case, where):
+    """100,000 nested `[` (which crashed libyaml's recursive composer) and a 2,000-deep
+    transmitter position (a RecursionError) end in exit 2 and one JSON line naming the
+    bound; each runs in a process of its own, so that a crash fails the test."""
+    if case == "flow-100000":
+        text = "[" * 100_000
+    else:
+        text = SCENARIO_TEXT.replace("position: [1000.0, 2000.0]", "position: " + "[" * 2000 + "1.0" + "]" * 2000)
+    path = tmp_path / "deep.yaml"
+    path.write_text(text)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _MUSE_WITH_LOADER, loader, "report", "--scenario", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (result.returncode, result.stdout) == (2, ""), result.stderr[-2000:]
+    message = f"malformed scenario: malformed YAML: collections nested deeper than 64 levels ({where})"
+    assert result.stderr.splitlines() == [json.dumps({"error": message, "exit_code": 2})]
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("anchored", [False, True], ids=["events", "yaml-load"])
+def test_a_duplicated_key_exits_2(runner, tmp_path, monkeypatch, loader, anchored):
+    """A link that gives `receivers:` twice once lost its first list and reported rx-1
+    alone; it is malformed, also in a document with an anchor, which yaml.load builds."""
+    first = "        receivers:\n          - id: rx-0\n            position: [1000.0, 2200.0]\n            beta_db: 3.0\n"
+    text = SCENARIO_TEXT.replace("        receivers:\n", first + "        receivers:\n")
+    if anchored:
+        text = text.replace("antenna: omni", "antenna: &a omni")
+    lines = text.split("\n")
+    line = lines.index("        receivers:", lines.index("        receivers:") + 1) + 1  # the second, 1-based
+    monkeypatch.setattr(scenario_io, "_YAML_LOADER", getattr(yaml, loader))
+    path = tmp_path / "twice.yaml"
+    path.write_text(text)
+    result = runner.invoke(main, ["report", "--scenario", str(path)])
+    assert result.exit_code == 2
+    message = f"malformed scenario: malformed YAML: duplicate key 'receivers' (line {line}, column 9)"
+    assert result.output.splitlines() == [json.dumps({"error": message, "exit_code": 2})]
+    path.write_text(text.replace("        receivers:\n          - id: rx-1", "          - id: rx-1"))
+    assert runner.invoke(main, ["report", "--scenario", str(path)]).exit_code == 0
 
 
 @pytest.mark.parametrize(

@@ -34,6 +34,7 @@ from test_consumption import generated_systems
 import dataclasses
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+LOADERS = [name for name in ("SafeLoader", "CSafeLoader") if hasattr(yaml, name)]  # CSafeLoader: pyyaml with libyaml
 
 SCENARIO_TEXT = """
 muse_scenario: 1
@@ -646,6 +647,8 @@ def test_map_writers_match_reference_and_round_trip_bitwise(tmp_path_factory, ma
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="pyyaml built without libyaml")
 def test_yaml_loaders_build_the_same_scenario():
+    """Both loaders build the same scenario, and on each demo the document comes from
+    the parser's events, without falling back to ``yaml.load``, equal to its document."""
     texts = [SCENARIO_TEXT] + [p.read_text() for p in sorted(SCENARIOS.glob("*.yaml"))]
     for text in texts:
         with mock.patch.object(scenario_io, "_YAML_LOADER", yaml.SafeLoader):
@@ -653,6 +656,163 @@ def test_yaml_loaders_build_the_same_scenario():
         with mock.patch.object(scenario_io, "_YAML_LOADER", yaml.CSafeLoader):
             libyaml = parse_scenario(text)
         assert pure == libyaml
+        for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+            with mock.patch.object(scenario_io, "_YAML_LOADER", loader):
+                doc, built = scenario_io._built(text)
+            assert built and same_document(doc, yaml.load(text, Loader=loader))
+
+
+def same_document(a, b) -> bool:
+    """Equal and of the same types throughout, mapping keys in the same order; NaN equals NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return len(a) == len(b) and all(
+            same_document(ka, kb) and same_document(va, vb) for (ka, va), (kb, vb) in zip(a.items(), b.items())
+        )
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(same_document(x, y) for x, y in zip(a, b))
+    if isinstance(a, float) and math.isnan(a):
+        return math.isnan(b)
+    return a == b
+
+
+# Scalars as written: YAML 1.1 booleans and floats, `1e3` (a string in YAML 1.1), big
+# integers, nulls and empty values, quoted and tagged forms, timestamps and merge keys.
+_TOKENS = st.sampled_from(
+    ["yes", "Off", "on", "NO", "y", "True", "false", "~", "null", "", ".inf", "-.Inf", ".NaN", "1e3", "1.0e+3",
+     "1_000.5", "0x1F", "0o17", "017", "0b101", "1:30", "190:20:30.15", "+12", "-0", "3.5", "-24.0", "=",
+     "2001-12-14", "2001-12-14t21:59:43.10-05:00", "tx-1", "omni", "a b", "'yes'", '"1"', '"a\\tb"', "''",
+     "!!str 1", '!!int "7"', "!!float 1", "! 12", "!!binary aGk=", "!!timestamp 2001-01-01", "!custom x",
+     "!!bool yes", "!!bool maybe", "9" * 4301, "-" + "9" * 4400, "1" * 40]
+)
+_KEYS = st.sampled_from(
+    ["a", "b", "c", "id", "receivers", "1", "1.0", "true", "yes", "~", "'a'", '"b"', "!!str 1", "<<", "2001-12-14", ".nan"]
+)
+_TAGS = st.sampled_from(["! ", "!!seq ", "!!pairs ", "!!omap ", "!!set ", "!!map ", "!custom "])
+
+
+def _rarely(draw, strategy, default=""):
+    return draw(strategy) if draw(st.integers(0, 7)) == 5 else default  # 0 and 7 are drawn far more often
+
+
+@st.composite
+def _yaml_node(draw, anchors, depth=0):
+    """A flow node's text, now and then anchored or tagged, or an alias of an earlier anchor
+    (rarely, of an undefined one where there is none); ``anchors`` holds the names defined so far."""
+    kind = draw(st.sampled_from(["scalar"] * 3 + (["seq", "map"] if depth < 4 else [])))
+    if _rarely(draw, st.just(True), False) and (anchors or _rarely(draw, st.just(True), False)):
+        return "*" + (draw(st.sampled_from(anchors)) if anchors else "undefined")
+    anchor = _rarely(draw, st.just(f"a{len(anchors)}"))
+    if anchor:  # an alias inside the node itself makes a recursive document
+        anchors.append(anchor)
+    prefix = anchor and f"&{anchor} "
+    if kind == "scalar":
+        text = prefix + draw(_TOKENS)
+    else:
+        prefix += _rarely(draw, _TAGS)
+        items = []
+        for _ in range(draw(st.integers(0, 4))):
+            key = draw(st.one_of(_KEYS, _KEYS, _KEYS, _yaml_node(anchors, depth + 1))) if kind == "map" else None
+            value = draw(_yaml_node(anchors, depth + 1))
+            items.append(value if key is None else f"? {key} : {value}")
+        text = prefix + ("[{}]" if kind == "seq" else "{{{}}}").format(", ".join(items))
+    return text
+
+
+@st.composite
+def yaml_streams(draw):
+    """One document, or rarely two: a block mapping of flow values (`<<` merges included), or a flow node."""
+    documents = []
+    for _ in range(1 + _rarely(draw, st.just(1), 0)):
+        anchors = []
+        if draw(st.booleans()):
+            pairs = [(draw(_KEYS), draw(_yaml_node(anchors))) for _ in range(draw(st.integers(1, 5)))]
+            documents.append("".join(f"{key}: {value}\n" for key, value in pairs))
+        else:
+            documents.append(draw(_yaml_node(anchors)) + "\n")
+    return "---\n".join(documents)
+
+
+def _outcome(load, text):
+    try:
+        return load(text), None
+    except Exception as exc:
+        return None, exc
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@settings(max_examples=150, deadline=None)
+@given(text=yaml_streams())
+def test_events_build_the_document_yaml_load_builds(loader, text):
+    """The document built from the parser's events equals ``yaml.load``'s, type for type and
+    key order too, or both raise with the same text; or the events raise a new rejection,
+    a duplicate key or, where aliases expand it, the alias bound."""
+    loader = getattr(yaml, loader)
+    with mock.patch.object(scenario_io, "_YAML_LOADER", loader):
+        ours, error = _outcome(scenario_io._document, text)
+    theirs, their_error = _outcome(lambda t: yaml.load(t, Loader=loader), text)
+    if isinstance(error, ScenarioError) and str(error).startswith(("malformed YAML: duplicate key", "scenario: aliases")):
+        assert "duplicate key" in str(error) or their_error is None and "*" in text
+    elif isinstance(their_error, (yaml.YAMLError, ValueError)):
+        assert isinstance(error, ScenarioError), (text, error, their_error)
+        assert str(error) == "malformed YAML: " + " ".join(str(their_error).split())
+    elif their_error is not None:  # a constructor's own fault, such as `!!bool maybe`'s KeyError
+        assert type(error) is type(their_error) and str(error) == str(their_error)
+    else:
+        assert error is None and same_document(ours, theirs), (text, error, ours, theirs)
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize(
+    "text, built",
+    [
+        ("a: 1\nb: {c: [yes, ~, .inf, '1']}\n", True),
+        ("a: &x 1\nb: *x\n", False),
+        ("a: !!str 1\n", False),
+        ("a: ! 1\n", True),
+        ("<<: {a: 1}\nb: 2\n", False),
+        ("a: 2001-12-14\n", False),
+        ("? [a]\n: 1\n", False),
+        ("a: 1\n---\nb: 2\n", False),
+        ("a: " + "9" * 4301 + "\n", False),
+        ("a: [1\n", False),
+        ("", True),
+    ],
+    ids=["plain", "alias", "tag", "non-specific-tag", "merge", "timestamp", "complex-key", "two-documents",
+         "past-int-digits", "unclosed", "empty"],
+)
+def test_events_hand_anchors_tags_and_errors_to_yaml_load(loader, text, built):
+    with mock.patch.object(scenario_io, "_YAML_LOADER", getattr(yaml, loader)):
+        assert scenario_io._built(text)[1] is built
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a: 1\nb: 2\na: 3\n", "duplicate key 'a' (line 3, column 1)"),
+        ("a: {c: 1, d: 2, c: 3}\n", "duplicate key 'c' (line 1, column 17)"),
+        ("{1: a, 1.0: b}\n", "duplicate key 1.0 (line 1, column 8)"),
+        ("{true: a, yes: b}\n", "duplicate key True (line 1, column 11)"),
+        ("x: &s 1\nm: {'k': 1, k: 2}\n", "duplicate key 'k' (line 2, column 13)"),
+        ("a: " + "[" * 64 + "]" * 64 + "\n", "collections nested deeper than 64 levels (line 1, column 67)"),
+        ("a: &x " + "[" * 64 + "]" * 64 + "\n", "collections nested deeper than 64 levels (line 1, column 70)"),
+    ],
+    ids=["top", "nested", "int-float", "booleans", "after-an-anchor", "deep", "deep-after-an-anchor"],
+)
+def test_duplicate_keys_and_deep_nesting_are_malformed(loader, text, message):
+    """A scalar key given twice in one mapping, compared as a dict compares keys, and a
+    collection nested 65 deep are rejected, also in a document ``yaml.load`` builds."""
+    with mock.patch.object(scenario_io, "_YAML_LOADER", getattr(yaml, loader)):
+        with pytest.raises(ScenarioError) as info:
+            scenario_io._document(text)
+    assert str(info.value) == "malformed YAML: " + message
+
+
+def test_merged_keys_overridden_by_explicit_keys_are_not_duplicates():
+    text = "base: &b {id: rx-1, beta_db: 3.0}\nrx: {<<: *b, beta_db: 6.0, <<: {x: 1}}\n"
+    assert scenario_io._document(text) == yaml.load(text, Loader=yaml.SafeLoader)
 
 
 def test_map_csv_multiband_order(tmp_path):
