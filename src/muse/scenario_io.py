@@ -16,8 +16,8 @@ scientific notation so output is byte-stable across runs.
 from __future__ import annotations
 
 import math
+import re
 import warnings
-from itertools import chain
 from types import SimpleNamespace
 from typing import Any, Callable, Iterator, NamedTuple
 
@@ -517,8 +517,9 @@ def _document(text: str):
         return doc
     try:
         doc = yaml.load(text, Loader=_YAML_LOADER)
-    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer beyond int()'s digit limit
-        raise ScenarioError("malformed YAML: " + " ".join(str(exc).split())) from exc
+    except Exception as exc:  # ValueError past int()'s digit limit; a constructor's own fault (`!!bool maybe`: KeyError)
+        what = str(exc) if isinstance(exc, (yaml.YAMLError, ValueError)) else f"{type(exc).__name__}: {exc}"
+        raise ScenarioError("malformed YAML: " + " ".join(what.split())) from exc
     count, stack = 0, [doc] if "*" in text else []  # each value takes a character unless an alias repeats it
     while stack:  # mapping values, list items and !!pairs' pairs (keys are scalars), without recursion
         node = stack.pop()
@@ -559,33 +560,38 @@ _MAP_DTYPE = np.dtype(
     [("region", np.int64), ("time", np.int64), ("band", np.int64), ("centroid_x", np.float64), ("centroid_y", np.float64)]
     + [(name, np.float64) for name in MAP_FIELDS]
 )
-# One map CSV row from (region prefix, "tau,nu," prefix, centroid prefix, four fields).
-_MAP_ROW = "%s%s%s%.17e,%.17e,%.17e,%.17e\n"
+
+
+def _formatted(values: np.ndarray) -> np.ndarray:
+    """``f"{v:.17e}"`` of each value, as an object array of ``values``' shape, each distinct bit
+    pattern (so -0.0 apart from 0.0, and each NaN payload apart) formatted once, in one ``%`` call."""
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    texts = (("%.17e\n" * len(bits)) % tuple(bits.view(np.float64).tolist())).split("\n")
+    return np.array(texts, dtype=object)[index.reshape(values.shape)]
+
+
+def _map_rows(grid, fields: list[np.ndarray], slots: list[str], lo: int, hi: int) -> str:
+    """The rows of regions [lo, hi): ``fields`` are (regions, slots), ``slots`` their "tau,nu," prefixes."""
+    rows = np.empty((hi - lo, len(slots), 7), dtype=object)  # region, slot and centroid prefixes, four fields
+    rows[..., 0] = np.array([f"{chi}," for chi in range(lo, hi)], dtype=object)[:, None]
+    rows[..., 1] = slots
+    centroids = _formatted(grid.region_centroids(lo, hi))
+    rows[..., 2] = (centroids[:, 0] + "," + centroids[:, 1] + ",")[:, None]
+    rows[..., 3:] = _formatted(np.stack([f[lo:hi] for f in fields], axis=-1, dtype=np.float64))  # of any real dtype
+    return ("%s%s%s%s,%s,%s,%s\n" * (rows.size // 7)) % tuple(rows.ravel())
 
 
 def map_csv_chunks(maps: ConsumptionMaps) -> Iterator[str]:
-    """The map CSV as text chunks of at most ``consumption._TEXT_CHUNK`` rows.
-
-    Each chunk is one ``%`` call over Python floats, so every value is
-    formatted exactly as ``f"{v:.17e}"`` would format it; the region and
-    centroid prefixes are formatted once per region (no lattice is built).
-    """
+    """The map CSV as text chunks of at most ``consumption._TEXT_CHUNK`` rows, every value
+    formatted as ``f"{v:.17e}"`` would format it.  A chunk formats each distinct value of its
+    centroids and fields once (the clamps repeat about half of them); no lattice is built."""
     grid = maps.grid
     slots = [f"{tau},{nu}," for tau in range(grid.horizon) for nu in range(grid.band_count)]
     fields = [getattr(maps, name).reshape(grid.region_count, len(slots)) for name in MAP_FIELDS]
     step = max(1, consumption._TEXT_CHUNK // len(slots))
     yield MAP_CSV_HEADER + "\n"
     for lo in range(0, grid.region_count, step):
-        hi = min(lo + step, grid.region_count)
-        regions = [f"{chi}," for chi in range(lo, hi)]
-        centroids = ["%.17e,%.17e," % (x, y) for x, y in grid.region_centroids(lo, hi).tolist()]
-        columns = (
-            [p for p in regions for _ in slots],
-            slots * (hi - lo),
-            [p for p in centroids for _ in slots],
-            *(f[lo:hi].ravel().tolist() for f in fields),
-        )
-        yield (_MAP_ROW * (len(slots) * (hi - lo))) % tuple(chain.from_iterable(zip(*columns)))
+        yield _map_rows(grid, fields, slots, lo, min(lo + step, grid.region_count))
 
 
 def write_map_csv(path, maps: ConsumptionMaps):
@@ -596,8 +602,8 @@ def write_map_csv(path, maps: ConsumptionMaps):
 
 def read_map_csv(path, fields=MAP_FIELDS) -> dict[str, np.ndarray]:
     """Load a map CSV back into the named ``fields`` (of ``MAP_FIELDS``, else
-    ValueError) and the ``centroids``; other fields are not converted, only
-    counted per row.
+    ValueError) and the ``centroids``, in one ``np.loadtxt`` pass over all nine
+    columns; other fields are read as 1-byte strings, not converted.
 
     The header must match, every row must hold three integer indices and
     six numbers (no comment lines; empty lines are skipped), every
@@ -607,10 +613,7 @@ def read_map_csv(path, fields=MAP_FIELDS) -> dict[str, np.ndarray]:
     """
     if not set(fields) <= set(MAP_FIELDS):
         raise ValueError(f"map CSV fields must be of {MAP_FIELDS}, got {tuple(fields)}")
-    kinds = {n: _MAP_DTYPE[n] for n in _MAP_DTYPE.names if n in fields or n not in MAP_FIELDS}
-    kinds = {"liability": kinds.get("liability", "S1")} | kinds  # the last column first: a short row fails on it
-    with open(path, "rb") as fh:  # a row loadtxt reads has 8 commas or more, so 8 per line means none has more
-        commas = sum(block.count(b",") for block in iter(lambda: fh.read(1 << 16), b""))
+    kinds = [(n, _MAP_DTYPE[n] if n in fields or n not in MAP_FIELDS else "S1") for n in _MAP_DTYPE.names]
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != MAP_CSV_HEADER:
@@ -618,15 +621,12 @@ def read_map_csv(path, fields=MAP_FIELDS) -> dict[str, np.ndarray]:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                rows = np.loadtxt(fh, dtype=list(kinds.items()), delimiter=",", comments=None, ndmin=1,
-                                  usecols=[_MAP_DTYPE.names.index(n) for n in kinds])
-        except ValueError as exc:
-            # numpy reports a row too short for the last column by its column count
-            if "columns" in str(exc):
-                raise ScenarioError(f"map CSV has a row without {len(_MAP_DTYPE)} fields: {exc}") from exc
+                rows = np.loadtxt(fh, dtype=kinds, delimiter=",", comments=None, ndmin=1)
+        except ValueError as exc:  # numpy's row R counts after the header, blank lines not; its usecols advice goes
+            row = re.search(r"(\d+) were found at (row \d+)", str(exc))
+            if row:
+                raise ScenarioError(f"map CSV has a row without 9 fields: data {row[2]} has {row[1]} fields") from exc
             raise ScenarioError(f"map CSV has a malformed number: {exc}") from exc
-    if commas != 8 * (len(rows) + 1):  # the header's and the rows'
-        raise ScenarioError(f"map CSV has a row without {len(_MAP_DTYPE)} fields")
     if not rows.size:
         raise ScenarioError("map CSV has no data rows")
     chis, taus, nus = rows["region"], rows["time"], rows["band"]

@@ -568,6 +568,29 @@ def test_a_duplicated_key_exits_2(runner, tmp_path, monkeypatch, loader, anchore
     assert runner.invoke(main, ["report", "--scenario", str(path)]).exit_code == 0
 
 
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize(
+    "value, fault",
+    [
+        ("!!bool maybe", "KeyError: 'maybe'"),
+        ("!!timestamp x", "AttributeError: 'NoneType' object has no attribute 'groupdict'"),
+    ],
+    ids=["bool", "timestamp"],
+)
+def test_a_tagged_scalar_its_constructor_cannot_read_exits_2(runner, tmp_path, monkeypatch, loader, value, fault):
+    """pyyaml's constructors raise their own exceptions on these tagged scalars; each once
+    ended `muse report` in a traceback with exit 1."""
+    text = (DEMO_SCENARIOS / "region_with_link.yaml").read_text()
+    assert "  alpha: 3.5\n" in text
+    path = tmp_path / "tagged.yaml"
+    path.write_text(text.replace("  alpha: 3.5\n", f"  alpha: {value}\n"))
+    monkeypatch.setattr(scenario_io, "_YAML_LOADER", getattr(yaml, loader))
+    result = runner.invoke(main, ["report", "--scenario", str(path)])
+    assert result.exit_code == 2
+    message = f"malformed scenario: malformed YAML: {fault}"
+    assert result.output.splitlines() == [json.dumps({"error": message, "exit_code": 2})]
+
+
 @pytest.mark.parametrize(
     "args, message",
     [

@@ -521,6 +521,21 @@ def test_read_map_csv_rejects_bad_rows(tmp_path, mutate, message):
         read_map_csv(path, ("opportunity",))
 
 
+@pytest.mark.parametrize("mutate, found", [(_cut_row, 5), (_ten_fields, 10)], ids=["short", "long"])
+def test_a_row_of_the_wrong_width_is_named(tmp_path, mutate, found):
+    """A short and a long row are named by their data row (after the header, blank lines not
+    counted) and width, in every read, without numpy's advice to pass ``usecols``."""
+    path = tmp_path / "map.csv"
+    write_map_csv(path, compute_maps(dataclasses.replace(region_link_system(), grid_spec=small_grid(n_bands=2))))
+    header, *rows = path.read_text().splitlines()
+    mutate(rows)  # the fourth data row
+    path.write_text("\n".join([header, rows[0], ""] + rows[1:]) + "\n")
+    for fields in (scenario_io.MAP_FIELDS, ("opportunity",), ()):
+        with pytest.raises(ScenarioError) as info:
+            read_map_csv(path, fields)
+        assert str(info.value) == f"map CSV has a row without 9 fields: data row 4 has {found} fields"
+
+
 def test_opportunity_read_converts_only_what_smf_scores(tmp_path):
     """The opportunity-only read returns read_map_csv's opportunity and centroids, and does
     not look into the columns it skips: a non-finite occupancy passes it."""
@@ -645,6 +660,52 @@ def test_map_writers_match_reference_and_round_trip_bitwise(tmp_path_factory, ma
     assert loaded["centroids"].tobytes() == maps.grid.region_centroids(0, maps.grid.region_count).tobytes()
 
 
+# Bit patterns whose texts a writer keyed on ``==`` would merge or mix up: both zeros, the
+# smallest and largest subnormals, the extreme exponents, both infinities, and NaNs of either
+# sign, quiet and signalling, with distinct payloads.
+_SPECIAL_BITS = st.sampled_from(
+    [0x0, 0x8000000000000000, 0x1, 0x8000000000000001, 0x000FFFFFFFFFFFFF, 0x0010000000000000, 0x7FEFFFFFFFFFFFFF,
+     0xFFEFFFFFFFFFFFFF, 0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000, 0xFFF8000000000000,
+     0x7FF8000000000001, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF]
+)
+
+
+@st.composite
+def repeating_maps(draw):
+    """Maps whose cells draw from a pool of a few values, both zeros always among them, so
+    that every chunk repeats values, across fields too."""
+    grid = SpectrumGrid(GridSpec(
+        region_width=draw(st.floats(200.0, 900.0)),
+        region_height=draw(st.floats(200.0, 900.0)),
+        hex_side=100.0,
+        horizon=draw(st.integers(1, 3)),
+        bands=small_grid(n_bands=draw(st.integers(1, 3))).bands,
+    ))
+    floats = st.floats(allow_nan=False).map(lambda v: int(np.float64(v).view(np.uint64)))
+    pool = np.array([0x0, 0x8000000000000000] + draw(st.lists(st.one_of(_SPECIAL_BITS, floats), max_size=6)),
+                    dtype=np.uint64).view(np.float64)
+    shape = (grid.region_count, grid.horizon, grid.band_count)
+    picks = st.lists(st.integers(0, len(pool) - 1), min_size=grid.cell_count, max_size=grid.cell_count)
+    return ConsumptionMaps(grid, *(pool[draw(picks)].reshape(shape) for _ in range(4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(maps=repeating_maps(), chunk_rows=st.integers(1, 24))
+def test_map_csv_formats_each_bit_pattern_as_its_own_value(tmp_path_factory, maps, chunk_rows):
+    """Chunks of a few regions, each formatting its distinct values once, give the row-by-row
+    ``f"{v:.17e}"`` text: -0.0 is not written as 0.0, nor a NaN of one payload as another's
+    text.  The fields that are finite read back bit for bit, and the centroids too."""
+    path = tmp_path_factory.mktemp("map") / "map.csv"
+    with mock.patch.object(consumption, "_TEXT_CHUNK", chunk_rows):
+        assert_same_text("".join(scenario_io.map_csv_chunks(maps)), reference_map_csv_text(maps))
+        write_map_csv(path, maps)
+    finite = tuple(name for name in scenario_io.MAP_FIELDS if np.isfinite(getattr(maps, name)).all())
+    loaded = read_map_csv(path, finite)
+    for name in finite:
+        assert loaded[name].tobytes() == getattr(maps, name).tobytes()
+    assert loaded["centroids"].tobytes() == maps.grid.region_centroids(0, maps.grid.region_count).tobytes()
+
+
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="pyyaml built without libyaml")
 def test_yaml_loaders_build_the_same_scenario():
     """Both loaders build the same scenario, and on each demo the document comes from
@@ -746,8 +807,9 @@ def _outcome(load, text):
 @given(text=yaml_streams())
 def test_events_build_the_document_yaml_load_builds(loader, text):
     """The document built from the parser's events equals ``yaml.load``'s, type for type and
-    key order too, or both raise with the same text; or the events raise a new rejection,
-    a duplicate key or, where aliases expand it, the alias bound."""
+    key order too, or it raises ScenarioError with ``yaml.load``'s error text (and the
+    exception's type where a constructor fails on its own, as on ``!!bool maybe``); or the
+    events raise a new rejection, a duplicate key or, where aliases expand it, the alias bound."""
     loader = getattr(yaml, loader)
     with mock.patch.object(scenario_io, "_YAML_LOADER", loader):
         ours, error = _outcome(scenario_io._document, text)
@@ -758,7 +820,8 @@ def test_events_build_the_document_yaml_load_builds(loader, text):
         assert isinstance(error, ScenarioError), (text, error, their_error)
         assert str(error) == "malformed YAML: " + " ".join(str(their_error).split())
     elif their_error is not None:  # a constructor's own fault, such as `!!bool maybe`'s KeyError
-        assert type(error) is type(their_error) and str(error) == str(their_error)
+        assert isinstance(error, ScenarioError), (text, error, their_error)
+        assert str(error) == "malformed YAML: " + " ".join(f"{type(their_error).__name__}: {their_error}".split())
     else:
         assert error is None and same_document(ours, theirs), (text, error, ours, theirs)
 
