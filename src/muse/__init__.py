@@ -46,8 +46,6 @@ from .propagation import (
     OMNI,
     AntennaPattern,
     PropagationModel,
-    directional_gain,
-    inverse_path_gain_bound,
     path_gain,
 )
 from .scenario_io import (
@@ -105,13 +103,11 @@ __all__ = [
     "compute_maps",
     "db_to_linear",
     "dbm_to_watts",
-    "directional_gain",
     "entity_consumption",
     "entity_selector",
     "exploitation_report",
     "interference_margin",
     "interference_opportunity",
-    "inverse_path_gain_bound",
     "linear_to_db",
     "link_feasibility",
     "load_scenario",

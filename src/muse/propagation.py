@@ -17,8 +17,6 @@ __all__ = [
     "OMNI",
     "path_gain",
     "link_gain",
-    "inverse_path_gain_bound",
-    "directional_gain",
     "pattern_gain",
 ]
 
@@ -154,23 +152,6 @@ def _distance(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return np.sqrt(dx, out=dx)
 
 
-def inverse_path_gain_bound(model: PropagationModel, margin, distance):
-    """Largest transmit power at the given distance whose received power
-    equals ``margin`` after path loss.
-
-    Equals margin / path_gain(distance): the bound matches the margin at
-    zero separation and grows monotonically with distance.  Where the path
-    gain underflows to 0 it is inf for a positive margin and 0.0 for a
-    zero margin, for scalars and arrays alike.
-    """
-    if np.ndim(margin) == 0 and float(margin) < 0.0:
-        raise ValueError("margin must be nonnegative")
-    gain = path_gain(model, distance)
-    with np.errstate(divide="ignore", invalid="ignore"):  # gain 0: margin / 0 is inf, 0 / 0 is nan
-        bound = np.where(np.equal(gain, 0.0) & np.equal(margin, 0.0), 0.0, np.divide(margin, gain))
-    return float(bound) if bound.ndim == 0 else bound
-
-
 def pattern_gain(pattern: AntennaPattern, bearing):
     """Antenna gain toward the given bearing(s), radians."""
     delta = np.array(bearing, dtype=float)  # a copy, written in place below
@@ -185,11 +166,3 @@ def pattern_gain(pattern: AntennaPattern, bearing):
     gain = np.where(delta <= 0.5 * pattern.beamwidth, pattern.main_gain, pattern.back_gain)
     return float(gain) if gain.ndim == 0 else gain
 
-
-def directional_gain(pattern: AntennaPattern, frm, to) -> float:
-    """Gain of an antenna located at ``frm`` toward the point ``to``."""
-    dx = to[0] - frm[0]
-    dy = to[1] - frm[1]
-    if dx == 0.0 and dy == 0.0:
-        raise ValueError("undefined bearing: coincident points")
-    return pattern_gain(pattern, np.arctan2(dy, dx))

@@ -23,7 +23,8 @@ from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 import yaml
-from yaml.events import AliasEvent, MappingEndEvent, MappingStartEvent, ScalarEvent, SequenceEndEvent, SequenceStartEvent
+from yaml.events import AliasEvent, DocumentStartEvent, MappingEndEvent, MappingStartEvent, ScalarEvent
+from yaml.events import SequenceEndEvent, SequenceStartEvent
 from yaml.nodes import ScalarNode
 
 from . import consumption
@@ -414,7 +415,9 @@ _SCENARIO = _Section(
 
 
 _DEPTH = 64  # collections open at once; the schema's deepest value, a transmitter's antenna, opens 8
-_BUILT = frozenset(f"tag:yaml.org,2002:{kind}" for kind in ("null", "bool", "int", "float", "str"))
+_CORE = "tag:yaml.org,2002:"
+_SCALARS = frozenset(_CORE + kind for kind in ("null", "bool", "int", "float", "str"))  # the loader's constructors read them
+_MERGE = object()  # a ``<<`` key: the mappings of its value are merged into the mapping that holds it
 
 
 def _malformed(what: str, event) -> ScenarioError:
@@ -422,113 +425,106 @@ def _malformed(what: str, event) -> ScenarioError:
     return ScenarioError(f"malformed YAML: {what} (line {mark.line + 1}, column {mark.column + 1})")
 
 
-def _built(text: str) -> tuple[Any, bool]:
-    """``(document, True)``, built from the parser's events without pyyaml's composer and
-    constructor, or ``(_, False)`` where ``yaml.load`` must build it: for an anchor, an
-    alias, a tag other than ``!``, a scalar that resolves to neither null, a boolean, a number
-    nor a string (a timestamp, a ``<<`` merge), a key that is not a scalar, a second document
-    or any error, so that every error text is pyyaml's.  Plain scalars resolve and convert
-    through the loader's own resolver and constructors, once per text.  Every event is read
-    even so: a collection nested deeper than ``_DEPTH`` (``yaml.load``'s composer recurses,
-    in C for libyaml) or a scalar key given twice in one mapping (compared as a dict compares
-    keys) raises ``ScenarioError`` before ``yaml.load`` sees the text."""
-    try:
-        loader = _YAML_LOADER(text)
-    except Exception:  # yaml.load raises it again, with pyyaml's text
-        return None, False
-    constructors, no = loader.yaml_constructors, object()  # ``no``: a value yaml.load must build
+def _document(text: str):
+    """The one YAML document of ``text``, built from the parser's events as ``yaml.load`` builds it, without
+    pyyaml's composer and constructor: null, boolean, number and string scalars (plain ones converted once per
+    text), lists, mappings, anchors, aliases and ``<<`` merges.  All else raises ScenarioError, as do parser
+    errors (pyyaml's text), collections nested deeper than ``_DEPTH`` (``yaml.load``'s composer recurses, in C
+    for libyaml), a scalar key given twice in one mapping and aliases that expand it to more values than characters."""
 
-    def scalar(event):
-        nonlocal built
-        tag = event.tag
-        if tag is None or tag == "!":
-            tag = loader.resolve(ScalarNode, event.value, event.implicit)
-        try:  # a key that fails to convert is never a duplicate; yaml.load reports it
-            value = constructors.get(tag, constructors[None])(loader, ScalarNode(tag, event.value))
-        except Exception:
-            tag = None
-        if tag in _BUILT:
-            return value
-        built = False
-        return no
+    def shown(obj) -> str:  # repr(obj), a string cut to 40 characters first, so that no message grows with the input
+        return repr(obj[:37] + "..." if isinstance(obj, str) and len(obj) > 40 else obj)
 
-    def mapping(items, events):  # keys and values in turn: the slow path of a key a dict cannot take once
-        nonlocal built
-        value = {}
-        for key, item, event in zip(items[::2], items[1::2], events[::2]):
-            if key is no or isinstance(key, (dict, list)):
-                built, key = False, object()
-            elif key in value:
-                raise _malformed(f"duplicate key {key!r}", event)
-            value[key] = item
+    def scalar(event, start, top):  # ``start`` and ``top``, the open collection's, tell a ``<<`` key from a value
+        tag = event.tag if event.tag not in (None, "!") else loader.resolve(ScalarNode, event.value, event.implicit)
+        if tag not in _SCALARS:
+            if tag == _CORE + "merge" and event.anchor is None and start.__class__ is MappingStartEvent and not len(top) % 2:
+                return _MERGE
+            raise _malformed(f"a {tag.replace(_CORE, '!!', 1)[:40]} value is not supported", event)
+        try:
+            value = loader.yaml_constructors[tag](loader, ScalarNode(tag, event.value))
+        except (LookupError, ValueError):  # `!!bool maybe`: KeyError; past int()'s digit limit: ValueError
+            raise _malformed(f"{shown(event.value)} is not a valid !!{tag[len(_CORE):]}", event) from None
+        if event.anchor is not None:
+            anchor(event, (value, 0))
         return value
 
-    plain, built, stack = {}, True, []
-    top, events = [], []  # the open collection's items (a mapping's keys and values in turn) and their events
-    try:
+    def mapping(items, events):  # keys and values in turn: the slow path of a key a dict cannot take once
+        value, merged = {}, {}  # explicit keys win, a later `<<` an earlier one, in a list the earlier mapping
+        for k in range(0, len(items), 2):
+            key, item = items[k], items[k + 1]
+            if key is _MERGE:
+                for source in [item] if isinstance(item, dict) else item[::-1] if isinstance(item, list) else [0]:
+                    if not isinstance(source, dict):
+                        raise _malformed("a << value that is not a mapping or a list of mappings", events[k + 1])
+                    merged.update(source)
+            elif isinstance(key, (dict, list)):
+                raise _malformed("a collection key is not supported", events[k])
+            elif key in value:
+                raise _malformed(f"duplicate key {shown(key)}", events[k])
+            else:
+                value[key] = item
+        return {**merged, **value}
+
+    def anchor(event, value):  # a new anchor: (its value, the values in it), or while it is open the values before it
+        if event.anchor in anchors:
+            raise _malformed(f"duplicate anchor {shown(event.anchor)}", event)
+        anchors[event.anchor] = value
+
+    no, plain, anchors, stack, values = object(), {}, {}, [], 0  # values: mapping values and list items, aliases expanded
+    top, events, start = [], [], None  # the open collection's items (a mapping's keys and values in turn), events, start
+    try:  # a loader left by an error holds a reference cycle, which the collector frees; one that ends holds none
+        loader = _YAML_LOADER(text)
         for event in iter(loader.get_event, None):
             kind = event.__class__
             if kind is ScalarEvent:
                 value = event.value  # a quoted untagged scalar is the string itself
                 if event.anchor is not None or event.tag is not None:
-                    built = built and event.anchor is None and event.tag == "!"
-                    value = scalar(event)
+                    value = scalar(event, start, top)
                 elif event.implicit[0]:
                     value = plain.get(value, no)
                     if value is no:
-                        value = plain[event.value] = scalar(event)
+                        value = scalar(event, start, top)
+                        if value is not _MERGE:  # each `<<` is placed again: a key merges, a value is malformed
+                            plain[event.value] = value
             elif kind is MappingStartEvent or kind is SequenceStartEvent:
                 if len(stack) == _DEPTH:
                     raise _malformed(f"collections nested deeper than {_DEPTH} levels", event)
-                built = built and event.anchor is None and event.tag in (None, "!")
-                stack.append((top, events))
-                top, events = [], []
+                if event.tag is not None and event.tag not in ("!", _CORE + ("map" if kind is MappingStartEvent else "seq")):
+                    raise _malformed(f"a {event.tag.replace(_CORE, '!!', 1)[:40]} collection is not supported", event)
+                if event.anchor is not None:
+                    anchor(event, values)
+                stack.append((top, events, start))
+                top, events, start = [], [], event
                 continue
-            elif kind is SequenceEndEvent:
-                value = top
-                top, events = stack.pop()
-            elif kind is MappingEndEvent:
+            elif kind is SequenceEndEvent or kind is MappingEndEvent:
                 try:
-                    value = dict(zip(top[::2], top[1::2]))
-                    if 2 * len(value) != len(top):
+                    value = top if kind is SequenceEndEvent else dict(zip(top[::2], top[1::2]))
+                    if kind is MappingEndEvent and (2 * len(value) != len(top) or _MERGE in value):
                         raise TypeError
-                except TypeError:  # an unhashable key too
+                except TypeError:  # a key given twice, an unhashable key or a `<<`
                     value = mapping(top, events)
-                top, events = stack.pop()
+                values += len(value)
+                if start.anchor is not None:
+                    anchors[start.anchor] = value, values - anchors[start.anchor]
+                event, (top, events, start) = start, stack.pop()  # a collection is marked where it starts
             elif kind is AliasEvent:
-                value, built = no, False
+                if type(anchors.get(event.anchor)) is not tuple:  # an int while its anchor is open
+                    what = "recursive" if event.anchor in anchors else "undefined"
+                    raise _malformed(f"{what} alias {shown(event.anchor)}", event)
+                value, size = anchors[event.anchor]
+                values += size  # counted at aliases only, so that no alias-free document reaches the bound
+                if values > len(text):
+                    raise ScenarioError(f"scenario: aliases expand it to more values than its {len(text)} characters")
+            elif kind is DocumentStartEvent and top:
+                raise _malformed("a second document is not supported", event)
             else:
                 continue
             top.append(value)
             events.append(event)
-    except ScenarioError:
-        raise
-    except Exception:  # yaml.load raises it again, with pyyaml's text
-        return None, False
-    finally:
-        loader.dispose()
-    return (top[0] if top else None), built and len(top) < 2
-
-
-def _document(text: str):
-    """The YAML document of ``text``: ``_built``'s, else ``yaml.load``'s, bounded in aliases."""
-    doc, built = _built(text)
-    if built:
-        return doc
-    try:
-        doc = yaml.load(text, Loader=_YAML_LOADER)
-    except Exception as exc:  # ValueError past int()'s digit limit; a constructor's own fault (`!!bool maybe`: KeyError)
-        what = str(exc) if isinstance(exc, (yaml.YAMLError, ValueError)) else f"{type(exc).__name__}: {exc}"
-        raise ScenarioError("malformed YAML: " + " ".join(what.split())) from exc
-    count, stack = 0, [doc] if "*" in text else []  # each value takes a character unless an alias repeats it
-    while stack:  # mapping values, list items and !!pairs' pairs (keys are scalars), without recursion
-        node = stack.pop()
-        children = node.values() if isinstance(node, dict) else node if isinstance(node, (list, tuple)) else ()
-        count += len(children)
-        if count > len(text):
-            raise ScenarioError(f"scenario: aliases expand it to more values than its {len(text)} characters")
-        stack.extend(children)
-    return doc
+    except (yaml.YAMLError, UnicodeEncodeError) as exc:  # the parser's own errors keep pyyaml's text
+        raise ScenarioError("malformed YAML: " + " ".join(str(exc).split())) from exc
+    return top[0] if top else None
 
 
 def parse_scenario(text: str) -> RFSystem:

@@ -452,9 +452,9 @@ def test_malformed_structure_exit_code(runner, tmp_path, mutate, message):
 def test_alias_expansion_is_bounded_by_the_file_length(runner, tmp_path):
     """Sixty aliases of a network, of a link and of a receiver make 216,000
     receivers of a 2 KB file; parsing stops once the document holds more values
-    than the file has characters, also where they hide in a ``!!pairs`` pair
-    that an error message would print.  An anchor shared by two transceivers,
-    as ``yaml.safe_dump`` writes for a reused list, still parses."""
+    than the file has characters, also where they make a cube of 64,000 numbers
+    of a path-loss exponent, which its error message would print.  An anchor shared
+    by two transceivers, as ``yaml.safe_dump`` writes for a reused list, still parses."""
     receiver = "&x {id: rx-1, position: [1000.0, 2100.0], beta_db: 3.0}"
     transmitter = "{id: tx-1, position: [1000.0, 2000.0], power_dbm: -24.0}"
     link = f"&l {{id: link-1, transmitter: {transmitter}, receivers: [{receiver}{', *x' * 59}]}}"
@@ -463,7 +463,7 @@ def test_alias_expansion_is_bounded_by_the_file_length(runner, tmp_path):
     path = tmp_path / "bomb.yaml"
     for bomb in (
         SCENARIO_TEXT.split("networks:")[0] + networks,
-        SCENARIO_TEXT.replace("alpha: 3.5", f"alpha: !!pairs [{{a: {cube}}}]"),
+        SCENARIO_TEXT.replace("alpha: 3.5", f"alpha: {cube}"),
     ):
         path.write_text(bomb)
         result = runner.invoke(main, ["report", "--scenario", str(path)])
@@ -547,10 +547,10 @@ def test_deep_nesting_exits_2(tmp_path, loader, case, where):
 
 
 @pytest.mark.parametrize("loader", LOADERS)
-@pytest.mark.parametrize("anchored", [False, True], ids=["events", "yaml-load"])
+@pytest.mark.parametrize("anchored", [False, True], ids=["events", "yaml-load"])  # an anchor once took yaml.load's path
 def test_a_duplicated_key_exits_2(runner, tmp_path, monkeypatch, loader, anchored):
     """A link that gives `receivers:` twice once lost its first list and reported rx-1
-    alone; it is malformed, also in a document with an anchor, which yaml.load builds."""
+    alone; it is malformed, also in a document with an anchor."""
     first = "        receivers:\n          - id: rx-0\n            position: [1000.0, 2200.0]\n            beta_db: 3.0\n"
     text = SCENARIO_TEXT.replace("        receivers:\n", first + "        receivers:\n")
     if anchored:
@@ -572,16 +572,22 @@ def test_a_duplicated_key_exits_2(runner, tmp_path, monkeypatch, loader, anchore
 @pytest.mark.parametrize(
     "value, fault",
     [
-        ("!!bool maybe", "KeyError: 'maybe'"),
-        ("!!timestamp x", "AttributeError: 'NoneType' object has no attribute 'groupdict'"),
+        ("!!bool maybe", "'maybe' is not a valid !!bool"),
+        ("!!timestamp x", "a !!timestamp value is not supported"),
+        ("2001-12-14", "a !!timestamp value is not supported"),
+        ("!!binary aGk=", "a !!binary value is not supported"),
+        ("!!set {a: null}", "a !!set collection is not supported"),
     ],
-    ids=["bool", "timestamp"],
+    ids=["bool", "timestamp", "plain-timestamp", "binary", "set"],
 )
 def test_a_tagged_scalar_its_constructor_cannot_read_exits_2(runner, tmp_path, monkeypatch, loader, value, fault):
-    """pyyaml's constructors raise their own exceptions on these tagged scalars; each once
-    ended `muse report` in a traceback with exit 1."""
+    """pyyaml's constructors raise their own exceptions on the first two tagged scalars; each
+    once ended `muse report` in a traceback with exit 1.  Timestamps, bytes and sets are no
+    scenario value.  Each error names the construct and where it starts."""
     text = (DEMO_SCENARIOS / "region_with_link.yaml").read_text()
     assert "  alpha: 3.5\n" in text
+    line = text.split("\n").index("  alpha: 3.5") + 1
+    fault += f" (line {line}, column 10)"
     path = tmp_path / "tagged.yaml"
     path.write_text(text.replace("  alpha: 3.5\n", f"  alpha: {value}\n"))
     monkeypatch.setattr(scenario_io, "_YAML_LOADER", getattr(yaml, loader))

@@ -386,6 +386,7 @@ def test_per_band_noise_and_override():
     assert maps.occupancy[0, 0, 0] == dbm_to_watts(-106.0)
     assert maps.occupancy[0, 0, 1] == dbm_to_watts(-100.0)
     assert maps.occupancy[3, 0, 0] == dbm_to_watts(-90.0)
+    assert maps.occupancy[3, 0, 1] == dbm_to_watts(-100.0)  # band 0's override leaves band 1 of that region
 
 
 @pytest.mark.parametrize("point", [(math.inf, 10.0), (10.0, -math.inf), (math.nan, 10.0), (1e6, 1e6)])

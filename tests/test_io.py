@@ -708,8 +708,8 @@ def test_map_csv_formats_each_bit_pattern_as_its_own_value(tmp_path_factory, map
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="pyyaml built without libyaml")
 def test_yaml_loaders_build_the_same_scenario():
-    """Both loaders build the same scenario, and on each demo the document comes from
-    the parser's events, without falling back to ``yaml.load``, equal to its document."""
+    """Both loaders build the same scenario, and on each demo the document built from the
+    parser's events equals ``yaml.load``'s, types and key order too."""
     texts = [SCENARIO_TEXT] + [p.read_text() for p in sorted(SCENARIOS.glob("*.yaml"))]
     for text in texts:
         with mock.patch.object(scenario_io, "_YAML_LOADER", yaml.SafeLoader):
@@ -719,8 +719,8 @@ def test_yaml_loaders_build_the_same_scenario():
         assert pure == libyaml
         for loader in (yaml.SafeLoader, yaml.CSafeLoader):
             with mock.patch.object(scenario_io, "_YAML_LOADER", loader):
-                doc, built = scenario_io._built(text)
-            assert built and same_document(doc, yaml.load(text, Loader=loader))
+                doc = scenario_io._document(text)
+            assert same_document(doc, yaml.load(text, Loader=loader))
 
 
 def same_document(a, b) -> bool:
@@ -807,47 +807,80 @@ def _outcome(load, text):
 @given(text=yaml_streams())
 def test_events_build_the_document_yaml_load_builds(loader, text):
     """The document built from the parser's events equals ``yaml.load``'s, type for type and
-    key order too, or it raises ScenarioError with ``yaml.load``'s error text (and the
-    exception's type where a constructor fails on its own, as on ``!!bool maybe``); or the
-    events raise a new rejection, a duplicate key or, where aliases expand it, the alias bound."""
+    key order too, or the builder raises ScenarioError; it never accepts a text ``yaml.load``
+    rejects.  A parser error keeps pyyaml's text, which ``yaml.load`` raises too; any other
+    rejection names its construct and mark in a message that does not grow with the input."""
     loader = getattr(yaml, loader)
     with mock.patch.object(scenario_io, "_YAML_LOADER", loader):
         ours, error = _outcome(scenario_io._document, text)
     theirs, their_error = _outcome(lambda t: yaml.load(t, Loader=loader), text)
-    if isinstance(error, ScenarioError) and str(error).startswith(("malformed YAML: duplicate key", "scenario: aliases")):
-        assert "duplicate key" in str(error) or their_error is None and "*" in text
-    elif isinstance(their_error, (yaml.YAMLError, ValueError)):
-        assert isinstance(error, ScenarioError), (text, error, their_error)
-        assert str(error) == "malformed YAML: " + " ".join(str(their_error).split())
-    elif their_error is not None:  # a constructor's own fault, such as `!!bool maybe`'s KeyError
-        assert isinstance(error, ScenarioError), (text, error, their_error)
-        assert str(error) == "malformed YAML: " + " ".join(f"{type(their_error).__name__}: {their_error}".split())
+    if error is None:
+        assert their_error is None and same_document(ours, theirs), (text, ours, theirs, their_error)
+    elif isinstance(error.__cause__, yaml.YAMLError):
+        assert isinstance(error, ScenarioError), (text, error)
+        assert str(error) == "malformed YAML: " + " ".join(str(their_error).split()), (text, error, their_error)
     else:
-        assert error is None and same_document(ours, theirs), (text, error, ours, theirs)
+        assert isinstance(error, ScenarioError), (text, error)
+        assert re.fullmatch(r"malformed YAML: .{1,90} \(line \d+, column \d+\)|scenario: aliases .+", str(error)), (text, error)
 
 
 @pytest.mark.parametrize("loader", LOADERS)
 @pytest.mark.parametrize(
-    "text, built",
+    "text, message",
     [
-        ("a: 1\nb: {c: [yes, ~, .inf, '1']}\n", True),
-        ("a: &x 1\nb: *x\n", False),
-        ("a: !!str 1\n", False),
-        ("a: ! 1\n", True),
-        ("<<: {a: 1}\nb: 2\n", False),
-        ("a: 2001-12-14\n", False),
-        ("? [a]\n: 1\n", False),
-        ("a: 1\n---\nb: 2\n", False),
-        ("a: " + "9" * 4301 + "\n", False),
-        ("a: [1\n", False),
-        ("", True),
+        ("a: 1\nb: {c: [yes, ~, .inf, '1']}\n", None),
+        ("a: &x 1\nb: *x\n", None),
+        ("a: !!str 1\n", None),
+        ("a: ! 1\n", None),
+        ("<<: {a: 1}\nb: 2\n", None),
+        ("a: 2001-12-14\n", "a !!timestamp value is not supported (line 1, column 4)"),
+        ("? [a]\n: 1\n", "a collection key is not supported (line 1, column 3)"),
+        ("a: 1\n---\nb: 2\n", "a second document is not supported (line 2, column 1)"),
+        ("a: " + "9" * 4301 + "\n", repr("9" * 37 + "...") + " is not a valid !!int (line 1, column 4)"),
+        ("a: [1\n", yaml.YAMLError),
+        ("", None),
+        ("a: !!binary aGk=\n", "a !!binary value is not supported (line 1, column 4)"),
+        ("a: !!omap [{b: 1}]\n", "a !!omap collection is not supported (line 1, column 4)"),
+        ("a: !!set {b: null}\n", "a !!set collection is not supported (line 1, column 4)"),
+        ("a: &r [1, *r]\n", "recursive alias 'r' (line 1, column 11)"),
+        ("a: *u\n", "undefined alias 'u' (line 1, column 4)"),
+        ("a: &x 1\nb: &x 2\n", "duplicate anchor 'x' (line 2, column 4)"),
+        ("a: !!map {b: !!seq [!!int '7', !!float 1, !!bool yes, !!null x]}\n", None),
+        ("a: !!str [1]\n", "a !!str collection is not supported (line 1, column 4)"),
+        ("a: !custom x\n", "a !custom value is not supported (line 1, column 4)"),
+        ("a: !!bool maybe\n", "'maybe' is not a valid !!bool (line 1, column 4)"),
+        ("{<<: [{a: 1}, {a: 2, b: 3}], c: 4, <<: {c: 5, d: 6}, e: 7}\n", None),
+        ("b: &b {x: 1}\nm: {<<: [*b, {x: 2, y: 3}], y: 4}\n", None),
+        ("a: 1\n<<: 1\n", "a << value that is not a mapping or a list of mappings (line 2, column 5)"),
+        ("<<: [{a: 1}, [b]]\n", "a << value that is not a mapping or a list of mappings (line 1, column 5)"),
+        ("a: <<\n", "a !!merge value is not supported (line 1, column 4)"),
+        ("a: !" + "t" * 5000 + " x\n", "a !" + "t" * 39 + " value is not supported (line 1, column 4)"),
+        ("a: *" + "u" * 5000 + "\n", f"undefined alias {'u' * 37 + '...'!r} (line 1, column 4)"),
+        (f"? {'k' * 5000}\n: 1\n? {'k' * 5000}\n: 2\n", f"duplicate key {'k' * 37 + '...'!r} (line 3, column 3)"),
     ],
     ids=["plain", "alias", "tag", "non-specific-tag", "merge", "timestamp", "complex-key", "two-documents",
-         "past-int-digits", "unclosed", "empty"],
+         "past-int-digits", "unclosed", "empty", "binary", "omap", "set", "recursive-alias", "undefined-alias",
+         "duplicate-anchor", "core-tags", "scalar-tag-on-a-list", "custom-tag", "bool-maybe", "merge-precedence",
+         "merge-a-list-of-an-alias", "merge-a-scalar", "merge-a-list-of-a-list", "merge-as-a-value", "long-tag",
+         "long-alias", "long-duplicate-key"],
 )
-def test_events_hand_anchors_tags_and_errors_to_yaml_load(loader, text, built):
-    with mock.patch.object(scenario_io, "_YAML_LOADER", getattr(yaml, loader)):
-        assert scenario_io._built(text)[1] is built
+def test_events_hand_anchors_tags_and_errors_to_yaml_load(loader, text, message):
+    """What the builder reads (``None``) gives ``yaml.load``'s document, types and key order too:
+    anchors and aliases, the core scalar tags, ``!!map``/``!!seq`` on their own kind and ``<<``
+    merges with pyyaml's precedence.  Anything else is rejected with a message that names the
+    construct and where it starts, cut so that it does not grow with the input, and a parser error
+    keeps pyyaml's text (``yaml.YAMLError``)."""
+    loader = getattr(yaml, loader)
+    with mock.patch.object(scenario_io, "_YAML_LOADER", loader):
+        ours, error = _outcome(scenario_io._document, text)
+    theirs, their_error = _outcome(lambda t: yaml.load(t, Loader=loader), text)
+    if message is None:
+        assert error is None and their_error is None and same_document(ours, theirs), (error, ours, theirs)
+    elif message is yaml.YAMLError:
+        assert isinstance(their_error, yaml.YAMLError) and isinstance(error, ScenarioError)
+        assert str(error) == "malformed YAML: " + " ".join(str(their_error).split())
+    else:
+        assert isinstance(error, ScenarioError) and str(error) == "malformed YAML: " + message
 
 
 @pytest.mark.parametrize("loader", LOADERS)
@@ -866,7 +899,7 @@ def test_events_hand_anchors_tags_and_errors_to_yaml_load(loader, text, built):
 )
 def test_duplicate_keys_and_deep_nesting_are_malformed(loader, text, message):
     """A scalar key given twice in one mapping, compared as a dict compares keys, and a
-    collection nested 65 deep are rejected, also in a document ``yaml.load`` builds."""
+    collection nested 65 deep are rejected, also in a document with an anchor."""
     with mock.patch.object(scenario_io, "_YAML_LOADER", getattr(yaml, loader)):
         with pytest.raises(ScenarioError) as info:
             scenario_io._document(text)

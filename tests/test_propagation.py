@@ -5,7 +5,7 @@ import pytest
 
 from hypothesis import assume, given, settings, strategies as st
 
-from muse import OMNI, AntennaPattern, PropagationModel, directional_gain, inverse_path_gain_bound, path_gain
+from muse import OMNI, AntennaPattern, PropagationModel, path_gain
 import muse.propagation as propagation
 from muse.propagation import _power_law, _toward, link_gain, pattern_gain
 
@@ -43,45 +43,13 @@ def test_doubling_distance_drops_fixed_db(model):
         assert drop == pytest.approx(35.0 * math.log10(2.0), rel=1e-12)
 
 
-def test_inverse_bound_examples(model):
-    assert inverse_path_gain_bound(model, 1e-10, 0.5) == 1e-10
-    assert inverse_path_gain_bound(model, 0.0, 12345.0) == 0.0
-    # 108.8 dB of separation loss turns a -67 dBm margin into ~41.8 dBm
-    d = 10.0 ** (108.8 / 35.0)
-    bound = inverse_path_gain_bound(model, 2e-10, d)
-    assert 10.0 * math.log10(bound * 1e3) == pytest.approx(-66.9897 + 108.8, abs=1e-3)
-
-
-def test_inverse_bound_where_the_path_gain_underflows(model):
-    assert path_gain(model, 1e200) == 0.0
-    assert inverse_path_gain_bound(model, 1.0, 1e200) == math.inf
-    assert inverse_path_gain_bound(model, 0.0, 1e200) == 0.0
-    bound = inverse_path_gain_bound(model, 1.0, np.array([1e200, 2.0]))
-    assert bound.tolist() == [math.inf, 1.0 / path_gain(model, 2.0)]
-    assert inverse_path_gain_bound(model, 0.0, np.array([1e200, 2.0])).tolist() == [0.0, 0.0]
-
-
-def test_inverse_bound_is_exact_inverse(model):
-    rng = np.random.default_rng(7)
-    d = rng.uniform(0.0, 10000.0, size=300)
-    m = rng.uniform(1e-15, 1e-3, size=300)
-    prod = inverse_path_gain_bound(model, m, d) * path_gain(model, d)
-    assert np.allclose(prod, m, rtol=1e-12, atol=0.0)
-
-
-def test_inverse_bound_monotone_in_distance(model):
-    d = np.sort(np.random.default_rng(5).uniform(0.0, 4000.0, size=200))
-    b = inverse_path_gain_bound(model, 3e-11, d)
-    assert np.all(np.diff(b) >= 0.0)
-
-
 def test_directional_gain():
-    assert directional_gain(AntennaPattern(), (0, 0), (5, 5)) == 1.0
+    assert pattern_gain(AntennaPattern(), np.arctan2(5.0, 5.0)) == 1.0
     sector = AntennaPattern(kind="sector", boresight=0.0, beamwidth=math.pi / 3, main_gain=4.0, back_gain=0.1)
-    assert directional_gain(sector, (0, 0), (10, 0)) == 4.0
-    assert directional_gain(sector, (0, 0), (-10, 0)) == 0.1
-    with pytest.raises(ValueError):
-        directional_gain(sector, (1.0, 1.0), (1.0, 1.0))
+    assert pattern_gain(sector, np.arctan2(0.0, 10.0)) == 4.0
+    assert pattern_gain(sector, np.arctan2(0.0, -10.0)) == 0.1
+    # the engine takes the main lobe where the bearing is undefined, at the antenna itself
+    assert _toward(sector, (1.0, 1.0), [(1.0, 1.0), (11.0, 1.0), (-9.0, 1.0)])[1].tolist() == [4.0, 4.0, 0.1]
 
 
 @settings(max_examples=300, deadline=None)
@@ -93,14 +61,15 @@ def test_directional_gain():
 )
 def test_directional_gain_agrees_with_the_engine_bearing(boresight, origin, to, widen):
     """The beam's edge is set at the point's bearing as ``_toward`` computes
-    it (np.arctan2), or just beside it, and both helpers must agree."""
+    it (np.arctan2), or just beside it, and the pattern's gain toward that
+    bearing agrees with the engine's sign test."""
     dx, dy = to[0] - origin[0], to[1] - origin[1]
     assume(dx != 0.0 or dy != 0.0)
     edge = abs((float(np.arctan2(dy, dx)) - boresight + math.pi) % (2.0 * math.pi) - math.pi)
     beamwidth = 2.0 * edge + widen
     assume(0.0 < beamwidth <= 2.0 * math.pi)
     sector = AntennaPattern(kind="sector", boresight=boresight, beamwidth=beamwidth, main_gain=4.0, back_gain=0.1)
-    assert directional_gain(sector, origin, to) == _toward(sector, origin, [to])[1][0]
+    assert pattern_gain(sector, np.arctan2(dy, dx)) == _toward(sector, origin, [to])[1][0]
 
 
 def test_link_gain_is_path_gain_times_pattern(model):
