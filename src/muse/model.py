@@ -119,20 +119,15 @@ class Receiver(_Transceiver):
 
 @dataclass(frozen=True)
 class RFLink:
-    """Zero or one transmitter plus receivers.
-
-    ``transmitters`` is a tuple so that malformed scenarios (more than one
-    transmitter) can be represented and reported by validate_system rather
-    than rejected at construction.
-    """
+    """Zero or one transmitter plus receivers; ``transceivers`` lists both, the transmitter first."""
 
     id: str
-    transmitters: tuple[Transmitter, ...] = ()
+    transmitter: Transmitter | None = None
     receivers: tuple[Receiver, ...] = ()
 
     @property
-    def transmitter(self) -> Transmitter | None:
-        return self.transmitters[0] if self.transmitters else None
+    def transceivers(self) -> tuple[Transmitter | Receiver, ...]:
+        return self.receivers if self.transmitter is None else (self.transmitter, *self.receivers)
 
 
 @dataclass(frozen=True)
@@ -158,8 +153,8 @@ class RFSystem:
     def iter_transmitters(self) -> Iterator[tuple[RFNetwork, RFLink, Transmitter]]:
         for net in self.networks:
             for link in net.links:
-                for tx in link.transmitters:
-                    yield net, link, tx
+                if link.transmitter is not None:
+                    yield net, link, link.transmitter
 
     def iter_receivers(self) -> Iterator[tuple[RFNetwork, RFLink, Receiver]]:
         for net in self.networks:
@@ -174,10 +169,8 @@ class RFSystem:
             idx.setdefault(net.id, ("network", net))
             for link in net.links:
                 idx.setdefault(link.id, ("link", net, link))
-                for tx in link.transmitters:
-                    idx.setdefault(tx.id, ("tx", net, link, tx))
-                for rx in link.receivers:
-                    idx.setdefault(rx.id, ("rx", net, link, rx))
+                for e in link.transceivers:
+                    idx.setdefault(e.id, ("rx" if isinstance(e, Receiver) else "tx", net, link, e))
         return idx
 
     def _entry(self, entity_id: str, kinds: tuple[str, ...], noun: str) -> tuple:
@@ -228,8 +221,7 @@ class RFSystem:
                 ref = (sum(xs) / len(xs), sum(ys) / len(ys))
             positions[tx.id] = _worst_case_vertex(grid, tx.position, ref)
         for _, link, rx in self.iter_receivers():
-            serving = link.transmitter
-            ref = serving.position if serving is not None else None
+            ref = None if link.transmitter is None else link.transmitter.position
             positions[rx.id] = _worst_case_vertex(grid, rx.position, ref)
         return positions
 
@@ -296,28 +288,27 @@ def validate_system(system: RFSystem) -> ValidationReport:
     def in_region(pos) -> bool:
         return 0.0 <= pos[0] <= spec.region_width and 0.0 <= pos[1] <= spec.region_height
 
-    def all_indices(explicit, upper):
-        return set(range(upper)) if explicit is None else set(explicit)
+    def within(own, serving, upper) -> bool:
+        # ``own`` within ``serving``, None being all of range(upper), never built: a set covers it if it holds each index
+        if own is None:
+            return serving is None or (len(serving) >= upper and all(i in serving for i in range(upper)))
+        return all(i in range(upper) for i in own) if serving is None else own <= serving
 
     for net in system.networks:
         claim(net.id, "network")
         for link in net.links:
             claim(link.id, "link")
-            if len(link.transmitters) > 1:
-                violations.append(f"link {link.id}: has {len(link.transmitters)} transmitters (at most one allowed)")
             serving = link.transmitter
-            for e in link.transmitters + link.receivers:
+            for e in link.transceivers:
                 kind = "receiver" if isinstance(e, Receiver) else "transmitter"
                 claim(e.id, kind)
                 if kind == "transmitter" and e.tx_power > p_max:
                     violations.append(f"transmitter {e.id}: tx_power exceeds p_max")
                 if not in_region(e.position):
                     violations.append(f"{kind} {e.id}: position outside the scenario region")
-                active = all_indices(e.active_intervals, spec.horizon)
-                bands = all_indices(e.bands, spec.band_count)
-                if not active <= set(range(spec.horizon)):
+                if not within(e.active_intervals, None, spec.horizon):
                     violations.append(f"{kind} {e.id}: active interval outside the time horizon")
-                if not bands <= set(range(spec.band_count)):
+                if not within(e.bands, None, spec.band_count):
                     violations.append(f"{kind} {e.id}: band index outside the frequency range")
                 if kind == "transmitter":
                     continue
@@ -331,11 +322,11 @@ def validate_system(system: RFSystem) -> ValidationReport:
                         violations.append(
                             f"receiver {e.id}: explicit margin not allowed when link {link.id} has a transmitter"
                         )
-                    if not active <= all_indices(serving.active_intervals, spec.horizon):
+                    if not within(e.active_intervals, serving.active_intervals, spec.horizon):
                         violations.append(
                             f"receiver {e.id}: active while serving transmitter {serving.id} is inactive"
                         )
-                    if not bands <= all_indices(serving.bands, spec.band_count):
+                    if not within(e.bands, serving.bands, spec.band_count):
                         violations.append(
                             f"receiver {e.id}: uses a band the serving transmitter {serving.id} does not occupy"
                         )
@@ -368,7 +359,7 @@ def validate_system(system: RFSystem) -> ValidationReport:
     if not peak <= 2.0 ** 20 * params.p_cmax:
         violations.append(f"occupancy may reach {peak:.6g} W, above 2^20 x p_cmax ({params.p_cmax:.6g} W)")
     # opportunity divides by link gains: the weakest, across that region, must be normal
-    antennas = [e.antenna for net in system.networks for link in net.links for e in link.transmitters + link.receivers]
+    antennas = [e.antenna for net in system.networks for link in net.links for e in link.transceivers]
     weakest = min([1.0] + [a.back_gain for a in antennas if a.kind == "sector"])
     for nu in range(spec.band_count):
         gain = path_gain(system.model_for_band(nu), reach) * weakest
@@ -391,4 +382,4 @@ def entity_selector(system: RFSystem, query: str) -> frozenset:
         if entry[0] in ("tx", "rx"):
             return frozenset([entry[3]])
         links = [entry[2]] if entry[0] == "link" else entry[1].links
-    return frozenset(e for link in links for e in link.transmitters + link.receivers)
+    return frozenset(e for link in links for e in link.transceivers)

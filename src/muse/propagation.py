@@ -7,6 +7,7 @@ distance d is min(1, (d / d0) ** -alpha), always in (0, 1].
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,7 @@ class AntennaPattern:
 
     def __post_init__(self):
         if self.kind not in ("omni", "sector"):
-            raise ValueError(f"unknown antenna kind {self.kind!r}")
+            raise ValueError(f"unknown antenna kind {reprlib.repr(self.kind)}")  # bounded for any kind
         if self.kind == "omni" and not self.main_gain == self.back_gain == 1.0:
             raise ValueError("omni antenna gains must be 1")
         if self.kind == "sector":

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re
+import reprlib
 import warnings
 from types import SimpleNamespace
 from typing import Any, Callable, Iterator, NamedTuple
@@ -68,18 +69,29 @@ class ScenarioError(ValueError):
 # readers, (document value, context) -> model value, and their inverse writers
 
 
+def _shown(obj, text=repr) -> str:
+    """``text(obj)`` (repr, or str for a label's id) in at most 40 characters, a string cut before it is quoted."""
+    if isinstance(obj, str):
+        return text(obj[:37] + "..." if len(obj) > 40 else obj)
+    try:
+        shown = reprlib.repr(obj)  # bounded at each level: a long list or mapping is never shown whole
+    except ValueError:  # repr refuses an integer past 4,300 digits, also one inside a list or mapping
+        shown = ("an int" if type(obj) is int else f"a {type(obj).__name__} with an int") + " of over 4300 digits"
+    return shown if len(shown) <= 40 else shown[:37] + "..."
+
+
 def _number(obj, ctx: str, convert=float, positive=False) -> float:
     """A finite number after ``convert`` (e.g. dBm to watts); overflow is not finite."""
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ScenarioError(f"{ctx}: expected a number, got {obj!r}")
+        raise ScenarioError(f"{ctx}: expected a number, got {_shown(obj)}")
     try:
         value = convert(float(obj))
     except OverflowError:  # float() of an integer beyond the float range
         value = math.inf
     if not math.isfinite(value):
-        raise ScenarioError(f"{ctx}: expected a finite number, got {obj!r}")
+        raise ScenarioError(f"{ctx}: expected a finite number, got {_shown(obj)}")
     if positive and not value > 0.0:
-        raise ScenarioError(f"{ctx}: expected a positive number, got {obj!r}")
+        raise ScenarioError(f"{ctx}: expected a positive number, got {_shown(obj)}")
     return value
 
 
@@ -115,25 +127,28 @@ def _num(unit=(float, _as_is), positive=False):
 def _bool(obj, ctx: str) -> bool:
     """A YAML boolean; a quoted "no" or a 0 is not one."""
     if not isinstance(obj, bool):
-        raise ScenarioError(f"{ctx}: expected true or false, got {obj!r}")
+        raise ScenarioError(f"{ctx}: expected true or false, got {_shown(obj)}")
     return obj
 
 
 def _id(obj, ctx: str) -> str:
-    if isinstance(obj, _NOT_ID):
-        raise ScenarioError(f"{ctx}: expected a scalar id, got {obj!r}")
-    return str(obj)
+    try:
+        if not isinstance(obj, _NOT_ID):
+            return str(obj)
+    except ValueError:  # str() refuses an integer past 4,300 digits
+        pass
+    raise ScenarioError(f"{ctx}: expected a scalar id, got {_shown(obj)}")
 
 
 def _index(obj, ctx: str) -> int:
     if type(obj) is not int:
-        raise ScenarioError(f"{ctx}: expected an integer, got {obj!r}")
+        raise ScenarioError(f"{ctx}: expected an integer, got {_shown(obj)}")
     return obj
 
 
 def _position(obj, ctx: str) -> tuple[float, float]:
     if not isinstance(obj, list) or len(obj) != 2:
-        raise ScenarioError(f"{ctx}: expected [x_m, y_m], got {obj!r}")
+        raise ScenarioError(f"{ctx}: expected [x_m, y_m], got {_shown(obj)}")
     return (_number(obj[0], f"{ctx}[0]"), _number(obj[1], f"{ctx}[1]"))
 
 
@@ -151,7 +166,7 @@ def _activity_doc(value: frozenset[int] | None):
 
 def _version(obj, ctx: str) -> dict:
     if type(obj) is not int or obj != SCHEMA_VERSION:
-        raise ScenarioError(f"unsupported schema version {obj!r} (expected {SCHEMA_VERSION})")
+        raise ScenarioError(f"unsupported schema version {_shown(obj)} (expected {SCHEMA_VERSION})")
     return {}
 
 
@@ -167,13 +182,11 @@ def _noise_doc(watts: float | tuple[float, ...]):
 
 
 def _antenna(obj, ctx: str) -> AntennaPattern:
-    return OMNI if obj is None or obj == "omni" else _ANTENNA(obj, ctx)
-
-
-def _antenna_doc(antenna: AntennaPattern):
-    if antenna == OMNI:
-        return None
-    return "omni" if antenna.kind == "omni" else _ANTENNA.write(antenna)
+    """OMNI for none, "omni" or a mapping of kind omni alone, which is written as none; else a sector."""
+    antenna = OMNI if obj is None or obj == "omni" else _ANTENNA(obj, ctx)
+    if antenna.kind == "omni" and isinstance(obj, dict) and len(obj) > 1:
+        raise ScenarioError(f"{ctx}: an omni antenna takes only a kind, not {_shown(sorted(obj.keys() - {'kind'}))}")
+    return antenna
 
 
 def _policy(obj, ctx: str) -> tuple[float, float] | None:
@@ -182,7 +195,7 @@ def _policy(obj, ctx: str) -> tuple[float, float] | None:
         return None
     if isinstance(obj, dict):
         return _OFFSET(obj, ctx)
-    raise ScenarioError(f"{ctx}: expected 'centroid' or an offset mapping, got {obj!r}")
+    raise ScenarioError(f"{ctx}: expected 'centroid' or an offset mapping, got {_shown(obj)}")
 
 
 def _policy_doc(offset: tuple[float, float] | None):
@@ -205,7 +218,7 @@ def _band_overrides(obj, ctx: str) -> dict:
     """{band: (override mapping, its context)}; ``_propagation`` reads each over the base model."""
     if not isinstance(obj, dict):
         raise ScenarioError(f"{ctx}: expected a mapping, got {type(obj).__name__}")
-    return {_index(k, ctx): (v, f"{ctx}[{k}]") for k, v in obj.items()}
+    return {_index(k, ctx): (v, f"{ctx}[{_shown(k)}]") for k, v in obj.items()}
 
 
 def _noise_overrides(obj, ctx: str) -> dict[tuple[int, int], float]:
@@ -213,7 +226,7 @@ def _noise_overrides(obj, ctx: str) -> dict[tuple[int, int], float]:
     overrides = {}
     for k, (cell, watts) in enumerate(_NOISE_OVERRIDES[0](obj, ctx)):
         if cell in overrides:
-            raise ScenarioError(f"{ctx}[{k}]: region {cell[0]}, band {cell[1]} overridden twice")
+            raise ScenarioError(f"{ctx}[{k}]: region {_shown(cell[0])}, band {_shown(cell[1])} overridden twice")
         overrides[cell] = watts
     return overrides
 
@@ -261,25 +274,20 @@ class _Section:
         if not isinstance(obj, dict):
             raise ScenarioError(f"{ctx or 'scenario'}: expected a mapping, got {type(obj).__name__}")
         if self.label is not None and not isinstance(obj.get(_ID.key), _NOT_ID):
-            ctx = f"{self.label} {obj[_ID.key]}"
+            ctx = f"{self.label} {_shown(obj[_ID.key], str)}"
         at, ctx = ctx and ctx + ".", ctx or "scenario"
         unknown = obj.keys() - self.allowed
         if unknown:  # sorted by type first: YAML keys need not be strings
-            raise ScenarioError(f"{ctx}: unknown key(s) {sorted(unknown, key=lambda k: (type(k).__name__, k))}")
+            raise ScenarioError(f"{ctx}: unknown key(s) {_shown(sorted(unknown, key=lambda k: (type(k).__name__, k)))}")
         missing = self.required - obj.keys()
         if missing:
             raise ScenarioError(f"{ctx}: missing key(s) {sorted(missing)}")
         fields = {}
         for key, field, read, _, default in self.keys:
             value = obj.get(key, _REQUIRED)
-            if value is _REQUIRED:  # absent, so not required
-                value = default
-            else:
-                value = read(value, at + key)
+            value = default if value is _REQUIRED else read(value, at + key)  # absent, so not required
             if field is None:
                 fields.update(value)
-            elif field in fields:
-                fields[field] += value  # a link's `transmitter`, then its `transmitters`
             else:
                 fields[field] = value
         try:
@@ -289,7 +297,9 @@ class _Section:
         except ValueError as exc:
             raise ScenarioError(f"{ctx}: {exc}") from exc
 
-    def write(self, model) -> dict[str, Any]:
+    def write(self, model) -> dict[str, Any] | None:
+        if model is None:  # an optional mapping, left out
+            return None
         obj = model if self.view is None else self.view(model)
         doc = {}
         for key, field, _, write, _ in self.keys:
@@ -311,7 +321,7 @@ _ANTENNA = _Section(
 _TRANSCEIVER = (  # a transmitter's or receiver's own first key comes after the position
     _ID,
     _Key("position", "position", _position, list),
-    _Key("antenna", "antenna", _antenna, _antenna_doc, OMNI),
+    _Key("antenna", "antenna", _antenna, lambda antenna: None if antenna.kind == "omni" else _ANTENNA.write(antenna), OMNI),
     _Key("active", "active_intervals", _activity, _activity_doc, None),
     _Key("bands", "bands", _activity, _activity_doc, None),
 )
@@ -326,18 +336,10 @@ _RX = _Section(
     _Key("margin_dbm", "explicit_margin", _num(_DBM)[0], lambda w: None if w is None else _DBM[1](w), None),
     label="receiver",
 )
-_TRANSMITTERS = _Key("transmitters", "transmitters", *_list_of(_TX, least=2), ())
 _LINK = _Section(
     RFLink,
     _ID,
-    _Key(  # a link of one transmitter writes it here, one of several under `transmitters`
-        "transmitter",
-        _TRANSMITTERS.field,
-        lambda obj, ctx: () if obj is None else (_TX(obj, ctx),),
-        lambda txs: _TX.write(txs[0]) if len(txs) == 1 else None,
-        (),
-    ),
-    _TRANSMITTERS,
+    _Key("transmitter", "transmitter", lambda obj, ctx: None if obj is None else _TX(obj, ctx), _TX.write, None),
     _Key("receivers", "receivers", *_list_of(_RX, least=1), ()),
     label="link",
 )
@@ -432,9 +434,6 @@ def _document(text: str):
     errors (pyyaml's text), collections nested deeper than ``_DEPTH`` (``yaml.load``'s composer recurses, in C
     for libyaml), a scalar key given twice in one mapping and aliases that expand it to more values than characters."""
 
-    def shown(obj) -> str:  # repr(obj), a string cut to 40 characters first, so that no message grows with the input
-        return repr(obj[:37] + "..." if isinstance(obj, str) and len(obj) > 40 else obj)
-
     def scalar(event, start, top):  # ``start`` and ``top``, the open collection's, tell a ``<<`` key from a value
         tag = event.tag if event.tag not in (None, "!") else loader.resolve(ScalarNode, event.value, event.implicit)
         if tag not in _SCALARS:
@@ -444,7 +443,7 @@ def _document(text: str):
         try:
             value = loader.yaml_constructors[tag](loader, ScalarNode(tag, event.value))
         except (LookupError, ValueError):  # `!!bool maybe`: KeyError; past int()'s digit limit: ValueError
-            raise _malformed(f"{shown(event.value)} is not a valid !!{tag[len(_CORE):]}", event) from None
+            raise _malformed(f"{_shown(event.value)} is not a valid !!{tag[len(_CORE):]}", event) from None
         if event.anchor is not None:
             anchor(event, (value, 0))
         return value
@@ -461,14 +460,14 @@ def _document(text: str):
             elif isinstance(key, (dict, list)):
                 raise _malformed("a collection key is not supported", events[k])
             elif key in value:
-                raise _malformed(f"duplicate key {shown(key)}", events[k])
+                raise _malformed(f"duplicate key {_shown(key)}", events[k])
             else:
                 value[key] = item
         return {**merged, **value}
 
     def anchor(event, value):  # a new anchor: (its value, the values in it), or while it is open the values before it
         if event.anchor in anchors:
-            raise _malformed(f"duplicate anchor {shown(event.anchor)}", event)
+            raise _malformed(f"duplicate anchor {_shown(event.anchor)}", event)
         anchors[event.anchor] = value
 
     no, plain, anchors, stack, values = object(), {}, {}, [], 0  # values: mapping values and list items, aliases expanded
@@ -511,7 +510,7 @@ def _document(text: str):
             elif kind is AliasEvent:
                 if type(anchors.get(event.anchor)) is not tuple:  # an int while its anchor is open
                     what = "recursive" if event.anchor in anchors else "undefined"
-                    raise _malformed(f"{what} alias {shown(event.anchor)}", event)
+                    raise _malformed(f"{what} alias {_shown(event.anchor)}", event)
                 value, size = anchors[event.anchor]
                 values += size  # counted at aliases only, so that no alias-free document reaches the bound
                 if values > len(text):

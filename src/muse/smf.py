@@ -226,21 +226,15 @@ def perturb_system(sys: RFSystem, model: SensingErrorModel) -> RFSystem:
     for net in sys.networks:
         links = []
         for link in net.links:
-            had_tx = bool(link.transmitters)
-            transmitters = []
-            for tx in link.transmitters:
-                if rng.random() < model.p_missed_detection:
-                    continue
+            tx, receivers = link.transmitter, link.receivers
+            if tx is not None and rng.random() < model.p_missed_detection:
+                tx, receivers = None, ()
+            elif tx is not None:
                 jitter = rng.normal(0.0, model.geolocation_sigma, size=2)
                 power = _sensed_power(tx.id, tx.tx_power, rng.normal(0.0, model.power_error_sigma_db))
-                x = min(max(tx.position[0] + jitter[0], 0.0), spec.region_width)
-                y = min(max(tx.position[1] + jitter[1], 0.0), spec.region_height)
-                transmitters.append(dataclasses.replace(tx, position=(x, y), tx_power=power))
-            if had_tx and not transmitters:
-                receivers: tuple = ()
-            else:
-                receivers = link.receivers
-            links.append(RFLink(id=link.id, transmitters=tuple(transmitters), receivers=receivers))
+                x, y = np.clip(np.add(tx.position, jitter), 0.0, (spec.region_width, spec.region_height))
+                tx = dataclasses.replace(tx, position=(x, y), tx_power=power)
+            links.append(RFLink(id=link.id, transmitter=tx, receivers=receivers))
         networks.append(RFNetwork(id=net.id, links=tuple(links), orthogonal=net.orthogonal))
 
     spurious = []
@@ -256,7 +250,7 @@ def perturb_system(sys: RFSystem, model: SensingErrorModel) -> RFSystem:
             base = 1e-3
         tx_id = f"sensed-artifact-tx-{k}"
         power = _sensed_power(tx_id, base, rng.normal(0.0, model.power_error_sigma_db))
-        spurious.append(RFLink(id=f"sensed-artifact-{k}", transmitters=(Transmitter(id=tx_id, position=(x, y), tx_power=power),)))
+        spurious.append(RFLink(id=f"sensed-artifact-{k}", transmitter=Transmitter(id=tx_id, position=(x, y), tx_power=power)))
     if spurious:
         networks.append(RFNetwork(id="sensed-artifacts", links=tuple(spurious)))
 

@@ -81,7 +81,7 @@ def single_link_system(
         params=reference_params(),
         propagation=PropagationModel(alpha=3.5),
         grid_spec=reference_grid(hex_side),
-        networks=(RFNetwork(id="net-1", links=(RFLink(id="link-1", transmitters=(tx,), receivers=(rx,)),)),),
+        networks=(RFNetwork(id="net-1", links=(RFLink(id="link-1", transmitter=tx, receivers=(rx,)),)),),
     )
 
 
@@ -109,7 +109,7 @@ def region_link_system(worst_case: bool = False, hex_side: float = 100.0) -> RFS
         params=reference_params(),
         propagation=PropagationModel(alpha=3.5),
         grid_spec=reference_grid(hex_side, worst_case_placement=worst_case),
-        networks=(RFNetwork(id="net-1", links=(RFLink(id="link-1", transmitters=(tx,), receivers=(rx,)),)),),
+        networks=(RFNetwork(id="net-1", links=(RFLink(id="link-1", transmitter=tx, receivers=(rx,)),)),),
     )
 
 
@@ -125,7 +125,7 @@ def four_pair_system(hex_side: float = 230.0) -> RFSystem:
     for k, (tx_pos, rx_pos, p_dbm, b_db) in enumerate(pairs):
         tx = Transmitter(id=f"tx-{k}", position=tx_pos, tx_power=dbm_to_watts(p_dbm))
         rx = Receiver(id=f"rx-{k}", position=rx_pos, beta=db_to_linear(b_db))
-        links.append(RFLink(id=f"pair-{k}", transmitters=(tx,), receivers=(rx,)))
+        links.append(RFLink(id=f"pair-{k}", transmitter=tx, receivers=(rx,)))
     return RFSystem(
         params=reference_params(),
         propagation=PropagationModel(alpha=3.5),
@@ -164,15 +164,13 @@ def random_system(
     links = []
     for k in range(int(rng.integers(1, max_links + 1))):
         has_tx = rng.random() < 0.85
-        txs = ()
+        tx = None
         if has_tx:
-            txs = (
-                Transmitter(
-                    id=f"t{k}",
-                    position=_random_pos(rng, spec),
-                    tx_power=dbm_to_watts(float(rng.uniform(-30.0, 30.0))),
-                    antenna=_random_antenna(rng, sector_fraction),
-                ),
+            tx = Transmitter(
+                id=f"t{k}",
+                position=_random_pos(rng, spec),
+                tx_power=dbm_to_watts(float(rng.uniform(-30.0, 30.0))),
+                antenna=_random_antenna(rng, sector_fraction),
             )
         n_rx = int(rng.integers(0, max_rx_per_link + 1)) if has_tx else int(rng.integers(1, max_rx_per_link + 1))
         rxs = tuple(
@@ -185,7 +183,7 @@ def random_system(
             )
             for m in range(n_rx)
         )
-        links.append(RFLink(id=f"l{k}", transmitters=txs, receivers=rxs))
+        links.append(RFLink(id=f"l{k}", transmitter=tx, receivers=rxs))
     return RFSystem(
         params=reference_params(),
         propagation=PropagationModel(alpha=3.5),
@@ -223,7 +221,7 @@ def add_random_transmitter(sys: RFSystem, rng: np.random.Generator) -> RFSystem:
         position=_random_pos(rng, spec),
         tx_power=dbm_to_watts(float(rng.uniform(-30.0, 30.0))),
     )
-    extra = RFNetwork(id=f"added-net-{tx.id}", links=(RFLink(id=f"added-l-{tx.id}", transmitters=(tx,)),))
+    extra = RFNetwork(id=f"added-net-{tx.id}", links=(RFLink(id=f"added-l-{tx.id}", transmitter=tx),))
     return dataclasses.replace(sys, networks=sys.networks + (extra,))
 
 

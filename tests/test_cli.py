@@ -373,7 +373,8 @@ def _band(doc):
     [
         (lambda d: d["networks"][0].update(links=5), "network net-1.links: expected a list"),
         (lambda d: _link(d).update(receivers=5), "link link-1.receivers: expected a list"),
-        (lambda d: _link(d).update(transmitters=7), "link link-1.transmitters: expected a list"),
+        (lambda d: _link(d).update(transmitters=7), "link link-1: unknown key(s) ['transmitters']"),
+        (lambda d: _link(d).update(transmitters=[_link(d).pop("transmitter")]), "link link-1: unknown key(s) ['transmitters']"),
         (lambda d: _link(d)["transmitter"].update(id=[1]), "link link-1.transmitter.id: expected a scalar id, got [1]"),
         (
             lambda d: _link(d)["receivers"][0].update(id={"a": 1}),
@@ -431,7 +432,7 @@ def _band(doc):
             "transmitter tx-1.antenna: sector back_gain must be in (0, main_gain]",
         ),
     ],
-    ids=["links-int", "receivers-int", "transmitters-int", "list-id", "mapping-id", "list-link-id",
+    ids=["links-int", "receivers-int", "transmitters-int", "transmitters-list", "list-id", "mapping-id", "list-link-id",
          "mapping-network-id", "null-network-id", "null-link-id", "null-transmitter-id", "null-receiver-id",
          "overflowing-center", "zero-center", "negative-center", "zero-bandwidth", "negative-bandwidth",
          "mixed-type-unknown-keys", "omni-antenna-text-gain", "antenna-context-once", "position-context-once",
@@ -478,7 +479,7 @@ def test_alias_expansion_is_bounded_by_the_file_length(runner, tmp_path):
     )
     system = scenario_io.parse_scenario(shared)
     link = system.networks[0].links[0]
-    assert link.transmitters[0].antenna == link.receivers[0].antenna != scenario_io.OMNI
+    assert link.transmitter.antenna == link.receivers[0].antenna != scenario_io.OMNI
     path.write_text(shared)
     assert runner.invoke(main, ["report", "--scenario", str(path)]).exit_code == 0
 
@@ -595,6 +596,65 @@ def test_a_tagged_scalar_its_constructor_cannot_read_exits_2(runner, tmp_path, m
     assert result.exit_code == 2
     message = f"malformed scenario: malformed YAML: {fault}"
     assert result.output.splitlines() == [json.dumps({"error": message, "exit_code": 2})]
+
+
+_LONG = "1" + ":00" * 2599  # a sexagesimal integer of 2,600 parts: 4,622 digits, past what repr() takes
+
+
+@pytest.mark.parametrize(
+    "replacements, key",
+    [
+        ([("alpha: 3.5", f"alpha: {_LONG}")], "propagation.alpha"),
+        ([("id: tx-1", "id: " + "t" * 5000), ("power_dbm: 29.068905972359147", "power_dbm: abc")], ".power_dbm"),
+        ([("position: [1000.0, 2000.0]", "position: [" + ", ".join(["1.0"] * 100_000) + "]")], "tx-1.position"),
+        ([("id: tx-1", f"id: {_LONG}")], ".id"),
+        ([("position: [1000.0, 2000.0]", f"position: [{_LONG}, 2000.0, 3.0]")], "tx-1.position"),
+        ([("id: link-1", "id: link-1\n" + "".join(f"        k{n}: 0\n" for n in range(10_000)))], "link link-1"),
+        ([("antenna: omni", "antenna: {kind: " + "k" * 5000 + "}")], "tx-1.antenna"),
+    ],
+    ids=["sexagesimal-alpha", "long-id", "long-position", "sexagesimal-id", "sexagesimal-in-a-position",
+         "many-unknown-keys", "long-antenna-kind"],
+)
+def test_every_echoed_value_is_bounded(runner, tmp_path, replacements, key):
+    """An integer past Python's 4,300-digit limit, which repr() refuses, once ended the
+    command with that conversion's error; a 5,000-character id and a 100,000-item
+    position were echoed whole (a 5 KB and a 500 KB line).  Each is one JSON line of at
+    most 300 bytes that names the key."""
+    text = (DEMO_SCENARIOS / "region_with_link.yaml").read_text()
+    for old, new in replacements:
+        assert old in text
+        text = text.replace(old, new, 1)
+    path = tmp_path / "long.yaml"
+    path.write_text(text)
+    result = runner.invoke(main, ["report", "--scenario", str(path)])
+    assert result.exit_code == 2
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and len(lines[0].encode()) <= 300, lines
+    error = json.loads(lines[0])["error"]
+    assert error.startswith("malformed scenario: ") and key in error, error
+
+
+@pytest.mark.parametrize("pattern", ["main_gain_db: 10.0", "boresight_deg: 30.0", "beamwidth_deg: 90.0",
+                                     "back_gain_db: 0.0", "beamwidth_deg: 90.0, main_gain_db: 0.0"])
+def test_an_omni_antenna_takes_only_a_kind(runner, tmp_path, pattern):
+    """An omni mapping once dropped its pattern keys, so a 10 dB omni read as a 1x one."""
+    text = (DEMO_SCENARIOS / "region_with_link.yaml").read_text()
+    path = tmp_path / "omni.yaml"
+    path.write_text(text.replace("antenna: omni", f"antenna: {{kind: omni, {pattern}}}", 1))
+    result = runner.invoke(main, ["report", "--scenario", str(path)])
+    assert result.exit_code == 2
+    keys = sorted(item.split(":")[0] for item in pattern.split(", "))
+    message = f"malformed scenario: transmitter tx-1.antenna: an omni antenna takes only a kind, not {keys}"
+    assert result.output.splitlines() == [json.dumps({"error": message, "exit_code": 2})]
+
+
+@pytest.mark.parametrize("antenna", ["antenna: omni", "antenna: {kind: omni}", "antenna: null", ""])
+def test_omni_spellings_read_as_omni(runner, tmp_path, antenna):
+    text = (DEMO_SCENARIOS / "region_with_link.yaml").read_text()
+    path = tmp_path / "omni.yaml"
+    path.write_text(text.replace("antenna: omni", antenna, 1))
+    assert load_scenario(path).networks[0].links[0].transmitter.antenna == scenario_io.OMNI
+    assert runner.invoke(main, ["report", "--scenario", str(path)]).exit_code == 0
 
 
 @pytest.mark.parametrize(

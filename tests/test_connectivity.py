@@ -57,7 +57,7 @@ def multi_band_system(n_bands=3, **kwargs):
         params=reference_params(),
         propagation=PropagationModel(alpha=3.5),
         grid_spec=spec,
-        networks=(RFNetwork(id="n", links=(RFLink(id="l", transmitters=(tx,), receivers=(rx,)),)),),
+        networks=(RFNetwork(id="n", links=(RFLink(id="l", transmitter=tx, receivers=(rx,)),)),),
     )
 
 
@@ -292,10 +292,10 @@ def test_connectivity_evaluates_only_the_requested_quantum(monkeypatch):
     base = multi_band_system(horizon=3)
     # the transmitter and receiver are active in quanta 0 and 2 only, so quantum 1 differs
     link = base.networks[0].links[0]
-    tx = dataclasses.replace(link.transmitters[0], bands=None, active_intervals=frozenset({0, 2}))
+    tx = dataclasses.replace(link.transmitter, bands=None, active_intervals=frozenset({0, 2}))
     rx = dataclasses.replace(link.receivers[0], bands=None, active_intervals=frozenset({0, 2}))
     sys_ = dataclasses.replace(
-        base, networks=(RFNetwork(id="n", links=(RFLink(id="l", transmitters=(tx,), receivers=(rx,)),)),)
+        base, networks=(RFNetwork(id="n", links=(RFLink(id="l", transmitter=tx, receivers=(rx,)),)),)
     )
     maps = compute_maps(sys_)
     quanta, slices = [], []

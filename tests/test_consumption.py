@@ -81,7 +81,7 @@ def test_tx_occupancy_reference_value():
 
 def test_tx_occupancy_inactive_and_capped():
     tx = Transmitter(id="t", position=(100.0, 100.0), tx_power=1.0, active_intervals=frozenset({1}))
-    sys_ = dataclasses.replace(two_link_system(RFLink(id="l", transmitters=(tx,))), grid_spec=reference_grid(horizon=2))
+    sys_ = dataclasses.replace(two_link_system(RFLink(id="l", transmitter=tx)), grid_spec=reference_grid(horizon=2))
     assert validate_system(sys_).ok
     assert tx_occupancy_at(sys_, "t", PROBE, time_index=0) == 0.0
     # inside the reference distance the full transmit power is deposited
@@ -97,7 +97,7 @@ def test_aggregate_occupancy_two_equidistant():
     p = dbm_to_watts(10.0)
     t1 = Transmitter(id="t1", position=(1000.0, 1800.0), tx_power=p)
     t2 = Transmitter(id="t2", position=(3500.0, 1800.0), tx_power=p)
-    sys_ = two_link_system(RFLink(id="l1", transmitters=(t1,)), RFLink(id="l2", transmitters=(t2,)))
+    sys_ = two_link_system(RFLink(id="l1", transmitter=t1), RFLink(id="l2", transmitter=t2))
     single = tx_occupancy_at(sys_, "t1", PROBE)
     assert tx_occupancy_at(sys_, "t2", PROBE) == pytest.approx(single, rel=1e-12)
     noise = dbm_to_watts(NOISE_DBM)
@@ -179,7 +179,7 @@ def test_opportunity_zero_when_interference_equals_margin():
     sys2 = dataclasses.replace(
         sys_,
         networks=(
-            RFNetwork(id="net-1", links=(link, RFLink(id="link-2", transmitters=(interferer,)))),
+            RFNetwork(id="net-1", links=(link, RFLink(id="link-2", transmitter=interferer))),
         ),
     )
     for point in [PROBE, (100.0, 100.0), (4000.0, 3000.0)]:
@@ -316,7 +316,7 @@ def test_harmful_interference_flag():
     jammer = Transmitter(id="jam", position=(rx.position[0] + 50.0, rx.position[1]), tx_power=1.0)
     sys2 = dataclasses.replace(
         sys_,
-        networks=sys_.networks + (RFNetwork(id="net-2", links=(RFLink(id="l2", transmitters=(jammer,)),)),),
+        networks=sys_.networks + (RFNetwork(id="net-2", links=(RFLink(id="l2", transmitter=jammer),)),),
     )
     cm = cell_metrics(sys2, cell_at(sys2, PROBE))
     assert cm.harmful_interference == frozenset({"rx-1"})
@@ -329,7 +329,7 @@ def test_orthogonal_network_excludes_siblings():
     tx1 = Transmitter(id="t1", position=(1000.0, 2000.0), tx_power=dbm_to_watts(6.0))
     rx1 = Receiver(id="r1", position=(1000.0, 2100.0), beta=db_to_linear(3.0))
     tx2 = Transmitter(id="t2", position=(1200.0, 2100.0), tx_power=dbm_to_watts(10.0))
-    links = (RFLink(id="l1", transmitters=(tx1,), receivers=(rx1,)), RFLink(id="l2", transmitters=(tx2,)))
+    links = (RFLink(id="l1", transmitter=tx1, receivers=(rx1,)), RFLink(id="l2", transmitter=tx2))
 
     def build(orthogonal):
         return RFSystem(
@@ -359,7 +359,7 @@ def test_activity_masks_respected():
         params=reference_params(),
         propagation=PropagationModel(alpha=3.5),
         grid_spec=spec,
-        networks=(RFNetwork(id="n", links=(RFLink(id="l", transmitters=(tx,)),)),),
+        networks=(RFNetwork(id="n", links=(RFLink(id="l", transmitter=tx),)),),
     )
     assert tx_occupancy_at(sys_, "t", PROBE, 0, 0) > 0.0
     assert tx_occupancy_at(sys_, "t", PROBE, 1, 0) == 0.0
@@ -547,9 +547,9 @@ def repeating_system(hex_side: float = 100.0) -> RFSystem:
         explicit_margin=dbm_to_watts(-90.0),
     )
     links = (
-        RFLink(id="la", transmitters=(ta,), receivers=(ra,)),
-        RFLink(id="lb", transmitters=(tb,), receivers=(rb,)),
-        RFLink(id="lc", transmitters=(tc,)),
+        RFLink(id="la", transmitter=ta, receivers=(ra,)),
+        RFLink(id="lb", transmitter=tb, receivers=(rb,)),
+        RFLink(id="lc", transmitter=tc),
         RFLink(id="ld", receivers=(rd,)),
     )
     return RFSystem(
@@ -734,17 +734,15 @@ def generated_systems(draw):
     bands = st.one_of(st.none(), st.frozensets(st.integers(0, spec.band_count - 1)))
     links = []
     for k in range(draw(st.integers(1, 4))):
-        txs = ()
+        tx = None
         if draw(st.booleans()):
-            txs = (
-                Transmitter(
-                    id=f"t{k}",
-                    position=draw(position),
-                    tx_power=dbm_to_watts(draw(st.floats(-30.0, 30.0))),
-                    antenna=draw(antenna),
-                    active_intervals=draw(quanta),
-                    bands=draw(bands),
-                ),
+            tx = Transmitter(
+                id=f"t{k}",
+                position=draw(position),
+                tx_power=dbm_to_watts(draw(st.floats(-30.0, 30.0))),
+                antenna=draw(antenna),
+                active_intervals=draw(quanta),
+                bands=draw(bands),
             )
         rxs = tuple(
             Receiver(
@@ -754,11 +752,11 @@ def generated_systems(draw):
                 antenna=draw(antenna),
                 active_intervals=draw(quanta),
                 bands=draw(bands),
-                explicit_margin=None if txs else dbm_to_watts(draw(st.floats(-110.0, -60.0))),
+                explicit_margin=None if tx else dbm_to_watts(draw(st.floats(-110.0, -60.0))),
             )
-            for m in range(draw(st.integers(0 if txs else 1, 2)))
+            for m in range(draw(st.integers(0 if tx else 1, 2)))
         )
-        links.append(RFLink(id=f"l{k}", transmitters=txs, receivers=rxs))
+        links.append(RFLink(id=f"l{k}", transmitter=tx, receivers=rxs))
     return RFSystem(
         params=reference_params(),
         propagation=PropagationModel(alpha=draw(st.floats(2.0, 4.0))),
@@ -916,7 +914,7 @@ def test_report_memory_does_not_grow_with_transmitters(monkeypatch, added):
     base = dataclasses.replace(repeating_system(), grid_spec=small_grid(hex_side=5.0, horizon=4, n_bands=3))
     rng = np.random.default_rng(5)
     extra = tuple(
-        RFLink(id=f"lx{k}", transmitters=(Transmitter(id=f"x{k}", position=tuple(rng.uniform(0.0, 590.0, 2)), tx_power=1e-3),))
+        RFLink(id=f"lx{k}", transmitter=Transmitter(id=f"x{k}", position=tuple(rng.uniform(0.0, 590.0, 2)), tx_power=1e-3))
         for k in range(added)
     )
     sys_ = dataclasses.replace(base, networks=base.networks + (RFNetwork(id="extra", links=extra),))
@@ -993,7 +991,7 @@ def test_totals_block_is_capped_in_points(monkeypatch):
         params=reference_params(),
         propagation=PropagationModel(alpha=3.5),
         grid_spec=small_grid(hex_side=1.6, horizon=4, n_bands=3),
-        networks=(RFNetwork(id="n", links=tuple(RFLink(id=f"l{q}", transmitters=(tx,)) for q, tx in enumerate(txs))),),
+        networks=(RFNetwork(id="n", links=tuple(RFLink(id=f"l{q}", transmitter=tx) for q, tx in enumerate(txs))),),
     )
     blocks = []
 
@@ -1035,7 +1033,7 @@ def test_inactive_transmitter_consumes_nothing():
         params=reference_params(),
         propagation=PropagationModel(alpha=3.5),
         grid_spec=small_grid(),
-        networks=(RFNetwork(id="n", links=(RFLink(id="l", transmitters=(tx,)),)),),
+        networks=(RFNetwork(id="n", links=(RFLink(id="l", transmitter=tx),)),),
     )
     assert entity_consumption(sys_, "t") == 0.0
 
@@ -1080,7 +1078,7 @@ def test_lone_transmitter_consumed_scale():
         params=reference_params(),
         propagation=PropagationModel(alpha=3.5),
         grid_spec=reference_grid(),
-        networks=(RFNetwork(id="n", links=(RFLink(id="l", transmitters=(tx,)),)),),
+        networks=(RFNetwork(id="n", links=(RFLink(id="l", transmitter=tx),)),),
     )
     omega = entity_consumption(sys_, "t")
     assert omega == pytest.approx(1.8e-8, rel=0.25)  # lattice-dependent within a few percent

@@ -180,8 +180,9 @@ def test_unit_writers_give_the_shortest_exact_decimal():
 
 # Every optional key and special shape of the format, with its serialized sha256
 # (first pinned before the schema became one table, re-pinned once the unit
-# writers gave the shortest exact decimal): key order, omitted defaults and
-# unit conversions of the writer are all pinned.
+# writers gave the shortest exact decimal, and once a link's one transmitter
+# became its only transmitter key): key order, omitted defaults and unit
+# conversions of the writer are all pinned.
 EVERY_KEY_TEXT = """
 muse_scenario: 1
 system:
@@ -217,9 +218,9 @@ networks:
         receivers:
           - {id: rx-1, position: [1000.0, 2100.0], beta_db: 3.0, antenna: {kind: sector}, active: all}
       - id: link-2
-        transmitters:
-          - {id: tx-2, position: [10.0, 20.0], power_dbm: -30.0, antenna: {kind: omni}}
-          - {id: tx-3, position: [30.0, 40.0], power_dbm: -31.0}
+        transmitter: {id: tx-2, position: [10.0, 20.0], power_dbm: -30.0, antenna: {kind: omni}}
+      - id: link-3
+        transmitter: {id: tx-3, position: [30.0, 40.0], power_dbm: -31.0}
   - id: net-2
     links:
       - id: observatory
@@ -228,7 +229,7 @@ networks:
           - {id: rx-9, position: [300.0, 400.0], beta_db: 1.0, margin_dbm: -90.0}
       - id: empty
 """
-EVERY_KEY_SERIALIZED_SHA256 = "6a208cb0fe826ddd0497c8d7f2dc5f3065d11a2dc9de99f4081e4b735699e05d"
+EVERY_KEY_SERIALIZED_SHA256 = "5a72054009fff8589be14918f48c35f4f30265bf6f21798fc54612a2d028c3ba"
 
 
 def test_serialization_bytes_of_every_key_pinned():
@@ -822,6 +823,85 @@ def test_events_build_the_document_yaml_load_builds(loader, text):
     else:
         assert isinstance(error, ScenarioError), (text, error)
         assert re.fullmatch(r"malformed YAML: .{1,90} \(line \d+, column \d+\)|scenario: aliases .+", str(error)), (text, error)
+
+
+# Scalars the builder reads, and keys no two of which are equal once read (1 and 1.0,
+# true and 1, 'a' and a would each be one key given twice).
+_READ_TOKENS = st.sampled_from(
+    ["yes", "Off", "false", "~", "null", ".inf", "-.Inf", ".NaN", "1e3", "1.0e+3", "1_000.5", "0x1F", "017", "0b101",
+     "1:30", "190:20:30.15", "+12", "-0", "3.5", "-24.0", "tx-1", "omni", "a b", "'yes'", '"1"', '"a\\tb"', "''",
+     "!!str 1", '!!int "7"', "!!float 1", "! 12", "!!bool yes", "!!null x", "1" * 40]
+)
+_DISTINCT_KEYS = ["a", "b", "id", "receivers", "'q'", '"d"', "1", "2.5", "false", "~", "!!str 1", "x y"]
+
+
+@st.composite
+def _anchored_node(draw, anchors, depth=0, kind=None):
+    """(text, bound) of a flow node the builder reads, now and then anchored, or an alias of an
+    anchor whose node is complete; ``bound`` bounds the values the builder counts for it.  A
+    mapping's keys are distinct, and its ``<<`` keys merge mappings alone: anchored ones or one
+    written in place.  ``anchors`` maps each anchor to (whether it is a mapping, its bound);
+    only nodes of at most three values are aliased, so no document reaches the alias bound."""
+    small = sorted(name for name, (_, bound) in anchors.items() if bound <= 3)
+    if kind is None and small and draw(st.integers(0, 3)) == 0:
+        name = draw(st.sampled_from(small))
+        return "*" + name, anchors[name][1]
+    kind = kind or draw(st.sampled_from(["scalar", "scalar", "seq", "map", "map"] if depth < 3 else ["scalar"]))
+    if kind == "scalar":
+        text, bound = draw(_READ_TOKENS), 0
+    elif kind == "seq":
+        items = [draw(_anchored_node(anchors, depth + 1)) for _ in range(draw(st.integers(0, 3)))]
+        text, bound = "[" + ", ".join(t for t, _ in items) + "]", sum(1 + b for _, b in items)
+    else:
+        keys = draw(st.lists(st.sampled_from(_DISTINCT_KEYS), max_size=3, unique=True))
+        items = [(key, *draw(_anchored_node(anchors, depth + 1))) for key in keys]
+        mappings = sorted(name for name, (is_map, bound) in anchors.items() if is_map and bound <= 3)
+        for _ in range(draw(st.integers(0, 2)) if depth < 3 else 0):  # `<<` keys, each of one or two mappings
+            sources = []
+            for _ in range(draw(st.integers(1, 2))):
+                if mappings and draw(st.booleans()):
+                    name = draw(st.sampled_from(mappings))
+                    sources.append(("*" + name, anchors[name][1]))
+                else:
+                    sources.append(draw(_anchored_node(anchors, depth + 1, "map")))
+            merged = sources[0][0] if len(sources) == 1 else "[" + ", ".join(t for t, _ in sources) + "]"
+            # `<<` is no key of the built mapping; an alias adds its node's values and the merge the node's
+            # keys, each at most the node's bound.  It comes after the anchors it may alias.
+            items.append(("<<", merged, sum(2 * b for _, b in sources) - 1))
+        text, bound = "{" + ", ".join(f"{k}: {t}" for k, t, _ in items) + "}", sum(1 + b for _, _, b in items)
+    if draw(st.integers(0, 2)) == 0:
+        name = f"a{len(anchors)}"
+        anchors[name] = (kind == "map", bound)
+        text = f"&{name} {text}"
+    return text, bound
+
+
+@st.composite
+def anchored_yaml_streams(draw):
+    """A block mapping of such nodes with distinct keys, and now and then ``<<`` keys of anchored
+    mappings, or one such node."""
+    anchors = {}
+    if draw(st.booleans()):
+        return draw(_anchored_node(anchors))[0] + "\n"
+    lines = [f"{key}: {draw(_anchored_node(anchors))[0]}\n"
+             for key in draw(st.lists(st.sampled_from(_DISTINCT_KEYS), min_size=1, max_size=5, unique=True))]
+    mappings = sorted(name for name, (is_map, bound) in anchors.items() if is_map and bound <= 3)
+    if mappings and draw(st.booleans()):  # after its anchor; its keys still come first
+        lines.append(f"<<: *{draw(st.sampled_from(mappings))}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@settings(max_examples=150, deadline=None)
+@given(text=anchored_yaml_streams())
+def test_anchors_and_merges_build_the_document_yaml_load_builds(loader, text):
+    """Anchors of values the builder reads, aliases of them and ``<<`` merges of mappings give
+    ``yaml.load``'s document, type for type and key order too: ``yaml_streams()`` draws few such
+    documents that both accept, since most of its aliases and merges land on rejected values."""
+    loader = getattr(yaml, loader)
+    with mock.patch.object(scenario_io, "_YAML_LOADER", loader):
+        ours = scenario_io._document(text)
+    assert same_document(ours, yaml.load(text, Loader=loader)), text
 
 
 @pytest.mark.parametrize("loader", LOADERS)

@@ -19,7 +19,7 @@ from muse import (
     validate_system,
 )
 
-from helpers import probe_scenario, reference_grid, reference_params, region_link_system
+from helpers import probe_scenario, reference_grid, reference_params, region_link_system, traced_peak
 
 
 def test_p_cmax_is_derived():
@@ -47,18 +47,14 @@ def test_empty_system_is_valid():
 
 
 def test_two_transmitter_link_flagged():
+    """A link holds at most one transmitter by type: a second has no field to go in."""
     t1 = Transmitter(id="a", position=(10.0, 10.0), tx_power=0.1)
     t2 = Transmitter(id="b", position=(20.0, 20.0), tx_power=0.1)
-    sys_ = RFSystem(
-        params=reference_params(),
-        propagation=PropagationModel(),
-        grid_spec=reference_grid(),
-        networks=(RFNetwork(id="n", links=(RFLink(id="l", transmitters=(t1, t2)),)),),
-    )
-    report = validate_system(sys_)
-    assert any("2 transmitters" in v for v in report.violations)
-    with pytest.raises(ValueError):
-        report.raise_if_invalid()
+    assert [f.name for f in dataclasses.fields(RFLink)] == ["id", "transmitter", "receivers"]
+    with pytest.raises(TypeError):
+        RFLink(id="l", transmitters=(t1, t2))
+    link = RFLink(id="l", transmitter=t1)
+    assert link.transceivers == (t1,) and RFLink(id="l").transceivers == ()
 
 
 def test_co_activity_violations():
@@ -68,10 +64,74 @@ def test_co_activity_violations():
         params=reference_params(),
         propagation=PropagationModel(),
         grid_spec=reference_grid(horizon=2),
-        networks=(RFNetwork(id="n", links=(RFLink(id="l", transmitters=(tx,), receivers=(rx,)),)),),
+        networks=(RFNetwork(id="n", links=(RFLink(id="l", transmitter=tx, receivers=(rx,)),)),),
     )
     report = validate_system(sys_)
     assert any("inactive" in v for v in report.violations)
+
+
+@pytest.mark.parametrize(
+    "tx_active, rx_active, violations",
+    [
+        (None, None, ()),
+        (None, {0, 1}, ()),
+        ({0, 1}, None, ()),
+        ({1, 0, 0}, {1}, ()),
+        ({0}, None, ("receiver r: active while serving transmitter t is inactive",)),
+        (
+            {0, 5},
+            None,
+            (
+                "transmitter t: active interval outside the time horizon",
+                "receiver r: active while serving transmitter t is inactive",
+            ),
+        ),
+        ({0, 1, 5}, None, ("transmitter t: active interval outside the time horizon",)),
+        (
+            None,
+            {0, 7},
+            (
+                "receiver r: active interval outside the time horizon",
+                "receiver r: active while serving transmitter t is inactive",
+            ),
+        ),
+    ],
+    ids=["all-all", "all-given", "given-covers-all", "given-covers-given", "given-short", "given-as-many-not-all",
+         "given-covers-all-and-more", "given-outside"],
+)
+def test_activity_within_the_horizon_and_the_serving_transmitter(tx_active, rx_active, violations):
+    """Over two time quanta: a given set covers "every quantum" only if it holds each of them,
+    also when it has as many indices; a receiver index outside the horizon is also one its
+    always-active serving transmitter does not have."""
+    tx = Transmitter(id="t", position=(10.0, 10.0), tx_power=0.1, active_intervals=tx_active)
+    rx = Receiver(id="r", position=(20.0, 20.0), beta=2.0, active_intervals=rx_active)
+    sys_ = RFSystem(
+        params=reference_params(),
+        propagation=PropagationModel(),
+        grid_spec=reference_grid(horizon=2),
+        networks=(RFNetwork(id="n", links=(RFLink(id="l", transmitter=tx, receivers=(rx,)),)),),
+    )
+    assert validate_system(sys_).violations == violations
+
+
+def test_validation_builds_no_set_of_every_time_quantum():
+    """A 200 m square of 100 m hexagons (7 regions) over 2,000,000 time quanta is 14 M cells,
+    under MAX_CELLS.  Validation once built a set of every quantum up to three times per
+    transceiver (0.96 s and 290 MB here); it checks the given sets alone."""
+    tx = Transmitter(id="t", position=(50.0, 50.0), tx_power=0.1)
+    rx = Receiver(id="r", position=(150.0, 150.0), beta=2.0)
+    sys_ = RFSystem(
+        params=reference_params(),
+        propagation=PropagationModel(),
+        grid_spec=GridSpec(region_width=200.0, region_height=200.0, hex_side=100.0, horizon=2_000_000),
+        networks=(RFNetwork(id="n", links=(RFLink(id="l", transmitter=tx, receivers=(rx,)),)),),
+    )
+    assert sys_.grid.region_count == 7
+    report, peak = traced_peak(validate_system, sys_)
+    assert report.ok and peak < 5 * 2**20
+    late = RFLink(id="l", transmitter=dataclasses.replace(tx, active_intervals={1_999_999}), receivers=(rx,))
+    report, peak = traced_peak(validate_system, dataclasses.replace(sys_, networks=(RFNetwork(id="n", links=(late,)),)))
+    assert report.violations == ("receiver r: active while serving transmitter t is inactive",) and peak < 5 * 2**20
 
 
 def test_violations_of_one_transmitter_and_one_receiver_in_order():
@@ -81,7 +141,7 @@ def test_violations_of_one_transmitter_and_one_receiver_in_order():
         params=reference_params(),
         propagation=PropagationModel(),
         grid_spec=reference_grid(horizon=2),
-        networks=(RFNetwork(id="n", links=(RFLink(id="l", transmitters=(tx,), receivers=(rx,)),)),),
+        networks=(RFNetwork(id="n", links=(RFLink(id="l", transmitter=tx, receivers=(rx,)),)),),
     )
     assert validate_system(sys_).violations == (
         "transmitter t: tx_power exceeds p_max",
@@ -145,7 +205,7 @@ def test_structural_violations():
         networks=(
             RFNetwork(
                 id="n",
-                links=(RFLink(id="l1", transmitters=(outside,)), RFLink(id="l2", transmitters=(hot,)), RFLink(id="l3", transmitters=(dup,))),
+                links=(RFLink(id="l1", transmitter=outside), RFLink(id="l2", transmitter=hot), RFLink(id="l3", transmitter=dup)),
             ),
         ),
     )
@@ -160,7 +220,7 @@ def test_entity_selector():
     tx2 = Transmitter(id="tx-2", position=(500.0, 500.0), tx_power=0.01)
     rx2 = Receiver(id="rx-2", position=(600.0, 600.0), beta=2.0)
     rx3 = Receiver(id="rx-3", position=(700.0, 700.0), beta=2.0)
-    link2 = RFLink(id="link-2", transmitters=(tx2,), receivers=(rx2, rx3))
+    link2 = RFLink(id="link-2", transmitter=tx2, receivers=(rx2, rx3))
     sys_ = dataclasses.replace(sys_, networks=sys_.networks + (RFNetwork(id="net-2", links=(link2,)),))
 
     link_set = entity_selector(sys_, "link-2")

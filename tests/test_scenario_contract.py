@@ -43,7 +43,7 @@ CHILDREN = {
     S._PROPAGATION: {"band_overrides": S._BAND_OVERRIDE},
     S._GRID: {"bands": S._BAND, "sample_point_policy": S._OFFSET},
     S._NETWORK: {"links": S._LINK},
-    S._LINK: {"transmitter": S._TX, "transmitters": S._TX, "receivers": S._RX},
+    S._LINK: {"transmitter": S._TX, "receivers": S._RX},
     S._TX: {"antenna": S._ANTENNA},
     S._RX: {"antenna": S._ANTENNA},
 }
@@ -163,8 +163,8 @@ def test_every_command_on_generated_scenarios_keeps_the_cli_contract(tmp_path, c
 
 
 # The keys whose readers take a list (``noise_dbm`` takes one per band as well as one number).
-LIST_KEYS = {"networks", "links", "transmitters", "receivers", "bands", "noise_overrides", "position", "offset_m",
-             "active", "noise_dbm"}
+LIST_KEYS = {"networks", "links", "receivers", "bands", "noise_overrides", "position", "offset_m", "active",
+             "noise_dbm"}
 
 
 def test_an_empty_list_for_every_list_valued_key_keeps_the_cli_contract(tmp_path):
@@ -180,7 +180,7 @@ def test_an_empty_list_for_every_list_valued_key_keeps_the_cli_contract(tmp_path
             node = node[step]
         node[key] = []
         codes.append(run_cli(command, tmp_path / "scenario.yaml", yaml.safe_dump(doc, sort_keys=False), name, path, key)[0])
-    assert len(codes) == 120 and set(codes) == {0, 2}
+    assert len(codes) == 109 and set(codes) == {0, 2}
 
 
 def fault(text: str) -> str | None:

@@ -225,7 +225,7 @@ def test_recovery_false_positives_add_transmitters():
 
 def spurious_powers(sensed) -> list[float]:
     (net,) = [n for n in sensed.networks if n.id == "sensed-artifacts"]
-    return [link.transmitters[0].tx_power for link in net.links]
+    return [link.transmitter.tx_power for link in net.links]
 
 
 def test_false_positive_power_is_sampled_from_the_true_transmitters():
