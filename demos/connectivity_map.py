@@ -22,20 +22,19 @@ grid = system.grid
 print(f"{grid.region_count} regions, {grid.band_count} bands")
 
 cmap = build_connectivity_map(system, candidate_beta=db_to_linear(10.0))
-feasible = [e for e in cmap.edges if e.feasible]
-print(f"{len(cmap.edges)} directed pair-band assessments, {len(feasible)} feasible")
+_, _, feasible, _, best = cmap.pairs()  # best band of each ordered pair, -1 where none is feasible
+print(f"{feasible.size} directed pair-band assessments, {feasible.sum()} feasible")
 
-counts = Counter(band for band in cmap.best_band.values() if band is not None)
-dead = sum(1 for band in cmap.best_band.values() if band is None)
+counts = Counter(best.tolist())
 print("\nbest band per adjacency:")
 for band in range(grid.band_count):
     print(f"  band {band}: {counts.get(band, 0):4d} pairs")
-print(f"  none  : {dead:4d} pairs")
+print(f"  none  : {counts.get(-1, 0):4d} pairs")
 
 def describe(point, label):
     cell = grid.locate(point)
-    choices = [cmap.best_band[(cell, b)] for b in grid.neighbors(cell)]
-    text = ", ".join("none" if c is None else str(c) for c in choices)
+    choices = cmap.pairs(cell, cell + 1)[4]  # the hops out of one cell, destination ascending
+    text = ", ".join("none" if c < 0 else str(c) for c in choices.tolist())
     print(f"  {label} (cell {cell}): best bands {text}")
 
 

@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from . import consumption
-from .consumption import _check_cell, _evaluate_grids, _point_slice
+from .consumption import _check_cell, _evaluate_grids, _LinkBudget, _point_slice
 from .grid import SQRT3, Cell, SpectrumGrid
 from .model import RFSystem
 from .propagation import path_gain
@@ -80,11 +80,6 @@ class ConnectivityMap:
         cells = (np.repeat(x, bands).tolist() for x in (a, b))
         values = (x.ravel().tolist() for x in (feasible, self.power[a], sinr))
         return list(map(LinkAssessment, *cells, np.tile(np.arange(bands), pairs).tolist(), *values))
-
-    @cached_property
-    def best_band(self) -> dict[tuple[int, int], int | None]:
-        a, b, _, _, best = self.pairs()
-        return {(x, y): None if nu < 0 else nu for x, y, nu in zip(a.tolist(), b.tolist(), best.tolist())}
 
     def csv_chunks(self, counts: list[int] | None = None) -> Iterator[str]:
         """The edge list, floats as ``%.12g``, as text chunks, each the pairs of
@@ -163,7 +158,8 @@ def link_feasibility(
     if b not in sys.grid.neighbors(a):
         raise ValueError(f"regions {a} and {b} are not adjacent")
     _check_request(candidate_beta)
-    source, dest = (_point_slice(sys, c.sample_point, tau, band_index, c.region_index)[2] for c in (cell_a, cell_b))
+    slot = _LinkBudget(sys, band_index).slot(tau)
+    source, dest = (_point_slice(slot, c.sample_point, c.region_index)[0] for c in (cell_a, cell_b))
     max_power = _clip(sys, source[2:3])
     feasible, sinr = _budget(max_power, dest[0], _hop_gains(sys, [band_index]), candidate_beta)
     return bool(feasible[0]), float(max_power[0]), float(sinr[0])
@@ -182,5 +178,5 @@ def build_connectivity_map(sys: RFSystem, candidate_beta: float, time_index: int
     power, occupancy = _clip(sys, maps["raw_opportunity"][:, 0]), maps["occupancy"][:, 0]
     gains = _hop_gains(sys, range(sys.grid.band_count))
     for array in (power, occupancy, gains):
-        array.setflags(write=False)  # edges and best_band, derived from them, are cached
+        array.setflags(write=False)  # edges, derived from them, are cached
     return ConnectivityMap(candidate_beta, time_index, sys.grid, power, occupancy, gains)

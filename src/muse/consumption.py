@@ -26,21 +26,23 @@ The clamped cell opportunity gamma is raw opportunity clipped to
 exactly by construction while the unclamped value stays available for
 diagnostics.
 
-Evaluation has two stages.  The link budget of a band is built once per
-call: every receiver's margin, and an R x T coupling matrix whose entry
-(r, t) is the power receiver r takes from transmitter t, tx power x
-``propagation.link_gain`` x the receiver's antenna gain toward t, with
-the serving transmitter and orthogonal siblings masked out.  A time
-quantum's remaining margins are then one masked row sum.  The kernel
-evaluates (band, quantum) slots at N points one transceiver at a time,
-transmitters first: each one's gain field (``link_gain`` of its model,
-antenna and position) is computed once per model and applied to every slot
-where it is active, so one field is alive at a time.  A slot gets the four
-fields and, for the transceivers asked for, each one's consumption summed
-over the points (received power for transmitters, clipped liability for
-receivers).  Maps, the system report, entity consumption and the point and
-cell queries (one slot, N = 1) all read from that kernel, so a point query
-equals the map bitwise at a cell's sample point.
+Evaluation has two stages.  Link-budget setup builds, per band and call,
+every receiver's margin and an R x T coupling matrix whose entry (r, t) is
+the power receiver r takes from transmitter t, tx power x
+``propagation.link_gain`` x the receiver's antenna gain toward t, with the
+serving transmitter and orthogonal siblings masked out; and per (band,
+quantum) a slot: the activity masks, each receiver's existing interference
+(a masked row sum of the coupling) and its remaining margin.  The kernel
+does no link-budget arithmetic.  It evaluates slots at N points one
+transceiver at a time, transmitters first: each one's gain field
+(``link_gain`` of its model, antenna and position) is computed once per
+model and applied to every slot where it is active, so one field is alive
+at a time.  A slot gets the four fields and, for the transceivers asked
+for, each one's consumption summed over the points (received power for
+transmitters, clipped liability for receivers).  Maps, the system report,
+entity consumption and the point and cell queries (one slot, N = 1) all
+read from that kernel, so a point query equals the map bitwise at a cell's
+sample point; the receiver queries read the slot itself.
 
 The grid pass cuts the regions into chunks that are nodes of numpy's
 pairwise-summation tree (threads take whole chunks) and runs the kernel on
@@ -113,6 +115,17 @@ def thread_budget() -> int:
 # link budget
 
 
+class _Slot(NamedTuple):
+    """A band's link budget in one time quantum: the activity masks, each receiver's existing
+    interference (the power it takes from its active interferers) and its remaining margin."""
+
+    budget: _LinkBudget
+    tx_active: np.ndarray
+    rx_active: np.ndarray
+    interference: np.ndarray
+    remaining: np.ndarray
+
+
 class _LinkBudget:
     """Every receiver's link budget in one band.
 
@@ -122,7 +135,8 @@ class _LinkBudget:
     orthogonal network, for the transmitters of r's sibling links.
     ``signal`` is the serving power (zero on receive-only links), ``noise``
     the ambient noise at each receiver and ``margin`` the interference it
-    tolerates at zero separation.
+    tolerates at zero separation.  ``row`` maps a transmitter's id to its column
+    and a receiver's to its row (a transmitter's wins where an invalid system reuses an id).
     """
 
     def __init__(self, sys: RFSystem, band_index: int):
@@ -136,6 +150,7 @@ class _LinkBudget:
         self.transmitters = [tx for _, _, tx in tx_entries]
         self.receivers = [rx for _, _, rx in rx_entries]
         self.ids = [tx.id for tx in self.transmitters] + [rx.id for rx in self.receivers]
+        self.row = {e.id: k for side in (self.receivers, self.transmitters) for k, e in enumerate(side)}
         self.keys = [(self.model, e.antenna, sys.position_of(e)) for e in self.transmitters + self.receivers]
         positions = np.array([key[2] for key in self.keys], dtype=float).reshape(-1, 2)
         self.tx_pos, self.rx_pos = positions[: len(self.transmitters)], positions[len(self.transmitters) :]
@@ -147,7 +162,6 @@ class _LinkBudget:
             gain[r] *= _toward(rx.antenna, self.rx_pos[r], self.tx_pos)[1]
         self.coupling = gain * np.array([tx.tx_power for tx in self.transmitters])
 
-        tx_column = {tx.id: t for t, tx in enumerate(self.transmitters)}
         tx_net = np.array([net.id for net, _, _ in tx_entries], dtype=object)
         tx_link = np.array([link.id for _, link, _ in tx_entries], dtype=object)
         self.interferes = np.ones(gain.shape, dtype=bool)
@@ -162,27 +176,21 @@ class _LinkBudget:
                     raise ValueError(f"receiver {rx.id}: no serving signal and no explicit margin")
                 self.margin[r] = rx.explicit_margin
                 continue
-            s = tx_column[link.transmitter.id]
+            s = self.row[link.transmitter.id]
             self.interferes[r, s] = False
             self.signal[r] = self.coupling[r, s]
             self.margin[r] = self.signal[r] / rx.beta - self.noise[r]
 
-    def active(self, time_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Activity masks of the transmitters and the receivers in one time quantum."""
+    def slot(self, time_index: int) -> _Slot:
+        """The budget in one time quantum.  The interference is a numpy reduction,
+        not a BLAS product, so that it does not depend on any thread count."""
         if not 0 <= time_index < self.sys.grid_spec.horizon:
             raise IndexError(f"time index {time_index} out of range")
         nu = self.band_index
-        return (
-            np.array([tx.is_active(time_index, nu) for tx in self.transmitters], dtype=bool),
-            np.array([rx.is_active(time_index, nu) for rx in self.receivers], dtype=bool),
-        )
-
-    def interference(self, tx_active: np.ndarray) -> np.ndarray:
-        """Power each receiver takes from its active interferers.
-
-        A numpy reduction, not a BLAS product, so that the result does not
-        depend on any thread count."""
-        return np.sum(self.coupling, axis=1, where=self.interferes & tx_active)
+        tx_active = np.array([tx.is_active(time_index, nu) for tx in self.transmitters], dtype=bool)
+        rx_active = np.array([rx.is_active(time_index, nu) for rx in self.receivers], dtype=bool)
+        interference = np.sum(self.coupling, axis=1, where=self.interferes & tx_active)
+        return _Slot(self, tx_active, rx_active, interference, self.margin - interference)
 
 
 def _receiver_budget(sys: RFSystem, rx: Receiver | str, band_index: int) -> tuple[_LinkBudget, int]:
@@ -190,7 +198,7 @@ def _receiver_budget(sys: RFSystem, rx: Receiver | str, band_index: int) -> tupl
     rx_id = rx if isinstance(rx, str) else rx.id
     sys.receiver(rx_id)  # unknown ids raise UnknownEntityError
     budget = _LinkBudget(sys, band_index)
-    return budget, [r.id for r in budget.receivers].index(rx_id)
+    return budget, budget.row[rx_id]
 
 
 def interference_margin(sys: RFSystem, rx: Receiver | str, band_index: int = 0) -> float:
@@ -210,8 +218,7 @@ def receiver_sinr(sys: RFSystem, rx: Receiver | str, time_index: int = 0, band_i
     if sys.link_of(rx_id).transmitter is None:
         raise ValueError(f"receiver {rx_id} has no serving transmitter")
     budget, r = _receiver_budget(sys, rx_id, band_index)
-    interference = budget.interference(budget.active(time_index)[0])
-    return float(budget.signal[r] / (interference[r] + budget.noise[r]))
+    return float(budget.signal[r] / (budget.slot(time_index).interference[r] + budget.noise[r]))
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +235,8 @@ def _noise_vector(sys: RFSystem, band_index: int, lo: int, hi: int) -> np.ndarra
 
 
 def _evaluate(slots, pts: np.ndarray, noise: dict, members, out) -> np.ndarray:
-    """Each slot (link budget, activity masks) at the N points ``pts`` with its
-    band's ``noise[budget]``, written into ``out[i]``: four (N,) rows of
+    """Each ``_Slot`` at the N points ``pts`` with its band's
+    ``noise[slot.budget]``, written into ``out[i]``: four (N,) rows of
     occupancy, clamped opportunity, raw opportunity (may be the clamped row)
     and liability.  Transceivers run in ``budget.ids`` order, transmitters
     first; each gain field is computed once per model and applied to every
@@ -237,24 +244,23 @@ def _evaluate(slots, pts: np.ndarray, noise: dict, members, out) -> np.ndarray:
     transceiver, the power a transmitter deposits or the clipped liability a
     receiver imposes, summed over the points (zero for the others), (slots, ids).
     """
-    first = slots[0][0]
+    first = slots[0].budget
     params, first_rx = first.sys.params, len(first.transmitters)
-    models: dict = {}  # slot indices by propagation model, in slot order
-    for i, (b, _) in enumerate(slots):
-        models.setdefault(id(b.model), []).append(i)
+    models: dict = {}  # slot indices by propagation model, in slot order; occupancy starts at the noise
+    for i, slot in enumerate(slots):
+        models.setdefault(id(slot.budget.model), []).append(i)
+        out[i][0][...] = noise[slot.budget]
     consumed = np.zeros((len(slots), len(first.ids)))
     field = np.empty(len(pts))  # a received power or an opportunity, in turn
 
     def fields(k: int):
         """Transceiver k's gain field, once per model, and the slots where k is active."""
-        side, j = (0, k) if k < first_rx else (1, k - first_rx)  # into the tx or the rx mask
+        mask, j = (1, k) if k < first_rx else (2, k - first_rx)  # the slot's tx_active or rx_active
         for group in models.values():
-            active = [i for i in group if slots[i][1][side][j]]
+            active = [i for i in group if slots[i][mask][j]]
             if active:
-                yield link_gain(*slots[active[0]][0].keys[k], pts), active
+                yield link_gain(*slots[active[0]].budget.keys[k], pts), active
 
-    for i, (b, _) in enumerate(slots):
-        out[i][0][...] = noise[b]
     for t, tx in enumerate(first.transmitters):
         for gain, active in fields(t):
             np.multiply(tx.tx_power, gain, out=field)
@@ -263,14 +269,13 @@ def _evaluate(slots, pts: np.ndarray, noise: dict, members, out) -> np.ndarray:
                 np.add(out[i][0], field, out=out[i][0])
                 consumed[i, t] = total
 
-    remaining = [b.margin - b.interference(a[0]) for b, a in slots]
     for occupancy, _, raw, _ in out:
         np.subtract(params.p_max, occupancy, out=raw)
     for r, rx in enumerate(first.receivers):
         for gain, active in fields(first_rx + r):
             for i in active:
                 occupancy, _, raw, _ = out[i]
-                np.divide(remaining[i][r], gain, out=field)
+                np.divide(slots[i].remaining[r], gain, out=field)
                 np.minimum(raw, field, out=raw)
                 if rx.id in members:
                     consumed[i, first_rx + r] = np.sum(np.clip(params.p_cmax - (occupancy + field), 0.0, params.p_cmax))
@@ -284,21 +289,16 @@ def _evaluate(slots, pts: np.ndarray, noise: dict, members, out) -> np.ndarray:
     return consumed
 
 
-def _point_slice(sys: RFSystem, point, time_index: int, band_index: int, region_index=None):
-    """Link budget, activity masks, the four fields (occupancy, clamped and
-    raw opportunity, liability) and every transceiver's consumption at one
-    point.  ``region_index`` takes the noise of that cell instead of locating
-    the point."""
-    budget = _LinkBudget(sys, band_index)
-    active = budget.active(time_index)
+def _point_slice(slot: _Slot, point, region_index=None):
+    """The four fields (occupancy, clamped and raw opportunity, liability) of one
+    slot and every transceiver's consumption at one point.  ``region_index``
+    takes the noise of that cell instead of locating the point."""
+    budget, sys, nu = slot.budget, slot.budget.sys, slot.budget.band_index
     pts = np.array([point], dtype=float).reshape(1, 2)
-    if region_index is None:
-        noise = sys.noise_at(point, band_index)
-    else:
-        noise = _noise_vector(sys, band_index, region_index, region_index + 1)
+    noise = sys.noise_at(point, nu) if region_index is None else _noise_vector(sys, nu, region_index, region_index + 1)
     fields = np.empty((4, 1))
-    consumed = _evaluate([(budget, active)], pts, {budget: noise}, frozenset(budget.ids), [fields])
-    return budget, active, fields[:, 0], consumed[0]
+    consumed = _evaluate([slot], pts, {budget: noise}, frozenset(budget.ids), [fields])
+    return fields[:, 0], consumed[0]
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +309,13 @@ def tx_occupancy_at(sys: RFSystem, tx: Transmitter | str, point, time_index: int
     """Power received from one transmitter at a point; zero while inactive."""
     tx_id = tx if isinstance(tx, str) else tx.id
     sys.transmitter(tx_id)  # unknown ids raise UnknownEntityError
-    budget, _, _, consumed = _point_slice(sys, point, time_index, band_index)
-    return float(consumed[budget.ids.index(tx_id)])
+    budget = _LinkBudget(sys, band_index)
+    return float(_point_slice(budget.slot(time_index), point)[1][budget.row[tx_id]])
 
 
 def aggregate_occupancy_at(sys: RFSystem, point, time_index: int = 0, band_index: int = 0) -> float:
     """Aggregate received power plus ambient noise at a point."""
-    return float(_point_slice(sys, point, time_index, band_index)[2][0])
+    return float(_point_slice(_LinkBudget(sys, band_index).slot(time_index), point)[0][0])
 
 
 def interference_opportunity(sys: RFSystem, rx: Receiver | str, point, time_index: int = 0, band_index: int = 0) -> float:
@@ -326,8 +326,7 @@ def interference_opportunity(sys: RFSystem, rx: Receiver | str, point, time_inde
     values mean the receiver is already experiencing harmful interference.
     """
     budget, r = _receiver_budget(sys, rx, band_index)
-    remaining = budget.margin[r] - budget.interference(budget.active(time_index)[0])[r]
-    return float(remaining / link_gain(*budget.keys[len(budget.transmitters) + r], [point])[0])
+    return float(budget.slot(time_index).remaining[r] / link_gain(*budget.keys[len(budget.transmitters) + r], [point])[0])
 
 
 def net_opportunity_at(sys: RFSystem, point, time_index: int = 0, band_index: int = 0) -> float:
@@ -337,7 +336,7 @@ def net_opportunity_at(sys: RFSystem, point, time_index: int = 0, band_index: in
     receivers, never exceeding the regulatory headroom p_max - P_bar.
     With no receivers it is the headroom itself.
     """
-    return float(_point_slice(sys, point, time_index, band_index)[2][2])
+    return float(_point_slice(_LinkBudget(sys, band_index).slot(time_index), point)[0][2])
 
 
 @dataclass(frozen=True)
@@ -363,23 +362,23 @@ class PointMetrics:
 
 def point_metrics(sys: RFSystem, point, time_index: int = 0, band_index: int = 0) -> PointMetrics:
     """Full consumption breakdown at one point."""
-    budget, (tx_active, rx_active), fields, consumed = _point_slice(sys, point, time_index, band_index)
-    interference = budget.interference(tx_active)
+    budget = _LinkBudget(sys, band_index)
+    slot = budget.slot(time_index)
+    fields, consumed = _point_slice(slot, point)
     first_rx = len(budget.transmitters)
     views = []
     for r, rx in enumerate(budget.receivers):
-        if not rx_active[r]:
+        if not slot.rx_active[r]:
             continue
         g = float(link_gain(*budget.keys[first_rx + r], [point])[0])
         margin = float(budget.margin[r])
-        existing = float(interference[r])
         views.append(
             ReceiverPointMetrics(
                 receiver_id=rx.id,
                 margin=margin,
                 bound=margin / g,
-                backprojected_interference=existing / g,
-                opportunity=(margin - existing) / g,
+                backprojected_interference=float(slot.interference[r]) / g,
+                opportunity=float(slot.remaining[r]) / g,
                 liability=float(consumed[first_rx + r]),
             )
         )
@@ -422,12 +421,11 @@ def cell_metrics(sys: RFSystem, cell: Cell) -> CellMetrics:
     ``sys.grid``, evaluated at its sample point.  IndexError for an index
     outside the grid, ValueError for a cell not equal to the grid's own."""
     _check_cell(sys, cell)
-    budget, (tx_active, rx_active), fields, consumed = _point_slice(
-        sys, cell.sample_point, cell.time_index, cell.band_index, cell.region_index
-    )
-    remaining = budget.margin - budget.interference(tx_active)
+    budget = _LinkBudget(sys, cell.band_index)
+    slot = budget.slot(cell.time_index)
+    fields, consumed = _point_slice(slot, cell.sample_point, cell.region_index)
     first_rx = len(budget.transmitters)
-    active = [(r, rx) for r, rx in enumerate(budget.receivers) if rx_active[r]]
+    active = [(r, rx) for r, rx in enumerate(budget.receivers) if slot.rx_active[r]]
     return CellMetrics(
         cell=cell,
         occupancy=float(fields[0]),
@@ -436,7 +434,7 @@ def cell_metrics(sys: RFSystem, cell: Cell) -> CellMetrics:
         liability=float(fields[3]),
         tx_occupancy={tx.id: float(consumed[t]) for t, tx in enumerate(budget.transmitters)},
         rx_liability={rx.id: float(consumed[first_rx + r]) for r, rx in active},
-        harmful_interference=frozenset(rx.id for r, rx in active if remaining[r] < 0.0),
+        harmful_interference=frozenset(rx.id for r, rx in active if slot.remaining[r] < 0.0),
     )
 
 
@@ -503,10 +501,10 @@ def _plan(sys: RFSystem, times, keep) -> _Plan:
     budgets = [_LinkBudget(sys, nu) for nu in range(grid.band_count)]
     slots, source, first = [], [], {}
     for j, k in np.ndindex(len(budgets), len(times)):
-        active = budgets[j].active(times[k])
-        source.append(first.setdefault((j, active[0].tobytes(), active[1].tobytes()), len(slots)))
+        slot = budgets[j].slot(times[k])
+        source.append(first.setdefault((j, slot.tx_active.tobytes(), slot.rx_active.tobytes()), len(slots)))
         if source[-1] == len(slots):
-            slots.append((budgets[j], active))
+            slots.append(slot)
     # The totals' chunks hold 4 x _CHUNK points, at most _CHUNK regions: cut to _CHUNK // slots, fine_sweep
     # (4 slots) ran faster on one thread but much slower on two, as numpy calls on 16k-region arrays are too
     # short to overlap under the GIL.

@@ -600,28 +600,31 @@ def read_map_csv(path, fields=MAP_FIELDS) -> dict[str, np.ndarray]:
     ValueError) and the ``centroids``, in one ``np.loadtxt`` pass over all nine
     columns; other fields are read as 1-byte strings, not converted.
 
-    The header must match, every row must hold three integer indices and
-    six numbers (no comment lines; empty lines are skipped), every
-    (region, time, band) index triple must appear exactly once, every value
-    read must be finite and the rows of a region must agree on its centroid;
-    anything else raises ScenarioError.
+    The file must be UTF-8 text and the header must match; every row must
+    hold three integer indices and six numbers (no comment lines; empty lines
+    are skipped), every (region, time, band) index triple must appear exactly
+    once, every value read must be finite and the rows of a region must agree
+    on its centroid; anything else raises ScenarioError.
     """
     if not set(fields) <= set(MAP_FIELDS):
         raise ValueError(f"map CSV fields must be of {MAP_FIELDS}, got {tuple(fields)}")
     kinds = [(n, _MAP_DTYPE[n] if n in fields or n not in MAP_FIELDS else "S1") for n in _MAP_DTYPE.names]
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != MAP_CSV_HEADER:
-            raise ScenarioError(f"unexpected map CSV header: {header!r}")
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                rows = np.loadtxt(fh, dtype=kinds, delimiter=",", comments=None, ndmin=1)
+            header = fh.readline().strip()
+            if header == MAP_CSV_HEADER:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                    rows = np.loadtxt(fh, dtype=kinds, delimiter=",", comments=None, ndmin=1)
+        except UnicodeDecodeError as exc:  # a ValueError, raised in the header or in any later block read
+            raise ScenarioError(f"map CSV is not UTF-8 text: {exc}") from exc
         except ValueError as exc:  # numpy's row R counts after the header, blank lines not; its usecols advice goes
             row = re.search(r"(\d+) were found at (row \d+)", str(exc))
             if row:
                 raise ScenarioError(f"map CSV has a row without 9 fields: data {row[2]} has {row[1]} fields") from exc
             raise ScenarioError(f"map CSV has a malformed number: {exc}") from exc
+    if header != MAP_CSV_HEADER:
+        raise ScenarioError(f"unexpected map CSV header: {_shown(header)}")
     if not rows.size:
         raise ScenarioError("map CSV has no data rows")
     chis, taus, nus = rows["region"], rows["time"], rows["band"]

@@ -194,6 +194,8 @@ class SensingErrorModel:
             raise ValueError("error sigmas must be finite and nonnegative")
         if self.false_positive_power is not None and not 0.0 < self.false_positive_power < math.inf:
             raise ValueError("false_positive_power must be finite and positive")
+        if not self.rng_seed >= 0:
+            raise ValueError("rng_seed must be nonnegative")
 
 
 def _sensed_power(tx_id: str, power: float, error_db: float) -> float:

@@ -238,6 +238,35 @@ def test_smf_rejects_a_truth_map_row_with_a_tenth_field(runner, scenario_path, t
     assert "map CSV has a row without 9 fields" in err["error"] and err["exit_code"] == 2
 
 
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        ("header", r"map CSV is not UTF-8 text: 'utf-8' codec can't decode byte 0xd0 in position 5: .*"),
+        ("past-8k", r"map CSV is not UTF-8 text: 'utf-8' codec can't decode byte 0xd0 in position \d+: .*"),
+        ("long-header", r"unexpected map CSV header: 'xxx+\.\.\.'"),
+    ],
+)
+def test_smf_rejects_a_truth_map_it_cannot_read_in_one_short_line(runner, scenario_path, tmp_path, where, message):
+    """A byte that is not UTF-8 once exited 2 with a bare codec message naming neither the
+    map CSV nor the problem, and a 1,000,000-character header was echoed whole."""
+    map_a = tmp_path / "a.csv"
+    runner.invoke(main, ["map", "--scenario", scenario_path, "--out", str(map_a)])
+    data = map_a.read_bytes()
+    at = {"header": 5, "past-8k": data.index(b"\n", 8192) + 3}.get(where)
+    if at is None:
+        data = b"x" * 1_000_000 + data[data.index(b"\n") :]
+    else:
+        assert len(data) > 8192 + 100
+        data = data[:at] + b"\xd0" + data[at:]
+    map_a.write_bytes(data)
+    result = runner.invoke(main, ["smf", "--scenario", scenario_path, "--truth-map", str(map_a)])
+    assert result.exit_code == 2
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and len(lines[0].encode()) <= 300, lines[0][:400]
+    err = json.loads(lines[0])
+    assert re.fullmatch(message, err["error"]) and err["exit_code"] == 2, err
+
+
 def test_sweep_command(runner, tmp_path):
     path = tmp_path / "region.yaml"
     path.write_text(serialize_scenario(region_link_system(worst_case=True)))
@@ -683,11 +712,13 @@ def test_omni_spellings_read_as_omni(runner, tmp_path, antenna):
         (["smf", "--power-sigma-db", "1e6"], "sensing error: a power error of 104900 dB puts transmitter tx-1 out of range"),
         (["smf", "--power-sigma-db", "1e6", "--seed", "1"], "sensing error: a power error of -1.30316e+06 dB puts transmitter tx-1"),
         (["smf", "--power-sigma-db", "1e4", "--false-positives", "3", "--p-missed", "1"], "puts transmitter sensed-artifact-tx-0"),
+        (["smf", "--seed", "-1"], "rng_seed must be nonnegative"),
     ],
     ids=["time-past-horizon", "time-negative", "beta-minus-inf", "beta-nan", "beta-overflow", "beta-underflow", "beta-inf",
          "side-zero", "side-negative", "side-nan", "side-too-small", "fp-power-overflow", "fp-power-minus-inf",
          "fp-power-nan", "geo-sigma-nan", "geo-sigma-inf", "power-sigma-inf", "false-positives-nan", "false-positives-inf",
-         "false-positives-huge", "power-sigma-overflow", "power-sigma-underflow", "power-sigma-false-positive"],
+         "false-positives-huge", "power-sigma-overflow", "power-sigma-underflow", "power-sigma-false-positive",
+         "seed-negative"],
 )
 def test_invalid_option_exit_code(runner, scenario_path, tmp_path, args, message):
     if args[0] == "connectivity":

@@ -114,7 +114,8 @@ def test_best_band_prefers_quiet_spectrum():
     grid = sys_.grid
     a = grid.locate((340.0, 300.0))  # transmitter cell: band 0 is busy there
     b = grid.neighbors(a)[0]
-    best = cmap.best_band[(a, b)]
+    _, cell_b, _, _, best = cmap.pairs(a, a + 1)
+    best = best[cell_b.tolist().index(b)]
     assert best in (1, 2)
     # bands 1 and 2 are identical; the tie must break to the lower index
     assert best == 1
@@ -123,7 +124,7 @@ def test_best_band_prefers_quiet_spectrum():
 def test_single_band_best_band():
     sys_ = empty_system()
     cmap = build_connectivity_map(sys_, db_to_linear(6.0))
-    assert set(cmap.best_band.values()) == {0}
+    assert set(cmap.pairs()[4].tolist()) == {0}
 
 
 def test_edges_cover_ordered_pairs_and_bands():
@@ -232,25 +233,27 @@ def test_link_feasibility_takes_only_the_grids_own_cells_in_one_quantum():
 def test_link_feasibility_evaluates_only_its_two_regions(monkeypatch):
     sys_ = multi_band_system(horizon=2)
     grid = sys_.grid
-    quanta, slices = [], []
-    active, evaluate = consumption._LinkBudget.active, consumption._evaluate
+    budgets, quanta, slices = [], [], []
+    init, slot, evaluate = consumption._LinkBudget.__init__, consumption._LinkBudget.slot, consumption._evaluate
 
     def record(slots, pts, *args):
-        slices.append(([budget.band_index for budget, _ in slots], np.asarray(pts).tolist()))
+        slices.append(([s.budget.band_index for s in slots], [s.budget for s in slots], np.asarray(pts).tolist()))
         return evaluate(slots, pts, *args)
 
-    monkeypatch.setattr(consumption._LinkBudget, "active", lambda self, tau: quanta.append(tau) or active(self, tau))
+    monkeypatch.setattr(consumption._LinkBudget, "__init__", lambda self, s, nu: budgets.append(self) or init(self, s, nu))
+    monkeypatch.setattr(consumption._LinkBudget, "slot", lambda self, tau: quanta.append(tau) or slot(self, tau))
     monkeypatch.setattr(consumption, "_evaluate", record)
     a = 12
     for b in grid.neighbors(a):
         for src, dst in ((a, b), (b, a)):
+            budgets.clear()
             quanta.clear()
             slices.clear()
             link_feasibility(sys_, grid.cell(src, 1), grid.cell(dst, 1), 1, db_to_linear(6.0))
-            # two one-point slices, at the source's and the destination's sample point,
-            # each on the requested band and in the cells' quantum
-            assert quanta == [1, 1]
-            assert slices == [([1], grid.points(chi, chi + 1).tolist()) for chi in (src, dst)]
+            # one link budget on the requested band and its slot in the cells' quantum, evaluated as two
+            # one-point slices, at the source's and the destination's sample point
+            assert [budget.band_index for budget in budgets] == [1] and quanta == [1]
+            assert slices == [([1], budgets, grid.points(chi, chi + 1).tolist()) for chi in (src, dst)]
 
 
 def test_link_feasibility_builds_no_lattice():
@@ -276,16 +279,17 @@ def test_best_band_is_first_feasible_argmax():
     )
     sys_ = dataclasses.replace(base, networks=base.networks + (RFNetwork(id="g", links=(RFLink(id="gl", receivers=guards),)),))
     cmap = build_connectivity_map(sys_, db_to_linear(20.0))
+    a, b, _, _, best = cmap.pairs()
     by_pair = {}
     for e in cmap.edges:
         by_pair.setdefault((e.cell_a, e.cell_b), []).append(e)
-    assert list(by_pair) == list(cmap.best_band)
-    for pair, edges in by_pair.items():
+    assert list(by_pair) == list(zip(a.tolist(), b.tolist()))
+    for edges, nu in zip(by_pair.values(), best.tolist()):
         feasible = [e for e in edges if e.feasible]
         # max() keeps the first of equal SINRs, i.e. the lowest band index
-        expected = max(feasible, key=lambda e: e.sinr).band_index if feasible else None
-        assert cmap.best_band[pair] == expected
-    assert {1, 2, None} <= set(cmap.best_band.values())
+        expected = max(feasible, key=lambda e: e.sinr).band_index if feasible else -1
+        assert nu == expected
+    assert {1, 2, -1} <= set(best.tolist())
 
 
 def test_connectivity_evaluates_only_the_requested_quantum(monkeypatch):
@@ -299,16 +303,16 @@ def test_connectivity_evaluates_only_the_requested_quantum(monkeypatch):
     )
     maps = compute_maps(sys_)
     quanta, slices = [], []
-    active, evaluate = consumption._LinkBudget.active, consumption._evaluate
-    monkeypatch.setattr(consumption._LinkBudget, "active", lambda self, tau: quanta.append(tau) or active(self, tau))
-    monkeypatch.setattr(consumption, "_evaluate", lambda *args: slices.extend(b.band_index for b, _ in args[0]) or evaluate(*args))
+    slot, evaluate = consumption._LinkBudget.slot, consumption._evaluate
+    monkeypatch.setattr(consumption._LinkBudget, "slot", lambda self, tau: quanta.append(tau) or slot(self, tau))
+    monkeypatch.setattr(consumption, "_evaluate", lambda *args: slices.extend(s.budget.band_index for s in args[0]) or evaluate(*args))
     beta = db_to_linear(6.0)
     bands = range(sys_.grid.band_count)
     for tau in range(sys_.grid_spec.horizon):
         quanta.clear()
         slices.clear()
         cmap = build_connectivity_map(sys_, beta, tau)
-        # each band reads the masks of the requested quantum only and evaluates one slice
+        # each band builds the slot of the requested quantum only and evaluates one slice
         assert quanta == [tau] * sys_.grid.band_count
         assert slices == list(bands)
         # the budget as computed from the full maps before

@@ -685,7 +685,7 @@ def test_maps_equal_per_slot_evaluation_bitwise(monkeypatch, threads):
         noise = consumption._noise_vector(sys_, nu, 0, grid.region_count)
         for tau in range(grid.horizon):
             fields = np.empty((4, grid.region_count))  # occupancy, opportunity, raw opportunity, liability
-            part = consumption._evaluate([(budget, budget.active(tau))], grid.points(0, grid.region_count), {budget: noise}, members, [fields])
+            part = consumption._evaluate([budget.slot(tau)], grid.points(0, grid.region_count), {budget: noise}, members, [fields])
             per_slot[nu, tau] = dict(zip(budget.ids, part[0]))
             for name, field in zip(consumption.MAP_FIELDS, fields):
                 assert maps[name][:, tau, nu].tobytes() == field.tobytes()
@@ -794,6 +794,59 @@ def test_point_and_cell_queries_equal_map_bitwise(sys_):
             maps.raw_opportunity[at],
             maps.liability[at],
         )
+
+
+@settings(max_examples=20, deadline=None)
+@given(generated_systems())
+def test_receiver_queries_read_one_slot(sys_):
+    """At each cell's sample point, every active receiver's interference opportunity
+    is its point_metrics view's, its SINR is signal / (interference + noise) of the
+    same slot, and cell_metrics flags exactly the receivers whose opportunity is negative."""
+    import muse.consumption as consumption
+
+    grid = sys_.grid
+    for at in np.ndindex(grid.region_count, grid.horizon, grid.band_count):
+        cell = grid.cell(*at)
+        point, tau, nu = cell.sample_point, cell.time_index, cell.band_index
+        views = {view.receiver_id: view for view in point_metrics(sys_, point, tau, nu).receivers}
+        slot = consumption._LinkBudget(sys_, nu).slot(tau)
+        budget = slot.budget
+        for rx_id, view in views.items():
+            assert interference_opportunity(sys_, rx_id, point, tau, nu).hex() == view.opportunity.hex()
+            if sys_.link_of(rx_id).transmitter is not None:
+                r = budget.row[rx_id]
+                sinr = budget.signal[r] / (slot.interference[r] + budget.noise[r])
+                assert receiver_sinr(sys_, rx_id, tau, nu).hex() == float(sinr).hex()
+        harmful = {rx_id for rx_id, view in views.items() if view.opportunity < 0.0}
+        assert cell_metrics(sys_, cell).harmful_interference == harmful
+
+
+def test_each_point_cell_and_receiver_query_builds_one_link_budget(monkeypatch):
+    import muse.consumption as consumption
+    from muse import link_feasibility
+
+    sys_ = region_link_system()
+    grid = sys_.grid
+    cell = grid.cell(12, 0, 0)
+    point = cell.sample_point
+    queries = {
+        "tx_occupancy_at": lambda: tx_occupancy_at(sys_, "tx-1", point),
+        "aggregate_occupancy_at": lambda: aggregate_occupancy_at(sys_, point),
+        "interference_margin": lambda: interference_margin(sys_, "rx-1"),
+        "interference_opportunity": lambda: interference_opportunity(sys_, "rx-1", point),
+        "net_opportunity_at": lambda: net_opportunity_at(sys_, point),
+        "receiver_sinr": lambda: receiver_sinr(sys_, "rx-1"),
+        "point_metrics": lambda: point_metrics(sys_, point),
+        "cell_metrics": lambda: cell_metrics(sys_, cell),
+        "link_feasibility": lambda: link_feasibility(sys_, cell, grid.cell(grid.neighbors(12)[0]), 0, 4.0),
+    }
+    built = []
+    init = consumption._LinkBudget.__init__
+    monkeypatch.setattr(consumption._LinkBudget, "__init__", lambda self, *args: built.append(self) or init(self, *args))
+    for name, query in queries.items():
+        built.clear()
+        query()
+        assert len(built) == 1, name
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,11 @@ def test_model_validation():
         with pytest.raises(ValueError, match="false_positive_power must be finite and positive"):
             SensingErrorModel(false_positive_power=bad)
     SensingErrorModel(false_positive_power=1e-3)
+    # numpy's default_rng rejects a negative seed only when perturb_system draws, naming no field
+    for bad in (-1, -(2**70)):
+        with pytest.raises(ValueError, match="^rng_seed must be nonnegative$"):
+            SensingErrorModel(rng_seed=bad)
+    perturb_system(four_pair_system(), SensingErrorModel(rng_seed=2**70))
 
 
 @pytest.mark.parametrize("fp_power", [None, 1e-4])
