@@ -13,7 +13,8 @@ from pathlib import Path
 
 from muse import build_connectivity_map, db_to_linear, load_scenario
 
-HERE = Path(__file__).parent
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent  # the paths printed are relative to the repository
 OUT = HERE / "output"
 OUT.mkdir(exist_ok=True)
 
@@ -47,4 +48,4 @@ print("receivers the best channel flips with the bearing of the neighbor.")
 
 path = OUT / "three_band_campus_edges.csv"
 path.write_text("".join(cmap.csv_chunks()))
-print(f"\nwrote the edge list to {path}")
+print(f"\nwrote the edge list to {path.relative_to(ROOT)}")

@@ -11,7 +11,8 @@ from pathlib import Path
 from muse import compute_maps, entity_consumption, load_scenario, system_report, write_map_csv
 from muse.scenario_io import heatmap_chunks
 
-HERE = Path(__file__).parent
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent  # the paths printed are relative to the repository
 OUT = HERE / "output"
 OUT.mkdir(exist_ok=True)
 
@@ -33,11 +34,11 @@ for entity in ("tx-1", "rx-1", "link-1"):
 maps = compute_maps(system)
 csv_path = OUT / "region_with_link_map.csv"
 write_map_csv(csv_path, maps)
-print(f"\nwrote per-cell map to {csv_path}")
+print(f"\nwrote per-cell map to {csv_path.relative_to(ROOT)}")
 
 mat_path = OUT / "region_with_link_opportunity.mat"
 mat_path.write_text("".join(heatmap_chunks(maps, "opportunity", 0, 0)))
-print(f"wrote opportunity matrix (gnuplot 'plot ... matrix with image') to {mat_path}")
+print(f"wrote opportunity matrix (gnuplot 'plot ... matrix with image') to {mat_path.relative_to(ROOT)}")
 
 row = maps.liability[:, 0, 0]
 print(f"\nliability spans {row.min():.3g} .. {row.max():.3g} W across cells;")

@@ -37,12 +37,12 @@ does no link-budget arithmetic.  It evaluates slots at N points one
 transceiver at a time, transmitters first: each one's gain field
 (``link_gain`` of its model, antenna and position) is computed once per
 model and applied to every slot where it is active, so one field is alive
-at a time.  A slot gets the four fields and, for the transceivers asked
-for, each one's consumption summed over the points (received power for
-transmitters, clipped liability for receivers).  Maps, the system report,
-entity consumption and the point and cell queries (one slot, N = 1) all
-read from that kernel, so a point query equals the map bitwise at a cell's
-sample point; the receiver queries read the slot itself.
+at a time.  A slot gets the four fields, their sums and, where asked, every
+transceiver's consumption summed over the points (received power for
+transmitters, clipped liability for receivers).  Maps, the system report and
+the point and cell queries (one slot, N = 1) all read from that kernel, so a
+point query equals the map bitwise at a cell's sample point; an entity adds
+up the report's sums, and the receiver queries read the slot itself.
 
 The grid pass cuts the regions into chunks that are nodes of numpy's
 pairwise-summation tree (threads take whole chunks) and runs the kernel on
@@ -234,23 +234,24 @@ def _noise_vector(sys: RFSystem, band_index: int, lo: int, hi: int) -> np.ndarra
     return noise
 
 
-def _evaluate(slots, pts: np.ndarray, noise: dict, members, out) -> np.ndarray:
+def _evaluate(slots, pts: np.ndarray, noise: dict, entities: bool, block: np.ndarray) -> np.ndarray:
     """Each ``_Slot`` at the N points ``pts`` with its band's
-    ``noise[slot.budget]``, written into ``out[i]``: four (N,) rows of
-    occupancy, clamped opportunity, raw opportunity (may be the clamped row)
-    and liability.  Transceivers run in ``budget.ids`` order, transmitters
-    first; each gain field is computed once per model and applied to every
-    slot where its transceiver is active.  Returns, per slot and per member
-    transceiver, the power a transmitter deposits or the clipped liability a
-    receiver imposes, summed over the points (zero for the others), (slots, ids).
-    """
+    ``noise[slot.budget]``, written into ``block[:, i]``, of shape (3 or 4,
+    slots, N): occupancy, clamped opportunity, liability and, in a fourth row,
+    raw opportunity (else it passes through the clamped row).  Transceivers run
+    in ``budget.ids`` order, transmitters first; each gain field is computed
+    once per model and applied to every slot where its transceiver is active.
+    Returns the per-slot sums over the points, (3 + ids, slots): the three
+    fields, then, with ``entities``, the power each transmitter deposits or the
+    clipped liability each receiver imposes (else zeros)."""
     first = slots[0].budget
     params, first_rx = first.sys.params, len(first.transmitters)
+    occupancy, gamma, phi, raw = block if len(block) > 3 else (*block, block[1])
     models: dict = {}  # slot indices by propagation model, in slot order; occupancy starts at the noise
     for i, slot in enumerate(slots):
         models.setdefault(id(slot.budget.model), []).append(i)
-        out[i][0][...] = noise[slot.budget]
-    consumed = np.zeros((len(slots), len(first.ids)))
+        occupancy[i] = noise[slot.budget]
+    consumed = np.zeros((len(first.ids), len(slots)))
     field = np.empty(len(pts))  # a received power or an opportunity, in turn
 
     def fields(k: int):
@@ -264,41 +265,39 @@ def _evaluate(slots, pts: np.ndarray, noise: dict, members, out) -> np.ndarray:
     for t, tx in enumerate(first.transmitters):
         for gain, active in fields(t):
             np.multiply(tx.tx_power, gain, out=field)
-            total = np.sum(field) if tx.id in members else 0.0
+            total = np.sum(field) if entities else 0.0
             for i in active:
-                np.add(out[i][0], field, out=out[i][0])
-                consumed[i, t] = total
+                np.add(occupancy[i], field, out=occupancy[i])
+                consumed[t, i] = total
 
-    for occupancy, _, raw, _ in out:
-        np.subtract(params.p_max, occupancy, out=raw)
-    for r, rx in enumerate(first.receivers):
+    np.subtract(params.p_max, occupancy, out=raw)
+    for r in range(len(first.receivers)):
         for gain, active in fields(first_rx + r):
             for i in active:
-                occupancy, _, raw, _ = out[i]
                 np.divide(slots[i].remaining[r], gain, out=field)
-                np.minimum(raw, field, out=raw)
-                if rx.id in members:
-                    consumed[i, first_rx + r] = np.sum(np.clip(params.p_cmax - (occupancy + field), 0.0, params.p_cmax))
+                np.minimum(raw[i], field, out=raw[i])
+                if entities:
+                    consumed[first_rx + r, i] = np.sum(np.clip(params.p_cmax - (occupancy[i] + field), 0.0, params.p_cmax))
 
     # gamma is raw clipped to [0, max(headroom, 0)], as np.clip computes it
-    for occupancy, gamma, raw, phi in out:
-        headroom = np.subtract(params.p_cmax, occupancy, out=phi)
+    for i in range(len(slots)):
+        headroom = np.subtract(params.p_cmax, occupancy[i], out=phi[i])
         np.maximum(headroom, 0.0, out=field)
-        np.minimum(np.maximum(raw, 0.0, out=gamma), field, out=gamma)
-        phi -= gamma
-    return consumed
+        np.minimum(np.maximum(raw[i], 0.0, out=gamma[i]), field, out=gamma[i])
+        phi[i] -= gamma[i]
+    return np.concatenate([np.sum(block[:3], axis=-1), consumed])
 
 
 def _point_slice(slot: _Slot, point, region_index=None):
-    """The four fields (occupancy, clamped and raw opportunity, liability) of one
-    slot and every transceiver's consumption at one point.  ``region_index``
-    takes the noise of that cell instead of locating the point."""
+    """The four fields (occupancy, clamped opportunity, liability, raw
+    opportunity) of one slot and every transceiver's consumption at one point.
+    ``region_index`` takes the noise of that cell instead of locating the point."""
     budget, sys, nu = slot.budget, slot.budget.sys, slot.budget.band_index
     pts = np.array([point], dtype=float).reshape(1, 2)
     noise = sys.noise_at(point, nu) if region_index is None else _noise_vector(sys, nu, region_index, region_index + 1)
-    fields = np.empty((4, 1))
-    consumed = _evaluate([slot], pts, {budget: noise}, frozenset(budget.ids), [fields])
-    return fields[:, 0], consumed[0]
+    block = np.empty((4, 1, 1))
+    sums = _evaluate([slot], pts, {budget: noise}, True, block)
+    return block[:, 0, 0], sums[3:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +335,7 @@ def net_opportunity_at(sys: RFSystem, point, time_index: int = 0, band_index: in
     receivers, never exceeding the regulatory headroom p_max - P_bar.
     With no receivers it is the headroom itself.
     """
-    return float(_point_slice(_LinkBudget(sys, band_index).slot(time_index), point)[0][2])
+    return float(_point_slice(_LinkBudget(sys, band_index).slot(time_index), point)[0][3])
 
 
 @dataclass(frozen=True)
@@ -389,7 +388,7 @@ def point_metrics(sys: RFSystem, point, time_index: int = 0, band_index: int = 0
         tx_received={tx.id: float(consumed[t]) for t, tx in enumerate(budget.transmitters)},
         occupancy=float(fields[0]),
         receivers=tuple(views),
-        net_opportunity=float(fields[2]),
+        net_opportunity=float(fields[3]),
     )
 
 
@@ -430,8 +429,8 @@ def cell_metrics(sys: RFSystem, cell: Cell) -> CellMetrics:
         cell=cell,
         occupancy=float(fields[0]),
         opportunity=float(fields[1]),
-        raw_opportunity=float(fields[2]),
-        liability=float(fields[3]),
+        raw_opportunity=float(fields[3]),
+        liability=float(fields[2]),
         tx_occupancy={tx.id: float(consumed[t]) for t, tx in enumerate(budget.transmitters)},
         rx_liability={rx.id: float(consumed[first_rx + r]) for r, rx in active},
         harmful_interference=frozenset(rx.id for r, rx in active if slot.remaining[r] < 0.0),
@@ -450,6 +449,7 @@ class ConsumptionMaps:
 
 
 MAP_FIELDS = ("occupancy", "opportunity", "raw_opportunity", "liability")  # of ConsumptionMaps
+_BLOCK_ROWS = ("occupancy", "opportunity", "liability", "raw_opportunity")  # of _evaluate's block
 _PAIRWISE_LEAF = 128  # numpy sums at most this many elements in one unrolled loop
 
 
@@ -513,42 +513,38 @@ def _plan(sys: RFSystem, times, keep) -> _Plan:
     return _Plan(sys, budgets, slots, source, spans, maps, {})
 
 
-def _evaluate_grids(systems, members=frozenset(), times=None, keep=()):
+def _evaluate_grids(systems, entities=False, times=None, keep=()):
     """Every region's slices of each system in the quanta ``times`` (by default
     all) and all bands, one link budget per band.
 
     Returns, per system, the maps named in ``keep`` (fields of
     ConsumptionMaps), each of shape (regions, times, bands), a repeated slot
-    copied; the sums of occupancy, clamped opportunity and liability; and each
-    member id's consumption.  Each sum is per slot ``np.sum`` over all regions
-    bit for bit, the slots added up from 0.0 in (band, quantum) order, a
-    repeated slot's reused; so no sum depends on _CHUNK or MUSE_THREADS.  The
-    chunks of every system share one pool of at most MUSE_THREADS threads,
-    largest (regions x distinct slots) first, and each thread reuses one block
-    sized for the largest.  Where maps are kept, chunks hold _CHUNK // slots
-    regions, so a block holds about _CHUNK points; elsewhere at most
-    min(_CHUNK, 4 x _CHUNK // slots) regions, about 4 x _CHUNK points."""
+    copied; the sums of occupancy, clamped opportunity and liability; and, with
+    ``entities``, each transceiver's consumption by id.  Each sum is per slot
+    ``np.sum`` over all regions bit for bit, the slots added up from 0.0 in
+    (band, quantum) order, a repeated slot's reused; so no sum depends on
+    _CHUNK or MUSE_THREADS.  The chunks of every system share one pool of at
+    most MUSE_THREADS threads, largest (regions x distinct slots) first, and
+    each thread reuses one block sized for the largest.  Where maps are kept,
+    chunks hold _CHUNK // slots regions, so a block holds about _CHUNK points;
+    elsewhere at most min(_CHUNK, 4 x _CHUNK // slots) regions, about 4 x _CHUNK."""
     plans = [_plan(sys, range(sys.grid.horizon) if times is None else times, keep) for sys in systems]
-    names = ("occupancy", "opportunity", "liability", "raw_opportunity")[: 4 if "raw_opportunity" in keep else 3]
+    rows = 4 if "raw_opportunity" in keep else 3  # raw opportunity is stored only for its map
     tasks = [(len(plan.slots) * (hi - lo), plan, (lo, hi)) for plan in plans for lo, hi in plan.spans]
     tasks.sort(key=lambda task: task[0], reverse=True)  # stable: equal chunks keep system and region order
-    size = len(names) * tasks[0][0]
     local = threading.local()
 
     def run(task):
         _, (sys, budgets, slots, source, _, maps, _), (lo, hi) = task
-        if not hasattr(local, "block"):  # each thread reuses one; raw opportunity is stored only for its map
-            local.block = np.empty(size)
-        block = local.block[: len(names) * len(slots) * (hi - lo)].reshape(len(names), len(slots), hi - lo)
-        rows = dict(zip(names, block))
-        raw = rows.get("raw_opportunity", rows["opportunity"])
-        out = list(zip(rows["occupancy"], rows["opportunity"], raw, rows["liability"]))
+        if not hasattr(local, "block"):  # each thread reuses one
+            local.block = np.empty(rows * tasks[0][0])
+        block = local.block[: rows * len(slots) * (hi - lo)].reshape(rows, len(slots), hi - lo)
         noise = {b: _noise_vector(sys, b.band_index, lo, hi) for b in budgets}
-        consumed = _evaluate(slots, sys.grid.points(lo, hi), noise, members, out)
+        sums = _evaluate(slots, sys.grid.points(lo, hi), noise, entities, block)
         for (j, k), i in zip(np.ndindex(len(budgets), len(source) // len(budgets)), source):
             for name, field in maps.items():
-                field[lo:hi, k, j] = rows[name][i]
-        return np.concatenate([np.sum(block[:3], axis=-1), consumed.T])
+                field[lo:hi, k, j] = block[_BLOCK_ROWS.index(name), i]
+        return sums
 
     workers = min(thread_budget(), len(tasks))
     if workers > 1:
@@ -561,13 +557,13 @@ def _evaluate_grids(systems, members=frozenset(), times=None, keep=()):
     results = []
     for plan in plans:
         sums = sum(_tree_fold(plan.sums, 0, plan.sys.grid.region_count).T[plan.source])
-        entities = {i: float(v) for i, v in zip(plan.budgets[0].ids, sums[3:]) if i in members}
-        results.append((plan.maps, sums[:3], entities))
+        consumed = dict(zip(plan.budgets[0].ids, map(float, sums[3:]))) if entities else {}
+        results.append((plan.maps, sums[:3], consumed))
     return results
 
 
 def compute_maps(sys: RFSystem) -> ConsumptionMaps:
-    """Evaluate the full grid, one (time, band) slice at a time."""
+    """Every cell's four fields, from one chunked pass over the grid."""
     return ConsumptionMaps(sys.grid, **_evaluate_grids([sys], keep=MAP_FIELDS)[0][0])
 
 
@@ -576,11 +572,12 @@ def entity_consumption(sys: RFSystem, entity: str) -> float:
 
     Transmitter members contribute their aggregated occupancy, receiver
     members their aggregated liability; composite entities sum over all
-    member transceivers.
+    member transceivers, ``system_report``'s sums added in sorted id order.
     """
-    _, _, consumed = _evaluate_grids([sys], frozenset(m.id for m in entity_selector(sys, entity)))[0]
+    member_ids = sorted({m.id for m in entity_selector(sys, entity)})  # an unknown id raises before evaluation
+    consumed = system_report(sys).entity_consumption
     total = 0.0
-    for member_id in sorted(consumed):
+    for member_id in member_ids:
         total += consumed[member_id]
     return total
 
@@ -614,9 +611,8 @@ def system_report(sys: RFSystem, include_entities: bool = True) -> ConsumptionRe
 
 def system_reports(systems, include_entities: bool = True) -> list[ConsumptionReport]:
     """``system_report`` of each system, every system's chunks run in one thread pool."""
-    members = frozenset(m.id for sys in systems for m in entity_selector(sys, "system")) if include_entities else frozenset()
     reports = []
-    for sys, (_, sums, entities) in zip(systems, _evaluate_grids(systems, members)):
+    for sys, (_, sums, entities) in zip(systems, _evaluate_grids(systems, include_entities)):
         psi_total = sys.params.p_cmax * sys.grid.cell_count  # total_spectrum_space, on the grid already built
         psi_utilized, psi_available, psi_forbidden = map(float, sums)
         residual = abs(psi_utilized + psi_forbidden + psi_available - psi_total) / psi_total

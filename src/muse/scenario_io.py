@@ -54,6 +54,7 @@ MAP_CSV_HEADER = (
     "region_index,time_index,band_index,centroid_x_m,centroid_y_m,"
     "occupancy_w,opportunity_w,raw_opportunity_w,liability_w"
 )
+_HEADER_READ = 1024  # most characters of a map CSV's first line read; a longer line is an unexpected header
 
 
 # libyaml's parser where pyyaml was built with it; both build the same documents.
@@ -600,18 +601,20 @@ def read_map_csv(path, fields=MAP_FIELDS) -> dict[str, np.ndarray]:
     ValueError) and the ``centroids``, in one ``np.loadtxt`` pass over all nine
     columns; other fields are read as 1-byte strings, not converted.
 
-    The file must be UTF-8 text and the header must match; every row must
-    hold three integer indices and six numbers (no comment lines; empty lines
-    are skipped), every (region, time, band) index triple must appear exactly
-    once, every value read must be finite and the rows of a region must agree
-    on its centroid; anything else raises ScenarioError.
+    The file must be UTF-8 text, the header must match in a first line of
+    under ``_HEADER_READ`` characters, every row must hold three integer
+    indices and six numbers (no comment lines; empty lines are skipped), every
+    (region, time, band) index triple must appear exactly once, every value
+    read must be finite and the rows of a region must agree on its centroid;
+    anything else raises ScenarioError.
     """
     if not set(fields) <= set(MAP_FIELDS):
         raise ValueError(f"map CSV fields must be of {MAP_FIELDS}, got {tuple(fields)}")
     kinds = [(n, _MAP_DTYPE[n] if n in fields or n not in MAP_FIELDS else "S1") for n in _MAP_DTYPE.names]
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            header = fh.readline().strip()
+            line = fh.readline(_HEADER_READ)
+            header = line.strip() if len(line) < _HEADER_READ else line  # a cut line is never the header
             if header == MAP_CSV_HEADER:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)  # "input contained no data"

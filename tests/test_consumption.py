@@ -23,6 +23,7 @@ from muse import (
     RFSystem,
     SystemParams,
     Transmitter,
+    UnknownEntityError,
     aggregate_occupancy_at,
     cell_metrics,
     compute_maps,
@@ -462,9 +463,8 @@ def test_one_pool_over_many_grids_equals_each_grid_alone(monkeypatch, threads, k
         four_pair_system(hex_side=150.0),
         region_link_system(worst_case=True, hex_side=60.0),
     ]
-    members = frozenset(e.id for s in systems for e in entity_selector(s, "system"))
     monkeypatch.setenv("MUSE_THREADS", "1")
-    alone = [consumption._evaluate_grids([s], members, keep=keep)[0] for s in systems]
+    alone = [consumption._evaluate_grids([s], True, keep=keep)[0] for s in systems]
 
     runs, evaluate = [], consumption._evaluate
     monkeypatch.setattr(consumption, "_evaluate", lambda *args: runs.append((args[0][0][0].sys, len(args[0]) * len(args[1]))) or evaluate(*args))
@@ -473,7 +473,7 @@ def test_one_pool_over_many_grids_equals_each_grid_alone(monkeypatch, threads, k
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads swap often, so a block shared or a map span overwritten would show
     try:
-        together = consumption._evaluate_grids(systems, members, keep=keep)
+        together = consumption._evaluate_grids(systems, True, keep=keep)
     finally:
         sys.setswitchinterval(switch)
     assert len(runs) == 4 + 8 + 4 + 16
@@ -677,17 +677,20 @@ def test_maps_equal_per_slot_evaluation_bitwise(monkeypatch, threads):
     assert len(leaf_chunks(sys_)) == 4
     monkeypatch.setattr(consumption, "_CHUNK", 7)
     monkeypatch.setenv("MUSE_THREADS", threads)
-    members = frozenset(e.id for e in entity_selector(sys_, "system"))
-    maps, _, consumed = consumption._evaluate_grids([sys_], members, keep=consumption.MAP_FIELDS)[0]
+    maps, _, consumed = consumption._evaluate_grids([sys_], True, keep=consumption.MAP_FIELDS)[0]
+    members = {e.id for e in entity_selector(sys_, "system")}
+    assert set(consumed) == members
     per_slot = {}
     for nu in range(grid.band_count):
         budget = consumption._LinkBudget(sys_, nu)
         noise = consumption._noise_vector(sys_, nu, 0, grid.region_count)
         for tau in range(grid.horizon):
-            fields = np.empty((4, grid.region_count))  # occupancy, opportunity, raw opportunity, liability
-            part = consumption._evaluate([budget.slot(tau)], grid.points(0, grid.region_count), {budget: noise}, members, [fields])
-            per_slot[nu, tau] = dict(zip(budget.ids, part[0]))
-            for name, field in zip(consumption.MAP_FIELDS, fields):
+            block = np.empty((4, 1, grid.region_count))  # occupancy, opportunity, liability, raw opportunity
+            part = consumption._evaluate([budget.slot(tau)], grid.points(0, grid.region_count), {budget: noise}, True, block)
+            assert part.shape == (3 + len(budget.ids), 1)
+            assert part[:3, 0].tobytes() == np.sum(block[:3, 0], axis=-1).tobytes()
+            per_slot[nu, tau] = dict(zip(budget.ids, part[3:, 0]))
+            for name, field in zip(("occupancy", "opportunity", "liability", "raw_opportunity"), block[:, 0]):
                 assert maps[name][:, tau, nu].tobytes() == field.tobytes()
     totals = dict.fromkeys(members, 0.0)
     for nu, tau in sorted(per_slot):
@@ -696,7 +699,7 @@ def test_maps_equal_per_slot_evaluation_bitwise(monkeypatch, threads):
     assert consumed == totals
     assert consumed["tc"] == 0.0 and consumed["ta"] > 0.0
     for tau in range(grid.horizon):
-        quantum, _, part = consumption._evaluate_grids([sys_], members, times=[tau], keep=consumption.MAP_FIELDS)[0]
+        quantum, _, part = consumption._evaluate_grids([sys_], True, times=[tau], keep=consumption.MAP_FIELDS)[0]
         for name in consumption.MAP_FIELDS:
             assert quantum[name][:, 0, :].tobytes() == maps[name][:, tau, :].tobytes()
         for member in members:
@@ -922,11 +925,10 @@ def assert_totals_equal_maps(sys_, chunk, threads):
     per chunk, on a grid of 3 or more chunks."""
     import muse.consumption as consumption
 
-    members = frozenset(e.id for e in entity_selector(sys_, "system"))
     with mock.patch.object(consumption, "_CHUNK", chunk), mock.patch.dict(os.environ, {"MUSE_THREADS": threads}):
         assert len(consumption._tree_spans(0, sys_.grid.region_count, chunk)) >= 3
         maps = compute_maps(sys_)
-        _, sums, consumed = consumption._evaluate_grids([sys_], members, keep=("occupancy",))[0]
+        _, sums, consumed = consumption._evaluate_grids([sys_], True, keep=("occupancy",))[0]
         rep = system_report(sys_)
     assert bits(rep.psi_utilized) == bits(slot_sums(maps.occupancy))
     assert bits(rep.psi_available) == bits(slot_sums(maps.opportunity))
@@ -1102,6 +1104,31 @@ def test_entity_consumption_matches_oracle_sums():
     for _, _, rx in sys_.iter_receivers():
         expected = math.fsum(c["rx_liability"][rx.id] for c in per_cell)
         assert entity_consumption(sys_, rx.id) == pytest.approx(expected, rel=1e-9, abs=1e-30)
+
+
+@settings(max_examples=30, deadline=None)
+@given(generated_systems())
+def test_entity_sums_come_only_from_the_report(sys_):
+    """The system's, every network's, link's and transceiver's consumption is
+    the report's per-transceiver sums over its member ids, added from 0.0 in
+    sorted id order, bit for bit."""
+    consumed = system_report(sys_).entity_consumption
+    links = [link for net in sys_.networks for link in net.links]
+    for entity in ["system", *(net.id for net in sys_.networks), *(link.id for link in links), *consumed]:
+        total = 0.0
+        for member_id in sorted({m.id for m in entity_selector(sys_, entity)}):
+            total += consumed[member_id]
+        assert entity_consumption(sys_, entity).hex() == total.hex(), entity
+
+
+def test_an_unknown_entity_raises_before_any_evaluation(monkeypatch):
+    import muse.consumption as consumption
+
+    calls = []
+    monkeypatch.setattr(consumption, "_evaluate_grids", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(UnknownEntityError, match="nope"):
+        entity_consumption(region_link_system(), "nope")
+    assert calls == []
 
 
 def test_point_liability_is_the_clipped_complement():

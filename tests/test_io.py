@@ -1034,6 +1034,33 @@ def test_heatmap_matrix_shape():
     assert total == maps.grid.region_count
 
 
+def test_read_map_csv_reads_a_bounded_first_line(tmp_path):
+    """A 20 MB file with no newline is rejected without its line being held
+    (the whole line was read first, a 40 MB peak), and so is the header padded
+    past the 1,024 characters read."""
+    import tracemalloc
+
+    path = tmp_path / "line.csv"
+    path.write_text("x" * 20_000_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScenarioError, match=r"^unexpected map CSV header: 'x{37}\.\.\.'$"):
+            read_map_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    write_map_csv(path, compute_maps(dataclasses.replace(region_link_system(), grid_spec=small_grid())))
+    header, rest = path.read_text().split("\n", 1)
+    for padding, accepted in ((1023 - len(header) - 1, True), (1023 - len(header), False)):
+        path.write_text(header + " " * padding + "\n" + rest)
+        if accepted:
+            assert read_map_csv(path)["occupancy"].size
+        else:
+            with pytest.raises(ScenarioError, match=f"^unexpected map CSV header: {re.escape(repr(header[:37] + '...'))}$"):
+                read_map_csv(path)
+
+
 @pytest.mark.parametrize("header", ["", "region,time,band", MAP_CSV_HEADER.replace("liability", "phi")])
 def test_read_map_csv_rejects_an_unexpected_header(tmp_path, header):
     path = tmp_path / "map.csv"
