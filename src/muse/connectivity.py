@@ -160,7 +160,7 @@ def link_feasibility(
     _check_request(candidate_beta)
     slot = _LinkBudget(sys, band_index).slot(tau)
     source, dest = (_point_slice(slot, c.sample_point, c.region_index)[0] for c in (cell_a, cell_b))
-    max_power = _clip(sys, source[3:4])
+    max_power = _clip(sys, source[2:3])
     feasible, sinr = _budget(max_power, dest[0], _hop_gains(sys, [band_index]), candidate_beta)
     return bool(feasible[0]), float(max_power[0]), float(sinr[0])
 

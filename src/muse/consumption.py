@@ -48,7 +48,9 @@ The grid pass cuts the regions into chunks that are nodes of numpy's
 pairwise-summation tree (threads take whole chunks) and runs the kernel on
 each over the distinct slots; a slot whose activity masks repeat an earlier
 one's in its band is evaluated once.  Slot fields are contiguous rows of one
-reused per-thread block.  Only the maps a caller keeps are allocated and
+reused per-thread block: occupancy and clamped opportunity, and raw
+opportunity and liability only for a kept map (else liability is summed from
+one spare buffer).  Only the maps a caller keeps are allocated and
 copied from it (``compute_maps`` all four, ``opportunity_map`` one,
 connectivity two of one quantum, the totals none), and then chunks hold
 _CHUNK // slots regions; the totals' hold min(_CHUNK, 4 x _CHUNK // slots).
@@ -225,28 +227,33 @@ def receiver_sinr(sys: RFSystem, rx: Receiver | str, time_index: int = 0, band_i
 # evaluation kernel
 
 
-def _noise_vector(sys: RFSystem, band_index: int, lo: int, hi: int) -> np.ndarray:
-    """Ambient noise of the regions [lo, hi) on one band."""
-    noise = np.full(hi - lo, sys.params.noise_for_band(band_index))
-    for (chi, nu), w in sys.noise_cell_overrides.items():
-        if nu == band_index and lo <= chi < hi:
-            noise[chi - lo] = w
+def _noise_vector(sys: RFSystem, band_index: int, lo: int, hi: int) -> float | np.ndarray:
+    """Ambient noise of the regions [lo, hi) on one band: the band's scalar
+    noise, or an array where an override falls among them."""
+    overrides = {chi - lo: w for (chi, nu), w in sys.noise_cell_overrides.items() if nu == band_index and lo <= chi < hi}
+    noise = sys.params.noise_for_band(band_index)
+    if overrides:
+        noise = np.full(hi - lo, noise)
+        noise[list(overrides)] = list(overrides.values())
     return noise
 
 
 def _evaluate(slots, pts: np.ndarray, noise: dict, entities: bool, block: np.ndarray) -> np.ndarray:
     """Each ``_Slot`` at the N points ``pts`` with its band's
-    ``noise[slot.budget]``, written into ``block[:, i]``, of shape (3 or 4,
-    slots, N): occupancy, clamped opportunity, liability and, in a fourth row,
-    raw opportunity (else it passes through the clamped row).  Transceivers run
+    ``noise[slot.budget]``, written into ``block[:, i]``, of shape (2 to 4,
+    slots, N): the first rows of MAP_FIELDS, occupancy and clamped opportunity,
+    then raw opportunity (else it passes through the clamped row) and liability
+    (else each slot's is computed in one spare buffer).  Transceivers run
     in ``budget.ids`` order, transmitters first; each gain field is computed
     once per model and applied to every slot where its transceiver is active.
-    Returns the per-slot sums over the points, (3 + ids, slots): the three
-    fields, then, with ``entities``, the power each transmitter deposits or the
-    clipped liability each receiver imposes (else zeros)."""
+    Returns the per-slot sums over the points, (3 + ids, slots): occupancy,
+    clamped opportunity and liability, then, with ``entities``, the power each
+    transmitter deposits or the clipped liability each receiver imposes (else
+    zeros)."""
     first = slots[0].budget
     params, first_rx = first.sys.params, len(first.transmitters)
-    occupancy, gamma, phi, raw = block if len(block) > 3 else (*block, block[1])
+    occupancy, gamma, *kept = block
+    raw = kept[0] if kept else gamma
     models: dict = {}  # slot indices by propagation model, in slot order; occupancy starts at the noise
     for i, slot in enumerate(slots):
         models.setdefault(id(slot.budget.model), []).append(i)
@@ -280,17 +287,20 @@ def _evaluate(slots, pts: np.ndarray, noise: dict, entities: bool, block: np.nda
                     consumed[first_rx + r, i] = np.sum(np.clip(params.p_cmax - (occupancy[i] + field), 0.0, params.p_cmax))
 
     # gamma is raw clipped to [0, max(headroom, 0)], as np.clip computes it
+    phi = kept[1] if len(kept) > 1 else [np.empty(len(pts))] * len(slots)  # else one spare, after the gain fields
+    liability = np.empty((1, len(slots)))
     for i in range(len(slots)):
         headroom = np.subtract(params.p_cmax, occupancy[i], out=phi[i])
         np.maximum(headroom, 0.0, out=field)
         np.minimum(np.maximum(raw[i], 0.0, out=gamma[i]), field, out=gamma[i])
-        phi[i] -= gamma[i]
-    return np.concatenate([np.sum(block[:3], axis=-1), consumed])
+        headroom -= gamma[i]
+        liability[0, i] = np.sum(headroom)
+    return np.concatenate([np.sum(block[:2], axis=-1), liability, consumed])
 
 
 def _point_slice(slot: _Slot, point, region_index=None):
-    """The four fields (occupancy, clamped opportunity, liability, raw
-    opportunity) of one slot and every transceiver's consumption at one point.
+    """The four MAP_FIELDS (occupancy, clamped opportunity, raw opportunity,
+    liability) of one slot and every transceiver's consumption at one point.
     ``region_index`` takes the noise of that cell instead of locating the point."""
     budget, sys, nu = slot.budget, slot.budget.sys, slot.budget.band_index
     pts = np.array([point], dtype=float).reshape(1, 2)
@@ -335,7 +345,7 @@ def net_opportunity_at(sys: RFSystem, point, time_index: int = 0, band_index: in
     receivers, never exceeding the regulatory headroom p_max - P_bar.
     With no receivers it is the headroom itself.
     """
-    return float(_point_slice(_LinkBudget(sys, band_index).slot(time_index), point)[0][3])
+    return float(_point_slice(_LinkBudget(sys, band_index).slot(time_index), point)[0][2])
 
 
 @dataclass(frozen=True)
@@ -388,7 +398,7 @@ def point_metrics(sys: RFSystem, point, time_index: int = 0, band_index: int = 0
         tx_received={tx.id: float(consumed[t]) for t, tx in enumerate(budget.transmitters)},
         occupancy=float(fields[0]),
         receivers=tuple(views),
-        net_opportunity=float(fields[3]),
+        net_opportunity=float(fields[2]),
     )
 
 
@@ -429,8 +439,8 @@ def cell_metrics(sys: RFSystem, cell: Cell) -> CellMetrics:
         cell=cell,
         occupancy=float(fields[0]),
         opportunity=float(fields[1]),
-        raw_opportunity=float(fields[3]),
-        liability=float(fields[2]),
+        raw_opportunity=float(fields[2]),
+        liability=float(fields[3]),
         tx_occupancy={tx.id: float(consumed[t]) for t, tx in enumerate(budget.transmitters)},
         rx_liability={rx.id: float(consumed[first_rx + r]) for r, rx in active},
         harmful_interference=frozenset(rx.id for r, rx in active if slot.remaining[r] < 0.0),
@@ -448,8 +458,7 @@ class ConsumptionMaps:
     liability: np.ndarray
 
 
-MAP_FIELDS = ("occupancy", "opportunity", "raw_opportunity", "liability")  # of ConsumptionMaps
-_BLOCK_ROWS = ("occupancy", "opportunity", "liability", "raw_opportunity")  # of _evaluate's block
+MAP_FIELDS = ("occupancy", "opportunity", "raw_opportunity", "liability")  # of ConsumptionMaps, and _evaluate's block rows
 _PAIRWISE_LEAF = 128  # numpy sums at most this many elements in one unrolled loop
 
 
@@ -505,9 +514,10 @@ def _plan(sys: RFSystem, times, keep) -> _Plan:
         source.append(first.setdefault((j, slot.tx_active.tobytes(), slot.rx_active.tobytes()), len(slots)))
         if source[-1] == len(slots):
             slots.append(slot)
-    # The totals' chunks hold 4 x _CHUNK points, at most _CHUNK regions: cut to _CHUNK // slots, fine_sweep
-    # (4 slots) ran faster on one thread but much slower on two, as numpy calls on 16k-region arrays are too
-    # short to overlap under the GIL.
+    # The totals' chunks hold 4 x _CHUNK points, at most _CHUNK regions.  On 2 vCPUs, cut to _CHUNK // slots,
+    # fine_sweep (4 slots) ran faster on one thread but much slower on two (numpy calls on 16k-region arrays are
+    # too short to overlap under the GIL); cut to 2 x _CHUNK points, its peak RSS fell from 59.2 to 50.7 MB but
+    # its op_s_p50 rose 6 % (0.0832 to 0.0885 s): one thread gained (74.7 to 68.2 ms), two lost their overlap.
     spans = _tree_spans(0, grid.region_count, _CHUNK // len(slots) if keep else min(_CHUNK, 4 * _CHUNK // len(slots)))
     maps = {name: np.empty((grid.region_count, len(times), len(budgets))) for name in keep}
     return _Plan(sys, budgets, slots, source, spans, maps, {})
@@ -529,7 +539,7 @@ def _evaluate_grids(systems, entities=False, times=None, keep=()):
     chunks hold _CHUNK // slots regions, so a block holds about _CHUNK points;
     elsewhere at most min(_CHUNK, 4 x _CHUNK // slots) regions, about 4 x _CHUNK."""
     plans = [_plan(sys, range(sys.grid.horizon) if times is None else times, keep) for sys in systems]
-    rows = 4 if "raw_opportunity" in keep else 3  # raw opportunity is stored only for its map
+    rows = max([2] + [MAP_FIELDS.index(name) + 1 for name in keep])  # a block row past the second only for its map
     tasks = [(len(plan.slots) * (hi - lo), plan, (lo, hi)) for plan in plans for lo, hi in plan.spans]
     tasks.sort(key=lambda task: task[0], reverse=True)  # stable: equal chunks keep system and region order
     local = threading.local()
@@ -543,7 +553,7 @@ def _evaluate_grids(systems, entities=False, times=None, keep=()):
         sums = _evaluate(slots, sys.grid.points(lo, hi), noise, entities, block)
         for (j, k), i in zip(np.ndindex(len(budgets), len(source) // len(budgets)), source):
             for name, field in maps.items():
-                field[lo:hi, k, j] = block[_BLOCK_ROWS.index(name), i]
+                field[lo:hi, k, j] = block[MAP_FIELDS.index(name), i]
         return sums
 
     workers = min(thread_budget(), len(tasks))

@@ -127,7 +127,7 @@ def _toward(antenna: AntennaPattern, origin, pts):
     d = _distance(dx, dy)
     lobe -= math.cos(0.5 * antenna.beamwidth) * d
     gain = np.where(lobe >= 0.0, antenna.main_gain, antenna.back_gain)
-    band = d + 1e-130
+    band = np.add(d, 1e-130, out=dy)  # dy is spent
     band *= _LOBE_BAND
     edge = np.flatnonzero(np.abs(lobe, out=lobe) <= band)
     if edge.size:

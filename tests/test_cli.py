@@ -959,15 +959,15 @@ def test_memory_table(monkeypatch, tmp_path, command, scenario, side, regions):
     if command == "smf --truth-map --other-map":
         main(["map", "--scenario", str(path), "--out", csv], standalone_mode=False)
     args, fields, keeps_maps = {  # the arguments after --scenario, the block's fields, whether chunks hold _CHUNK // slots regions
-        "point": (["point", "--x", "1000", "--y", "1000"], 3, False),
-        "report": (["report", "--out", out], 3, False),
-        "entity": (["entity", "--id", "system"], 3, False),
-        "sweep": (["sweep", "--hex-sides", f"{side},100", "--out", out], 3, False),
+        "point": (["point", "--x", "1000", "--y", "1000"], 2, False),
+        "report": (["report", "--out", out], 2, False),
+        "entity": (["entity", "--id", "system"], 2, False),
+        "sweep": (["sweep", "--hex-sides", f"{side},100", "--out", out], 2, False),
         "map": (["map", "--out", out], 4, True),
         "map --heatmap": (["map", "--out", out, "--heatmap", "opportunity"], 4, True),
-        "smf": (["smf", "--p-missed", "0.1", "--false-positives", "3", "--seed", "8", "--out", out], 3, True),
-        "smf --truth-map --other-map": (["smf", "--truth-map", csv, "--other-map", csv, "--out", out], 3, False),
-        "connectivity": (["connectivity", "--beta-db", "10", "--out", out], 4, True),
+        "smf": (["smf", "--p-missed", "0.1", "--false-positives", "3", "--seed", "8", "--out", out], 2, True),
+        "smf --truth-map --other-map": (["smf", "--truth-map", csv, "--other-map", csv, "--out", out], 2, False),
+        "connectivity": (["connectivity", "--beta-db", "10", "--out", out], 3, True),
     }[command]
     grids, build, ranges, centroids = [], SpectrumGrid.__init__, [], SpectrumGrid.region_centroids
     monkeypatch.setattr(SpectrumGrid, "__init__", lambda grid, spec: (build(grid, spec), grids.append(grid))[0])
@@ -981,3 +981,28 @@ def test_memory_table(monkeypatch, tmp_path, command, scenario, side, regions):
     assert peak <= sum(k * units[unit] for unit, k in MEMORY_TABLE[command].items())
     assert max(ranges, default=0) <= consumption._CHUNK < grid.region_count
     assert all(holds_only_row_tables(g) for g in grids)
+
+
+@pytest.mark.parametrize("command", ["report", "sweep"])
+def test_each_further_thread_adds_a_block(monkeypatch, tmp_path, command):
+    """README's memory note: a second thread adds at most its own block and its chunk's
+    transients, eight values per region (the sample points, a gain field with a sector's
+    temporaries, the field buffers, the entity sums' clipped liability).  tracemalloc sees
+    every thread.  Each command runs once untraced first, so a first pool's set-up is not
+    counted; the grid and the chunks are scaled down as in ``test_memory_table``."""
+    path, out = tmp_path / "scenario.yaml", str(tmp_path / "out")
+    path.write_text((DEMO_SCENARIOS / "three_band_campus.yaml").read_text().replace("hex_side_m: 100.0", "hex_side_m: 12.0"))
+    grid = load_scenario(path).grid
+    monkeypatch.setattr(consumption, "_CHUNK", 1 << 12)
+    monkeypatch.setattr(consumption, "_TEXT_CHUNK", 1 << 8)
+    argv = [command, "--scenario", str(path), "--out", out] + (["--hex-sides", "12,100"] if command == "sweep" else [])
+    peaks = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MUSE_THREADS", threads)
+        main(argv, standalone_mode=False)
+        peaks.append(traced_peak(main, argv, standalone_mode=False)[1])
+    slots = grid.horizon * grid.band_count
+    spans = consumption._tree_spans(0, grid.region_count, min(consumption._CHUNK, 4 * consumption._CHUNK // slots))
+    assert len(spans) >= 2
+    chunk = max(hi - lo for lo, hi in spans)
+    assert peaks[1] <= peaks[0] + (2 * slots + 8) * chunk * 8  # a two-row block and eight values per region, 8 B each

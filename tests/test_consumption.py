@@ -685,12 +685,12 @@ def test_maps_equal_per_slot_evaluation_bitwise(monkeypatch, threads):
         budget = consumption._LinkBudget(sys_, nu)
         noise = consumption._noise_vector(sys_, nu, 0, grid.region_count)
         for tau in range(grid.horizon):
-            block = np.empty((4, 1, grid.region_count))  # occupancy, opportunity, liability, raw opportunity
+            block = np.empty((4, 1, grid.region_count))  # the rows of consumption.MAP_FIELDS
             part = consumption._evaluate([budget.slot(tau)], grid.points(0, grid.region_count), {budget: noise}, True, block)
             assert part.shape == (3 + len(budget.ids), 1)
-            assert part[:3, 0].tobytes() == np.sum(block[:3, 0], axis=-1).tobytes()
+            assert part[:3, 0].tobytes() == np.sum(block[[0, 1, 3], 0], axis=-1).tobytes()
             per_slot[nu, tau] = dict(zip(budget.ids, part[3:, 0]))
-            for name, field in zip(("occupancy", "opportunity", "liability", "raw_opportunity"), block[:, 0]):
+            for name, field in zip(consumption.MAP_FIELDS, block[:, 0]):
                 assert maps[name][:, tau, nu].tobytes() == field.tobytes()
     totals = dict.fromkeys(members, 0.0)
     for nu, tau in sorted(per_slot):
