@@ -75,7 +75,6 @@ from .propagation import _toward, link_gain
 
 __all__ = [
     "PointMetrics",
-    "ReceiverPointMetrics",
     "CellMetrics",
     "ConsumptionMaps",
     "ConsumptionReport",
@@ -91,8 +90,6 @@ __all__ = [
     "entity_consumption",
     "system_report",
     "system_reports",
-    "thread_budget",
-    "MAP_FIELDS",
 ]
 
 _CHUNK = 1 << 16  # most regions per chunk, fewer for several slots (see _plan); bounds the block and each field

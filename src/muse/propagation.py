@@ -17,8 +17,6 @@ __all__ = [
     "AntennaPattern",
     "OMNI",
     "path_gain",
-    "link_gain",
-    "pattern_gain",
 ]
 
 _LOBE_BAND = 1e-9  # relative half-width of the lobe edge that _toward resolves by bearing

@@ -43,9 +43,6 @@ __all__ = [
     "save_scenario",
     "write_map_csv",
     "read_map_csv",
-    "map_csv_chunks",
-    "heatmap_chunks",
-    "MAP_CSV_HEADER",
 ]
 
 SCHEMA_VERSION = 1

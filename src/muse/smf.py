@@ -45,7 +45,6 @@ __all__ = [
     "SensingErrorModel",
     "opportunity_map",
     "compare_maps",
-    "check_grid",
     "apply_policy",
     "exploitation_report",
     "simulate_recovery",
