@@ -12,7 +12,6 @@ Each module's ``__all__`` declares its share of the package's names.
 
 __version__ = "0.1.0"
 
-from . import connectivity, consumption, grid, model, propagation, scenario_io, smf, units
 from .connectivity import *
 from .consumption import *
 from .grid import *
@@ -22,7 +21,8 @@ from .scenario_io import *
 from .smf import *
 from .units import *
 
-# capitalised names (classes, exceptions, OMNI) first, each group sorted case-insensitively
+# each star import also binds its module here; capitalised names (classes, exceptions, OMNI) first, each group
+# sorted case-insensitively
 __all__ = sorted(
     (name for module in (connectivity, consumption, grid, model, propagation, scenario_io, smf, units)
      for name in module.__all__),
